@@ -13,6 +13,7 @@ passed.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import os
 import sys
@@ -218,6 +219,10 @@ def _boost_params(arg):
     sf = _load_system(arg)
     if sf.params is None:
         raise sysfile.SysFileError(f"{arg} has no [params] section")
+    try:
+        inspect.signature(regeq.BoostParams).bind(**sf.params)
+    except TypeError as exc:
+        raise sysfile.SysFileError(f"{arg} [params]: {exc}") from None
     return regeq.BoostParams(**sf.params)
 
 
@@ -226,6 +231,8 @@ def _cell_tag(v):
 
 
 def cmd_boost(args):
+    if args.ode_steps < 1:
+        raise regeq.RegulatorError(f"--ode-steps must be >= 1, got {args.ode_steps}")
     checks = _Checks()
     params = _boost_params(args.params)
     checks.add("boost_equilibrium", True, params.D0)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,16 +227,15 @@ def admissible_domain(params: BoostParams):
     return w1max, rho_max
 
 
-def _integrate_circle(psi0, w1, rho, params: BoostParams, steps):
+def _integrate_circle(psi0, w1, rho, params: BoostParams, steps, out=None):
     """RK4 over tau in [0, 2*pi]; psi0/w1/rho may be arrays (broadcast).
 
-    Returns the orbit samples, shape (..., steps + 1).  Cells whose orbit
-    hits the psi = -z20 guard come back as NaN.
+    Returns the orbit samples, shape (..., steps + 1), written into `out`
+    if given.  An orbit that hits the psi = -z20 guard is NaN from there on.
     """
-    psi0 = np.asarray(psi0, dtype=float)
+    psi = np.asarray(psi0, dtype=float)
     h = 2.0 * math.pi / steps
-    orbit = np.empty(psi0.shape + (steps + 1,))
-    psi = psi0.copy()
+    orbit = np.empty(psi.shape + (steps + 1,)) if out is None else out
     orbit[..., 0] = psi
     pr = params
     aL = pr.alpha * pr.L
@@ -248,18 +245,45 @@ def _integrate_circle(psi0, w1, rho, params: BoostParams, steps):
     def rhs(p, t):
         denom = aL * (p + pr.z20)
         num = pr.r * p * p + b_lin * p + c_con + pr.z10 * rho * np.cos(t)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(denom < DENOM_GUARD, np.nan, num / denom)
+        return np.where(denom < DENOM_GUARD, np.nan, num / denom)
 
-    for k in range(steps):
-        t = k * h
-        k1 = rhs(psi, t)
-        k2 = rhs(psi + 0.5 * h * k1, t + 0.5 * h)
-        k3 = rhs(psi + 0.5 * h * k2, t + 0.5 * h)
-        k4 = rhs(psi + h * k3, t + h)
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        orbit[..., k + 1] = psi
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k in range(steps):
+            t = k * h
+            k1 = rhs(psi, t)
+            k2 = rhs(psi + 0.5 * h * k1, t + 0.5 * h)
+            k3 = rhs(psi + 0.5 * h * k2, t + 0.5 * h)
+            k4 = rhs(psi + h * k3, t + h)
+            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            orbit[..., k + 1] = psi
     return orbit
+
+
+def _periodic_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter):
+    """Fixed-point iteration psi^n(0) = psi^{n-1}(2*pi) on many circles at once.
+
+    start, tol, w1 and rho broadcast to start's shape (0-d for one circle).
+    A cell freezes once its orbit escapes or |psi(2*pi) - psi(0)| < tol and
+    keeps its start, so later passes rewrite its orbit row bit for bit.
+    Returns (psi0, orbit, iters, escaped); iters is 0 where not converged.
+    """
+    start = np.array(start, dtype=float)
+    orbit = np.empty(start.shape + (steps + 1,))
+    iters = np.zeros(start.shape, dtype=int)
+    escaped = np.zeros(start.shape, dtype=bool)
+    active = np.ones(start.shape, dtype=bool)
+    for it in range(1, max_iter + 1):
+        _integrate_circle(start, w1, rho, params, steps, out=orbit)
+        end = orbit[..., -1]
+        escaped |= active & ~np.isfinite(end)
+        active &= ~escaped
+        done = active & (np.abs(end - start) < tol)
+        iters[done] = it
+        active &= ~done
+        if not active.any():
+            break
+        np.copyto(start, end, where=active)
+    return start, orbit, iters, escaped
 
 
 def solve_psi0(w1, rho, params: BoostParams, ode_steps=2000, max_iter=200,
@@ -267,24 +291,21 @@ def solve_psi0(w1, rho, params: BoostParams, ode_steps=2000, max_iter=200,
     """Periodic-orbit initial value on one characteristic circle.
 
     Iterates psi^1(0) = (psi1 + psi2)/2, psi^n(0) = psi^{n-1}(2*pi) until
-    |psi^n(2*pi) - psi^n(0)| < tol.  Returns (psi0, orbit, iterations) with
-    orbit sampled on the uniform tau grid (ode_steps + 1 points).
+    |psi^n(2*pi) - psi^n(0)| < tol, as one cell of solve_boost_grid's
+    solver.  Returns (psi0, orbit, iterations) with orbit sampled on the
+    uniform tau grid (ode_steps + 1 points).
     """
     psi1, psi2 = psi_bounds(w1, rho, params)
     if tol is None:
         tol = 1e-9 * (1.0 + abs(psi1))
-    psi_start = 0.5 * (psi1 + psi2)
-    for it in range(1, max_iter + 1):
-        orbit = _integrate_circle(psi_start, w1, rho, params, ode_steps)
-        if not np.all(np.isfinite(orbit)):
-            raise RegulatorError(
-                f"orbit escaped psi <= -z20 at (w1, rho) = ({w1}, {rho})")
-        end = float(orbit[-1])
-        if abs(end - psi_start) < tol:
-            return psi_start, np.asarray(orbit, dtype=float), it
-        psi_start = end
-    raise RegulatorError(
-        f"no periodic orbit within {max_iter} iterations at (w1, rho) = ({w1}, {rho})")
+    psi0, orbit, iters, escaped = _periodic_orbits(
+        0.5 * (psi1 + psi2), tol, w1, rho, params, ode_steps, max_iter)
+    where = f"at (w1, rho) = ({w1}, {rho})"
+    if escaped:
+        raise RegulatorError(f"orbit escaped psi <= -z20 {where}")
+    if not iters:
+        raise RegulatorError(f"no periodic orbit within {max_iter} iterations {where}")
+    return float(psi0), orbit, int(iters)
 
 
 @dataclass
@@ -327,87 +348,55 @@ def recover_gamma(orbit, w1, rho, params: BoostParams):
     return (rho * np.cos(tau) - pr.D0 * orbit) / denom
 
 
-def _solve_column(params, w1, rhos, ode_steps, max_iter):
-    """All cells of one w1 column, integrated together as an array.
-
-    Elementwise arithmetic matches the per-cell solve_psi0 iteration; cells
-    are frozen as soon as their own stopping test passes.
-    """
-    rhos = np.asarray(rhos, dtype=float)
-    cells = [BoostCell(w1=float(w1), rho=float(rho), present=True) for rho in rhos]
-    bounds_ok = np.ones(len(rhos), dtype=bool)
-    for k, cell in enumerate(cells):
-        try:
-            cell.psi1, cell.psi2 = psi_bounds(w1, rhos[k], params)
-        except RegulatorError as exc:
-            cell.message = str(exc)
-            bounds_ok[k] = False
-    psi1 = np.array([c.psi1 for c in cells])
-    psi2 = np.array([c.psi2 for c in cells])
-    tols = 1e-9 * (1.0 + np.abs(psi1))
-    start = np.where(bounds_ok, 0.5 * (psi1 + psi2), np.nan)
-    active = bounds_ok.copy()
-    for it in range(1, max_iter + 1):
-        if not np.any(active):
-            break
-        orbit = _integrate_circle(start, w1, rhos, params, ode_steps)
-        escaped = active & ~np.all(np.isfinite(orbit), axis=-1)
-        for k in np.flatnonzero(escaped):
-            cells[k].message = "orbit escaped psi <= -z20"
-        active &= ~escaped
-        end = orbit[..., -1]
-        done = active & (np.abs(end - start) < tols)
-        for k in np.flatnonzero(done):
-            cells[k].psi0 = float(start[k])
-            cells[k].orbit = orbit[k].copy()
-            cells[k].iters = it
-            cells[k].gamma = recover_gamma(cells[k].orbit, w1, rhos[k], params)
-            cells[k].converged = True
-        active &= ~done
-        start = np.where(active, end, start)
-    for k in np.flatnonzero(active):
-        cells[k].message = f"no periodic orbit within {max_iter} iterations"
-    return cells
-
-
 def solve_boost_grid(params: BoostParams, n_w1=21, n_rho=21, ode_steps=2000,
-                     max_iter=200, shrink=0.95, threads=None) -> BoostSolution:
+                     max_iter=200, shrink=0.95) -> BoostSolution:
     """psi0 (and orbits) on a uniform grid over the admissible set.
 
     w1 is uniform on [-shrink*w1max, shrink*w1max]; for each w1, rho is
     uniform on [0, shrink*rho_max(w1)].  Columns where rho_max(w1) <= 0 are
-    marked absent.  Columns are independent and may be solved concurrently;
-    the merged result is ordered by (w1, rho) regardless of thread timing.
+    marked absent.  All present cells go through one fixed-point iteration
+    as one flat array, each frozen on its own stopping test, so every
+    cell's psi0, iterations and orbit are bit-identical to solve_psi0.
     """
     if n_w1 < 2 or n_rho < 2:
         raise RegulatorError("grid resolutions must be >= 2")
     w1max, rho_max = admissible_domain(params)
     w1s = np.linspace(-shrink * w1max, shrink * w1max, n_w1)
     rho_grid = np.full((n_w1, n_rho), np.nan)
-    columns = [None] * n_w1
-    jobs = []
+    columns, cells = [], []
     for i, w1 in enumerate(w1s):
         rmax = rho_max(float(w1))
         if rmax <= 0:
-            columns[i] = [BoostCell(w1=float(w1), rho=math.nan, present=False,
-                                    message="outside admissible domain")
-                          for _ in range(n_rho)]
+            columns.append([BoostCell(w1=float(w1), rho=math.nan, present=False,
+                                      message="outside admissible domain")
+                            for _ in range(n_rho)])
             continue
-        rhos = np.linspace(0.0, shrink * rmax, n_rho)
-        rho_grid[i] = rhos
-        jobs.append((i, float(w1), rhos))
-    if threads is None:
-        threads = int(os.environ.get("REGSYN_THREADS", os.cpu_count() or 1))
-    threads = max(1, threads)
-    if threads == 1 or len(jobs) <= 1:
-        for i, w1, rhos in jobs:
-            columns[i] = _solve_column(params, w1, rhos, ode_steps, max_iter)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {pool.submit(_solve_column, params, w1, rhos, ode_steps,
-                                max_iter): i for i, w1, rhos in jobs}
-            for fut, i in futs.items():
-                columns[i] = fut.result()
+        rho_grid[i] = np.linspace(0.0, shrink * rmax, n_rho)
+        columns.append([BoostCell(w1=float(w1), rho=float(rho), present=True)
+                        for rho in rho_grid[i]])
+        for cell in columns[-1]:
+            try:
+                cell.psi1, cell.psi2 = psi_bounds(cell.w1, cell.rho, params)
+            except RegulatorError as exc:
+                cell.message = str(exc)
+            else:
+                cells.append(cell)
+    w1, rho, psi1, psi2 = np.array(
+        [(c.w1, c.rho, c.psi1, c.psi2) for c in cells]).reshape(-1, 4).T
+    psi0, orbit, iters, escaped = _periodic_orbits(
+        0.5 * (psi1 + psi2), 1e-9 * (1.0 + np.abs(psi1)), w1, rho, params,
+        ode_steps, max_iter)
+    for k, cell in enumerate(cells):
+        if escaped[k]:
+            cell.message = "orbit escaped psi <= -z20"
+        elif not iters[k]:
+            cell.message = f"no periodic orbit within {max_iter} iterations"
+        else:
+            cell.converged = True
+            cell.psi0 = float(psi0[k])
+            cell.iters = int(iters[k])
+            cell.orbit = orbit[k]
+            cell.gamma = recover_gamma(cell.orbit, cell.w1, cell.rho, params)
     return BoostSolution(params, w1s, rho_grid, columns, ode_steps)
 
 

@@ -1,9 +1,17 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from regsyn import cli, examples
+
+
+_SUBPROCESS_ENV = {**os.environ,
+                   "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 
 def _run(capsys, *argv):
@@ -174,6 +182,49 @@ def test_boost_grid_mode(tmp_path, capsys):
     grid = (tmp_path / "psi0_grid.csv").read_text().splitlines()
     assert grid[0] == "w1,rho,psi0,converged,iters"
     assert len(grid) > 30
+
+
+@pytest.mark.parametrize("extra", [[], ["--cell", "0", "0"], ["--cell", "10", "0.4"]])
+def test_boost_rejects_nonpositive_ode_steps(tmp_path, extra):
+    proc = subprocess.run(
+        [sys.executable, "-m", "regsyn.cli", "boost", "--out", str(tmp_path),
+         "--ode-steps", "0", *extra],
+        capture_output=True, text=True, env=_SUBPROCESS_ENV, timeout=120)
+    assert proc.returncode == 2, proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert "--ode-steps must be >= 1" in proc.stderr
+    assert "PASS" not in proc.stdout
+
+
+_BOOST_PARAMS = {"C": "4e-5", "L": "0.004", "R": "400", "r": "0.25",
+                 "v0": "100", "z10": "400", "alpha": "628.3185307179586"}
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"bogus": "1"}, "[params]: got an unexpected keyword argument 'bogus'"),
+    ({"L": None}, "[params]: missing a required argument: 'L'"),
+])
+def test_boost_params_keys_checked(tmp_path, capsys, edit, message):
+    params = {**_BOOST_PARAMS, **edit}
+    path = tmp_path / "conv.sys"
+    path.write_text("[params]\n" + "".join(
+        f"{k} = {v}\n" for k, v in params.items() if v is not None))
+    status, out, err = _run(capsys, "boost", "--params", str(path),
+                            "--out", str(tmp_path), "--cell", "10", "0.4")
+    assert status == 2
+    assert f"{path} {message}" in err
+    assert "CHECK" not in out
+
+
+def test_boost_params_file_accepted(tmp_path, capsys):
+    path = tmp_path / "conv.sys"
+    path.write_text("[params]\n" + "".join(
+        f"{k} = {v}\n" for k, v in _BOOST_PARAMS.items()))
+    status, out, _ = _run(capsys, "boost", "--params", str(path),
+                          "--out", str(tmp_path), "--ode-steps", "200",
+                          "--cell", "10", "0.4")
+    assert status == 0, out
+    assert _checks(out)["boost_cell_10_0p4"][0]
 
 
 def test_example_list_and_dump(capsys):

@@ -235,11 +235,88 @@ def test_grid_and_orbit_csv(tmp_path, boost_grid):
     assert first[1] == pytest.approx(cell.psi0)
 
 
-def test_boost_grid_threads_deterministic():
-    a = solve_boost_grid(PARAMS, n_w1=5, n_rho=5, ode_steps=500, threads=1)
-    b = solve_boost_grid(PARAMS, n_w1=5, n_rho=5, ode_steps=500, threads=4)
-    for col_a, col_b in zip(a.cells, b.cells):
-        for ca, cb in zip(col_a, col_b):
-            assert ca.present == cb.present
-            if ca.present:
-                assert ca.psi0 == cb.psi0
+def _reference_psi0(w1, rho, steps, max_iter=200):
+    """The scalar fixed-point loop the shared solver replaced."""
+    psi1, psi2 = psi_bounds(w1, rho, PARAMS)
+    tol = 1e-9 * (1.0 + abs(psi1))
+    start = 0.5 * (psi1 + psi2)
+    for it in range(1, max_iter + 1):
+        orbit = regeq._integrate_circle(start, w1, rho, PARAMS, steps)
+        assert np.all(np.isfinite(orbit))
+        if abs(float(orbit[-1]) - start) < tol:
+            return start, orbit, it
+        start = float(orbit[-1])
+    raise AssertionError("reference loop did not converge")
+
+
+def test_boost_grid_matches_solo_cells():
+    # the flat grid solve is bit-identical to solve_psi0 on each cell alone,
+    # and both to the scalar reference loop
+    grid = solve_boost_grid(PARAMS, n_w1=5, n_rho=5, ode_steps=500)
+    seen = 0
+    for col in grid.cells:
+        for c in col:
+            if not c.present:
+                continue
+            psi0, orbit, iters = solve_psi0(c.w1, c.rho, PARAMS, ode_steps=500)
+            ref_psi0, ref_orbit, ref_iters = _reference_psi0(c.w1, c.rho, 500)
+            assert (psi0, iters) == (ref_psi0, ref_iters)
+            assert np.array_equal(orbit, ref_orbit)
+            assert c.converged, c.message
+            assert c.psi0 == psi0
+            assert c.iters == iters
+            assert np.array_equal(c.orbit, orbit)
+            assert np.array_equal(c.gamma, recover_gamma(orbit, c.w1, c.rho, PARAMS))
+            seen += 1
+    assert seen >= 15
+
+
+def test_boost_grid_max_iter_freezes_cells():
+    # rho = 0 circles start on their equilibrium and converge on the first pass
+    grid = solve_boost_grid(PARAMS, n_w1=5, n_rho=5, ode_steps=500, max_iter=1)
+    present = [c for col in grid.cells for c in col if c.present]
+    assert present
+    for c in present:
+        if c.rho == 0.0:
+            assert c.converged and c.iters == 1, c.message
+        else:
+            assert not c.converged
+            assert c.iters == 0
+            assert c.message == "no periodic orbit within 1 iterations"
+
+
+def test_solve_psi0_max_iter_raises():
+    with pytest.raises(RegulatorError,
+                       match=r"no periodic orbit within 1 iterations at \(w1, rho\) = \(10.0, 0.4\)"):
+        solve_psi0(10.0, 0.4, PARAMS, ode_steps=500, max_iter=1)
+
+
+def test_escaped_cell_leaves_others_unchanged(monkeypatch):
+    # one cell starts below -z20; the rest of the same call is unaffected
+    bad_w1 = solve_boost_grid(PARAMS, n_w1=5, n_rho=5, ode_steps=500).w1_values[2]
+    true_bounds = regeq.psi_bounds
+
+    def bounds(w1, rho, params):
+        if w1 == bad_w1 and rho > 0:
+            return -params.z20 - 1.0, -params.z20 - 1.0
+        return true_bounds(w1, rho, params)
+
+    monkeypatch.setattr(regeq, "psi_bounds", bounds)
+    grid = solve_boost_grid(PARAMS, n_w1=5, n_rho=5, ode_steps=500)
+    with pytest.raises(RegulatorError, match="orbit escaped psi <= -z20"):
+        solve_psi0(bad_w1, grid.rho_values[2][1], PARAMS, ode_steps=500)
+    escaped = 0
+    for col in grid.cells:
+        for c in col:
+            if not c.present:
+                continue
+            if c.w1 == bad_w1 and c.rho > 0:
+                assert not c.converged
+                assert c.message == "orbit escaped psi <= -z20"
+                escaped += 1
+                continue
+            psi0, orbit, iters = solve_psi0(c.w1, c.rho, PARAMS, ode_steps=500)
+            assert c.converged, c.message
+            assert (c.psi0, c.iters) == (psi0, iters)
+            assert np.array_equal(c.orbit, orbit)
+    assert escaped == 4
