@@ -20,8 +20,9 @@ import sys
 
 import numpy as np
 
-from . import examples, model, regeq, specan, synth, sysfile
-from .sim import decay_metrics, simulate, write_trajectory_csv
+from . import examples, expr, model, regeq, specan, synth, sysfile
+from .sim import (DivergenceError, SimulationError, decay_metrics, simulate,
+                  write_trajectory_csv)
 
 RESIDUAL_TOL = 1e-6
 PDE_RESIDUAL_TOL = 1e-3
@@ -175,7 +176,10 @@ def cmd_synthesize(args):
 
 
 def _parse_ic(text, n, nc, p):
-    vals = [float(v) for v in text.replace(";", ",").split(",")]
+    try:
+        vals = [float(v) for v in text.replace(";", ",").split(",")]
+    except ValueError as exc:
+        raise sysfile.SysFileError(f"--ic: {exc}") from None
     if len(vals) != n + nc + p:
         raise sysfile.SysFileError(
             f"--ic needs {n + nc + p} values (x: {n}, xi: {nc}, w: {p}), got {len(vals)}")
@@ -201,7 +205,11 @@ def cmd_simulate(args):
         x0, xi0, w0 = ex.default_ic
     else:
         x0, xi0, w0 = [0.0] * n, [0.0] * nc, [0.0] * p
-    traj = simulate(sf.plant, sf.exo, sf.controller, x0, xi0, w0, T, dt)
+    try:
+        traj = simulate(sf.plant, sf.exo, sf.controller, x0, xi0, w0, T, dt)
+    except DivergenceError as exc:
+        checks.add("simulation_bounded", False, exc.t)
+        return checks.status
     checks.add("simulation_finite", bool(np.all(np.isfinite(traj.e))), "-")
     final_rms, peak, settle = decay_metrics(traj, window=T / 5.0)
     print(f"final_rms = {final_rms:.17g}")
@@ -235,6 +243,9 @@ def cmd_boost(args):
         raise regeq.RegulatorError(f"--ode-steps must be >= 1, got {args.ode_steps}")
     checks = _Checks()
     params = _boost_params(args.params)
+    # solve before any output, so that a rejected grid prints no CHECK line
+    boost = None if args.cell else regeq.solve_boost_grid(
+        params, n_w1=args.grid_w1, n_rho=args.grid_rho, ode_steps=args.ode_steps)
     checks.add("boost_equilibrium", True, params.D0)
     print(f"D0 = {params.D0:.17g}")
     print(f"z20 = {params.z20:.17g}")
@@ -260,8 +271,6 @@ def cmd_boost(args):
                   f"{iters} iterations -> {name}")
         return checks.status
 
-    boost = regeq.solve_boost_grid(params, n_w1=args.grid_w1, n_rho=args.grid_rho,
-                                   ode_steps=args.ode_steps)
     grid_path = os.path.join(args.out, "psi0_grid.csv")
     regeq.write_grid_csv(boost, grid_path)
     print(f"grid written to {grid_path}")
@@ -343,7 +352,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except (sysfile.SysFileError, model.ModelError, regeq.RegulatorError,
-            synth.SynthesisError, specan.SpectralError) as exc:
+            synth.SynthesisError, specan.SpectralError, expr.ExprError,
+            SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

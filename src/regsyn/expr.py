@@ -241,10 +241,12 @@ def to_string(e):
 # --------------------------------------------------------------- evaluator
 
 def _pow(a, b):
-    if a < 0 and b != int(b):
+    if a < 0 and not float(b).is_integer():
         raise EvalError(f"fractional power of negative base ({a})^({b})")
     try:
         return a ** b
+    except ZeroDivisionError:
+        raise EvalError("division by zero") from None
     except OverflowError as exc:
         raise EvalError(str(exc)) from exc
 
@@ -316,9 +318,28 @@ def free_vars(e):
 
 # ---------------------------------------------------------------- compiler
 
+def _literal(v):
+    """Python source for the float v.  Negative values are parenthesized so
+    that they can stand as the base of **; non-finite values are names
+    bound in the namespace of every generated function."""
+    v = float(v)
+    if math.isnan(v):
+        return "_nan"
+    if math.isinf(v):
+        return "_inf" if v > 0 else "(-_inf)"
+    text = repr(v)
+    return f"({text})" if text.startswith("-") else text
+
+
 def _codegen(e, argmap):
+    """Python source for e, with variables renamed through argmap.
+
+    Division and powers with an integer-valued literal exponent are inline
+    operators; the function that runs the source must translate their
+    exceptions as _define does.  Other powers go through _pow, which
+    rejects fractional powers of negative bases."""
     if isinstance(e, Num):
-        return repr(e.value)
+        return _literal(e.value)
     if isinstance(e, Var):
         try:
             return argmap[e.name]
@@ -333,10 +354,34 @@ def _codegen(e, argmap):
     a = _codegen(e.left, argmap)
     b = _codegen(e.right, argmap)
     if e.op == "^":
+        if isinstance(e.right, Num) and float(e.right.value).is_integer():
+            return f"({a} ** {b})"
         return f"_pow({a}, {b})"
-    if e.op == "/":
-        return f"_div({a}, {b})"
     return f"({a} {e.op} {b})"
+
+
+_NAMESPACE = {"_pi": math.pi, "_inf": math.inf, "_nan": math.nan,
+              "_pow": _pow, "_EvalError": EvalError,
+              **{f"_f_{name}": impl for name, impl in _FUNC_IMPL.items()}}
+
+
+def _define(name, params, body):
+    """exec `def name(*params)` around the source lines of body.
+
+    The body runs inside one try block that turns the exceptions of inline
+    arithmetic and of the math functions into the EvalError messages of
+    evaluate(): ZeroDivisionError becomes "division by zero", ValueError
+    and OverflowError keep their text."""
+    lines = "\n".join("        " + line for line in body)
+    src = (f"def {name}({', '.join(params)}):\n"
+           f"    try:\n{lines}\n"
+           f"    except ZeroDivisionError:\n"
+           f"        raise _EvalError('division by zero') from None\n"
+           f"    except (ValueError, OverflowError) as exc:\n"
+           f"        raise _EvalError(str(exc)) from exc\n")
+    ns = dict(_NAMESPACE)
+    exec(src, ns)
+    return ns[name]
 
 
 def compile_fn(exprs, var_order):
@@ -344,28 +389,12 @@ def compile_fn(exprs, var_order):
 
     Returns f(v0, v1, ...) with arguments in var_order.  A single expression
     compiles to a scalar-valued function, a list to a tuple-valued one.
-    Semantics match evaluate() exactly (same helper functions).
+    Values and EvalError messages match evaluate() exactly: the generated
+    code does the same float operations in the same order.
     """
     single = not isinstance(exprs, (list, tuple))
     items = [exprs] if single else list(exprs)
     argmap = {name: f"_a{i}" for i, name in enumerate(var_order)}
-    args = ", ".join(argmap[name] for name in var_order)
     bodies = [_codegen(e, argmap) for e in items]
     body = bodies[0] if single else "(" + ", ".join(bodies) + ("," if len(bodies) == 1 else "") + ")"
-    src = f"def _compiled({args}):\n    return {body}\n"
-    ns = {"_pi": math.pi, "_pow": _pow, "_div": _div}
-    for name, impl in _FUNC_IMPL.items():
-        ns[f"_f_{name}"] = _wrap_domain(impl)
-    exec(src, ns)
-    return ns["_compiled"]
-
-
-def _wrap_domain(impl):
-    # evaluate() converts math domain errors to EvalError; compiled
-    # functions must do the same
-    def call(a, impl=impl):
-        try:
-            return impl(a)
-        except (ValueError, OverflowError) as exc:
-            raise EvalError(str(exc)) from exc
-    return call
+    return _define("_compiled", [argmap[name] for name in var_order], [f"return {body}"])

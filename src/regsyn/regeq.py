@@ -18,6 +18,7 @@ import numpy as np
 from . import expr
 from .expr import Expr
 from .model import ExosystemModel, PlantModel, _as_exprs, numeric_jacobian, w_names
+from .sim import _write_csv
 
 ORIGIN_TOL = 1e-12
 DENOM_GUARD = 1e-12
@@ -358,8 +359,10 @@ def solve_boost_grid(params: BoostParams, n_w1=21, n_rho=21, ode_steps=2000,
     as one flat array, each frozen on its own stopping test, so every
     cell's psi0, iterations and orbit are bit-identical to solve_psi0.
     """
-    if n_w1 < 2 or n_rho < 2:
-        raise RegulatorError("grid resolutions must be >= 2")
+    if n_w1 < 2 or n_rho < 3:
+        # pde_residual differentiates across three radii of a column
+        raise RegulatorError(f"grid resolutions must be n_w1 >= 2 and n_rho >= 3, "
+                             f"got {n_w1} x {n_rho}")
     w1max, rho_max = admissible_domain(params)
     w1s = np.linspace(-shrink * w1max, shrink * w1max, n_w1)
     rho_grid = np.full((n_w1, n_rho), np.nan)
@@ -463,8 +466,4 @@ def write_orbit_csv(cell: BoostCell, ode_steps, path):
     if not cell.converged:
         raise RegulatorError("cannot export an unconverged cell")
     tau = np.linspace(0.0, 2.0 * math.pi, ode_steps + 1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "psi", "gamma"])
-        for t, p, g in zip(tau, cell.orbit, cell.gamma):
-            writer.writerow([f"{t:.17g}", f"{p:.17g}", f"{g:.17g}"])
+    _write_csv(path, ["tau", "psi", "gamma"], [tau, cell.orbit, cell.gamma])

@@ -2,18 +2,22 @@
 
 Integrates the forced nonlinear closed loop (plant + exosystem +
 controller) and computes trajectory diagnostics: error decay metrics and
-period detection for exosystem orbits.  The integrator is deterministic:
-identical inputs produce bit-identical trajectories.
+period detection for exosystem orbits.  One code generator (_rk4_kernel)
+turns the model expressions into a single Python function per system that
+runs all four RK4 stages over scalar locals and writes the trajectory into
+preallocated arrays; simulate and simulate_exosystem both run it.  The
+integrator is deterministic: identical inputs produce bit-identical
+trajectories, equal to evaluating every expression with expr.evaluate.
 """
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import compile_fn
+from .expr import _codegen, _define, _literal
 from .model import ControllerModel, ExosystemModel, PlantModel, w_names, x_names, xi_names
 
 DIVERGENCE_CAP = 1e6
@@ -21,6 +25,14 @@ DIVERGENCE_CAP = 1e6
 
 class SimulationError(Exception):
     pass
+
+
+class DivergenceError(SimulationError):
+    """The state left the DIVERGENCE_CAP ball at time t."""
+
+    def __init__(self, what, t):
+        super().__init__(f"{what} diverged at t = {t}")
+        self.t = t
 
 
 @dataclass(frozen=True)
@@ -38,10 +50,60 @@ class Trajectory:
 
 
 def _check_grid(T, dt):
-    if dt <= 0 or T < dt:
-        raise SimulationError("need dt > 0 and T >= dt")
-    steps = int(round(T / dt))
-    return steps
+    if not (dt > 0 and T >= dt and math.isfinite(T / dt)):
+        raise SimulationError("need finite dt > 0 and T >= dt")
+    return int(round(T / dt))
+
+
+def _rk4_kernel(exo: ExosystemModel, plant: PlantModel = None,
+                ctrl: ControllerModel = None):
+    """Generate the RK4 loop for dw = s(w), or for the closed loop when a
+    plant and a controller are given.
+
+    The generated function takes the initial state as scalars, then steps,
+    dt and the preallocated output arrays (out, and e_out, u_out for the
+    closed loop).  It writes row k of each output, returns k as soon as the
+    state's infinity-norm exceeds DIVERGENCE_CAP and returns -1 once every
+    row is written.  Each stage evaluates u, f, e, phi + Bc e and s in that
+    order, as evaluate() would, so trajectories and EvalError messages are
+    those of a stage-by-stage evaluate() loop; stage 1 reuses the u and e
+    of the row."""
+    n, nc = (plant.n, ctrl.nc) if plant else (0, 0)
+    names = x_names(n) + xi_names(nc) + w_names(exo.p)
+    dim = len(names)
+
+    def stage(j, z):
+        """(u, f, e, rest) source lines of stage j with state locals z."""
+        env = dict(zip(names, z), u=f"u{j}")
+        if not plant:
+            return [], [], [], [f"k{j}_{i} = {_codegen(s, env)}" for i, s in enumerate(exo.s)]
+        rhs = ([f"{_codegen(phi, env)} + {_literal(b)} * e{j}"
+                for phi, b in zip(ctrl.phi, ctrl.Bc)]
+               + [_codegen(s, env) for s in exo.s])
+        return ([f"u{j} = {_codegen(ctrl.lam, env)}"],
+                [f"k{j}_{i} = {_codegen(f, env)}" for i, f in enumerate(plant.f)],
+                [f"e{j} = {_codegen(plant.h, env)}"],
+                [f"k{j}_{n + i} = {v}" for i, v in enumerate(rhs)])
+
+    state = [f"s{i}" for i in range(dim)]
+    u, f, e, rest = stage(1, state)
+    norm = f"max({', '.join(f'abs({v})' for v in state)})" if dim > 1 else f"abs({state[0]})"
+    loop = [f"out[k] = ({', '.join(state)},)", *u, *e]
+    if plant:
+        loop += ["e_out[k] = e1", "u_out[k] = u1"]
+    loop += [f"if {norm} > {_literal(DIVERGENCE_CAP)}:", "    return k",
+             "if k == steps:", "    break", *f, *rest]
+    for j, step in ((2, "half"), (3, "half"), (4, "dt")):
+        z = [f"y{j}_{i}" for i in range(dim)]
+        loop += [f"{z[i]} = s{i} + {step} * k{j - 1}_{i}" for i in range(dim)]
+        for part in stage(j, z):
+            loop += part
+    loop += [f"s{i} = s{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+             for i in range(dim)]
+    body = ["half = dt / 2.0", "sixth = dt / 6.0", "for k in range(steps + 1):",
+            *("    " + line for line in loop), "return -1"]
+    outputs = ["out", "e_out", "u_out"] if plant else ["out"]
+    return _define("_rk4", state + ["steps", "dt"] + outputs, body)
 
 
 def simulate(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
@@ -54,49 +116,13 @@ def simulate(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
     if x0.shape != (n,) or xi0.shape != (nc,) or w0.shape != (p,):
         raise SimulationError("initial state dimensions do not match the models")
     steps = _check_grid(T, dt)
-
-    xv, wv, cv = x_names(n), w_names(p), xi_names(nc)
-    f_fn = compile_fn(list(plant.f), xv + ("u",) + wv)
-    h_fn = compile_fn(plant.h, xv + ("u",) + wv)
-    s_fn = compile_fn(list(exo.s), wv)
-    phi_fn = compile_fn(list(ctrl.phi), cv)
-    lam_fn = compile_fn(ctrl.lam, cv)
-    Bc = ctrl.Bc
-
-    def deriv(state):
-        x = state[:n]
-        xi = state[n:n + nc]
-        w = state[n + nc:]
-        u = lam_fn(*xi)
-        args = (*x, u, *w)
-        fx = f_fn(*args)
-        e = h_fn(*args)
-        dphi = phi_fn(*xi)
-        dxi = tuple(dphi[i] + Bc[i] * e for i in range(nc))
-        return fx + dxi + s_fn(*w)
-
-    dim = n + nc + p
-    out = np.empty((steps + 1, dim))
+    out = np.empty((steps + 1, n + nc + p))
     e_out = np.empty(steps + 1)
     u_out = np.empty(steps + 1)
-    state = tuple(np.concatenate([x0, xi0, w0]).tolist())
-    half = dt / 2.0
-    sixth = dt / 6.0
-    for k in range(steps + 1):
-        out[k] = state
-        u_k = lam_fn(*state[n:n + nc])
-        e_out[k] = h_fn(*state[:n], u_k, *state[n + nc:])
-        u_out[k] = u_k
-        if max(abs(v) for v in state) > DIVERGENCE_CAP:
-            raise SimulationError(f"state diverged at t = {k * dt}")
-        if k == steps:
-            break
-        k1 = deriv(state)
-        k2 = deriv(tuple(state[i] + half * k1[i] for i in range(dim)))
-        k3 = deriv(tuple(state[i] + half * k2[i] for i in range(dim)))
-        k4 = deriv(tuple(state[i] + dt * k3[i] for i in range(dim)))
-        state = tuple(state[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                      for i in range(dim))
+    k = _rk4_kernel(exo, plant, ctrl)(*np.concatenate([x0, xi0, w0]).tolist(),
+                                      steps, dt, out, e_out, u_out)
+    if k >= 0:
+        raise DivergenceError("state", k * dt)
     t = np.arange(steps + 1) * dt
     return Trajectory(t, out[:, :n], out[:, n:n + nc], out[:, n + nc:], e_out, u_out)
 
@@ -118,27 +144,14 @@ def decay_metrics(traj: Trajectory, window: float):
 
 def simulate_exosystem(exo: ExosystemModel, w0, T, dt):
     """Integrate dw = s(w) alone; returns (t, w) arrays."""
-    p = exo.p
     w0 = np.asarray(w0, dtype=float)
-    if w0.shape != (p,):
+    if w0.shape != (exo.p,):
         raise SimulationError("initial state dimension does not match the exosystem")
     steps = _check_grid(T, dt)
-    s_fn = compile_fn(list(exo.s), w_names(p))
-    out = np.empty((steps + 1, p))
-    state = tuple(w0.tolist())
-    half, sixth = dt / 2.0, dt / 6.0
-    for k in range(steps + 1):
-        out[k] = state
-        if max(abs(v) for v in state) > DIVERGENCE_CAP:
-            raise SimulationError(f"exosystem diverged at t = {k * dt}")
-        if k == steps:
-            break
-        k1 = s_fn(*state)
-        k2 = s_fn(*(state[i] + half * k1[i] for i in range(p)))
-        k3 = s_fn(*(state[i] + half * k2[i] for i in range(p)))
-        k4 = s_fn(*(state[i] + dt * k3[i] for i in range(p)))
-        state = tuple(state[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                      for i in range(p))
+    out = np.empty((steps + 1, exo.p))
+    k = _rk4_kernel(exo)(*w0.tolist(), steps, dt, out)
+    if k >= 0:
+        raise DivergenceError("exosystem", k * dt)
     return np.arange(steps + 1) * dt, out
 
 
@@ -172,18 +185,21 @@ def detect_period(t, w, tol=1e-3):
     return float(t[k])
 
 
+def _write_csv(path, header, columns, block=512):
+    """CSV of equal-length columns (1-d, or 2-d for several at once) with
+    every value at 17 significant digits and CRLF line ends.  Rows are
+    formatted a block at a time, so no copy of the whole table is made."""
+    fmt = ",".join(["%.17g"] * len(header)) + "\r\n"
+    rows = len(columns[0])
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, rows, block):
+            table = np.column_stack([c[start:start + block] for c in columns])
+            fh.write("".join([fmt % tuple(row) for row in table.tolist()]))
+
+
 def write_trajectory_csv(traj: Trajectory, path):
     """CSV with header t,x1..xn,xi1..xinc,w1..wp,e,u at full precision."""
-    n = traj.x.shape[1]
-    nc = traj.xi.shape[1]
-    p = traj.w.shape[1]
-    header = (["t"] + [f"x{i + 1}" for i in range(n)]
-              + [f"xi{i + 1}" for i in range(nc)]
-              + [f"w{i + 1}" for i in range(p)] + ["e", "u"])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(len(traj.t)):
-            row = ([traj.t[k]] + list(traj.x[k]) + list(traj.xi[k])
-                   + list(traj.w[k]) + [traj.e[k], traj.u[k]])
-            writer.writerow([f"{v:.17g}" for v in row])
+    header = (["t"] + list(x_names(traj.x.shape[1])) + list(xi_names(traj.xi.shape[1]))
+              + list(w_names(traj.w.shape[1])) + ["e", "u"])
+    _write_csv(path, header, [traj.t, traj.x, traj.xi, traj.w, traj.e, traj.u])

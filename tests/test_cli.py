@@ -156,6 +156,82 @@ def test_simulate_ic_length_checked(capsys):
     assert "--ic needs 6 values" in err
 
 
+def _cli(*argv):
+    return subprocess.run([sys.executable, "-m", "regsyn.cli", *argv],
+                          capture_output=True, text=True, env=_SUBPROCESS_ENV,
+                          timeout=120)
+
+
+def test_simulate_divergence_is_a_failed_check():
+    proc = _cli("simulate", "example51", "--T", "5", "--ic", "50,50,0,0,0,0")
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(r"CHECK simulation_bounded FAIL \S+", lines[0])
+    assert 0.0 < float(lines[0].split()[-1]) < 5.0
+
+
+def test_simulate_ic_must_be_numbers():
+    proc = _cli("simulate", "example51", "--T", "1", "--ic", "1,2,x,0,0,0")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: --ic: ")
+    assert "'x'" in proc.stderr
+    assert proc.stdout == ""
+
+
+# f1 and g are fine at the origin, but sqrt(1 - x1) fails once the unstable
+# state passes x1 = 1, a few hundred steps into the run
+_SQRT_SYS = """\
+[plant]
+n = 1
+f1 = x1 + sqrt(1 - x1) - 1 + u
+g = x1
+
+[reference]
+q = 0
+
+[exosystem]
+p = 1
+s1 = 0
+
+[controller]
+nc = 1
+phi1 = 0
+lam = xi1
+bc = 0
+"""
+
+
+def test_simulate_eval_error_mid_run(tmp_path):
+    path = tmp_path / "sqrt.sys"
+    path.write_text(_SQRT_SYS)
+    proc = _cli("simulate", str(path), "--T", "10", "--dt", "0.01",
+                "--ic", "0.1,0,0")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: sqrt of negative value ")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("T, dt", [("1", "0"), ("1", "nan"), ("nan", "0.1"), ("inf", "0.1")])
+def test_simulate_bad_grid_is_an_error(T, dt):
+    proc = _cli("simulate", "example51", "--T", T, "--dt", dt)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: need finite dt > 0 and T >= dt\n"
+
+
+def test_boost_grid_needs_three_radii(tmp_path):
+    proc = _cli("boost", "--out", str(tmp_path), "--grid-w1", "3", "--grid-rho", "2")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "n_rho >= 3" in proc.stderr
+    assert "CHECK" not in proc.stdout
+    assert not (tmp_path / "psi0_grid.csv").exists()
+
+
 def test_boost_single_cells(tmp_path, capsys):
     status, out, _ = _run(capsys, "boost", "--out", str(tmp_path),
                           "--ode-steps", "1000",

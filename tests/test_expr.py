@@ -64,6 +64,34 @@ def test_eval_errors():
         evaluate(parse("(0-2)^0.5"), {})
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1/(x1 - 1)", "division by zero"),
+    ("0^(x1 - 2)", "division by zero"),
+    ("sqrt(0 - x1)", "sqrt of negative value -1.0"),
+    ("(x1 + 9)^400", "Numerical result out of range"),
+    ("exp(1000*x1)", "math range error"),
+    ("(0 - x1)^0.5", "fractional power of negative base (-1.0)^(0.5)"),
+    ("(0 - 2)^1e999", "fractional power of negative base (-2.0)^(inf)"),
+])
+def test_compiled_errors_match_evaluate(text, message):
+    e = parse(text)
+    with pytest.raises(EvalError) as direct:
+        evaluate(e, {"x1": 1.0})
+    with pytest.raises(EvalError) as compiled:
+        compile_fn(e, ("x1",))(1.0)
+    assert str(direct.value) == str(compiled.value)
+    assert message in str(direct.value)
+
+
+def test_non_finite_literals_compile():
+    for text in ("1e999", "0 - 1e999", "2^1e999", "0.5^1e999", "1e999 - 1e999"):
+        e = parse(text)
+        want = evaluate(e, {})
+        got = compile_fn(e, ())()
+        assert got == want or (math.isnan(got) and math.isnan(want)), text
+    assert compile_fn(parse("x1 - 1e999"), ("x1",))(0.0) == -math.inf
+
+
 def test_free_vars():
     assert free_vars(parse("x1 + sin(w2)*u - pi")) == {"x1", "w2", "u"}
     assert free_vars(parse("1 + 2")) == set()

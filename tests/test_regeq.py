@@ -320,3 +320,11 @@ def test_escaped_cell_leaves_others_unchanged(monkeypatch):
             assert (c.psi0, c.iters) == (psi0, iters)
             assert np.array_equal(c.orbit, orbit)
     assert escaped == 4
+
+
+def test_boost_grid_needs_three_radii():
+    # pde_residual differentiates across three radii of a column
+    with pytest.raises(RegulatorError, match="n_rho >= 3"):
+        solve_boost_grid(PARAMS, n_w1=3, n_rho=2, ode_steps=10)
+    with pytest.raises(RegulatorError, match="n_w1 >= 2"):
+        solve_boost_grid(PARAMS, n_w1=1, n_rho=3, ode_steps=10)

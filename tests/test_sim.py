@@ -1,19 +1,185 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from regsyn import examples, expr
-from regsyn.model import ControllerModel, ExosystemModel, PlantModel
-from regsyn.sim import (SimulationError, Trajectory, decay_metrics,
-                        detect_period, simulate, simulate_exosystem,
-                        write_trajectory_csv)
+from regsyn import examples, expr, sysfile
+from regsyn.expr import EvalError, evaluate
+from regsyn.model import (ControllerModel, ExosystemModel, PlantModel, w_names,
+                          x_names, xi_names)
+from regsyn.sim import (DIVERGENCE_CAP, DivergenceError, SimulationError,
+                        Trajectory, _write_csv, decay_metrics, detect_period,
+                        simulate, simulate_exosystem, write_trajectory_csv)
 
 
 def _example(name):
     ex = examples.get(name)
     sf = ex.load()
     return sf, ex.default_ic
+
+
+# ------------------------------------------------------ reference loops
+# The straightforward RK4 loops that the generated kernel replaced, with
+# every expression evaluated through expr.evaluate: the kernel must give
+# the same bits and raise the same messages.
+
+def _ref_fn(exprs, names):
+    single = not isinstance(exprs, (list, tuple))
+    items = [exprs] if single else list(exprs)
+
+    def fn(*args):
+        env = dict(zip(names, args))
+        vals = tuple(evaluate(e, env) for e in items)
+        return vals[0] if single else vals
+    return fn
+
+
+def _ref_simulate(plant, exo, ctrl, x0, xi0, w0, T, dt):
+    n, nc, p = plant.n, ctrl.nc, exo.p
+    steps = int(round(T / dt))
+    xv, wv, cv = x_names(n), w_names(p), xi_names(nc)
+    f_fn = _ref_fn(list(plant.f), xv + ("u",) + wv)
+    h_fn = _ref_fn(plant.h, xv + ("u",) + wv)
+    s_fn = _ref_fn(list(exo.s), wv)
+    phi_fn = _ref_fn(list(ctrl.phi), cv)
+    lam_fn = _ref_fn(ctrl.lam, cv)
+    Bc = ctrl.Bc
+
+    def deriv(state):
+        x = state[:n]
+        xi = state[n:n + nc]
+        w = state[n + nc:]
+        u = lam_fn(*xi)
+        args = (*x, u, *w)
+        fx = f_fn(*args)
+        e = h_fn(*args)
+        dphi = phi_fn(*xi)
+        dxi = tuple(dphi[i] + Bc[i] * e for i in range(nc))
+        return fx + dxi + s_fn(*w)
+
+    dim = n + nc + p
+    out = np.empty((steps + 1, dim))
+    e_out = np.empty(steps + 1)
+    u_out = np.empty(steps + 1)
+    state = tuple(np.concatenate([x0, xi0, w0]).astype(float).tolist())
+    half = dt / 2.0
+    sixth = dt / 6.0
+    for k in range(steps + 1):
+        out[k] = state
+        u_k = lam_fn(*state[n:n + nc])
+        e_out[k] = h_fn(*state[:n], u_k, *state[n + nc:])
+        u_out[k] = u_k
+        if max(abs(v) for v in state) > DIVERGENCE_CAP:
+            raise SimulationError(f"state diverged at t = {k * dt}")
+        if k == steps:
+            break
+        k1 = deriv(state)
+        k2 = deriv(tuple(state[i] + half * k1[i] for i in range(dim)))
+        k3 = deriv(tuple(state[i] + half * k2[i] for i in range(dim)))
+        k4 = deriv(tuple(state[i] + dt * k3[i] for i in range(dim)))
+        state = tuple(state[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+                      for i in range(dim))
+    return out[:, :n], out[:, n:n + nc], out[:, n + nc:], e_out, u_out
+
+
+def _ref_simulate_exosystem(exo, w0, T, dt):
+    p = exo.p
+    steps = int(round(T / dt))
+    s_fn = _ref_fn(list(exo.s), w_names(p))
+    out = np.empty((steps + 1, p))
+    state = tuple(float(v) for v in w0)
+    half, sixth = dt / 2.0, dt / 6.0
+    for k in range(steps + 1):
+        out[k] = state
+        if max(abs(v) for v in state) > DIVERGENCE_CAP:
+            raise SimulationError(f"exosystem diverged at t = {k * dt}")
+        if k == steps:
+            break
+        k1 = s_fn(*state)
+        k2 = s_fn(*(state[i] + half * k1[i] for i in range(p)))
+        k3 = s_fn(*(state[i] + half * k2[i] for i in range(p)))
+        k4 = s_fn(*(state[i] + dt * k3[i] for i in range(p)))
+        state = tuple(state[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+                      for i in range(p))
+    return out
+
+
+# every operator and function of the grammar, with integer and fractional
+# powers, bounded over the test horizon
+_SYNTHETIC = """\
+[plant]
+n = 2
+f1 = x2 - x1/(2 + cos(x2)) + 0.1*abs(w1)^1.5 - 0.05*x1^3
+f2 = -x1 - tan(x2/4) + 0.5*(exp(x1) - 1) + 0.1*sqrt(abs(x2) + x1^2) + u
+g = x1 + 0.2*(1 - cos(pi*x2))
+
+[reference]
+q = w1/2
+
+[exosystem]
+p = 2
+s1 = pi*w2
+s2 = -pi*w1
+
+[controller]
+nc = 2
+phi1 = xi2
+phi2 = -xi1 - xi2^3 + abs(xi1)^2.5 - xi2/(1 + xi1^2)^2
+lam = -xi1/(1 + xi2^2) + 0.1*tan(xi2)
+bc = -0.5, 0.25
+"""
+
+
+@pytest.mark.parametrize("name", ["example51", "example53", "synthetic"])
+def test_kernel_matches_reference_loop(name):
+    if name == "synthetic":
+        sf = sysfile.parse_text(_SYNTHETIC, "synthetic.sys")
+        ic, T, dt = ((0.4, -0.3), (0.2, -0.1), (0.3, 0.1)), 2.0, 1e-3
+    else:
+        ex = examples.get(name)
+        sf, ic, T, dt = ex.load(), ex.default_ic, 2000 * ex.default_dt, ex.default_dt
+    traj = simulate(sf.plant, sf.exo, sf.controller, *ic, T=T, dt=dt)
+    ref = _ref_simulate(sf.plant, sf.exo, sf.controller, *ic, T=T, dt=dt)
+    for got, want in zip((traj.x, traj.xi, traj.w, traj.e, traj.u), ref):
+        assert np.array_equal(got, want)
+    assert np.all(np.isfinite(traj.x)) and np.any(traj.x[-1] != traj.x[0])
+    _, w = simulate_exosystem(sf.exo, ic[2], T=T, dt=dt)
+    assert np.array_equal(w, _ref_simulate_exosystem(sf.exo, ic[2], T=T, dt=dt))
+
+
+@pytest.mark.parametrize("f1, x1, message", [
+    ("-x1 + u + 1/(x1 - 1) + 1", 1.0, "division by zero"),
+    ("-x1 + u + sqrt(x1)", -1.0, "sqrt of negative value -1.0"),
+    ("-x1 + u + x1^400", 10.0, "Numerical result out of range"),
+    ("-x1 + u + abs(x1)^2.5 + x1^2.5", -1.0, "fractional power of negative base"),
+])
+def test_kernel_domain_errors_match_evaluate(f1, x1, message):
+    plant = PlantModel.from_strings([f1], "x1", "0", 1)
+    exo = ExosystemModel.from_strings(["0"])
+    ctrl = ControllerModel.from_strings(["0"], "0", [0.0])
+    with pytest.raises(EvalError) as got:
+        simulate(plant, exo, ctrl, (x1,), (0.0,), (0.0,), T=0.1, dt=1e-2)
+    with pytest.raises(EvalError) as want:
+        _ref_simulate(plant, exo, ctrl, (x1,), (0.0,), (0.0,), T=0.1, dt=1e-2)
+    with pytest.raises(EvalError) as direct:
+        evaluate(plant.f[0], {"x1": x1, "u": 0.0, "w1": 0.0})
+    assert str(got.value) == str(want.value) == str(direct.value)
+    assert message in str(got.value)
+
+
+def test_kernel_raises_first_error_in_evaluation_order():
+    # f1 and f2 both fail in stage 1; the reference evaluates f1 first
+    plant = PlantModel.from_strings(["-x1 + u + sqrt(x1)", "-x2 + 1/(x2 - 1) + 1"],
+                                    "x1", "0", 1)
+    exo = ExosystemModel.from_strings(["0"])
+    ctrl = ControllerModel.from_strings(["0"], "0", [0.0])
+    args = ((-1.0, 1.0), (0.0,), (0.0,))
+    with pytest.raises(EvalError) as got:
+        simulate(plant, exo, ctrl, *args, T=0.1, dt=1e-2)
+    with pytest.raises(EvalError) as want:
+        _ref_simulate(plant, exo, ctrl, *args, T=0.1, dt=1e-2)
+    assert str(got.value) == str(want.value) == "sqrt of negative value -1.0"
 
 
 def test_zero_initial_state_stays_zero():
@@ -96,8 +262,23 @@ def test_divergence_cap():
     plant = PlantModel.from_strings(["x1 * 2 + u"], "x1", "0", 1)
     exo = ExosystemModel.from_strings(["0"])
     ctrl = ControllerModel.from_strings(["0"], "0", [0.0])
-    with pytest.raises(SimulationError):
+    with pytest.raises(DivergenceError) as got:
         simulate(plant, exo, ctrl, (1.0,), (0.0,), (0.0,), T=20.0, dt=1e-2)
+    with pytest.raises(SimulationError) as want:
+        _ref_simulate(plant, exo, ctrl, (1.0,), (0.0,), (0.0,), T=20.0, dt=1e-2)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("state diverged at t = ")
+    assert str(got.value) == f"state diverged at t = {got.value.t}"
+
+
+def test_exosystem_divergence_cap():
+    exo = ExosystemModel.from_strings(["w1"])
+    with pytest.raises(DivergenceError) as got:
+        simulate_exosystem(exo, (1.0,), T=20.0, dt=1e-2)
+    with pytest.raises(SimulationError) as want:
+        _ref_simulate_exosystem(exo, (1.0,), T=20.0, dt=1e-2)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("exosystem diverged at t = ")
 
 
 def test_bad_grid_rejected():
@@ -106,6 +287,9 @@ def test_bad_grid_rejected():
         simulate(sf.plant, sf.exo, sf.controller, *ic, T=1.0, dt=0.0)
     with pytest.raises(SimulationError):
         simulate(sf.plant, sf.exo, sf.controller, *ic, T=1e-4, dt=1e-3)
+    for T, dt in ((math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan)):
+        with pytest.raises(SimulationError, match="need finite dt"):
+            simulate(sf.plant, sf.exo, sf.controller, *ic, T=T, dt=dt)
 
 
 def test_rk4_order_factor():
@@ -165,3 +349,21 @@ def test_trajectory_csv(tmp_path):
     # 17 significant digits round-trip exactly
     row_last = [float(v) for v in lines[-1].split(",")]
     assert row_last[1] == traj.x[-1, 0]
+
+
+def test_block_csv_matches_csv_writer(tmp_path):
+    # the rows a csv.writer with one f"{v:.17g}" per value wrote, for values
+    # that format specially and for a table spanning several blocks
+    special = [0.0, -0.0, 1e-310, -1.5e300, math.inf, -math.inf, math.nan,
+               0.1 + 0.2, 2.0 ** 53 + 1, -7.0]
+    a = np.array(special)
+    b = np.column_stack([a[::-1], np.arange(10.0)])
+    path = tmp_path / "block.csv"
+    _write_csv(path, ["a", "b1", "b2"], [a, b], block=4)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["a", "b1", "b2"])
+        for row in np.column_stack([a, b]):
+            writer.writerow([f"{v:.17g}" for v in row])
+    assert path.read_bytes() == ref.read_bytes()
