@@ -65,13 +65,9 @@ def _internal_model(sf: sysfile.SystemFile, lin):
     if sf.controller is not None:
         return synth.InternalModel.from_controller(sf.controller)
     if sf.immersion is not None:
-        ctrl = model.ControllerModel(len(sf.immersion.tau), sf.immersion.phi,
-                                     sf.immersion.lam,
-                                     (0.0,) * len(sf.immersion.tau))
-        return synth.InternalModel.from_controller(ctrl)
+        return synth.InternalModel.from_controller(sf.immersion.target())
     _, Gamma = synth.solve_linear_regulator(lin)
-    phi, lam = synth.internal_model_copy_of_exosystem(lin, sf.exo.s, Gamma)
-    ctrl = model.ControllerModel.from_strings(phi, lam, [0.0] * lin.p)
+    ctrl = synth.internal_model_copy_of_exosystem(lin, sf.exo.s, Gamma)
     return synth.InternalModel.from_controller(ctrl)
 
 

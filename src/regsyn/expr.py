@@ -8,7 +8,9 @@ from plain text.  Grammar (highest precedence first):
 so ``-x^2`` is ``-(x^2)`` and ``2^3^2`` is ``2^(3^2)``.  Supported functions
 are sin, cos, tan, exp, sqrt and abs; ``pi`` is a built-in constant.  All
 AST nodes are immutable, so parsed expressions can be shared freely between
-threads.
+threads.  diff() differentiates an AST symbolically; its results may call
+the internal functions sign and log, which evaluate() and compile_fn()
+accept but the parser does not.
 """
 
 from __future__ import annotations
@@ -270,6 +272,9 @@ _FUNC_IMPL = {
     "exp": math.exp,
     "sqrt": _sqrt,
     "abs": abs,
+    # internal: only diff() produces calls to these
+    "sign": lambda a: float((a > 0) - (a < 0)),
+    "log": math.log,
 }
 
 
@@ -314,6 +319,83 @@ def free_vars(e):
         arg = e.arg
         return free_vars(arg)
     return set()
+
+
+def substitute(e, mapping):
+    """e with every variable named in mapping replaced by mapping[name]."""
+    if isinstance(e, Var):
+        return mapping.get(e.name, e)
+    if isinstance(e, Bin):
+        return Bin(e.op, substitute(e.left, mapping), substitute(e.right, mapping))
+    if isinstance(e, Neg):
+        return Neg(substitute(e.arg, mapping))
+    if isinstance(e, Call):
+        return Call(e.func, substitute(e.arg, mapping))
+    return e
+
+
+# ----------------------------------------------------------- derivative
+
+_ZERO, _ONE, _TWO = Num(0.0), Num(1.0), Num(2.0)
+
+
+def _add(a, b):
+    return b if a == _ZERO else a if b == _ZERO else Bin("+", a, b)
+
+
+def _mul(a, b):
+    if a == _ZERO or b == _ZERO:
+        return _ZERO
+    return b if a == _ONE else a if b == _ONE else Bin("*", a, b)
+
+
+def _neg(a):
+    return _ZERO if a == _ZERO else Neg(a)
+
+
+def _quot(a, b):
+    return _ZERO if a == _ZERO else Bin("/", a, b)
+
+
+_DERIVATIVES = {  # f -> f'(u)
+    "sin": lambda u: Call("cos", u),
+    "cos": lambda u: Neg(Call("sin", u)),
+    "tan": lambda u: Bin("+", _ONE, Bin("^", Call("tan", u), _TWO)),
+    "exp": lambda u: Call("exp", u),
+    "sqrt": lambda u: Bin("/", _ONE, Bin("*", _TWO, Call("sqrt", u))),
+    "abs": lambda u: Call("sign", u),  # sign(0) = 0
+}
+
+
+def diff(e, var):
+    """Symbolic derivative of e with respect to the variable var.
+
+    Subtrees free of var differentiate to Num(0), zero terms and unit
+    factors fold away, and a denominator constant in var stays one
+    division.  Powers use the power rule when the exponent is free of var
+    and a^b * (b' log(a) + b a'/a) otherwise."""
+    if var not in free_vars(e):
+        return _ZERO
+    if isinstance(e, Var):
+        return _ONE
+    if isinstance(e, Neg):
+        return _neg(diff(e.arg, var))
+    if isinstance(e, Call):
+        return _mul(_DERIVATIVES[e.func](e.arg), diff(e.arg, var))
+    a, b = e.left, e.right
+    da, db = diff(a, var), diff(b, var)
+    if e.op in "+-":
+        return _add(da, db if e.op == "+" else _neg(db))
+    if e.op == "*":
+        return _add(_mul(da, b), _mul(a, db))
+    if e.op == "/":
+        if db == _ZERO:
+            return _quot(da, b)
+        return _quot(_add(_mul(da, b), _neg(_mul(a, db))), Bin("^", b, _TWO))
+    if db == _ZERO:
+        b1 = Num(b.value - 1.0) if isinstance(b, Num) else Bin("-", b, _ONE)
+        return _mul(_mul(b, Bin("^", a, b1)), da)
+    return _mul(e, _add(_mul(db, Call("log", a)), _quot(_mul(b, da), a)))
 
 
 # ---------------------------------------------------------------- compiler

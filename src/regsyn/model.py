@@ -1,7 +1,7 @@
 """System definitions and their local linearizations.
 
 Plants, exosystems and controllers are given by parsed expressions; the
-linearization at the origin is computed by central finite differences.
+linearization at the origin evaluates their exact symbolic derivatives.
 All types are immutable after construction and the operations are pure.
 """
 
@@ -30,6 +30,13 @@ def _check_vars(exprs, allowed, what):
         extra = expr.free_vars(e) - set(allowed)
         if extra:
             raise ModelError(f"{what} uses unknown variables {sorted(extra)}")
+
+
+def _check_origin(exprs, names, what):
+    origin = dict.fromkeys(names, 0.0)
+    for i, e in enumerate(exprs):
+        if abs(expr.evaluate(e, origin)) > ORIGIN_TOL:
+            raise ModelError(f"{what}{i + 1}(0) != 0")
 
 
 def x_names(n):
@@ -89,10 +96,7 @@ class ExosystemModel:
         if len(self.s) != self.p:
             raise ModelError(f"expected {self.p} exosystem equations, got {len(self.s)}")
         _check_vars(self.s, w_names(self.p), "s")
-        origin = dict.fromkeys(w_names(self.p), 0.0)
-        for i, si in enumerate(self.s):
-            if abs(expr.evaluate(si, origin)) > ORIGIN_TOL:
-                raise ModelError(f"s{i + 1}(0) != 0")
+        _check_origin(self.s, w_names(self.p), "s")
 
     @classmethod
     def from_strings(cls, s):
@@ -114,11 +118,8 @@ class ControllerModel:
             raise ModelError("controller dimension mismatch")
         _check_vars(self.phi, xi_names(self.nc), "phi")
         _check_vars([self.lam], xi_names(self.nc), "lambda")
-        origin = dict.fromkeys(xi_names(self.nc), 0.0)
-        for i, pe in enumerate(self.phi):
-            if abs(expr.evaluate(pe, origin)) > ORIGIN_TOL:
-                raise ModelError(f"phi{i + 1}(0) != 0")
-        if abs(expr.evaluate(self.lam, origin)) > ORIGIN_TOL:
+        _check_origin(self.phi, xi_names(self.nc), "phi")
+        if abs(expr.evaluate(self.lam, dict.fromkeys(xi_names(self.nc), 0.0))) > ORIGIN_TOL:
             raise ModelError("lambda(0) != 0")
 
     @classmethod
@@ -159,35 +160,18 @@ class LinearizedData:
         return self.S.shape[0]
 
 
-def numeric_jacobian(exprs, vars_, point, fixed=None):
-    """Central-difference Jacobian of a vector expression map.
-
-    vars_ are the differentiation variables, point their values; fixed holds
-    values of any other variables appearing in the expressions.  Step is
-    1e-5 * max(1, |point|_inf) per the C^2 smoothness of the maps.
-    """
-    exprs = list(exprs)
-    point = np.asarray(point, dtype=float)
-    env = dict(fixed) if fixed else {}
-    h = 1e-5 * max(1.0, float(np.max(np.abs(point))) if point.size else 0.0)
+def jacobian(exprs, vars_, point):
+    """Exact Jacobian of a vector expression map at point (the values of
+    vars_): each entry d exprs[i] / d vars_[j] is differentiated once by
+    expr.diff and evaluated."""
+    env = dict(zip(vars_, map(float, point)))
     J = np.empty((len(exprs), len(vars_)))
-    for j, name in enumerate(vars_):
-        for name_k, v_k in zip(vars_, point):
-            env[name_k] = float(v_k)
-        for i, e in enumerate(exprs):
-            env[name] = float(point[j]) + h
+    for i, e in enumerate(exprs):
+        for j, name in enumerate(vars_):
             try:
-                fp = expr.evaluate(e, env)
-                env[name] = float(point[j]) - h
-                fm = expr.evaluate(e, env)
+                J[i, j] = expr.evaluate(expr.diff(e, name), env)
             except expr.EvalError as exc:
                 raise ModelError(f"jacobian entry ({i},{j}): {exc}") from exc
-            env[name] = float(point[j])
-            J[i, j] = (fp - fm) / (2.0 * h)
-    # central differences carry O(h^2) truncation noise (~1e-10); entries
-    # below that level are artifacts of higher-order terms, not structure
-    snap = 1e-8 * max(1.0, float(np.max(np.abs(J))))
-    J[np.abs(J) < snap] = 0.0
     return J
 
 
@@ -198,9 +182,9 @@ def linearize(plant: PlantModel, exo: ExosystemModel) -> LinearizedData:
     xv, wv = x_names(plant.n), w_names(plant.p)
     all_vars = xv + ("u",) + wv
     origin = np.zeros(len(all_vars))
-    Jf = numeric_jacobian(plant.f, all_vars, origin)
-    Jh = numeric_jacobian([plant.h], all_vars, origin)
-    Js = numeric_jacobian(exo.s, wv, np.zeros(exo.p))
+    Jf = jacobian(plant.f, all_vars, origin)
+    Jh = jacobian([plant.h], all_vars, origin)
+    Js = jacobian(exo.s, wv, np.zeros(exo.p))
     n = plant.n
     return LinearizedData(
         A=Jf[:, :n],
@@ -217,6 +201,6 @@ def controller_jacobians(ctrl: ControllerModel):
     """Linearization (Phi, Lambda) of a controller at the origin."""
     xv = xi_names(ctrl.nc)
     origin = np.zeros(ctrl.nc)
-    Phi = numeric_jacobian(ctrl.phi, xv, origin)
-    Lam = numeric_jacobian([ctrl.lam], xv, origin)
+    Phi = jacobian(ctrl.phi, xv, origin)
+    Lam = jacobian([ctrl.lam], xv, origin)
     return Phi, Lam

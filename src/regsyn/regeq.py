@@ -12,12 +12,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from . import expr
-from .expr import Expr
-from .model import ExosystemModel, PlantModel, _as_exprs, numeric_jacobian, w_names
+from .expr import Bin, Expr
+from .model import (ControllerModel, ExosystemModel, PlantModel, _as_exprs,
+                    _check_origin, _check_vars, w_names, x_names, xi_names)
 from .sim import _write_csv
 
 ORIGIN_TOL = 1e-12
@@ -32,42 +34,73 @@ class RegulatorError(Exception):
 
 @dataclass(frozen=True)
 class RegulatorSolution:
-    """Candidate maps pi: W -> X and gamma: W -> U."""
+    """Candidate maps pi: W -> X and gamma: W -> U, W = R^p."""
 
+    p: int
     pi: tuple[Expr, ...]
     gamma: Expr
     radius: float = 0.3
 
     def __post_init__(self):
-        origin = {f"w{i + 1}": 0.0 for i in range(9)}
-        for i, e in enumerate(self.pi):
-            if abs(expr.evaluate(e, origin)) > ORIGIN_TOL:
-                raise RegulatorError(f"pi{i + 1}(0) != 0")
-        if abs(expr.evaluate(self.gamma, origin)) > ORIGIN_TOL:
+        wv = w_names(self.p)
+        _check_vars(self.pi, wv, "pi")
+        _check_vars([self.gamma], wv, "gamma")
+        _check_origin(self.pi, wv, "pi")
+        if abs(expr.evaluate(self.gamma, dict.fromkeys(wv, 0.0))) > ORIGIN_TOL:
             raise RegulatorError("gamma(0) != 0")
 
     @classmethod
-    def from_strings(cls, pi, gamma, radius=0.3):
-        return cls(_as_exprs(pi), expr.parse(gamma), radius)
+    def from_strings(cls, p, pi, gamma, radius=0.3):
+        return cls(p, _as_exprs(pi), expr.parse(gamma), radius)
 
 
 @dataclass(frozen=True)
 class ImmersionMap:
     """Candidate immersion tau: W -> E into a target system (phi, lambda)."""
 
-    tau: tuple[Expr, ...]      # in w variables
-    phi: tuple[Expr, ...]      # in xi variables
-    lam: Expr                  # in xi variables
+    p: int
+    tau: tuple[Expr, ...]      # in w1..wp
+    phi: tuple[Expr, ...]      # in xi1..xinu, nu = len(tau)
+    lam: Expr                  # in xi1..xinu
 
     def __post_init__(self):
-        origin = {f"w{i + 1}": 0.0 for i in range(9)}
-        for i, e in enumerate(self.tau):
-            if abs(expr.evaluate(e, origin)) > ORIGIN_TOL:
-                raise RegulatorError(f"tau{i + 1}(0) != 0")
+        wv = w_names(self.p)
+        _check_vars(self.tau, wv, "tau")
+        _check_origin(self.tau, wv, "tau")
+        self.target()  # checks phi and lambda as a controller's
+
+    def target(self) -> ControllerModel:
+        """The target system (phi, lambda) as a controller with Bc = 0."""
+        nu = len(self.tau)
+        return ControllerModel(nu, self.phi, self.lam, (0.0,) * nu)
 
     @classmethod
-    def from_strings(cls, tau, phi, lam):
-        return cls(_as_exprs(tau), _as_exprs(phi), expr.parse(lam))
+    def from_strings(cls, p, tau, phi, lam):
+        return cls(p, _as_exprs(tau), _as_exprs(phi), expr.parse(lam))
+
+
+def _along_exosystem(maps, exo):
+    """d maps / dw * s(w): the derivative of each map along the exosystem,
+    one expression per map."""
+    wv = w_names(exo.p)
+    return [reduce(expr._add, [expr._mul(expr.diff(m, w), s) for w, s in zip(wv, exo.s)])
+            for m in maps]
+
+
+def _max_residuals(dynamics, output, p, samples):
+    """Max over samples of ||dynamics(w)||_inf and |output(w)|, with every
+    expression compiled once."""
+    fn = expr.compile_fn(list(dynamics) + [output], w_names(p))
+    r1 = r2 = 0.0
+    for w in samples:
+        w = np.asarray(w, dtype=float)
+        try:
+            *dyn, out = fn(*w.tolist())
+        except expr.EvalError as exc:
+            raise RegulatorError(f"evaluation failed at w = {w.tolist()}: {exc}") from exc
+        r1 = max(r1, float(np.max(np.abs(dyn))))
+        r2 = max(r2, abs(out))
+    return r1, r2
 
 
 def regulator_residual(sol: RegulatorSolution, plant: PlantModel,
@@ -77,26 +110,10 @@ def regulator_residual(sol: RegulatorSolution, plant: PlantModel,
     residual1 = max || dpi/dw s(w) - f(pi(w), gamma(w), w) ||_inf
     residual2 = max | h(pi(w), gamma(w), w) |
     """
-    wv = w_names(exo.p)
-    r1 = r2 = 0.0
-    for w in samples:
-        w = np.asarray(w, dtype=float)
-        env = dict(zip(wv, map(float, w)))
-        try:
-            dpi = numeric_jacobian(sol.pi, wv, w)
-            s_val = np.array([expr.evaluate(e, env) for e in exo.s])
-            pi_val = [expr.evaluate(e, env) for e in sol.pi]
-            g_val = expr.evaluate(sol.gamma, env)
-            full = dict(env)
-            full.update({f"x{i + 1}": v for i, v in enumerate(pi_val)})
-            full["u"] = g_val
-            f_val = np.array([expr.evaluate(e, full) for e in plant.f])
-            h_val = expr.evaluate(plant.h, full)
-        except expr.EvalError as exc:
-            raise RegulatorError(f"evaluation failed at w = {w.tolist()}: {exc}") from exc
-        r1 = max(r1, float(np.max(np.abs(dpi @ s_val - f_val))))
-        r2 = max(r2, abs(h_val))
-    return r1, r2
+    at_sol = dict(zip(x_names(plant.n), sol.pi), u=sol.gamma)
+    dynamics = [Bin("-", lie, expr.substitute(f, at_sol))
+                for lie, f in zip(_along_exosystem(sol.pi, exo), plant.f)]
+    return _max_residuals(dynamics, expr.substitute(plant.h, at_sol), exo.p, samples)
 
 
 def immersion_residual(im: ImmersionMap, exo: ExosystemModel, gamma: Expr, samples):
@@ -105,26 +122,11 @@ def immersion_residual(im: ImmersionMap, exo: ExosystemModel, gamma: Expr, sampl
     residual1 = max || dtau/dw s(w) - phi(tau(w)) ||_inf
     residual2 = max | gamma(w) - lambda(tau(w)) |
     """
-    wv = w_names(exo.p)
-    nu = len(im.tau)
-    xiv = [f"xi{i + 1}" for i in range(nu)]
-    r1 = r2 = 0.0
-    for w in samples:
-        w = np.asarray(w, dtype=float)
-        env = dict(zip(wv, map(float, w)))
-        try:
-            dtau = numeric_jacobian(im.tau, wv, w)
-            s_val = np.array([expr.evaluate(e, env) for e in exo.s])
-            tau_val = [expr.evaluate(e, env) for e in im.tau]
-            xi_env = dict(zip(xiv, tau_val))
-            phi_val = np.array([expr.evaluate(e, xi_env) for e in im.phi])
-            lam_val = expr.evaluate(im.lam, xi_env)
-            g_val = expr.evaluate(gamma, env)
-        except expr.EvalError as exc:
-            raise RegulatorError(f"evaluation failed at w = {w.tolist()}: {exc}") from exc
-        r1 = max(r1, float(np.max(np.abs(dtau @ s_val - phi_val))))
-        r2 = max(r2, abs(g_val - lam_val))
-    return r1, r2
+    at_tau = dict(zip(xi_names(len(im.tau)), im.tau))
+    dynamics = [Bin("-", lie, expr.substitute(phi, at_tau))
+                for lie, phi in zip(_along_exosystem(im.tau, exo), im.phi)]
+    return _max_residuals(dynamics, Bin("-", gamma, expr.substitute(im.lam, at_tau)),
+                          exo.p, samples)
 
 
 # ------------------------------------------------------------ boost model

@@ -1,10 +1,9 @@
 """Dense spectral analysis for small, well-scaled real matrices.
 
 Eigenvalues (with clustered multiplicities), stability margins, the Hautus
-detectability test, transfer-function evaluation, spectral projectors onto
-the imaginary-axis cluster and Jordan structure of exosystem matrices.
-Eigenvalue work is delegated to LAPACK via numpy/scipy; the contracts and
-tolerances here are what the rest of the toolkit relies on.
+detectability test, transfer-function evaluation and Jordan structure of
+exosystem matrices.  Eigenvalue work is delegated to LAPACK via numpy; the
+contracts and tolerances here are what the rest of the toolkit relies on.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import LinearizedData
 
@@ -241,47 +239,3 @@ def _rechain_real(S, chain, m):
             raise SpectralError("real Jordan chain broke down")
         out.append(v)
     return out
-
-
-@dataclass(frozen=True)
-class CenterProjector:
-    """Spectral projector onto the imaginary-axis eigenvalue cluster."""
-
-    P: np.ndarray        # r x r real projector
-    basis: np.ndarray    # r x r0 orthonormal basis of the image
-    reduced: np.ndarray  # r0 x r0 restriction of M to the image
-
-
-def center_projector(M, tol=1e-7) -> CenterProjector:
-    """Projector onto the invariant subspace of eigenvalues with |Re| <= tol,
-    from an ordered real Schur decomposition.  Eigenvalues with |Re| in
-    (tol, 2*tol) abort: the split would be a guess."""
-    M = np.asarray(M, dtype=float)
-    r = M.shape[0]
-    for lam in eigen(M).eigenvalues:
-        if tol < abs(lam.real) < 2 * tol:
-            raise SpectralError(
-                f"eigenvalue {lam} falls in the ambiguous band ({tol}, {2 * tol})")
-    T, Z, sdim = scipy.linalg.schur(M, output="real",
-                                    sort=lambda re, im: abs(re) <= tol)
-    if sdim == 0:
-        raise SpectralError("no eigenvalues on the imaginary axis")
-    if sdim == r:
-        P = np.eye(r)
-        return CenterProjector(P, np.eye(r), M.copy())
-    T11, T12, T22 = T[:sdim, :sdim], T[:sdim, sdim:], T[sdim:, sdim:]
-    # spectral projector in Schur coordinates is [[I, R], [0, 0]] with
-    # T11 R - R T22 = T12
-    R = scipy.linalg.solve_sylvester(T11, -T22, T12)
-    Pc = np.zeros((r, r))
-    Pc[:sdim, :sdim] = np.eye(sdim)
-    Pc[:sdim, sdim:] = R
-    P = Z @ Pc @ Z.T
-    basis = Z[:, :sdim]
-    reduced = basis.T @ M @ basis
-    nM = float(np.linalg.norm(M, 2))
-    if np.linalg.norm(P @ P - P, 2) > 1e-10 * max(1.0, np.linalg.norm(P, 2) ** 2):
-        raise SpectralError("projector is not idempotent within tolerance")
-    if np.linalg.norm((np.eye(r) - P) @ M @ P, 2) > 1e-8 * max(nM, 1.0):
-        raise SpectralError("projector image is not invariant within tolerance")
-    return CenterProjector(P, basis, reduced)

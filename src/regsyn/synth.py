@@ -9,12 +9,13 @@ regulator equations for (Pi, Gamma).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
-from . import specan
-from .model import (ControllerModel, LinearizedData, ModelError,
-                    controller_jacobians, xi_names)
+from . import expr, specan
+from .model import (ControllerModel, LinearizedData, controller_jacobians,
+                    w_names, xi_names)
 from .specan import JordanData, SpectralError
 
 TF_ZERO_TOL = 1e-9
@@ -142,7 +143,7 @@ def verify_conditions(lin: LinearizedData, im: InternalModel,
             tf_nonzero = False
             notes.append(f"G({z}) = {g} vanishes")
     if not on_axis:
-        notes.append("off-axis spectrum; apply center reduction first")
+        notes.append("spectrum of Phi is not on the imaginary axis")
     return ConditionFlags(plant_stable, detectable, tf_nonzero, on_axis,
                           tf_values, tuple(notes))
 
@@ -292,15 +293,11 @@ def solve_linear_regulator(lin: LinearizedData):
 def internal_model_copy_of_exosystem(lin: LinearizedData, exo_exprs, Gamma):
     """ControllerModel whose phi copies the exosystem map and whose lambda is
     the linear feedforward Gamma * xi (used when gamma is only known through
-    its linearization)."""
-    from . import expr as ex
+    its linearization); Bc is zero."""
     p = lin.p
     names = xi_names(p)
-    phi = []
-    for e in exo_exprs:
-        s = ex.to_string(e)
-        for i in range(p, 0, -1):
-            s = s.replace(f"w{i}", f"xi{i}")
-        phi.append(s)
-    lam = " + ".join(f"({float(Gamma[0, i])!r})*{names[i]}" for i in range(p))
-    return phi, lam
+    to_xi = {w: expr.Var(xi) for w, xi in zip(w_names(p), names)}
+    phi = tuple(expr.substitute(e, to_xi) for e in exo_exprs)
+    terms = [expr.Bin("*", expr.Num(float(g)), expr.Var(xi)) for g, xi in zip(Gamma[0], names)]
+    lam = reduce(lambda acc, t: expr.Bin("+", acc, t), terms)
+    return ControllerModel(p, phi, lam, (0.0,) * p)

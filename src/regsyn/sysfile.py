@@ -17,6 +17,7 @@ sections or keys are rejected so typos fail loudly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import ControllerModel, ExosystemModel, PlantModel
@@ -87,6 +88,17 @@ def _take(sec, key, origin):
     return sec.pop(key)
 
 
+def _take_radius(sec, origin):
+    text = sec.pop("radius", "0.3")
+    try:
+        radius = float(text)
+    except ValueError:
+        radius = math.nan
+    if not (math.isfinite(radius) and radius > 0):
+        raise SysFileError(f"{origin}: 'radius' must be a finite positive number, got '{text}'")
+    return radius
+
+
 def _take_series(sec, prefix, count, origin):
     return [_take(sec, f"{prefix}{i + 1}", origin) for i in range(count)]
 
@@ -102,8 +114,9 @@ def parse_text(text, origin="<string>") -> SystemFile:
 
     if has("plant") != has("reference"):
         raise SysFileError(f"{origin}: [plant] and [reference] must appear together")
-    if has("plant") and not has("exosystem"):
-        raise SysFileError(f"{origin}: [plant] requires [exosystem]")
+    for name in ("plant", "immersion"):
+        if has(name) and not has("exosystem"):
+            raise SysFileError(f"{origin}: [{name}] requires [exosystem]")
 
     exo = None
     p = None
@@ -164,7 +177,7 @@ def parse_text(text, origin="<string>") -> SystemFile:
         lam = _take(sec, "lam", where)
         _reject_leftovers(sec, where)
         try:
-            immersion = ImmersionMap.from_strings(tau, phi, lam)
+            immersion = ImmersionMap.from_strings(p, tau, phi, lam)
         except Exception as exc:
             raise SysFileError(f"{where}: {exc}") from exc
 
@@ -176,10 +189,10 @@ def parse_text(text, origin="<string>") -> SystemFile:
         where = f"{origin} [regulator_solution]"
         pi = _take_series(sec, "pi", plant.n, where)
         gamma = _take(sec, "gamma", where)
-        radius = float(sec.pop("radius", 0.3))
+        radius = _take_radius(sec, where)
         _reject_leftovers(sec, where)
         try:
-            regsol = RegulatorSolution.from_strings(pi, gamma, radius)
+            regsol = RegulatorSolution.from_strings(p, pi, gamma, radius)
         except Exception as exc:
             raise SysFileError(f"{where}: {exc}") from exc
 

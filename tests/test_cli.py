@@ -223,6 +223,19 @@ def test_simulate_bad_grid_is_an_error(T, dt):
     assert proc.stderr == "error: need finite dt > 0 and T >= dt\n"
 
 
+@pytest.mark.parametrize("radius", ["abc", "nan", "-1", "inf", "0"])
+def test_verify_bad_radius_is_an_error(tmp_path, radius):
+    path = tmp_path / "radius.sys"
+    path.write_text("[plant]\nn = 1\nf1 = -x1 + u\ng = x1\n[reference]\nq = 0\n"
+                    "[exosystem]\np = 1\ns1 = 0\n"
+                    f"[regulator_solution]\npi1 = 0\ngamma = 0\nradius = {radius}\n")
+    proc = _cli("verify", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {path} [regulator_solution]: 'radius' ")
+    assert proc.stdout == ""
+
+
 def test_boost_grid_needs_three_radii(tmp_path):
     proc = _cli("boost", "--out", str(tmp_path), "--grid-w1", "3", "--grid-rho", "2")
     assert proc.returncode == 2

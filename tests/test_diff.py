@@ -1,0 +1,120 @@
+"""expr.diff against sympy.diff as an oracle, plus its folding rules."""
+
+import math
+
+import pytest
+
+from regsyn import expr
+from regsyn.expr import (Bin, Call, Const, EvalError, Neg, Num, SyntaxError_, Var,
+                         compile_fn, diff, evaluate, parse, substitute)
+
+sympy = pytest.importorskip("sympy")
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+_VARS = ("x1", "x2")
+_SYMBOLS = {name: sympy.Symbol(name, real=True) for name in _VARS}
+_SYMPY_FUNCS = {"sin": sympy.sin, "cos": sympy.cos, "tan": sympy.tan, "exp": sympy.exp,
+                "sqrt": sympy.sqrt, "abs": sympy.Abs, "sign": sympy.sign, "log": sympy.log}
+
+
+def _to_sympy(e):
+    if isinstance(e, Num):
+        return sympy.Rational(e.value)  # the float's exact binary value
+    if isinstance(e, Var):
+        return _SYMBOLS[e.name]
+    if isinstance(e, Const):
+        return sympy.pi
+    if isinstance(e, Neg):
+        return -_to_sympy(e.arg)
+    if isinstance(e, Call):
+        return _SYMPY_FUNCS[e.func](_to_sympy(e.arg))
+    a, b = _to_sympy(e.left), _to_sympy(e.right)
+    if e.op == "+":
+        return a + b
+    if e.op == "-":
+        return a - b
+    if e.op == "*":
+        return a * b
+    return a / b if e.op == "/" else a ** b
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(Bin, st.sampled_from("+-*/^"), children, children),
+        st.builds(Neg, children),
+        st.builds(Call, st.sampled_from(expr.FUNCTIONS), children))
+
+
+_ASTS = st.recursive(
+    st.one_of(st.integers(0, 8).map(lambda k: Num(k / 2)),  # includes 0, 0.5, 1
+              st.sampled_from(_VARS).map(Var),
+              st.just(Const("pi"))),
+    _extend, max_leaves=8)
+_POINTS = st.tuples(*(st.floats(-2.0, 2.0) for _ in _VARS))
+
+
+def _high_precision(sym, env):
+    value = sym.evalf(30, subs={_SYMBOLS[k]: sympy.Rational(v) for k, v in env.items()})
+    if not (value.is_number and value.is_real and value.is_finite):
+        return None
+    return value
+
+
+@hypothesis.settings(max_examples=300, deadline=None,
+                     suppress_health_check=[hypothesis.HealthCheck.too_slow])
+@hypothesis.given(_ASTS, st.sampled_from(_VARS), _POINTS)
+def test_diff_matches_sympy(e, var, point):
+    env = dict(zip(_VARS, point))
+    d = diff(e, var)
+    try:
+        ours = evaluate(d, env)
+    except EvalError:
+        with pytest.raises(EvalError):  # the compiled derivative fails alike
+            compile_fn(d, _VARS)(*point)
+        return  # outside the domain of the derivative
+    compiled = compile_fn(d, _VARS)(*point)
+    assert compiled == ours or (math.isnan(compiled) and math.isnan(ours))
+    try:
+        evaluate(e, env)
+    except EvalError:
+        return  # outside the domain of e
+    ref = _high_precision(sympy.diff(_to_sympy(e), _SYMBOLS[var]), env)
+    exact = _high_precision(_to_sympy(d), env)
+    if ref is None or exact is None:
+        return  # sympy leaves it undefined, complex or unevaluated
+    assert abs(exact - ref) <= 1e-12 * (1 + abs(ref)), (expr.to_string(e), var, point)
+
+
+def test_internal_functions_are_not_parsed():
+    for text in ("sign(x1)", "log(x1)"):
+        with pytest.raises(SyntaxError_):
+            parse(text)
+
+
+@pytest.mark.parametrize("text, var, expected", [
+    ("x2*sin(x2) + 3", "x1", Num(0.0)),     # a subtree free of var
+    ("x1 + x2", "x1", Num(1.0)),
+    ("2*x1", "x1", Num(2.0)),               # unit factors and zero terms fold
+    ("x1*3 - x2", "x1", Num(3.0)),
+    ("-x1", "x1", Neg(Num(1.0))),
+    ("x1/3", "x1", Bin("/", Num(1.0), Num(3.0))),  # constant denominator
+    ("x1^3", "x1", Bin("*", Num(3.0), Bin("^", Var("x1"), Num(2.0)))),
+    ("2^x1", "x1", Bin("*", parse("2^x1"), Call("log", Num(2.0)))),
+])
+def test_diff_folds_constants(text, var, expected):
+    assert diff(parse(text), var) == expected
+
+
+def test_abs_derivative_vanishes_at_zero():
+    d = diff(parse("abs(x1)"), "x1")
+    assert evaluate(d, {"x1": 0.0}) == 0.0
+    assert evaluate(d, {"x1": -0.5}) == -1.0
+    assert compile_fn(d, ("x1",))(2.0) == 1.0
+
+
+def test_substitute_renames_whole_variables():
+    e = parse("w1 + w10*w1^2")
+    renamed = substitute(e, {"w1": Var("xi1"), "w10": Var("xi10")})
+    assert renamed == parse("xi1 + xi10*xi1^2")
+    assert substitute(e, {"w1": parse("x1 + 1")}) == parse("(x1 + 1) + w10*(x1 + 1)^2")

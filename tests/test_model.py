@@ -1,23 +1,22 @@
 import numpy as np
 import pytest
 
-from regsyn import examples, expr, model
+from regsyn import examples, expr, model, synth
 from regsyn.model import (ControllerModel, ExosystemModel, ModelError,
-                          PlantModel, controller_jacobians, linearize,
-                          numeric_jacobian)
+                          PlantModel, controller_jacobians, jacobian, linearize)
 
 
 def test_quartic_oscillator_example_linearization():
     sf = examples.get("example51").load()
     lin = linearize(sf.plant, sf.exo)
-    tol = 1e-8
-    assert np.allclose(lin.A, [[0, 1], [-1, -2]], atol=tol)
-    assert np.allclose(lin.B, [[0], [1]], atol=tol)
-    assert np.allclose(lin.P, [[-1, 0], [0, 0]], atol=tol)
-    assert np.allclose(lin.C, [[1, 0]], atol=tol)
-    assert np.allclose(lin.D, [[0]], atol=tol)
-    assert np.allclose(lin.Q, [[0, 0]], atol=tol)
-    assert np.allclose(lin.S, [[0, 1], [0, 0]], atol=tol)
+    # exact: the derivatives are symbolic, so every entry is bit for bit
+    assert np.array_equal(lin.A, [[0, 1], [-1, -2]])
+    assert np.array_equal(lin.B, [[0], [1]])
+    assert np.array_equal(lin.P, [[-1, 0], [0, 0]])
+    assert np.array_equal(lin.C, [[1, 0]])
+    assert np.array_equal(lin.D, [[0]])
+    assert np.array_equal(lin.Q, [[0, 0]])
+    assert np.array_equal(lin.S, [[0, 1], [0, 0]])
     assert lin.n == 2 and lin.p == 2
 
 
@@ -37,6 +36,29 @@ def test_boost_example_linearization_matches_closed_forms():
     assert np.allclose(lin.C, [[1, 0]])
     assert np.allclose(lin.S, [[0, 0, 0], [0, 0, pr["alpha"]], [0, -pr["alpha"], 0]],
                        rtol=1e-8, atol=1e-6)
+    assert lin.A[0, 0] == -62.5  # -1/(R*C), exactly
+
+
+def test_boost_lam_is_the_exact_feedforward():
+    # example53 prints lam = Gamma * xi, Gamma from its exact linearization
+    sf = examples.get("example53").load()
+    _, Gamma = synth.solve_linear_regulator(linearize(sf.plant, sf.exo))
+    _, Lam = controller_jacobians(sf.controller)
+    assert np.array_equal(Lam, Gamma)
+    for i in range(3):
+        assert f"{Gamma[0, i]:.17g}*xi{i + 1}" in examples.get("example53").text
+
+
+@pytest.mark.parametrize("f1, a01", [
+    ("-x1 + 1e-4*x2 + 1e5*u", 1e-4),   # a small entry next to a large one
+    ("-x1 + 1e9*x2^3", 0.0),           # a large cubic term has no linear part
+    ("-x1 + abs(x2)", 0.0),            # abs linearizes to 0 at the origin
+])
+def test_linearization_is_scale_free(f1, a01):
+    plant = PlantModel.from_strings([f1, "-x2"], "x1", "0", 1)
+    lin = linearize(plant, ExosystemModel.from_strings(["0"]))
+    assert lin.A[0, 1] == a01
+    assert lin.A[0, 0] == -1.0
 
 
 def test_numeric_jacobian_polynomial_property():
@@ -53,15 +75,9 @@ def test_numeric_jacobian_polynomial_property():
                 terms.append(f"({Cq[i, j]:.17g})*{names[i]}*{names[j]}")
         e = expr.parse(" + ".join(terms))
         x = rng.uniform(-1, 1, 3)
-        J = numeric_jacobian([e], names, x)
+        J = jacobian([e], names, x)
         exact = b + (Cq + Cq.T) @ x
-        assert np.allclose(J.ravel(), exact, rtol=1e-6, atol=1e-8)
-
-
-def test_numeric_jacobian_fixed_values():
-    e = expr.parse("a * x1")
-    J = numeric_jacobian([e], ("x1",), [2.0], fixed={"a": 3.0})
-    assert J == pytest.approx(np.array([[3.0]]))
+        assert np.allclose(J.ravel(), exact, rtol=1e-12, atol=1e-14)
 
 
 def test_zero_plant():
@@ -98,8 +114,8 @@ def test_controller_jacobians():
         "(xi1 + xi2 - xi1^4 + sin(xi1)) / (1 + xi1^2)",
         [-0.2, -0.02])
     Phi, Lam = controller_jacobians(ctrl)
-    assert np.allclose(Phi, [[0, 1], [0, 0]], atol=1e-8)
-    assert np.allclose(Lam, [[2, 1]], atol=1e-8)
+    assert np.array_equal(Phi, [[0, 1], [0, 0]])
+    assert np.array_equal(Lam, [[2, 1]])
 
 
 def test_dimension_validation():

@@ -40,7 +40,7 @@ def test_regulator_residual_detects_corruption():
     sf = examples.get("example51").load()
     good = sf.regulator_solution
     bad_gamma = expr.Bin("+", good.gamma, expr.parse("0.5*w1"))
-    bad = RegulatorSolution(good.pi, bad_gamma, good.radius)
+    bad = RegulatorSolution(good.p, good.pi, bad_gamma, good.radius)
     r1, _ = regulator_residual(bad, sf.plant, sf.exo, _samples(2, 0.3))
     assert r1 >= 0.05
 
@@ -56,7 +56,7 @@ def test_immersion_residual_oscillator_example():
 def test_immersion_residual_detects_sign_flip():
     sf = examples.get("example52").load()
     im = sf.immersion
-    flipped = regeq.ImmersionMap(im.tau, im.phi, expr.Neg(im.lam))
+    flipped = regeq.ImmersionMap(im.p, im.tau, im.phi, expr.Neg(im.lam))
     _, i2 = immersion_residual(flipped, sf.exo, sf.regulator_solution.gamma,
                                _samples(2, 0.3))
     assert i2 >= 0.1

@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from regsyn import specan
 from regsyn.model import LinearizedData
-from regsyn.specan import (SpectralError, center_projector, eigen,
-                           hautus_detectable, is_hurwitz, jordan_structure,
-                           spectral_abscissa, transfer_function)
+from regsyn.specan import (SpectralError, eigen, hautus_detectable, is_hurwitz,
+                           jordan_structure, spectral_abscissa, transfer_function)
 
 
 def test_eigen_trace_det_identities():
@@ -195,53 +193,3 @@ def test_jordan_structure_rejects_off_axis():
 def test_jordan_structure_rejects_geometric_multiplicity_two():
     with pytest.raises(SpectralError):
         jordan_structure(np.zeros((2, 2)))
-
-
-def test_center_projector_oscillator_plus_stable():
-    base = np.zeros((3, 3))
-    base[0, 1] = 1.0
-    base[1, 0] = -1.0
-    base[2, 2] = -2.0
-    rng = np.random.default_rng(2)
-    T = rng.uniform(-1, 1, (3, 3)) + 2 * np.eye(3)
-    M = T @ base @ np.linalg.inv(T)
-    cp = center_projector(M)
-    assert np.allclose(cp.P @ cp.P, cp.P, atol=1e-10)
-    assert np.allclose((np.eye(3) - cp.P) @ M @ cp.P, 0, atol=1e-8)
-    assert np.trace(cp.P) == pytest.approx(2.0, abs=1e-9)
-    red = specan.eigen(cp.reduced)
-    assert sorted(v.imag for v in red.eigenvalues) == pytest.approx([-1.0, 1.0])
-
-
-def test_center_projector_five_dimensional():
-    base = np.zeros((5, 5))
-    base[0, 1], base[1, 0] = 3.0, -3.0
-    base[2, 2] = -1.0
-    base[3, 3] = -5.0
-    base[4, 4] = 0.0
-    rng = np.random.default_rng(9)
-    T = rng.uniform(-1, 1, (5, 5)) + 2.5 * np.eye(5)
-    M = T @ base @ np.linalg.inv(T)
-    cp = center_projector(M)
-    assert np.trace(cp.P) == pytest.approx(3.0, abs=1e-8)
-    red = specan.eigen(cp.reduced)
-    assert sorted(v.imag for v in red.eigenvalues) == pytest.approx([-3.0, 0.0, 3.0],
-                                                                    abs=1e-8)
-
-
-def test_center_projector_identity_when_all_central():
-    M = np.array([[0.0, 2.0], [-2.0, 0.0]])
-    cp = center_projector(M)
-    assert np.allclose(cp.P, np.eye(2))
-
-
-def test_center_projector_ambiguous_band_aborts():
-    tol = 1e-7
-    M = np.diag([1.5 * tol, -1.0])
-    with pytest.raises(SpectralError):
-        center_projector(M, tol=tol)
-
-
-def test_center_projector_requires_central_modes():
-    with pytest.raises(SpectralError):
-        center_projector(np.diag([-1.0, -2.0]))

@@ -19,6 +19,8 @@ p = 1
 s1 = 0
 """
 
+_IMMERSION = "\n[immersion]\nnu = 1\ntau1 = w1\nphi1 = 0\nlam = xi1\n"
+
 
 def test_parse_minimal():
     sf = parse_text(MINIMAL)
@@ -84,11 +86,29 @@ def test_plant_requires_reference_and_exosystem():
     no_exo = MINIMAL.replace("[exosystem]\np = 1\ns1 = 0\n", "")
     with pytest.raises(SysFileError, match=r"requires \[exosystem\]"):
         parse_text(no_exo)
+    with pytest.raises(SysFileError, match=r"\[immersion\] requires \[exosystem\]"):
+        parse_text(_IMMERSION)
 
 
 def test_missing_series_entry():
     with pytest.raises(SysFileError, match=r"missing 'f1'"):
         parse_text(MINIMAL.replace("f1 = -x1 + u", "f2 = -x1 + u"))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("tau1 = w1", "tau1 = w2"), "tau uses unknown variables ['w2']"),
+    (("tau1 = w1", "tau1 = x1"), "tau uses unknown variables ['x1']"),
+    (("tau1 = w1", "tau1 = w1 + 1"), "tau1(0) != 0"),
+    (("phi1 = 0", "phi1 = w1"), "phi uses unknown variables ['w1']"),
+    (("phi1 = 0", "phi1 = xi1 + 1"), "phi1(0) != 0"),
+    (("lam = xi1", "lam = xi2"), "lambda uses unknown variables ['xi2']"),
+    (("lam = xi1", "lam = cos(xi1)"), "lambda(0) != 0"),
+])
+def test_immersion_checked_in_its_section(edit, message):
+    assert parse_text(MINIMAL + _IMMERSION, origin="f").immersion.p == 1
+    with pytest.raises(SysFileError) as info:
+        parse_text(MINIMAL + _IMMERSION.replace(*edit), origin="f")
+    assert str(info.value) == f"f [immersion]: {message}"
 
 
 def test_bad_expression_reported_with_section():
@@ -118,6 +138,19 @@ def test_regulator_solution_radius_default_and_override():
     base = MINIMAL + "\n[regulator_solution]\npi1 = w1\ngamma = w1\n"
     assert parse_text(base).regulator_solution.radius == 0.3
     assert parse_text(base + "radius = 0.7\n").regulator_solution.radius == 0.7
+    for bad in ("abc", "nan", "-1", "inf", "0"):
+        with pytest.raises(SysFileError, match=r"\[regulator_solution\]: 'radius' must be"):
+            parse_text(base + f"radius = {bad}\n")
+
+
+def test_regulator_solution_uses_the_exosystem_dimension():
+    exo10 = "[exosystem]\np = 10\n" + "".join(f"s{i} = 0\n" for i in range(1, 11))
+    base = MINIMAL.split("[exosystem]")[0].replace("q = w1", "q = w10") + exo10
+    sf = parse_text(base + "[regulator_solution]\npi1 = w10\ngamma = w10\n")
+    assert sf.regulator_solution.p == 10
+    with pytest.raises(SysFileError,
+                       match=r"\[regulator_solution\]: gamma uses unknown variables \['w11'\]"):
+        parse_text(base + "[regulator_solution]\npi1 = w10\ngamma = w11\n")
 
 
 def test_params_must_be_numeric():
