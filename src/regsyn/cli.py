@@ -237,6 +237,10 @@ def _cell_tag(v):
 def cmd_boost(args):
     if args.ode_steps < 1:
         raise regeq.RegulatorError(f"--ode-steps must be >= 1, got {args.ode_steps}")
+    for w1, rho in args.cell or ():
+        if not (math.isfinite(w1) and math.isfinite(rho) and rho >= 0):
+            raise regeq.RegulatorError(
+                f"--cell: need finite W1 and RHO >= 0, got {w1:g} {rho:g}")
     checks = _Checks()
     params = _boost_params(args.params)
     # solve before any output, so that a rejected grid prints no CHECK line

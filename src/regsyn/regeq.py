@@ -3,8 +3,13 @@
 The first half verifies candidate solutions (pi, gamma) of the nonlinear
 regulator equations and candidate immersions at sample points.  The second
 half solves the boost-converter regulator PDE: on circles of constant w1
-and radius rho the PDE reduces to a scalar periodic ODE, solved per circle
-by fixed-step RK4 and a fixed-point iteration on the initial value.
+and radius rho the PDE reduces to a scalar periodic ODE, solved by
+fixed-step RK4 and a fixed-point iteration on the initial value, for one
+circle (solve_psi0) or a whole grid at once (solve_boost_grid).  The RK4
+loop has two bodies, on Python floats for one circle and on numpy arrays
+for the grid; both read one table of stage cosines and apply the same
+operations in the same order, and tests/test_regeq.py
+(test_circle_bodies_agree) ties them bit for bit.
 """
 
 from __future__ import annotations
@@ -189,21 +194,6 @@ def boost_equilibrium(v0, z10, R, r):
     return D0, z20
 
 
-def psi_rhs(psi, tau_angle, w1, rho, params: BoostParams):
-    """Right side of the circle ODE for psi; accepts scalars or arrays."""
-    pr = params
-    denom = pr.alpha * pr.L * (psi + pr.z20)
-    num = (pr.r * psi * psi + (pr.r * pr.z20 - w1 - pr.D0 * pr.z10) * psi
-           - pr.z20 * w1 + pr.z10 * rho * np.cos(tau_angle))
-    if np.ndim(denom) == 0:
-        if denom < DENOM_GUARD:
-            raise RegulatorError(
-                f"psi = {psi} too close to -z20 (denominator {denom})")
-        return num / denom
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(denom < DENOM_GUARD, np.nan, num / denom)
-
-
 def psi_bounds(w1, rho, params: BoostParams):
     """Bracketing values (psi1, psi2) of the periodic-orbit initial value."""
     pr = params
@@ -230,35 +220,69 @@ def admissible_domain(params: BoostParams):
     return w1max, rho_max
 
 
-def _integrate_circle(psi0, w1, rho, params: BoostParams, steps, out=None):
-    """RK4 over tau in [0, 2*pi]; psi0/w1/rho may be arrays (broadcast).
-
-    Returns the orbit samples, shape (..., steps + 1), written into `out`
-    if given.  An orbit that hits the psi = -z20 guard is NaN from there on.
-    """
-    psi = np.asarray(psi0, dtype=float)
+def _stage_cosines(steps):
+    """cos of the RK4 stage times t, t + h/2 and t + h of each step t = k*h,
+    one flat list of Python floats for both bodies of _integrate_circle."""
     h = 2.0 * math.pi / steps
-    orbit = np.empty(psi.shape + (steps + 1,)) if out is None else out
-    orbit[..., 0] = psi
-    pr = params
-    aL = pr.alpha * pr.L
-    b_lin = pr.r * pr.z20 - w1 - pr.D0 * pr.z10
-    c_con = -pr.z20 * w1
+    t = np.arange(steps) * h
+    return np.cos(np.column_stack([t, t + 0.5 * h, t + h])).ravel().tolist()
 
-    def rhs(p, t):
-        denom = aL * (p + pr.z20)
-        num = pr.r * p * p + b_lin * p + c_con + pr.z10 * rho * np.cos(t)
+
+def _integrate_circle(psi0, w1, rho, params: BoostParams, steps, cos, out=None):
+    """RK4 over tau in [0, 2*pi]; cos is _stage_cosines(steps).
+
+    A 0-d psi0 (one circle) runs a loop on Python floats; an array psi0
+    runs the same loop on numpy arrays, with w1 and rho broadcast.  Both
+    bodies apply the same operations in the same order, so one circle gives
+    the same bits either way (test_circle_bodies_agree).  Returns the orbit
+    samples, shape (..., steps + 1), written into `out` if given.  An orbit
+    that hits the psi = -z20 guard is NaN from there on.
+    """
+    pr = params
+    h = 2.0 * math.pi / steps
+    half, sixth = 0.5 * h, h / 6.0
+    aL, z20, r = pr.alpha * pr.L, pr.z20, pr.r
+    b_lin = r * z20 - w1 - pr.D0 * pr.z10
+    c_con = -z20 * w1
+    zr = pr.z10 * rho
+    orbit = np.empty(np.shape(psi0) + (steps + 1,)) if out is None else out
+    stages = iter(cos)
+    if np.ndim(psi0) == 0:
+        psi, b_lin, c_con, zr = float(psi0), float(b_lin), float(c_con), float(zr)
+        guard, nan = DENOM_GUARD, math.nan
+        samples = [psi]
+        for c1, c2, c4 in zip(stages, stages, stages):
+            d = aL * (psi + z20)
+            k1 = nan if d < guard else (r * psi * psi + b_lin * psi + c_con + zr * c1) / d
+            p = psi + half * k1
+            d = aL * (p + z20)
+            k2 = nan if d < guard else (r * p * p + b_lin * p + c_con + zr * c2) / d
+            p = psi + half * k2
+            d = aL * (p + z20)
+            k3 = nan if d < guard else (r * p * p + b_lin * p + c_con + zr * c2) / d
+            p = psi + h * k3
+            d = aL * (p + z20)
+            k4 = nan if d < guard else (r * p * p + b_lin * p + c_con + zr * c4) / d
+            psi = psi + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            samples.append(psi)
+        orbit[...] = samples
+        return orbit
+
+    def rhs(p, c):
+        denom = aL * (p + z20)
+        num = r * p * p + b_lin * p + c_con + zr * c
         return np.where(denom < DENOM_GUARD, np.nan, num / denom)
 
+    psi = np.asarray(psi0, dtype=float)
+    orbit[..., 0] = psi
     with np.errstate(invalid="ignore", divide="ignore"):
-        for k in range(steps):
-            t = k * h
-            k1 = rhs(psi, t)
-            k2 = rhs(psi + 0.5 * h * k1, t + 0.5 * h)
-            k3 = rhs(psi + 0.5 * h * k2, t + 0.5 * h)
-            k4 = rhs(psi + h * k3, t + h)
-            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            orbit[..., k + 1] = psi
+        for k, (c1, c2, c4) in enumerate(zip(stages, stages, stages), 1):
+            k1 = rhs(psi, c1)
+            k2 = rhs(psi + half * k1, c2)
+            k3 = rhs(psi + half * k2, c2)
+            k4 = rhs(psi + h * k3, c4)
+            psi = psi + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            orbit[..., k] = psi
     return orbit
 
 
@@ -275,8 +299,9 @@ def _periodic_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter):
     iters = np.zeros(start.shape, dtype=int)
     escaped = np.zeros(start.shape, dtype=bool)
     active = np.ones(start.shape, dtype=bool)
+    cos = _stage_cosines(steps)
     for it in range(1, max_iter + 1):
-        _integrate_circle(start, w1, rho, params, steps, out=orbit)
+        _integrate_circle(start, w1, rho, params, steps, cos, out=orbit)
         end = orbit[..., -1]
         escaped |= active & ~np.isfinite(end)
         active &= ~escaped

@@ -285,6 +285,19 @@ def test_boost_rejects_nonpositive_ode_steps(tmp_path, extra):
     assert "PASS" not in proc.stdout
 
 
+@pytest.mark.parametrize("cell", [("nan", "0.3"), ("0", "nan"), ("inf", "0.3"),
+                                  ("-5", "-2"), ("0", "-0.1")])
+def test_boost_rejects_bad_cell(tmp_path, cell):
+    # a good cell first: nothing is solved or printed before the check
+    proc = _cli("boost", "--out", str(tmp_path), "--ode-steps", "100",
+                "--cell", "10", "0.4", "--cell", *cell)
+    assert proc.returncode == 2, proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: --cell: need finite W1 and RHO >= 0, got ")
+    assert proc.stdout == ""
+    assert not list(tmp_path.iterdir())
+
+
 _BOOST_PARAMS = {"C": "4e-5", "L": "0.004", "R": "400", "r": "0.25",
                  "v0": "100", "z10": "400", "alpha": "628.3185307179586"}
 

@@ -8,7 +8,7 @@ from regsyn import examples, expr, regeq
 from regsyn.regeq import (BoostParams, RegulatorError, RegulatorSolution,
                           admissible_domain, boost_equilibrium,
                           immersion_residual, pde_residual, psi_bounds,
-                          psi_rhs, recover_gamma, regulator_residual,
+                          recover_gamma, regulator_residual,
                           solve_boost_grid, solve_psi0, write_grid_csv,
                           write_orbit_csv)
 
@@ -96,6 +96,16 @@ def test_psi_bounds_at_origin():
     assert psi1 > psi2 > -PARAMS.z20
 
 
+def psi_rhs(psi, tau_angle, w1, rho, params: BoostParams):
+    """Right side of the circle ODE for psi, written out apart from
+    regeq._integrate_circle: the oracle of the ODE tests."""
+    pr = params
+    denom = pr.alpha * pr.L * (psi + pr.z20)
+    num = (pr.r * psi * psi + (pr.r * pr.z20 - w1 - pr.D0 * pr.z10) * psi
+           - pr.z20 * w1 + pr.z10 * rho * np.cos(tau_angle))
+    return num / denom
+
+
 def test_psi_rhs_value():
     # at w1 = 0, rho = 0.3, tau = 0, psi = 0 the slope is
     # z10*rho / (alpha*L*z20)
@@ -105,11 +115,80 @@ def test_psi_rhs_value():
     assert want == pytest.approx(11.816, abs=1e-3)
 
 
-def test_psi_rhs_guards_denominator():
-    with pytest.raises(RegulatorError):
-        psi_rhs(-PARAMS.z20, 0.0, 0.0, 0.1, PARAMS)
-    arr = psi_rhs(np.array([0.0, -PARAMS.z20]), 0.0, 0.0, 0.1, PARAMS)
-    assert np.isfinite(arr[0]) and np.isnan(arr[1])
+def _circle(psi0, w1, rho, steps):
+    return regeq._integrate_circle(psi0, w1, rho, PARAMS, steps,
+                                   regeq._stage_cosines(steps))
+
+
+def test_integrate_circle_guards_denominator():
+    # an orbit whose denominator alpha*L*(psi + z20) starts at 0 or below
+    # DENOM_GUARD is NaN from the first step on, in the 0-d body and in the
+    # array body
+    for start in (-PARAMS.z20, -PARAMS.z20 + 1e-13):
+        assert 0.0 <= PARAMS.alpha * PARAMS.L * (start + PARAMS.z20) < regeq.DENOM_GUARD
+        solo = _circle(start, 0.0, 0.1, 50)
+        assert solo[0] == start and np.all(np.isnan(solo[1:]))
+        rows = _circle(np.array([0.0, start]), 0.0, 0.1, 50)
+        assert np.all(np.isfinite(rows[0]))
+        assert rows[1, 0] == start and np.all(np.isnan(rows[1, 1:]))
+
+
+def _reference_circle(psi0, w1, rho, steps):
+    """The numpy RK4 body on a 0-d array, with np.cos of each stage time and
+    the np.where guard: the reference that both bodies must match."""
+    psi = np.asarray(psi0, dtype=float)
+    h = 2.0 * math.pi / steps
+    orbit = np.empty(psi.shape + (steps + 1,))
+    orbit[..., 0] = psi
+    pr = PARAMS
+    aL = pr.alpha * pr.L
+    b_lin = pr.r * pr.z20 - w1 - pr.D0 * pr.z10
+    c_con = -pr.z20 * w1
+
+    def rhs(p, t):
+        denom = aL * (p + pr.z20)
+        num = pr.r * p * p + b_lin * p + c_con + pr.z10 * rho * np.cos(t)
+        return np.where(denom < regeq.DENOM_GUARD, np.nan, num / denom)
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k in range(steps):
+            t = k * h
+            k1 = rhs(psi, t)
+            k2 = rhs(psi + 0.5 * h * k1, t + 0.5 * h)
+            k3 = rhs(psi + 0.5 * h * k2, t + 0.5 * h)
+            k4 = rhs(psi + h * k3, t + h)
+            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            orbit[..., k + 1] = psi
+    return orbit
+
+
+@pytest.mark.parametrize("steps", [1, 3, 500, 2000])
+def test_stage_cosines_match_scalar_cos(steps):
+    # the table takes np.cos of an array, the reference body np.cos of each
+    # stage time alone; a platform where the two differ must fail here
+    h = 2.0 * math.pi / steps
+    want = []
+    for k in range(steps):
+        t = k * h
+        want += [float(np.cos(t)), float(np.cos(t + 0.5 * h)), float(np.cos(t + h))]
+    table = regeq._stage_cosines(steps)
+    assert all(type(c) is float for c in table)
+    assert np.array(table).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("w1, rho, start", [
+    (10.0, 0.4, 0.3), (-30.0, 0.2, -0.1), (0.0, 0.0, 0.0), (20.0, 0.5, 1e3),
+    (0.0, 0.3, -PARAMS.z20 - 1.0), (0.0, 0.3, -PARAMS.z20),
+    (0.0, 0.3, -PARAMS.z20 + 1e-13), (0.0, 0.3, math.nan),
+    (0.0, 0.3, math.inf)])
+def test_circle_bodies_agree(w1, rho, start):
+    # the 0-d float body, the array body on one element and the reference
+    # body give the same bits, NaN where the orbit hits the guard
+    solo = _circle(start, w1, rho, 500)
+    row = _circle(np.array([start]), np.array([w1]), np.array([rho]), 500)
+    ref = _reference_circle(start, w1, rho, 500)
+    assert np.array_equal(solo, row[0], equal_nan=True)
+    assert np.array_equal(solo, ref, equal_nan=True)
 
 
 def test_admissible_domain_shape():
@@ -142,8 +221,8 @@ def test_solve_psi0_monotone_outside_brackets():
     w1, rho = 20.0, 0.5
     psi1, psi2 = psi_bounds(w1, rho, PARAMS)
     eps = 1e-3 * (psi1 - psi2)
-    up = regeq._integrate_circle(psi1 + eps, w1, rho, PARAMS, 2000)
-    down = regeq._integrate_circle(psi2 - eps, w1, rho, PARAMS, 2000)
+    up = _circle(psi1 + eps, w1, rho, 2000)
+    down = _circle(psi2 - eps, w1, rho, 2000)
     assert up[-1] < up[0]
     assert down[-1] > down[0]
 
@@ -236,12 +315,13 @@ def test_grid_and_orbit_csv(tmp_path, boost_grid):
 
 
 def _reference_psi0(w1, rho, steps, max_iter=200):
-    """The scalar fixed-point loop the shared solver replaced."""
+    """The scalar fixed-point loop the shared solver replaced, on the
+    reference RK4 body."""
     psi1, psi2 = psi_bounds(w1, rho, PARAMS)
     tol = 1e-9 * (1.0 + abs(psi1))
     start = 0.5 * (psi1 + psi2)
     for it in range(1, max_iter + 1):
-        orbit = regeq._integrate_circle(start, w1, rho, PARAMS, steps)
+        orbit = _reference_circle(start, w1, rho, steps)
         assert np.all(np.isfinite(orbit))
         if abs(float(orbit[-1]) - start) < tol:
             return start, orbit, it
@@ -251,24 +331,25 @@ def _reference_psi0(w1, rho, steps, max_iter=200):
 
 def test_boost_grid_matches_solo_cells():
     # the flat grid solve is bit-identical to solve_psi0 on each cell alone,
-    # and both to the scalar reference loop
-    grid = solve_boost_grid(PARAMS, n_w1=5, n_rho=5, ode_steps=500)
-    seen = 0
-    for col in grid.cells:
-        for c in col:
-            if not c.present:
-                continue
-            psi0, orbit, iters = solve_psi0(c.w1, c.rho, PARAMS, ode_steps=500)
-            ref_psi0, ref_orbit, ref_iters = _reference_psi0(c.w1, c.rho, 500)
-            assert (psi0, iters) == (ref_psi0, ref_iters)
-            assert np.array_equal(orbit, ref_orbit)
-            assert c.converged, c.message
-            assert c.psi0 == psi0
-            assert c.iters == iters
-            assert np.array_equal(c.orbit, orbit)
-            assert np.array_equal(c.gamma, recover_gamma(orbit, c.w1, c.rho, PARAMS))
-            seen += 1
-    assert seen >= 15
+    # and both to the scalar reference loop on the reference body
+    for steps in (500, 2000):
+        grid = solve_boost_grid(PARAMS, n_w1=5, n_rho=5, ode_steps=steps)
+        seen = 0
+        for col in grid.cells:
+            for c in col:
+                if not c.present:
+                    continue
+                psi0, orbit, iters = solve_psi0(c.w1, c.rho, PARAMS, ode_steps=steps)
+                ref_psi0, ref_orbit, ref_iters = _reference_psi0(c.w1, c.rho, steps)
+                assert (psi0, iters) == (ref_psi0, ref_iters)
+                assert np.array_equal(orbit, ref_orbit)
+                assert c.converged, c.message
+                assert c.psi0 == psi0
+                assert c.iters == iters
+                assert np.array_equal(c.orbit, orbit)
+                assert np.array_equal(c.gamma, recover_gamma(orbit, c.w1, c.rho, PARAMS))
+                seen += 1
+        assert seen >= 15
 
 
 def test_boost_grid_max_iter_freezes_cells():
