@@ -21,12 +21,15 @@ import sys
 import numpy as np
 
 from . import examples, expr, model, regeq, specan, synth, sysfile
-from .sim import (DivergenceError, SimulationError, decay_metrics, simulate,
-                  write_trajectory_csv)
+from .sim import (DivergenceError, SimulationError, _check_grid, decay_metrics,
+                  simulate, write_trajectory_csv)
 
 RESIDUAL_TOL = 1e-6
 PDE_RESIDUAL_TOL = 1e-3
 SAMPLE_COUNT = 100
+# bytes of float64 samples one command may hold: checked before any work,
+# from the sizes the options ask for
+MEMORY_BUDGET = 2**30
 
 
 class _Checks:
@@ -45,6 +48,15 @@ class _Checks:
     @property
     def status(self):
         return 0 if self.failed == 0 else 1
+
+
+def _check_budget(option, rows, per_row):
+    """Exit 2 (SysFileError) if rows x per_row floats exceed MEMORY_BUDGET."""
+    size = 8 * rows * per_row
+    if size > MEMORY_BUDGET:
+        raise sysfile.SysFileError(
+            f"{option}: {rows:.4g} rows x {per_row} floats need {size:.4g} bytes, "
+            f"over the memory budget of {MEMORY_BUDGET} bytes")
 
 
 def _load_system(arg) -> sysfile.SystemFile:
@@ -195,6 +207,8 @@ def cmd_simulate(args):
     dt = args.dt if args.dt is not None else (ex.default_dt if ex else 1e-4)
     if T is None:
         raise sysfile.SysFileError("--T is required for systems loaded from files")
+    # the trajectory: state, e, u and t per step
+    _check_budget("--T/--dt", _check_grid(T, dt) + 1, n + nc + p + 3)
     if args.ic is not None:
         x0, xi0, w0 = _parse_ic(args.ic, n, nc, p)
     elif ex is not None:
@@ -237,19 +251,33 @@ def _cell_tag(v):
 def cmd_boost(args):
     if args.ode_steps < 1:
         raise regeq.RegulatorError(f"--ode-steps must be >= 1, got {args.ode_steps}")
+    if args.cell:
+        # orbit, gamma and tau of one cell, and the float body's list of
+        # samples (a pointer and a float object per sample)
+        _check_budget("--ode-steps", args.ode_steps + 1, 7)
+    else:
+        # the orbit and gamma of every cell
+        _check_budget("--grid-w1/--grid-rho/--ode-steps",
+                      args.grid_w1 * args.grid_rho, 2 * (args.ode_steps + 1))
+    checks = _Checks()
+    params = _boost_params(args.params)
+    w1max, rho_max = regeq.admissible_domain(params)
     for w1, rho in args.cell or ():
         if not (math.isfinite(w1) and math.isfinite(rho) and rho >= 0):
             raise regeq.RegulatorError(
                 f"--cell: need finite W1 and RHO >= 0, got {w1:g} {rho:g}")
-    checks = _Checks()
-    params = _boost_params(args.params)
+        if not abs(w1) < w1max:
+            raise regeq.RegulatorError(
+                f"--cell: need |W1| < w1max = {w1max:.17g}, got {w1:g} {rho:g}")
+        if not rho <= rho_max(w1):
+            raise regeq.RegulatorError(
+                f"--cell: need RHO <= rho_max(W1) = {rho_max(w1):.17g}, got {w1:g} {rho:g}")
     # solve before any output, so that a rejected grid prints no CHECK line
     boost = None if args.cell else regeq.solve_boost_grid(
         params, n_w1=args.grid_w1, n_rho=args.grid_rho, ode_steps=args.ode_steps)
     checks.add("boost_equilibrium", True, params.D0)
     print(f"D0 = {params.D0:.17g}")
     print(f"z20 = {params.z20:.17g}")
-    w1max, rho_max = regeq.admissible_domain(params)
     print(f"w1max = {w1max:.17g}")
     os.makedirs(args.out, exist_ok=True)
 

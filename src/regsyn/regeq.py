@@ -6,8 +6,9 @@ half solves the boost-converter regulator PDE: on circles of constant w1
 and radius rho the PDE reduces to a scalar periodic ODE, solved by
 fixed-step RK4 and a fixed-point iteration on the initial value, for one
 circle (solve_psi0) or a whole grid at once (solve_boost_grid).  The RK4
-loop has two bodies, on Python floats for one circle and on numpy arrays
-for the grid; both read one table of stage cosines and apply the same
+loop has two bodies, on numpy arrays for passes over many cells and on
+Python floats for one circle (solve_psi0's, or a grid cell left over once
+few are active); both read one table of stage cosines and apply the same
 operations in the same order, and tests/test_regeq.py
 (test_circle_bodies_agree) ties them bit for bit.
 """
@@ -29,6 +30,15 @@ from .sim import _write_csv
 
 ORIGIN_TOL = 1e-12
 DENOM_GUARD = 1e-12
+# _periodic_orbits integrates every row of the grid on the array body while
+# more than FLOAT_CELLS cells are active, then finishes each remaining cell
+# alone on the float body.  At ode_steps = 2000 on a 2-vCPU x86 VM one array
+# pass costs as much as 50 float orbits on 1-80 rows and 70 on the 399 rows
+# of the default 21x21 grid (94-135 ms against 1.9 ms), so the float body
+# wins from about that many active cells down.  Raw solve of that grid,
+# best of 3: 1.49 s array only, 1.78 s float only, 0.63-0.66 s switching
+# at 40, 80 or 120 active cells (after pass 2 or 3 of 10).
+FLOAT_CELLS = 80
 
 
 class RegulatorError(Exception):
@@ -292,6 +302,10 @@ def _periodic_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter):
     start, tol, w1 and rho broadcast to start's shape (0-d for one circle).
     A cell freezes once its orbit escapes or |psi(2*pi) - psi(0)| < tol and
     keeps its start, so later passes rewrite its orbit row bit for bit.
+    While more than FLOAT_CELLS cells are active, each pass integrates all
+    rows on the array body; then each remaining cell finishes alone on the
+    float body, from the same pass count and start.  The two bodies agree
+    bit for bit, so the result does not depend on FLOAT_CELLS.
     Returns (psi0, orbit, iters, escaped); iters is 0 where not converged.
     """
     start = np.array(start, dtype=float)
@@ -300,7 +314,9 @@ def _periodic_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter):
     escaped = np.zeros(start.shape, dtype=bool)
     active = np.ones(start.shape, dtype=bool)
     cos = _stage_cosines(steps)
-    for it in range(1, max_iter + 1):
+    it = 0
+    while it < max_iter and np.count_nonzero(active) > FLOAT_CELLS:
+        it += 1
         _integrate_circle(start, w1, rho, params, steps, cos, out=orbit)
         end = orbit[..., -1]
         escaped |= active & ~np.isfinite(end)
@@ -308,9 +324,23 @@ def _periodic_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter):
         done = active & (np.abs(end - start) < tol)
         iters[done] = it
         active &= ~done
-        if not active.any():
-            break
         np.copyto(start, end, where=active)
+    tol, w1, rho = (np.broadcast_to(v, start.shape) for v in (tol, w1, rho))
+    for k in np.ndindex(start.shape):
+        if not active[k]:
+            continue
+        psi = float(start[k])
+        for n in range(it + 1, max_iter + 1):
+            end = float(_integrate_circle(psi, w1[k], rho[k], params, steps, cos,
+                                          out=orbit[k])[-1])
+            if not math.isfinite(end):
+                escaped[k] = True
+                break
+            if abs(end - psi) < tol[k]:
+                iters[k] = n
+                break
+            psi = end
+        start[k] = psi
     return start, orbit, iters, escaped
 
 
@@ -366,7 +396,8 @@ class BoostSolution:
 
 def recover_gamma(orbit, w1, rho, params: BoostParams):
     """Feedforward gamma(tau) = (rho*cos(tau) - D0*psi) / (psi + z20),
-    eliminated from the algebraic regulator equation."""
+    eliminated from the algebraic regulator equation.  orbit may hold one
+    orbit per row, with rho a column of one radius per row."""
     orbit = np.asarray(orbit, dtype=float)
     pr = params
     tau = np.linspace(0.0, 2.0 * math.pi, orbit.shape[-1])
@@ -383,8 +414,9 @@ def solve_boost_grid(params: BoostParams, n_w1=21, n_rho=21, ode_steps=2000,
     w1 is uniform on [-shrink*w1max, shrink*w1max]; for each w1, rho is
     uniform on [0, shrink*rho_max(w1)].  Columns where rho_max(w1) <= 0 are
     marked absent.  All present cells go through one fixed-point iteration
-    as one flat array, each frozen on its own stopping test, so every
-    cell's psi0, iterations and orbit are bit-identical to solve_psi0.
+    (_periodic_orbits) as one flat array, each frozen on its own stopping
+    test, and the stragglers finish one by one; every cell's psi0,
+    iterations and orbit are bit-identical to solve_psi0.
     """
     if n_w1 < 2 or n_rho < 3:
         # pde_residual differentiates across three radii of a column
@@ -426,7 +458,13 @@ def solve_boost_grid(params: BoostParams, n_w1=21, n_rho=21, ode_steps=2000,
             cell.psi0 = float(psi0[k])
             cell.iters = int(iters[k])
             cell.orbit = orbit[k]
-            cell.gamma = recover_gamma(cell.orbit, cell.w1, cell.rho, params)
+    # gamma of the converged cells, 16 rows per call: one call on the whole
+    # grid would hold several grid-sized temporaries at once
+    rows = np.flatnonzero(iters)
+    for block in np.split(rows, range(16, len(rows), 16)):
+        gamma = recover_gamma(orbit[block], w1[block, None], rho[block, None], params)
+        for k, g in zip(block, gamma):
+            cells[k].gamma = g
     return BoostSolution(params, w1s, rho_grid, columns, ode_steps)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regsyn import cli, examples
+from regsyn import cli, examples, regeq
 
 
 _SUBPROCESS_ENV = {**os.environ,
@@ -296,6 +296,68 @@ def test_boost_rejects_bad_cell(tmp_path, cell):
     assert proc.stderr.startswith("error: --cell: need finite W1 and RHO >= 0, got ")
     assert proc.stdout == ""
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("cell, bound", [
+    (("200", "0.1"), "need |W1| < w1max = 97.979589711327122, got 200 0.1"),
+    (("-97.98", "0"), "need |W1| < w1max = 97.979589711327122, got -97.98 0"),
+    (("0", "5"), "need RHO <= rho_max(W1) = 0.90000000000000013, got 0 5"),
+    (("-90", "0"), "need RHO <= rho_max(W1) = -0.75000000000000022, got -90 0"),
+])
+def test_boost_rejects_cell_outside_domain(tmp_path, cell, bound):
+    # a good cell first: nothing is solved or printed before the check
+    proc = _cli("boost", "--out", str(tmp_path), "--ode-steps", "100",
+                "--cell", "10", "0.4", "--cell", *cell)
+    assert proc.returncode == 2, proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: --cell: {bound}\n"
+    assert proc.stdout == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_boost_accepts_cell_on_domain_edge(tmp_path, capsys):
+    # RHO = rho_max(0) = beta*D0*z20 itself is admitted
+    status, out, _ = _run(capsys, "boost", "--out", str(tmp_path),
+                          "--cell", "0", "0.9000000000000001")
+    assert status == 0, out
+    assert _checks(out)["boost_cell_0_0p9"][0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "example53", "--T", "1e300", "--dt", "1e-6"),
+     "--T/--dt: 1e+306 rows x 11 floats need 8.8e+307 bytes"),
+    (("boost", "--grid-w1", "2000", "--grid-rho", "2000", "--ode-steps", "100000"),
+     "--grid-w1/--grid-rho/--ode-steps: 4e+06 rows x 200002 floats need 6.4e+12 bytes"),
+    (("boost", "--ode-steps", "10000000000", "--cell", "10", "0.4"),
+     "--ode-steps: 1e+10 rows x 7 floats need 5.6e+11 bytes"),
+])
+def test_commands_check_the_memory_budget_first(tmp_path, capsys, monkeypatch,
+                                                 argv, message):
+    # rejected before any solve starts, so nothing large is allocated
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    monkeypatch.setattr(cli, "simulate", refuse)
+    monkeypatch.setattr(regeq, "solve_boost_grid", refuse)
+    monkeypatch.setattr(regeq, "solve_psi0", refuse)
+    status, out, err = _run(capsys, *argv, *(("--out", str(tmp_path / "x"))
+                                             if argv[0] == "boost" else ()))
+    assert status == 2
+    assert err == f"error: {message}, over the memory budget of 1073741824 bytes\n"
+    assert out == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_memory_budget_bound_is_inclusive(capsys, monkeypatch):
+    # example51 over T = 1 at dt = 0.01: 101 rows of x (2), xi (2), w (2),
+    # e, u and t, so 8 * 101 * 9 = 7272 bytes
+    argv = ("simulate", "example51", "--T", "1", "--dt", "0.01")
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", 7272)
+    assert _run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", 7271)
+    status, _, err = _run(capsys, *argv)
+    assert status == 2
+    assert "101 rows x 9 floats need 7272 bytes" in err
 
 
 _BOOST_PARAMS = {"C": "4e-5", "L": "0.004", "R": "400", "r": "0.25",

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -329,37 +330,68 @@ def _reference_psi0(w1, rho, steps, max_iter=200):
     raise AssertionError("reference loop did not converge")
 
 
-def test_boost_grid_matches_solo_cells():
+# FLOAT_CELLS settings every grid test runs under: array passes only, the
+# shipped switch point, float body only
+FLOAT_CELLS_SETTINGS = (0, regeq.FLOAT_CELLS, 10**9)
+
+
+def _grids(monkeypatch, **kw):
+    """solve_boost_grid(PARAMS, **kw) under each of FLOAT_CELLS_SETTINGS."""
+    grids = []
+    for float_cells in FLOAT_CELLS_SETTINGS:
+        with monkeypatch.context() as m:
+            m.setattr(regeq, "FLOAT_CELLS", float_cells)
+            grids.append(solve_boost_grid(PARAMS, **kw))
+    return grids
+
+
+def _cell_state(c):
+    """Everything a grid cell reports, as bytes and plain values."""
+    return (c.present, c.converged, c.iters, c.message,
+            np.array([c.w1, c.rho, c.psi0]).tobytes(),
+            None if c.orbit is None else c.orbit.tobytes(),
+            None if c.gamma is None else c.gamma.tobytes())
+
+
+def _assert_same_grids(grids):
+    first = [_cell_state(c) for col in grids[0].cells for c in col]
+    for grid in grids[1:]:
+        assert [_cell_state(c) for col in grid.cells for c in col] == first
+
+
+def test_boost_grid_matches_solo_cells(monkeypatch):
     # the flat grid solve is bit-identical to solve_psi0 on each cell alone,
-    # and both to the scalar reference loop on the reference body
+    # and both to the scalar reference loop on the reference body, whichever
+    # body finishes the stragglers
     for steps in (500, 2000):
-        grid = solve_boost_grid(PARAMS, n_w1=5, n_rho=5, ode_steps=steps)
+        grids = _grids(monkeypatch, n_w1=5, n_rho=5, ode_steps=steps)
+        _assert_same_grids(grids)
         seen = 0
-        for col in grid.cells:
-            for c in col:
-                if not c.present:
-                    continue
-                psi0, orbit, iters = solve_psi0(c.w1, c.rho, PARAMS, ode_steps=steps)
-                ref_psi0, ref_orbit, ref_iters = _reference_psi0(c.w1, c.rho, steps)
-                assert (psi0, iters) == (ref_psi0, ref_iters)
-                assert np.array_equal(orbit, ref_orbit)
-                assert c.converged, c.message
-                assert c.psi0 == psi0
-                assert c.iters == iters
-                assert np.array_equal(c.orbit, orbit)
-                assert np.array_equal(c.gamma, recover_gamma(orbit, c.w1, c.rho, PARAMS))
-                seen += 1
+        for c in (c for col in grids[0].cells for c in col if c.present):
+            psi0, orbit, iters = solve_psi0(c.w1, c.rho, PARAMS, ode_steps=steps)
+            ref_psi0, ref_orbit, ref_iters = _reference_psi0(c.w1, c.rho, steps)
+            assert (psi0, iters) == (ref_psi0, ref_iters)
+            assert np.array_equal(orbit, ref_orbit)
+            assert c.converged, c.message
+            assert c.psi0 == psi0
+            assert c.iters == iters
+            assert np.array_equal(c.orbit, orbit)
+            assert np.array_equal(c.gamma, recover_gamma(orbit, c.w1, c.rho, PARAMS))
+            seen += 1
         assert seen >= 15
 
 
-def test_boost_grid_max_iter_freezes_cells():
+def test_boost_grid_max_iter_freezes_cells(monkeypatch):
     # rho = 0 circles start on their equilibrium and converge on the first pass
-    grid = solve_boost_grid(PARAMS, n_w1=5, n_rho=5, ode_steps=500, max_iter=1)
-    present = [c for col in grid.cells for c in col if c.present]
+    grids = _grids(monkeypatch, n_w1=5, n_rho=5, ode_steps=500, max_iter=1)
+    _assert_same_grids(grids)
+    present = [c for col in grids[0].cells for c in col if c.present]
     assert present
     for c in present:
         if c.rho == 0.0:
             assert c.converged and c.iters == 1, c.message
+            psi0, orbit, _ = solve_psi0(c.w1, c.rho, PARAMS, ode_steps=500, max_iter=1)
+            assert c.psi0 == psi0 and np.array_equal(c.orbit, orbit)
         else:
             assert not c.converged
             assert c.iters == 0
@@ -383,7 +415,9 @@ def test_escaped_cell_leaves_others_unchanged(monkeypatch):
         return true_bounds(w1, rho, params)
 
     monkeypatch.setattr(regeq, "psi_bounds", bounds)
-    grid = solve_boost_grid(PARAMS, n_w1=5, n_rho=5, ode_steps=500)
+    grids = _grids(monkeypatch, n_w1=5, n_rho=5, ode_steps=500)
+    _assert_same_grids(grids)
+    grid = grids[0]
     with pytest.raises(RegulatorError, match="orbit escaped psi <= -z20"):
         solve_psi0(bad_w1, grid.rho_values[2][1], PARAMS, ode_steps=500)
     escaped = 0
@@ -401,6 +435,56 @@ def test_escaped_cell_leaves_others_unchanged(monkeypatch):
             assert (c.psi0, c.iters) == (psi0, iters)
             assert np.array_equal(c.orbit, orbit)
     assert escaped == 4
+
+
+def test_boost_grid_switches_body_mid_run(monkeypatch):
+    # a 7x7 grid reaching past the admissible domain (shrink 1.1), where 7
+    # cells are still active after pass 2: with FLOAT_CELLS = 7 two array
+    # passes run and the float body finishes the rest.  Two planted starts
+    # act after the switch: one orbit escapes on pass 7 and one grows until
+    # max_iter = 8.  Every setting gives the same cells, and each cell the
+    # same result as solve_psi0.
+    kw = dict(n_w1=7, n_rho=7, ode_steps=500, max_iter=8, shrink=1.1)
+    probe = solve_boost_grid(PARAMS, **{**kw, "max_iter": 1})
+    escapes = (probe.w1_values[6], probe.rho_values[6][6])
+    grows = (probe.w1_values[4], probe.rho_values[4][3])
+    starts = {escapes: 800.0, grows: 1e4}
+    true_bounds = regeq.psi_bounds
+
+    def bounds(w1, rho, params):
+        if (w1, rho) in starts:
+            return starts[w1, rho], starts[w1, rho]
+        return true_bounds(w1, rho, params)
+
+    monkeypatch.setattr(regeq, "psi_bounds", bounds)
+    real_circle, calls = regeq._integrate_circle, []
+
+    def circle(psi0, w1, rho, *args, **kwargs):
+        calls.append((np.ndim(psi0), float(np.max(w1)), float(np.max(rho))))
+        return real_circle(psi0, w1, rho, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(regeq, "FLOAT_CELLS", 7)
+        m.setattr(regeq, "_integrate_circle", circle)
+        mid = solve_boost_grid(PARAMS, **kw)
+    assert [nd for nd, _, _ in calls].count(1) == 2
+    float_orbits = [(w1, rho) for nd, w1, rho in calls if nd == 0]
+    assert float_orbits.count(escapes) == 5    # passes 3-7
+    assert float_orbits.count(grows) == 6      # passes 3-8
+    grids = _grids(monkeypatch, **kw)
+    _assert_same_grids([mid] + grids)
+    for c in (c for col in mid.cells for c in col if c.present):
+        if c.converged:
+            psi0, orbit, iters = solve_psi0(c.w1, c.rho, PARAMS, ode_steps=500, max_iter=8)
+            assert (c.psi0, c.iters) == (psi0, iters)
+            assert np.array_equal(c.orbit, orbit)
+            continue
+        assert c.iters == 0 and c.orbit is None and c.gamma is None
+        with pytest.raises(RegulatorError, match=re.escape(c.message)):
+            solve_psi0(c.w1, c.rho, PARAMS, ode_steps=500, max_iter=8)
+    cell = {(c.w1, c.rho): c for col in mid.cells for c in col}
+    assert cell[escapes].message == "orbit escaped psi <= -z20"
+    assert cell[grows].message == "no periodic orbit within 8 iterations"
 
 
 def test_boost_grid_needs_three_radii():
