@@ -30,6 +30,10 @@ SAMPLE_COUNT = 100
 # bytes of float64 samples one command may hold: checked before any work,
 # from the sizes the options ask for
 MEMORY_BUDGET = 2**30
+# floats per RK4 step that a boost solve holds besides its cells' rows:
+# regeq._stage_cosines' table (t and the cosine array, then a list of three
+# Python floats at 32 bytes each) and the float body's list of samples
+BOOST_STEP_FLOATS = 20
 
 
 class _Checks:
@@ -251,14 +255,12 @@ def _cell_tag(v):
 def cmd_boost(args):
     if args.ode_steps < 1:
         raise regeq.RegulatorError(f"--ode-steps must be >= 1, got {args.ode_steps}")
-    if args.cell:
-        # orbit, gamma and tau of one cell, and the float body's list of
-        # samples (a pointer and a float object per sample)
-        _check_budget("--ode-steps", args.ode_steps + 1, 7)
-    else:
-        # the orbit and gamma of every cell
-        _check_budget("--grid-w1/--grid-rho/--ode-steps",
-                      args.grid_w1 * args.grid_rho, 2 * (args.ode_steps + 1))
+    if args.cell:  # orbit, gamma and tau of one cell at a time
+        option, per_step = "--ode-steps", 3
+    else:  # the orbit and gamma of every cell
+        option = "--grid-w1/--grid-rho/--ode-steps"
+        per_step = 2 * args.grid_w1 * args.grid_rho
+    _check_budget(option, args.ode_steps + 1, per_step + BOOST_STEP_FLOATS)
     checks = _Checks()
     params = _boost_params(args.params)
     w1max, rho_max = regeq.admissible_domain(params)

@@ -30,14 +30,15 @@ from .sim import _write_csv
 
 ORIGIN_TOL = 1e-12
 DENOM_GUARD = 1e-12
-# _periodic_orbits integrates every row of the grid on the array body while
-# more than FLOAT_CELLS cells are active, then finishes each remaining cell
+# A pass of _periodic_orbits integrates every row of the grid on the array
+# body while more than FLOAT_CELLS cells are active, else each active cell
 # alone on the float body.  At ode_steps = 2000 on a 2-vCPU x86 VM one array
 # pass costs as much as 50 float orbits on 1-80 rows and 70 on the 399 rows
 # of the default 21x21 grid (94-135 ms against 1.9 ms), so the float body
 # wins from about that many active cells down.  Raw solve of that grid,
-# best of 3: 1.49 s array only, 1.78 s float only, 0.63-0.66 s switching
-# at 40, 80 or 120 active cells (after pass 2 or 3 of 10).
+# best of 3 in each of two sweeps: 1.45-1.49 s array only, 1.78-2.18 s
+# float only, 0.63-0.91 s switching at 40, 80 or 120 active cells (after
+# pass 2 or 3 of 10).
 FLOAT_CELLS = 80
 
 
@@ -299,48 +300,39 @@ def _integrate_circle(psi0, w1, rho, params: BoostParams, steps, cos, out=None):
 def _periodic_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter):
     """Fixed-point iteration psi^n(0) = psi^{n-1}(2*pi) on many circles at once.
 
-    start, tol, w1 and rho broadcast to start's shape (0-d for one circle).
+    start, tol, w1 and rho have one shape (0-d for one circle).
     A cell freezes once its orbit escapes or |psi(2*pi) - psi(0)| < tol and
     keeps its start, so later passes rewrite its orbit row bit for bit.
-    While more than FLOAT_CELLS cells are active, each pass integrates all
-    rows on the array body; then each remaining cell finishes alone on the
-    float body, from the same pass count and start.  The two bodies agree
-    bit for bit, so the result does not depend on FLOAT_CELLS.
+    A pass with more than FLOAT_CELLS active cells integrates all rows on
+    the array body, any other pass each active cell alone on the float
+    body.  The two bodies agree bit for bit, so the result does not
+    depend on FLOAT_CELLS.
     Returns (psi0, orbit, iters, escaped); iters is 0 where not converged.
     """
     start = np.array(start, dtype=float)
+    w1, rho = np.asarray(w1), np.asarray(rho)
     orbit = np.empty(start.shape + (steps + 1,))
     iters = np.zeros(start.shape, dtype=int)
     escaped = np.zeros(start.shape, dtype=bool)
     active = np.ones(start.shape, dtype=bool)
     cos = _stage_cosines(steps)
-    it = 0
-    while it < max_iter and np.count_nonzero(active) > FLOAT_CELLS:
-        it += 1
-        _integrate_circle(start, w1, rho, params, steps, cos, out=orbit)
+    for it in range(1, max_iter + 1):
+        if np.count_nonzero(active) > FLOAT_CELLS:
+            _integrate_circle(start, w1, rho, params, steps, cos, out=orbit)
+        else:
+            for k in np.ndindex(start.shape):
+                if active[k]:
+                    _integrate_circle(start[k], w1[k], rho[k], params, steps,
+                                      cos, out=orbit[k])
         end = orbit[..., -1]
         escaped |= active & ~np.isfinite(end)
         active &= ~escaped
         done = active & (np.abs(end - start) < tol)
         iters[done] = it
         active &= ~done
+        if not active.any():
+            break
         np.copyto(start, end, where=active)
-    tol, w1, rho = (np.broadcast_to(v, start.shape) for v in (tol, w1, rho))
-    for k in np.ndindex(start.shape):
-        if not active[k]:
-            continue
-        psi = float(start[k])
-        for n in range(it + 1, max_iter + 1):
-            end = float(_integrate_circle(psi, w1[k], rho[k], params, steps, cos,
-                                          out=orbit[k])[-1])
-            if not math.isfinite(end):
-                escaped[k] = True
-                break
-            if abs(end - psi) < tol[k]:
-                iters[k] = n
-                break
-            psi = end
-        start[k] = psi
     return start, orbit, iters, escaped
 
 
@@ -396,8 +388,7 @@ class BoostSolution:
 
 def recover_gamma(orbit, w1, rho, params: BoostParams):
     """Feedforward gamma(tau) = (rho*cos(tau) - D0*psi) / (psi + z20),
-    eliminated from the algebraic regulator equation.  orbit may hold one
-    orbit per row, with rho a column of one radius per row."""
+    eliminated from the algebraic regulator equation."""
     orbit = np.asarray(orbit, dtype=float)
     pr = params
     tau = np.linspace(0.0, 2.0 * math.pi, orbit.shape[-1])
@@ -415,8 +406,8 @@ def solve_boost_grid(params: BoostParams, n_w1=21, n_rho=21, ode_steps=2000,
     uniform on [0, shrink*rho_max(w1)].  Columns where rho_max(w1) <= 0 are
     marked absent.  All present cells go through one fixed-point iteration
     (_periodic_orbits) as one flat array, each frozen on its own stopping
-    test, and the stragglers finish one by one; every cell's psi0,
-    iterations and orbit are bit-identical to solve_psi0.
+    test, and a pass over few active cells takes them one by one; every
+    cell's psi0, iterations and orbit are bit-identical to solve_psi0.
     """
     if n_w1 < 2 or n_rho < 3:
         # pde_residual differentiates across three radii of a column
@@ -458,13 +449,7 @@ def solve_boost_grid(params: BoostParams, n_w1=21, n_rho=21, ode_steps=2000,
             cell.psi0 = float(psi0[k])
             cell.iters = int(iters[k])
             cell.orbit = orbit[k]
-    # gamma of the converged cells, 16 rows per call: one call on the whole
-    # grid would hold several grid-sized temporaries at once
-    rows = np.flatnonzero(iters)
-    for block in np.split(rows, range(16, len(rows), 16)):
-        gamma = recover_gamma(orbit[block], w1[block, None], rho[block, None], params)
-        for k, g in zip(block, gamma):
-            cells[k].gamma = g
+            cell.gamma = recover_gamma(cell.orbit, cell.w1, cell.rho, params)
     return BoostSolution(params, w1s, rho_grid, columns, ode_steps)
 
 

@@ -327,9 +327,9 @@ def test_boost_accepts_cell_on_domain_edge(tmp_path, capsys):
     (("simulate", "example53", "--T", "1e300", "--dt", "1e-6"),
      "--T/--dt: 1e+306 rows x 11 floats need 8.8e+307 bytes"),
     (("boost", "--grid-w1", "2000", "--grid-rho", "2000", "--ode-steps", "100000"),
-     "--grid-w1/--grid-rho/--ode-steps: 4e+06 rows x 200002 floats need 6.4e+12 bytes"),
+     "--grid-w1/--grid-rho/--ode-steps: 1e+05 rows x 8000020 floats need 6.4e+12 bytes"),
     (("boost", "--ode-steps", "10000000000", "--cell", "10", "0.4"),
-     "--ode-steps: 1e+10 rows x 7 floats need 5.6e+11 bytes"),
+     "--ode-steps: 1e+10 rows x 23 floats need 1.84e+12 bytes"),
 ])
 def test_commands_check_the_memory_budget_first(tmp_path, capsys, monkeypatch,
                                                  argv, message):
@@ -348,16 +348,26 @@ def test_commands_check_the_memory_budget_first(tmp_path, capsys, monkeypatch,
     assert not list(tmp_path.iterdir())
 
 
-def test_memory_budget_bound_is_inclusive(capsys, monkeypatch):
+@pytest.mark.parametrize("argv, size, message", [
     # example51 over T = 1 at dt = 0.01: 101 rows of x (2), xi (2), w (2),
-    # e, u and t, so 8 * 101 * 9 = 7272 bytes
-    argv = ("simulate", "example51", "--T", "1", "--dt", "0.01")
-    monkeypatch.setattr(cli, "MEMORY_BUDGET", 7272)
+    # e, u and t
+    (("simulate", "example51", "--T", "1", "--dt", "0.01"), 8 * 101 * 9,
+     "101 rows x 9 floats"),
+    # one cell at 200 steps: 201 rows of orbit, gamma, tau and
+    # BOOST_STEP_FLOATS
+    (("boost", "--ode-steps", "200", "--cell", "10", "0.4"), 8 * 201 * 23,
+     "201 rows x 23 floats"),
+])
+def test_memory_budget_bound_is_inclusive(tmp_path, capsys, monkeypatch, argv,
+                                          size, message):
+    if argv[0] == "boost":
+        argv += ("--out", str(tmp_path))
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", size)
     assert _run(capsys, *argv)[0] == 0
-    monkeypatch.setattr(cli, "MEMORY_BUDGET", 7271)
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", size - 1)
     status, _, err = _run(capsys, *argv)
     assert status == 2
-    assert "101 rows x 9 floats need 7272 bytes" in err
+    assert f"{message} need {size:.4g} bytes" in err
 
 
 _BOOST_PARAMS = {"C": "4e-5", "L": "0.004", "R": "400", "r": "0.25",
