@@ -74,17 +74,17 @@ def _load_system(arg) -> sysfile.SystemFile:
             f"({', '.join(examples.names())})") from None
 
 
-def _internal_model(sf: sysfile.SystemFile, lin):
-    """Internal model for verification/synthesis, in order of preference:
-    the supplied controller, the supplied immersion target, or a copy of
-    the exosystem with the linear feedforward from the regulator solve."""
+def _internal_model(sf: sysfile.SystemFile, lin) -> model.ControllerModel:
+    """Controller whose (phi, lambda) is the internal model for
+    verification/synthesis, in order of preference: the supplied
+    controller, the supplied immersion target, or a copy of the exosystem
+    with the linear feedforward from the regulator solve."""
     if sf.controller is not None:
-        return synth.InternalModel.from_controller(sf.controller)
+        return sf.controller
     if sf.immersion is not None:
-        return synth.InternalModel.from_controller(sf.immersion.target())
+        return sf.immersion.target()
     _, Gamma = synth.solve_linear_regulator(lin)
-    ctrl = synth.internal_model_copy_of_exosystem(lin, sf.exo.s, Gamma)
-    return synth.InternalModel.from_controller(ctrl)
+    return synth.internal_model_copy_of_exosystem(lin, sf.exo.s, Gamma)
 
 
 def _sample_ball(p, radius, count=SAMPLE_COUNT, seed=0):
@@ -124,7 +124,7 @@ def cmd_verify(args):
         # (Lambda, Phi) test below, not by the combined pair
         print(f"combined_pair_detectable = {combined}")
 
-    im = _internal_model(sf, lin)
+    im = synth.InternalModel.from_controller(_internal_model(sf, lin))
     flags = synth.verify_conditions(lin, im)
     checks.add("internal_model_detectable", flags.detectable, "-")
     checks.add("internal_model_spectrum_on_axis", flags.spectrum_on_axis, "-")
@@ -159,8 +159,9 @@ def cmd_synthesize(args):
     _require_plant(sf, "synthesize")
     checks = _Checks()
     lin = model.linearize(sf.plant, sf.exo)
-    im = _internal_model(sf, lin)
-    report = synth.synthesize(lin, im, eps0=args.eps0, factor=args.factor,
+    base = _internal_model(sf, lin)
+    report = synth.synthesize(lin, synth.InternalModel.from_controller(base),
+                              eps0=args.eps0, factor=args.factor,
                               max_halvings=args.max_halvings, margin=args.margin)
     checks.add("plant_stable", report.flags.plant_stable, "-")
     checks.add("internal_model_detectable", report.flags.detectable, "-")
@@ -176,7 +177,6 @@ def cmd_synthesize(args):
         print(f"block {j} coefficients: {rendered}")
     print("Bc = " + ", ".join(f"{v:.17g}" for v in report.Bc.ravel()))
     print(f"closed-loop abscissa = {report.abscissa:.17g}")
-    base = im.ctrl
     ctrl = model.ControllerModel(base.nc, base.phi, base.lam,
                                  tuple(float(v) for v in report.Bc.ravel()))
     if args.out:
@@ -255,8 +255,8 @@ def _cell_tag(v):
 def cmd_boost(args):
     if args.ode_steps < 1:
         raise regeq.RegulatorError(f"--ode-steps must be >= 1, got {args.ode_steps}")
-    if args.cell:  # orbit, gamma and tau of one cell at a time
-        option, per_step = "--ode-steps", 3
+    if args.cell:  # orbit, gamma and tau of every cell
+        option, per_step = "--ode-steps", 3 * len(args.cell)
     else:  # the orbit and gamma of every cell
         option = "--grid-w1/--grid-rho/--ode-steps"
         per_step = 2 * args.grid_w1 * args.grid_rho
@@ -274,7 +274,18 @@ def cmd_boost(args):
         if not rho <= rho_max(w1):
             raise regeq.RegulatorError(
                 f"--cell: need RHO <= rho_max(W1) = {rho_max(w1):.17g}, got {w1:g} {rho:g}")
-    # solve before any output, so that a rejected grid prints no CHECK line
+    # solve before any output, so that a rejected grid or a circle that
+    # escapes or does not converge prints no CHECK line
+    cells = []
+    for w1, rho in args.cell or ():
+        if rho == 0.0 and w1 == 0.0:
+            # the equilibrium circle degenerates to the operating point
+            psi0, orbit, iters = 0.0, np.zeros(args.ode_steps + 1), 0
+        else:
+            psi0, orbit, iters = regeq.solve_psi0(w1, rho, params, ode_steps=args.ode_steps)
+        gamma = regeq.recover_gamma(orbit, w1, rho, params)
+        cells.append(regeq.BoostCell(w1=w1, rho=rho, present=True, converged=True,
+                                     psi0=psi0, iters=iters, orbit=orbit, gamma=gamma))
     boost = None if args.cell else regeq.solve_boost_grid(
         params, n_w1=args.grid_w1, n_rho=args.grid_rho, ode_steps=args.ode_steps)
     checks.add("boost_equilibrium", True, params.D0)
@@ -284,21 +295,13 @@ def cmd_boost(args):
     os.makedirs(args.out, exist_ok=True)
 
     if args.cell:
-        for w1, rho in args.cell:
-            name = f"orbit_{_cell_tag(w1)}_{_cell_tag(rho)}.csv"
-            if rho == 0.0 and w1 == 0.0:
-                # the equilibrium circle degenerates to the operating point
-                psi0, orbit, iters = 0.0, np.zeros(args.ode_steps + 1), 0
-            else:
-                psi0, orbit, iters = regeq.solve_psi0(w1, rho, params,
-                                                      ode_steps=args.ode_steps)
-            gamma = regeq.recover_gamma(orbit, w1, rho, params)
-            cell = regeq.BoostCell(w1=w1, rho=rho, present=True, converged=True,
-                                   psi0=psi0, iters=iters, orbit=orbit, gamma=gamma)
+        for cell in cells:
+            tag = f"{_cell_tag(cell.w1)}_{_cell_tag(cell.rho)}"
+            name = f"orbit_{tag}.csv"
             regeq.write_orbit_csv(cell, args.ode_steps, os.path.join(args.out, name))
-            checks.add(f"boost_cell_{_cell_tag(w1)}_{_cell_tag(rho)}", True, psi0)
-            print(f"cell (w1={w1:g}, rho={rho:g}): psi0 = {psi0:.17g}, "
-                  f"{iters} iterations -> {name}")
+            checks.add(f"boost_cell_{tag}", True, cell.psi0)
+            print(f"cell (w1={cell.w1:g}, rho={cell.rho:g}): psi0 = {cell.psi0:.17g}, "
+                  f"{cell.iters} iterations -> {name}")
         return checks.status
 
     grid_path = os.path.join(args.out, "psi0_grid.csv")

@@ -7,10 +7,10 @@ from plain text.  Grammar (highest precedence first):
 
 so ``-x^2`` is ``-(x^2)`` and ``2^3^2`` is ``2^(3^2)``.  Supported functions
 are sin, cos, tan, exp, sqrt and abs; ``pi`` is a built-in constant.  All
-AST nodes are immutable, so parsed expressions can be shared freely between
-threads.  diff() differentiates an AST symbolically; its results may call
-the internal functions sign and log, which evaluate() and compile_fn()
-accept but the parser does not.
+AST nodes are immutable, so parsed expressions can be shared freely.
+diff() differentiates an AST symbolically; its results may call the
+internal functions sign and log, which evaluate() and compile_fn() accept
+but the parser does not.
 """
 
 from __future__ import annotations

@@ -32,11 +32,18 @@ def _check_vars(exprs, allowed, what):
             raise ModelError(f"{what} uses unknown variables {sorted(extra)}")
 
 
-def _check_origin(exprs, names, what):
+def _check_origin(exprs, names, labels):
+    """Raise ModelError("<label> != 0") for the first expression that is not
+    zero where every variable in names is zero."""
     origin = dict.fromkeys(names, 0.0)
-    for i, e in enumerate(exprs):
+    for e, label in zip(exprs, labels):
         if abs(expr.evaluate(e, origin)) > ORIGIN_TOL:
-            raise ModelError(f"{what}{i + 1}(0) != 0")
+            raise ModelError(f"{label} != 0")
+
+
+def _indexed(what, count, at="(0)"):
+    """Labels what1<at> .. what<count><at> of a series of expressions."""
+    return [f"{what}{i + 1}{at}" for i in range(count)]
 
 
 def x_names(n):
@@ -70,14 +77,8 @@ class PlantModel:
         _check_vars([self.g], allowed, "g")
         _check_vars([self.q], w_names(self.p), "q")
         object.__setattr__(self, "h", expr.Bin("-", self.g, self.q))
-        origin = dict.fromkeys(allowed, 0.0)
-        for i, fi in enumerate(self.f):
-            if abs(expr.evaluate(fi, origin)) > ORIGIN_TOL:
-                raise ModelError(f"f{i + 1}(0,0,0) != 0")
-        if abs(expr.evaluate(self.g, origin)) > ORIGIN_TOL:
-            raise ModelError("g(0,0,0) != 0")
-        if abs(expr.evaluate(self.q, origin)) > ORIGIN_TOL:
-            raise ModelError("q(0) != 0")
+        _check_origin([*self.f, self.g, self.q], allowed,
+                      _indexed("f", self.n, "(0,0,0)") + ["g(0,0,0)", "q(0)"])
 
     @classmethod
     def from_strings(cls, f, g, q, p):
@@ -96,7 +97,7 @@ class ExosystemModel:
         if len(self.s) != self.p:
             raise ModelError(f"expected {self.p} exosystem equations, got {len(self.s)}")
         _check_vars(self.s, w_names(self.p), "s")
-        _check_origin(self.s, w_names(self.p), "s")
+        _check_origin(self.s, w_names(self.p), _indexed("s", self.p))
 
     @classmethod
     def from_strings(cls, s):
@@ -118,9 +119,8 @@ class ControllerModel:
             raise ModelError("controller dimension mismatch")
         _check_vars(self.phi, xi_names(self.nc), "phi")
         _check_vars([self.lam], xi_names(self.nc), "lambda")
-        _check_origin(self.phi, xi_names(self.nc), "phi")
-        if abs(expr.evaluate(self.lam, dict.fromkeys(xi_names(self.nc), 0.0))) > ORIGIN_TOL:
-            raise ModelError("lambda(0) != 0")
+        _check_origin([*self.phi, self.lam], xi_names(self.nc),
+                      _indexed("phi", self.nc) + ["lambda(0)"])
 
     @classmethod
     def from_strings(cls, phi, lam, Bc):

@@ -15,7 +15,6 @@ operations in the same order, and tests/test_regeq.py
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -25,10 +24,9 @@ import numpy as np
 from . import expr
 from .expr import Bin, Expr
 from .model import (ControllerModel, ExosystemModel, PlantModel, _as_exprs,
-                    _check_origin, _check_vars, w_names, x_names, xi_names)
+                    _check_origin, _check_vars, _indexed, w_names, x_names, xi_names)
 from .sim import _write_csv
 
-ORIGIN_TOL = 1e-12
 DENOM_GUARD = 1e-12
 # A pass of _periodic_orbits integrates every row of the grid on the array
 # body while more than FLOAT_CELLS cells are active, else each active cell
@@ -61,9 +59,7 @@ class RegulatorSolution:
         wv = w_names(self.p)
         _check_vars(self.pi, wv, "pi")
         _check_vars([self.gamma], wv, "gamma")
-        _check_origin(self.pi, wv, "pi")
-        if abs(expr.evaluate(self.gamma, dict.fromkeys(wv, 0.0))) > ORIGIN_TOL:
-            raise RegulatorError("gamma(0) != 0")
+        _check_origin([*self.pi, self.gamma], wv, _indexed("pi", len(self.pi)) + ["gamma(0)"])
 
     @classmethod
     def from_strings(cls, p, pi, gamma, radius=0.3):
@@ -82,7 +78,7 @@ class ImmersionMap:
     def __post_init__(self):
         wv = w_names(self.p)
         _check_vars(self.tau, wv, "tau")
-        _check_origin(self.tau, wv, "tau")
+        _check_origin(self.tau, wv, _indexed("tau", len(self.tau)))
         self.target()  # checks phi and lambda as a controller's
 
     def target(self) -> ControllerModel:
@@ -500,15 +496,10 @@ def pde_residual(boost: BoostSolution, params: BoostParams = None):
 
 def write_grid_csv(boost: BoostSolution, path):
     """CSV with header w1,rho,psi0,converged,iters; absent cells skipped."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["w1", "rho", "psi0", "converged", "iters"])
-        for col in boost.cells:
-            for c in col:
-                if not c.present:
-                    continue
-                writer.writerow([f"{c.w1:.17g}", f"{c.rho:.17g}",
-                                 f"{c.psi0:.17g}", int(c.converged), c.iters])
+    rows = [(c.w1, c.rho, c.psi0, c.converged, c.iters)
+            for col in boost.cells for c in col if c.present]
+    _write_csv(path, ["w1", "rho", "psi0", "converged", "iters"],
+               [np.array(rows, dtype=float).reshape(-1, 5)])
 
 
 def write_orbit_csv(cell: BoostCell, ode_steps, path):

@@ -19,7 +19,6 @@ from .model import (ControllerModel, LinearizedData, controller_jacobians,
 from .specan import JordanData, SpectralError
 
 TF_ZERO_TOL = 1e-9
-JACOBIAN_MATCH_TOL = 1e-6
 
 
 class SynthesisError(Exception):
@@ -28,17 +27,15 @@ class SynthesisError(Exception):
 
 @dataclass(frozen=True)
 class InternalModel:
-    """Internal model dxi = phi(xi) + Bc e, u = lambda(xi).
+    """Linear internal model dxi = Phi xi + Bc e, u = Lambda xi.
 
-    phi/lam are the nonlinear maps (as a ControllerModel without Bc when
-    expression-defined); Phi and Lambda their linearizations at 0.  Bc may
-    be absent until synthesized.
+    Phi and Lambda are the linearization at 0 of a controller's (phi,
+    lambda) or given directly.  Bc may be absent until synthesized.
     """
 
     nu: int
     Phi: np.ndarray      # nu x nu
     Lambda: np.ndarray   # 1 x nu
-    ctrl: ControllerModel | None = None
     Bc: np.ndarray | None = None
 
     def __post_init__(self):
@@ -46,19 +43,12 @@ class InternalModel:
             raise SynthesisError("internal model linearization shape mismatch")
         if self.Bc is not None and self.Bc.shape != (self.nu, 1):
             raise SynthesisError("Bc shape mismatch")
-        if self.ctrl is not None:
-            Phi2, Lam2 = controller_jacobians(self.ctrl)
-            scale = max(1.0, float(np.linalg.norm(self.Phi, np.inf)))
-            if (np.linalg.norm(Phi2 - self.Phi, np.inf) > JACOBIAN_MATCH_TOL * scale
-                    or np.linalg.norm(Lam2 - self.Lambda, np.inf) > JACOBIAN_MATCH_TOL * scale):
-                raise SynthesisError(
-                    "declared (Phi, Lambda) disagree with the Jacobians of (phi, lambda)")
 
     @classmethod
     def from_controller(cls, ctrl: ControllerModel):
         Phi, Lam = controller_jacobians(ctrl)
         Bc = np.asarray(ctrl.Bc, dtype=float).reshape(-1, 1)
-        return cls(ctrl.nc, Phi, Lam, ctrl, Bc)
+        return cls(ctrl.nc, Phi, Lam, Bc)
 
     @classmethod
     def from_matrices(cls, Phi, Lambda, Bc=None):
@@ -66,11 +56,11 @@ class InternalModel:
         Lambda = np.atleast_2d(np.asarray(Lambda, dtype=float))
         if Bc is not None:
             Bc = np.asarray(Bc, dtype=float).reshape(-1, 1)
-        return cls(Phi.shape[0], Phi, Lambda, None, Bc)
+        return cls(Phi.shape[0], Phi, Lambda, Bc)
 
     def with_Bc(self, Bc):
         Bc = np.asarray(Bc, dtype=float).reshape(-1, 1)
-        return InternalModel(self.nu, self.Phi, self.Lambda, self.ctrl, Bc)
+        return InternalModel(self.nu, self.Phi, self.Lambda, Bc)
 
 
 @dataclass(frozen=True)
@@ -213,14 +203,6 @@ def build_Bc(jd: JordanData, Cc, eps: float, coeffs: dict) -> np.ndarray:
     if imag_resid > 1e-8 * (1.0 + float(np.max(np.abs(Bc.real)))):
         raise SynthesisError(f"imaginary residue {imag_resid} in Bc too large")
     return np.real(Bc).reshape(-1, 1)
-
-
-def controller_transfer(im: InternalModel, z: complex) -> complex:
-    """Lambda (zI - Phi)^{-1} Bc of the synthesized linear controller."""
-    if im.Bc is None:
-        raise SynthesisError("internal model has no Bc")
-    x = np.linalg.solve(z * np.eye(im.nu) - im.Phi.astype(complex), im.Bc)
-    return complex((im.Lambda @ x)[0, 0])
 
 
 def synthesize(lin: LinearizedData, im: InternalModel, eps0=1.0, factor=0.5,

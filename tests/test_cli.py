@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regsyn import cli, examples, regeq
+from regsyn import cli, examples, model, regeq, synth
 
 
 _SUBPROCESS_ENV = {**os.environ,
@@ -315,6 +315,17 @@ def test_boost_rejects_cell_outside_domain(tmp_path, cell, bound):
     assert not list(tmp_path.iterdir())
 
 
+def test_boost_solves_every_cell_before_output(tmp_path):
+    # the second circle escapes at 100 ODE steps (it converges at 2000)
+    proc = _cli("boost", "--out", str(tmp_path), "--ode-steps", "100",
+                "--cell", "10", "0.4", "--cell", "0", "0.9")
+    assert proc.returncode == 2, proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: orbit escaped psi <= -z20 at (w1, rho) = (0.0, 0.9)\n"
+    assert proc.stdout == ""
+    assert not list(tmp_path.iterdir())
+
+
 def test_boost_accepts_cell_on_domain_edge(tmp_path, capsys):
     # RHO = rho_max(0) = beta*D0*z20 itself is admitted
     status, out, _ = _run(capsys, "boost", "--out", str(tmp_path),
@@ -330,6 +341,8 @@ def test_boost_accepts_cell_on_domain_edge(tmp_path, capsys):
      "--grid-w1/--grid-rho/--ode-steps: 1e+05 rows x 8000020 floats need 6.4e+12 bytes"),
     (("boost", "--ode-steps", "10000000000", "--cell", "10", "0.4"),
      "--ode-steps: 1e+10 rows x 23 floats need 1.84e+12 bytes"),
+    (("boost", "--ode-steps", "10000000000", "--cell", "10", "0.4", "--cell", "20", "0.3"),
+     "--ode-steps: 1e+10 rows x 26 floats need 2.08e+12 bytes"),
 ])
 def test_commands_check_the_memory_budget_first(tmp_path, capsys, monkeypatch,
                                                  argv, message):
@@ -399,6 +412,19 @@ def test_boost_params_file_accepted(tmp_path, capsys):
                           "--cell", "10", "0.4")
     assert status == 0, out
     assert _checks(out)["boost_cell_10_0p4"][0]
+
+
+@pytest.mark.parametrize("command", ["verify", "synthesize"])
+def test_controller_differentiated_once(capsys, monkeypatch, command):
+    calls = []
+
+    def spy(ctrl):
+        calls.append(ctrl)
+        return model.controller_jacobians(ctrl)
+
+    monkeypatch.setattr(synth, "controller_jacobians", spy)
+    assert _run(capsys, command, "example51")[0] == 0
+    assert len(calls) == 1
 
 
 def test_example_list_and_dump(capsys):

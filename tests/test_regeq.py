@@ -1,3 +1,5 @@
+import copy
+import csv
 import math
 import os
 import re
@@ -283,7 +285,6 @@ def test_pde_residual_small(boost_grid):
 
 
 def test_pde_residual_detects_corruption(boost_grid):
-    import copy
     bad = copy.deepcopy(boost_grid)
     mid = len(bad.cells) // 2
     cell = bad.cells[mid][5]
@@ -300,6 +301,19 @@ def test_grid_and_orbit_csv(tmp_path, boost_grid):
     assert lines[0] == "w1,rho,psi0,converged,iters"
     n_present = sum(1 for col in boost_grid.cells for c in col if c.present)
     assert len(lines) == n_present + 1
+    # the bytes a csv.writer wrote, with an unconverged (NaN) cell among them
+    grid = copy.deepcopy(boost_grid)
+    cell = grid.cells[len(grid.cells) // 2][3]
+    cell.converged, cell.psi0, cell.iters = False, math.nan, 0
+    write_grid_csv(grid, grid_path)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["w1", "rho", "psi0", "converged", "iters"])
+        for c in (c for col in grid.cells for c in col if c.present):
+            writer.writerow([f"{c.w1:.17g}", f"{c.rho:.17g}", f"{c.psi0:.17g}",
+                             int(c.converged), c.iters])
+    assert grid_path.read_bytes() == ref.read_bytes()
 
     cell = next(c for col in boost_grid.cells for c in col
                 if c.present and c.converged and c.rho > 0)

@@ -5,8 +5,9 @@ from regsyn import examples, model, specan, synth
 from regsyn.model import LinearizedData
 from regsyn.synth import (InternalModel, SynthesisError, build_Bc,
                           choose_block_coefficients, closed_loop_matrix,
-                          controller_transfer, solve_linear_regulator,
-                          synthesize, verify_conditions)
+                          solve_linear_regulator, synthesize, verify_conditions)
+
+from helpers import controller_transfer
 
 
 def _lin(A, B, C, D, S, P=None, Q=None):
@@ -236,10 +237,3 @@ def test_synthesize_soundness_randomized():
             # no false successes: re-check stability independently
             assert np.max(np.linalg.eigvals(rep.A_cl).real) < 0
     assert successes >= 0.95 * trials
-
-
-def test_internal_model_jacobian_consistency_guard():
-    ctrl = model.ControllerModel.from_strings(["xi2", "-xi1"], "xi1", [0.1, 0.1])
-    with pytest.raises(SynthesisError):
-        InternalModel(2, np.array([[0.0, 2.0], [-2.0, 0.0]]),
-                      np.array([[1.0, 0.0]]), ctrl)

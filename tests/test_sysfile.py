@@ -111,6 +111,22 @@ def test_immersion_checked_in_its_section(edit, message):
     assert str(info.value) == f"f [immersion]: {message}"
 
 
+@pytest.mark.parametrize("edit, section, message", [
+    (("f1 = -x1 + u", "f1 = -x1 + u + 1"), "plant", "f1(0,0,0) != 0"),
+    (("g = x1", "g = x1 + 1"), "plant", "g(0,0,0) != 0"),
+    (("q = w1", "q = w1 + 1"), "plant", "q(0) != 0"),
+    (("s1 = 0", "s1 = 1"), "exosystem", "s1(0) != 0"),
+    (("pi1 = w1", "pi1 = w1 + 1"), "regulator_solution", "pi1(0) != 0"),
+    (("gamma = w1", "gamma = cos(w1)"), "regulator_solution", "gamma(0) != 0"),
+])
+def test_origin_checked_in_its_section(edit, section, message):
+    text = MINIMAL + "\n[regulator_solution]\npi1 = w1\ngamma = w1\n"
+    assert parse_text(text, origin="f").regulator_solution.p == 1
+    with pytest.raises(SysFileError) as info:
+        parse_text(text.replace(*edit), origin="f")
+    assert str(info.value) == f"f [{section}]: {message}"
+
+
 def test_bad_expression_reported_with_section():
     with pytest.raises(SysFileError, match=r"\[plant\]"):
         parse_text(MINIMAL.replace("f1 = -x1 + u", "f1 = -x1 + ("))
