@@ -435,3 +435,17 @@ def test_example_list_and_dump(capsys):
     status, out, _ = _run(capsys, "example", "dump", "example51")
     assert status == 0
     assert out == examples.get("example51").text
+
+
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("command", ["verify", "synthesize"])
+@pytest.mark.parametrize("name", ["example51", "example52", "example53"])
+def test_builtin_output_is_pinned(capsys, command, name):
+    # tests/golden holds the full stdout of each command, captured before the
+    # Jordan-structure and synthesis code was last rewritten; any digit that
+    # moves is a behaviour change
+    status, out, err = _run(capsys, command, name)
+    assert status == 0, err
+    assert out == (_GOLDEN / f"{command}_{name}.txt").read_text(encoding="utf-8")
