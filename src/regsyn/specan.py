@@ -1,7 +1,7 @@
 """Dense spectral analysis for small, well-scaled real matrices.
 
-Eigenvalues (with clustered multiplicities), stability margins, the Hautus
-detectability test, transfer-function evaluation and Jordan structure of
+Eigenvalues (with clustered multiplicities), the spectral abscissa, the
+Hautus detectability test, transfer-function evaluation and Jordan structure of
 exosystem matrices.  Eigenvalue work is delegated to LAPACK via numpy; the
 contracts and tolerances here are what the rest of the toolkit relies on.
 """
@@ -27,10 +27,6 @@ class Spectrum:
 
     eigenvalues: tuple[complex, ...]
     multiplicities: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.eigenvalues) != len(self.multiplicities):
-            raise SpectralError("eigenvalue/multiplicity length mismatch")
 
 
 def cluster_radius(M):
@@ -90,12 +86,6 @@ def spectral_abscissa(M) -> float:
     return max(v.real for v in sp.eigenvalues)
 
 
-def is_hurwitz(M, margin=0.0) -> bool:
-    if margin < 0:
-        raise SpectralError("margin must be nonnegative")
-    return spectral_abscissa(M) < -margin
-
-
 def hautus_detectable(Cm, M, tol=1e-9) -> bool:
     """Hautus/PBH test: [M - lam*I; Cm] full column rank at every eigenvalue
     of M in the closed right half-plane."""
@@ -130,18 +120,33 @@ def transfer_function(lin: LinearizedData, z: complex) -> complex:
 class JordanData:
     """Jordan structure of an exosystem matrix with imaginary-axis spectrum.
 
-    Blocks are ordered (J_0, J_1, J_-1, ..., J_q, J_-q) where J_j and J_-j
-    belong to +i*alpha_j and -i*alpha_j.  frequencies holds alpha_j >= 0
-    (alpha_0 = 0 present only if 0 is an eigenvalue) and multiplicities the
-    matching block sizes.
+    frequencies holds alpha_j >= 0 in ascending order (alpha_0 = 0 present
+    only if 0 is an eigenvalue) and multiplicities the matching block sizes.
+    The columns of T and J are laid out block after block: the block of 0
+    first if present, then for each alpha_j > 0 the block of +i*alpha_j
+    followed by its conjugate block of -i*alpha_j, each of size m_j.  A
+    running column offset over zip(frequencies, multiplicities) therefore
+    finds every block.
     """
 
     frequencies: tuple[float, ...]
     multiplicities: tuple[int, ...]
     T: np.ndarray  # complex p x p generalized eigenvectors
     J: np.ndarray  # complex p x p upper-triangular Jordan form
-    block_starts: tuple[int, ...]  # column offset of each block, same order
-    block_eigs: tuple[complex, ...]  # eigenvalue of each block, same order
+
+
+def _extend_chain(E, v1, m, rcond, what):
+    """Chain v1..vm with E v_k = v_(k-1), through the pseudo-inverse of E
+    (cut-off rcond); raises SpectralError(what) when a step has no
+    solution."""
+    chain = [v1]
+    Epinv = np.linalg.pinv(E, rcond=rcond) if m > 1 else None
+    for _ in range(1, m):
+        v = Epinv @ chain[-1]
+        if np.linalg.norm(E @ v - chain[-1]) > 1e-6 * np.linalg.norm(chain[-1]):
+            raise SpectralError(what)
+        chain.append(v)
+    return chain
 
 
 def _jordan_chain(S, lam, m, tol):
@@ -154,14 +159,8 @@ def _jordan_chain(S, lam, m, tol):
     if kernel_dim != 1:
         raise SpectralError(
             f"eigenvalue {lam}: geometric multiplicity {kernel_dim} != 1")
-    chain = [Vh[-1].conj()]
-    Epinv = np.linalg.pinv(E, rcond=tol)
-    for _ in range(1, m):
-        v = Epinv @ chain[-1]
-        if np.linalg.norm(E @ v - chain[-1]) > 1e-6 * np.linalg.norm(chain[-1]):
-            raise SpectralError(f"eigenvalue {lam}: Jordan chain broke down")
-        chain.append(v)
-    return chain
+    return _extend_chain(E, Vh[-1].conj(), m, tol,
+                         f"eigenvalue {lam}: Jordan chain broke down")
 
 
 def jordan_structure(S, tol=1e-8) -> JordanData:
@@ -183,59 +182,28 @@ def jordan_structure(S, tol=1e-8) -> JordanData:
     if sum(m if a == 0 else 2 * m for a, m in pos) != p:
         raise SpectralError("multiplicities inconsistent with conjugate pairing")
 
-    cols, block_starts, block_eigs, diag = [], [], [], []
-    offset = 0
+    blocks = []  # (eigenvalue, chain) in the column order of JordanData
     for alpha, m in pos:
         lam = 1j * alpha
         chain = _jordan_chain(S, lam, m, tol)
         if alpha == 0:
-            # real eigenvalue of a real matrix: chain can be taken real
-            chain = [np.real(v) if np.linalg.norm(np.imag(v)) < np.linalg.norm(v) * 0.5
-                     else np.imag(v) for v in chain]
-            chain = _rechain_real(S, chain, m)
-            block_starts.append(offset)
-            block_eigs.append(lam)
-            cols.extend(np.asarray(v, dtype=complex) for v in chain)
-            diag.extend([lam] * m)
-            offset += m
+            # real eigenvalue of a real matrix: the chain can be taken real
+            v1 = chain[0]
+            v1 = (np.real(v1) if np.linalg.norm(np.imag(v1)) < np.linalg.norm(v1) * 0.5
+                  else np.imag(v1))
+            blocks.append((lam, _extend_chain(S, v1, m, None,
+                                              "real Jordan chain broke down")))
         else:
-            block_starts.append(offset)
-            block_eigs.append(lam)
-            cols.extend(chain)
-            diag.extend([lam] * m)
-            offset += m
-            block_starts.append(offset)
-            block_eigs.append(lam.conjugate())
-            cols.extend(np.conj(v) for v in chain)
-            diag.extend([lam.conjugate()] * m)
-            offset += m
-    T = np.column_stack(cols)
-    J = np.diag(np.asarray(diag, dtype=complex))
-    # superdiagonal 1s inside each block
-    start_iter = list(block_starts) + [p]
-    for b, s in enumerate(block_starts):
-        end = start_iter[b + 1]
-        for c in range(s + 1, end):
-            J[c - 1, c] = 1.0
+            blocks.append((lam, chain))
+            blocks.append((lam.conjugate(), [np.conj(v) for v in chain]))
+    T = np.column_stack([v for _, chain in blocks for v in chain]).astype(complex)
+    eigs = [lam for lam, chain in blocks for _ in chain]
+    inner = [float(k > 0) for _, chain in blocks for k in range(len(chain))]
+    # superdiagonal 1s inside each block, none between two blocks
+    J = np.diag(np.asarray(eigs, dtype=complex)) + np.diag(inner[1:], 1)
     if np.linalg.cond(T) > COND_CAP:
         raise SpectralError("ill-conditioned generalized eigenvector matrix")
     nS = float(np.linalg.norm(S, np.inf))
     if np.linalg.norm(S @ T - T @ J, np.inf) > 1e-8 * max(nS, 1.0):
         raise SpectralError("Jordan factorization residual too large")
-    return JordanData(freqs, mults, T, J, tuple(block_starts), tuple(block_eigs))
-
-
-def _rechain_real(S, chain, m):
-    """Recompute a real Jordan chain from a real first vector (eigenvalue 0)."""
-    if m == 1:
-        return [chain[0]]
-    E = S.astype(float)
-    v1 = chain[0]
-    out = [v1]
-    Epinv = np.linalg.pinv(E)
-    for _ in range(1, m):
-        v = Epinv @ out[-1]
-        if np.linalg.norm(E @ v - out[-1]) > 1e-6 * np.linalg.norm(out[-1]):
-            raise SpectralError("real Jordan chain broke down")
-        out.append(v)
-    return out
+    return JordanData(freqs, mults, T, J)

@@ -8,7 +8,7 @@ regulator equations for (Pi, Gamma).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 
 import numpy as np
@@ -50,17 +50,6 @@ class InternalModel:
         Bc = np.asarray(ctrl.Bc, dtype=float).reshape(-1, 1)
         return cls(ctrl.nc, Phi, Lam, Bc)
 
-    @classmethod
-    def from_matrices(cls, Phi, Lambda, Bc=None):
-        Phi = np.asarray(Phi, dtype=float)
-        Lambda = np.atleast_2d(np.asarray(Lambda, dtype=float))
-        if Bc is not None:
-            Bc = np.asarray(Bc, dtype=float).reshape(-1, 1)
-        return cls(Phi.shape[0], Phi, Lambda, Bc)
-
-    def with_Bc(self, Bc):
-        Bc = np.asarray(Bc, dtype=float).reshape(-1, 1)
-        return InternalModel(self.nu, self.Phi, self.Lambda, Bc)
 
 
 @dataclass(frozen=True)
@@ -72,7 +61,6 @@ class ConditionFlags:
     tf_nonzero: bool
     spectrum_on_axis: bool
     tf_values: dict = field(default_factory=dict)  # eigenvalue -> G(eigenvalue)
-    notes: tuple[str, ...] = ()
 
     @property
     def all_pass(self):
@@ -82,15 +70,16 @@ class ConditionFlags:
 
 @dataclass(frozen=True)
 class SynthesisReport:
+    """Outcome of synthesize; eps, Bc, A_cl and abscissa are set on success."""
+
     success: bool
-    eps: float | None
-    coefficients: dict          # block index j -> list of a_jk
-    Bhat: np.ndarray | None     # Jordan-coordinate input vector
-    Bc: np.ndarray | None
-    A_cl: np.ndarray | None
-    abscissa: float | None
     flags: ConditionFlags
     message: str = ""
+    coefficients: dict = field(default_factory=dict)  # block index j -> a_j1..a_jmj
+    eps: float | None = None
+    Bc: np.ndarray | None = None
+    A_cl: np.ndarray | None = None
+    abscissa: float | None = None
 
 
 def closed_loop_matrix(lin: LinearizedData, im: InternalModel) -> np.ndarray:
@@ -110,32 +99,26 @@ def verify_conditions(lin: LinearizedData, im: InternalModel,
     """Report on: A Hurwitz, (Lambda, Phi) detectable, G(p) != 0 at every
     imaginary-axis eigenvalue p of Phi, and whether spec(Phi) lies on the
     imaginary axis."""
-    plant_stable = specan.is_hurwitz(lin.A, 0.0)
+    plant_stable = specan.spectral_abscissa(lin.A) < 0
     detectable = specan.hautus_detectable(im.Lambda, im.Phi)
     radius = specan.cluster_radius(im.Phi)
     sp = specan.eigen(im.Phi)
     on_axis = all(abs(v.real) <= radius for v in sp.eigenvalues)
     tf_values = {}
     tf_nonzero = True
-    notes = []
     for v in sp.eigenvalues:
         if abs(v.real) > radius:
             continue
         z = complex(0.0, v.imag)
         try:
             g = specan.transfer_function(lin, z)
-        except SpectralError as exc:
+        except SpectralError:
             tf_nonzero = False
-            notes.append(f"G({z}) undefined: {exc}")
             continue
         tf_values[z] = g
         if abs(g) <= tf_tol:
             tf_nonzero = False
-            notes.append(f"G({z}) = {g} vanishes")
-    if not on_axis:
-        notes.append("spectrum of Phi is not on the imaginary axis")
-    return ConditionFlags(plant_stable, detectable, tf_nonzero, on_axis,
-                          tf_values, tuple(notes))
+    return ConditionFlags(plant_stable, detectable, tf_nonzero, on_axis, tf_values)
 
 
 def choose_block_coefficients(mj: int, Gj: complex):
@@ -163,22 +146,17 @@ def build_Bc(jd: JordanData, Cc, eps: float, coeffs: dict) -> np.ndarray:
     """Input vector Bc from the Jordan data of the internal model.
 
     Cc is the 1 x p output row; coeffs maps the index j of each nonnegative
-    frequency (in jd.frequencies order) to its a_j1..a_jmj list.  Solves the
-    per-block triangular system by back-substitution, mirrors conjugate
-    blocks and returns the (real) Bc = T @ Bhat.
+    frequency (in jd.frequencies order) to its a_j1..a_jmj list.  Walks the
+    blocks in the JordanData column order, solves each block's triangular
+    system by back-substitution, mirrors it into the conjugate block and
+    returns the (real) Bc = T @ b_hat.
     """
     Cc = np.atleast_2d(np.asarray(Cc, dtype=float))
     p = jd.T.shape[0]
     Chat = (Cc @ jd.T).ravel()
-    Bhat = np.zeros(p, dtype=complex)
-    block_of_freq = {}  # j -> position in jd.block_starts
-    for b, lam in enumerate(jd.block_eigs):
-        if lam.imag >= 0:
-            block_of_freq[len(block_of_freq)] = b
-    for j, alpha in enumerate(jd.frequencies):
-        b = block_of_freq[j]
-        s = jd.block_starts[b]
-        m = jd.multiplicities[j]
+    b_hat = np.zeros(p, dtype=complex)
+    s = 0  # first column of block j
+    for j, (alpha, m) in enumerate(zip(jd.frequencies, jd.multiplicities)):
         a = list(coeffs[j])
         if len(a) != m:
             raise SynthesisError(f"block {j}: expected {m} coefficients, got {len(a)}")
@@ -194,11 +172,12 @@ def build_Bc(jd: JordanData, Cc, eps: float, coeffs: dict) -> np.ndarray:
             for ell in range(2, m - k + 2):
                 acc += c[ell - 1] * b_blk[(ell + k - 1) - 1]
             b_blk[k - 1] = -acc / c[0]
-        Bhat[s:s + m] = b_blk
+        b_hat[s:s + m] = b_blk
+        s += m
         if alpha > 0:
-            s2 = jd.block_starts[b + 1]
-            Bhat[s2:s2 + m] = np.conj(b_blk)
-    Bc = jd.T @ Bhat
+            b_hat[s:s + m] = np.conj(b_blk)
+            s += m
+    Bc = jd.T @ b_hat
     imag_resid = float(np.max(np.abs(Bc.imag)))
     if imag_resid > 1e-8 * (1.0 + float(np.max(np.abs(Bc.real)))):
         raise SynthesisError(f"imaginary residue {imag_resid} in Bc too large")
@@ -219,13 +198,11 @@ def synthesize(lin: LinearizedData, im: InternalModel, eps0=1.0, factor=0.5,
                                   ("detectable", flags.detectable),
                                   ("tf_nonzero", flags.tf_nonzero),
                                   ("spectrum_on_axis", flags.spectrum_on_axis)) if not ok]
-        return SynthesisReport(False, None, {}, None, None, None, None, flags,
-                               f"verification failed: {', '.join(failed)}")
+        return SynthesisReport(False, flags, f"verification failed: {', '.join(failed)}")
     try:
         jd = specan.jordan_structure(im.Phi)
     except SpectralError as exc:
-        return SynthesisReport(False, None, {}, None, None, None, None, flags,
-                               f"Jordan structure failed: {exc}")
+        return SynthesisReport(False, flags, f"Jordan structure failed: {exc}")
     coeffs = {}
     for j, alpha in enumerate(jd.frequencies):
         g = flags.tf_values[complex(0.0, alpha)]
@@ -239,17 +216,15 @@ def synthesize(lin: LinearizedData, im: InternalModel, eps0=1.0, factor=0.5,
         try:
             Bc = build_Bc(jd, im.Lambda, eps, coeffs)
         except SynthesisError as exc:
-            return SynthesisReport(False, None, coeffs, None, None, None, None,
-                                   flags, str(exc))
-        cand = im.with_Bc(Bc)
-        A_cl = closed_loop_matrix(lin, cand)
+            return SynthesisReport(False, flags, str(exc), coeffs)
+        A_cl = closed_loop_matrix(lin, replace(im, Bc=Bc))
         absc = specan.spectral_abscissa(A_cl)
         if absc < -margin:
-            Bhat = np.linalg.solve(jd.T, Bc.astype(complex)).ravel()
-            return SynthesisReport(True, eps, coeffs, Bhat, Bc, A_cl, absc, flags)
+            return SynthesisReport(True, flags, coefficients=coeffs, eps=eps, Bc=Bc,
+                                   A_cl=A_cl, abscissa=absc)
         eps *= factor
-    return SynthesisReport(False, None, coeffs, None, None, None, None, flags,
-                           f"no stabilizing eps found in {max_halvings} halvings")
+    return SynthesisReport(False, flags,
+                           f"no stabilizing eps found in {max_halvings} halvings", coeffs)
 
 
 def solve_linear_regulator(lin: LinearizedData):

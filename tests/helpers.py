@@ -1,6 +1,6 @@
 """Analysis helpers that only the tests use: the exosystem orbit taken from
-a closed-loop simulation, its period, and the transfer function of a
-synthesized linear controller."""
+a closed-loop simulation, its period, an internal model built from plain
+matrices, and the transfer function of a synthesized linear controller."""
 
 import numpy as np
 
@@ -46,6 +46,16 @@ def detect_period(t, w, tol=1e-3):
             if t[k - 1] <= t_star <= t[k + 1]:
                 return float(t_star)
     return float(t[k])
+
+
+def internal_model(Phi, Lambda, Bc=None) -> InternalModel:
+    """InternalModel from array-likes: Phi is nu x nu, Lambda a row of nu
+    values and Bc, if given, nu values."""
+    Phi = np.asarray(Phi, dtype=float)
+    Lambda = np.atleast_2d(np.asarray(Lambda, dtype=float))
+    if Bc is not None:
+        Bc = np.asarray(Bc, dtype=float).reshape(-1, 1)
+    return InternalModel(Phi.shape[0], Phi, Lambda, Bc)
 
 
 def controller_transfer(im: InternalModel, z: complex) -> complex:

@@ -3,11 +3,11 @@ import pytest
 
 from regsyn import examples, model, specan, synth
 from regsyn.model import LinearizedData
-from regsyn.synth import (InternalModel, SynthesisError, build_Bc,
+from regsyn.synth import (SynthesisError, build_Bc,
                           choose_block_coefficients, closed_loop_matrix,
                           solve_linear_regulator, synthesize, verify_conditions)
 
-from helpers import controller_transfer
+from helpers import controller_transfer, internal_model
 
 
 def _lin(A, B, C, D, S, P=None, Q=None):
@@ -47,7 +47,7 @@ def test_solve_linear_regulator_homogeneous():
 
 def test_closed_loop_matrix_block_layout():
     lin = _example51_lin()
-    im = InternalModel.from_matrices([[0, 1], [0, 0]], [2.0, 1.0], [-0.2, -0.02])
+    im = internal_model([[0, 1], [0, 0]], [2.0, 1.0], [-0.2, -0.02])
     A_cl = closed_loop_matrix(lin, im)
     expected = np.array([
         [0, 1, 0, 0],
@@ -60,7 +60,7 @@ def test_closed_loop_matrix_block_layout():
 
 def test_verify_conditions_quartic_example():
     lin = _example51_lin()
-    im = InternalModel.from_matrices([[0, 1], [0, 0]], [2.0, 1.0])
+    im = internal_model([[0, 1], [0, 0]], [2.0, 1.0])
     flags = verify_conditions(lin, im)
     assert flags.all_pass
     assert flags.tf_values[0j] == pytest.approx(1.0)
@@ -69,7 +69,7 @@ def test_verify_conditions_quartic_example():
 def test_verify_conditions_flags_failures():
     # unstable plant
     lin = _lin([[1.0]], [1.0], [1.0], [0.0], [[0.0]])
-    im = InternalModel.from_matrices([[0.0]], [1.0])
+    im = internal_model([[0.0]], [1.0])
     assert not verify_conditions(lin, im).plant_stable
     # transfer function zero at the internal model frequency:
     # G(z) = z/(z+1)^2 vanishes at z = 0
@@ -77,11 +77,11 @@ def test_verify_conditions_flags_failures():
     flags2 = verify_conditions(lin2, im)
     assert not flags2.tf_nonzero
     # undetectable internal model
-    im3 = InternalModel.from_matrices([[0, 0], [0, 0]], [1.0, 0.0])
+    im3 = internal_model([[0, 0], [0, 0]], [1.0, 0.0])
     lin3 = _lin([[-1.0]], [1.0], [1.0], [0.0], [[0.0, 0.0], [0.0, 0.0]])
     assert not verify_conditions(lin3, im3).detectable
     # off-axis internal model spectrum
-    im4 = InternalModel.from_matrices([[-1.0]], [1.0])
+    im4 = internal_model([[-1.0]], [1.0])
     lin4 = _lin([[-1.0]], [1.0], [1.0], [0.0], [[0.0]])
     assert not verify_conditions(lin4, im4).spectrum_on_axis
 
@@ -115,7 +115,7 @@ def _transfer_identity_case(S, Cc, eps, rng, rel=1e-6):
         g = rng.uniform(0.5, 2.0) + (rng.uniform(-1, 1) * 1j if alpha > 0 else 0)
         coeffs[j] = choose_block_coefficients(jd.multiplicities[j], g)
     Bc = build_Bc(jd, Cc, eps, coeffs)
-    im = InternalModel.from_matrices(np.asarray(S, float), Cc, Bc)
+    im = internal_model(np.asarray(S, float), Cc, Bc)
     for _ in range(10):
         z = complex(rng.uniform(0.5, 3), rng.uniform(-3, 3))
         want = 0.0
@@ -171,7 +171,7 @@ def test_build_Bc_detects_vanishing_leading_coordinate():
 
 def test_synthesize_quartic_example():
     lin = _example51_lin()
-    im = InternalModel.from_matrices([[0, 1], [0, 0]], [2.0, 1.0])
+    im = internal_model([[0, 1], [0, 0]], [2.0, 1.0])
     rep = synthesize(lin, im)
     assert rep.success
     assert rep.eps is not None and rep.eps > 0
@@ -183,7 +183,7 @@ def test_synthesize_quartic_example():
 def test_synthesize_scalar_zero_exosystem():
     # p = 1, S = [0]: the construction gives Bc = -eps/(G(0)*Cc)
     lin = _lin([[-1.0]], [1.0], [1.0], [0.0], [[0.0]])
-    im = InternalModel.from_matrices([[0.0]], [1.0])
+    im = internal_model([[0.0]], [1.0])
     rep = synthesize(lin, im, eps0=0.1)
     assert rep.success
     # G(0) = 1, a = 1, so Bc = -0.1 at the first eps
@@ -193,7 +193,7 @@ def test_synthesize_scalar_zero_exosystem():
 
 def test_synthesize_reports_failure_for_unstable_plant():
     lin = _lin([[1.0]], [1.0], [1.0], [0.0], [[0.0]])
-    im = InternalModel.from_matrices([[0.0]], [1.0])
+    im = internal_model([[0.0]], [1.0])
     rep = synthesize(lin, im)
     assert not rep.success
     assert "plant_stable" in rep.message
@@ -224,7 +224,7 @@ def test_synthesize_soundness_randomized():
             at += b.shape[0]
         lin = _lin(A, B, C, D, S)
         Cc = rng.uniform(0.5, 2.0, (1, p)) * rng.choice([-1.0, 1.0], p)
-        im = InternalModel.from_matrices(S, Cc)
+        im = internal_model(S, Cc)
         flags = verify_conditions(lin, im)
         if not flags.all_pass:
             continue  # G vanished at a frequency; not a well-posed case
