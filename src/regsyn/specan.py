@@ -63,7 +63,6 @@ def eigen(M) -> Spectrum:
         if abs(c.imag) <= radius:
             c = complex(c.real, 0.0)
         out.append((c, m))
-    paired = []
     used = [False] * len(out)
     for i, (c, m) in enumerate(out):
         if used[i] or c.imag <= 0:
@@ -71,12 +70,9 @@ def eigen(M) -> Spectrum:
         for j, (c2, m2) in enumerate(out):
             if not used[j] and c2.imag < 0 and abs(c2 - c.conjugate()) <= 2 * radius:
                 mid = complex((c.real + c2.real) / 2, (c.imag - c2.imag) / 2)
-                paired.append((i, mid))
-                paired.append((j, mid.conjugate()))
+                out[i], out[j] = (mid, m), (mid.conjugate(), m2)
                 used[i] = used[j] = True
                 break
-    for idx, val in paired:
-        out[idx] = (val, out[idx][1])
     vals, mults = zip(*sorted(out, key=lambda t: (t[0].real, t[0].imag)))
     return Spectrum(tuple(vals), tuple(mults))
 

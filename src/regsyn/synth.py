@@ -87,8 +87,6 @@ def closed_loop_matrix(lin: LinearizedData, im: InternalModel) -> np.ndarray:
     linearized unforced closed loop."""
     if im.Bc is None:
         raise SynthesisError("internal model has no Bc")
-    if lin.B.shape[0] != lin.n or im.Lambda.shape[1] != im.nu:
-        raise SynthesisError("dimension mismatch")
     top = np.hstack([lin.A, lin.B @ im.Lambda])
     bot = np.hstack([im.Bc @ lin.C, im.Phi + im.Bc @ lin.D @ im.Lambda])
     return np.vstack([top, bot])
@@ -132,7 +130,10 @@ def choose_block_coefficients(mj: int, Gj: complex):
     if Gj == 0:
         raise SynthesisError("transfer function vanishes at block frequency")
     if mj == 1:
-        return [np.conj(Gj) / abs(Gj) ** 2]
+        try:
+            return [np.conj(Gj) / abs(Gj) ** 2]
+        except OverflowError:
+            raise SynthesisError("|G|^2 overflows at block frequency") from None
     roots = [np.exp(1j * np.pi * (2 * k + mj - 1) / (2 * mj)) for k in range(1, mj + 1)]
     coeffs = np.poly(roots)  # monic, length mj+1
     coeffs = np.real_if_close(coeffs, tol=1e6)
@@ -201,16 +202,18 @@ def synthesize(lin: LinearizedData, im: InternalModel, eps0=1.0, factor=0.5,
         return SynthesisReport(False, flags, f"verification failed: {', '.join(failed)}")
     try:
         jd = specan.jordan_structure(im.Phi)
+        coeffs = {}
+        for j, alpha in enumerate(jd.frequencies):
+            g = flags.tf_values[complex(0.0, alpha)]
+            if alpha == 0:
+                # G(0) of a real system is real; drop rounding residue so the
+                # zero-frequency block gets real coefficients
+                g = complex(g.real, 0.0)
+            coeffs[j] = choose_block_coefficients(jd.multiplicities[j], g)
     except SpectralError as exc:
         return SynthesisReport(False, flags, f"Jordan structure failed: {exc}")
-    coeffs = {}
-    for j, alpha in enumerate(jd.frequencies):
-        g = flags.tf_values[complex(0.0, alpha)]
-        if alpha == 0:
-            # G(0) of a real system is real; drop rounding residue so the
-            # zero-frequency block gets real coefficients
-            g = complex(g.real, 0.0)
-        coeffs[j] = choose_block_coefficients(jd.multiplicities[j], g)
+    except SynthesisError as exc:
+        return SynthesisReport(False, flags, str(exc))
     eps = eps0
     for _ in range(max_halvings + 1):
         try:

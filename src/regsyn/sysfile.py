@@ -74,12 +74,14 @@ def _parse_sections(text, origin):
 
 
 def _take_int(sec, key, origin):
-    if key not in sec:
-        raise SysFileError(f"{origin}: missing '{key}'")
+    """A dimension key (p, n, nc, nu): an integer >= 1."""
     try:
-        return int(sec.pop(key))
+        v = int(_take(sec, key, origin))
     except ValueError:
         raise SysFileError(f"{origin}: '{key}' must be an integer") from None
+    if v < 1:
+        raise SysFileError(f"{origin}: '{key}' must be an integer >= 1, got {v}")
+    return v
 
 
 def _take(sec, key, origin):

@@ -124,6 +124,15 @@ s1 = 0
     assert not checks["synthesis"][0]
 
 
+def test_synthesize_overflowing_gain_is_a_failed_check(tmp_path, capsys):
+    # |G(0)| = 1e308 has no finite square: the one-step block cannot be inverted
+    path = tmp_path / "gain.sys"
+    path.write_text(examples.get("example52").text.replace("g = x1", "g = 1e308*x1"))
+    status, out, _ = _run(capsys, "synthesize", str(path))
+    assert status == 1
+    assert "CHECK synthesis FAIL |G|^2 overflows at block frequency" in out.splitlines()
+
+
 def test_simulate_zero_ic_all_zero(tmp_path, capsys):
     csv_path = tmp_path / "traj.csv"
     status, out, _ = _run(capsys, "simulate", "example51",
@@ -233,6 +242,18 @@ def test_verify_bad_radius_is_an_error(tmp_path, radius):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: {path} [regulator_solution]: 'radius' ")
+    assert proc.stdout == ""
+
+
+def test_synthesize_empty_exosystem_is_an_error(tmp_path):
+    path = tmp_path / "p0.sys"
+    path.write_text("[plant]\nn = 1\nf1 = -x1 + u\ng = x1\n[reference]\nq = 0\n"
+                    "[exosystem]\np = 0\n")
+    proc = _cli("synthesize", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        f"error: {path} [exosystem]: 'p' must be an integer >= 1, got 0\n")
     assert proc.stdout == ""
 
 

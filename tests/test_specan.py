@@ -48,7 +48,7 @@ def test_eigen_clusters_multiple_eigenvalues():
     assert sp2.multiplicities == (2,)
 
 
-def test_spectral_abscissa():
+def test_hurwitz_and_abscissa():
     assert spectral_abscissa(np.array([[-1.0, 0.0], [0.0, -2.0]])) == pytest.approx(-1.0)
     assert spectral_abscissa(np.array([[0.0, 1.0], [-1.0, 0.0]])) >= 0  # marginal
     assert spectral_abscissa(np.array([[0.0, 1.0], [-1.0, -2.0]])) == pytest.approx(-1.0)

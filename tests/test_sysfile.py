@@ -127,6 +127,31 @@ def test_origin_checked_in_its_section(edit, section, message):
     assert str(info.value) == f"f [{section}]: {message}"
 
 
+_CONTROLLER = "\n[controller]\nnc = 1\nphi1 = 0\nlam = xi1\nbc = 1.0\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("key, section, line", [
+    ("n", "plant", "n = 1"),
+    ("p", "exosystem", "p = 1"),
+    ("nc", "controller", "nc = 1"),
+    ("nu", "immersion", "nu = 1"),
+])
+def test_dimension_must_be_positive(key, section, line, value):
+    text = MINIMAL + _CONTROLLER + _IMMERSION
+    assert parse_text(text, origin="f").controller.nc == 1
+    with pytest.raises(SysFileError) as info:
+        parse_text(text.replace(line, f"{key} = {value}"), origin="f")
+    assert str(info.value) == (
+        f"f [{section}]: '{key}' must be an integer >= 1, got {value}")
+
+
+def test_dimension_must_be_an_integer():
+    with pytest.raises(SysFileError) as info:
+        parse_text(MINIMAL.replace("p = 1", "p = 1.5"), origin="f")
+    assert str(info.value) == "f [exosystem]: 'p' must be an integer"
+
+
 def test_bad_expression_reported_with_section():
     with pytest.raises(SysFileError, match=r"\[plant\]"):
         parse_text(MINIMAL.replace("f1 = -x1 + u", "f1 = -x1 + ("))
