@@ -1,9 +1,10 @@
 """Dense spectral analysis for small, well-scaled real matrices.
 
 Eigenvalues (with clustered multiplicities), the spectral abscissa, the
-Hautus detectability test, transfer-function evaluation and Jordan structure of
-exosystem matrices.  Eigenvalue work is delegated to LAPACK via numpy; the
-contracts and tolerances here are what the rest of the toolkit relies on.
+Hautus detectability test, transfer-function evaluation and Jordan
+structure of exosystem matrices.  Eigenvalue work is delegated to LAPACK
+via numpy; the contracts and tolerances here are what the rest of the
+toolkit relies on.
 """
 
 from __future__ import annotations

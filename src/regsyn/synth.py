@@ -51,7 +51,6 @@ class InternalModel:
         return cls(ctrl.nc, Phi, Lam, Bc)
 
 
-
 @dataclass(frozen=True)
 class ConditionFlags:
     """Checkable hypotheses for the low-order controller construction."""

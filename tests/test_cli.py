@@ -464,9 +464,8 @@ _GOLDEN = Path(__file__).resolve().parent / "golden"
 @pytest.mark.parametrize("command", ["verify", "synthesize"])
 @pytest.mark.parametrize("name", ["example51", "example52", "example53"])
 def test_builtin_output_is_pinned(capsys, command, name):
-    # tests/golden holds the full stdout of each command, captured before the
-    # Jordan-structure and synthesis code was last rewritten; any digit that
-    # moves is a behaviour change
+    # tests/golden holds the full stdout of each command; a refactor of the
+    # synthesis path must leave every byte of it unchanged
     status, out, err = _run(capsys, command, name)
     assert status == 0, err
     assert out == (_GOLDEN / f"{command}_{name}.txt").read_text(encoding="utf-8")

@@ -53,7 +53,10 @@ def _mutated_dumps(draw):
     return _mutate(text, i, value)
 
 
-_P0 = examples.get("example51").text.replace("\np = 2\n", "\np = 0\n")
+# an empty exosystem that parses when p = 0 is accepted: no s keys are left
+# over and the plant reads no w
+_P0 = ("[plant]\nn = 1\nf1 = -x1 + u\ng = x1\n[reference]\nq = 0\n"
+       "[exosystem]\np = 0\n")
 _HUGE_GAIN = examples.get("example52").text.replace("\ng = x1\n", "\ng = 1e308*x1\n")
 
 
