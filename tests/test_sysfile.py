@@ -233,3 +233,145 @@ def test_example_dump_round_trip():
     sf = parse_text(merged)
     assert sf.controller is not None
     assert sf.immersion is not None
+
+
+# every section, with one line a file may be edited in
+_FULL = (MINIMAL + _CONTROLLER + _IMMERSION
+         + "\n[regulator_solution]\npi1 = w1\ngamma = w1\n\n[params]\nC = 1\n")
+_NO_PLANT = "[exosystem]\np = 1\ns1 = 0\n[regulator_solution]\npi1 = 0\ngamma = 0\n"
+
+
+def _edit(*pairs):
+    """_FULL with each (old, new) applied to the first occurrence of old."""
+    text = _FULL
+    for old, new in pairs:
+        assert old in text, old
+        text = text.replace(old, new, 1)
+    return text
+
+
+@pytest.mark.parametrize("text, message", [
+    # lines
+    pytest.param(_FULL + "[bogus]\n", "f:32: unknown section [bogus]", id="unknown-section"),
+    pytest.param(_FULL + "[plant]\n", "f:32: duplicate section [plant]", id="duplicate-section"),
+    pytest.param("n = 1\n" + _FULL, "f:1: content before any section header", id="before-header"),
+    pytest.param(_edit(("n = 1", "n 1")), "f:3: expected 'key = value'", id="no-equals"),
+    pytest.param(_edit(("g = x1", "g =")), "f:5: empty key or value", id="empty-value"),
+    pytest.param(_edit(("g = x1", "= x1")), "f:5: empty key or value", id="empty-key"),
+    pytest.param(_edit(("n = 1", "n = 1\nn = 2")), "f:4: duplicate key 'n'", id="duplicate-key"),
+    # which sections need which
+    pytest.param(_edit(("[reference]\nq = w1\n", "")),
+                 "f: [plant] and [reference] must appear together", id="plant-alone"),
+    pytest.param("[reference]\nq = 0\n",
+                 "f: [plant] and [reference] must appear together", id="reference-alone"),
+    pytest.param(_edit(("[exosystem]\np = 1\ns1 = 0\n", "")),
+                 "f: [plant] requires [exosystem]", id="plant-needs-exosystem"),
+    pytest.param(_IMMERSION, "f: [immersion] requires [exosystem]",
+                 id="immersion-needs-exosystem"),
+    pytest.param(_NO_PLANT, "f: [regulator_solution] requires [plant]",
+                 id="regulator-solution-needs-plant"),
+    # [exosystem]
+    pytest.param(_edit(("p = 1", "p = one")), "f [exosystem]: 'p' must be an integer",
+                 id="exosystem-p-text"),
+    pytest.param(_edit(("s1 = 0", "s2 = 0")), "f [exosystem]: missing 's1'",
+                 id="exosystem-missing"),
+    pytest.param(_edit(("s1 = 0", "s1 = 0\ns2 = 0")), "f [exosystem]: unknown keys ['s2']",
+                 id="exosystem-leftover"),
+    pytest.param(_edit(("s1 = 0", "s1 = x1")),
+                 "f [exosystem]: s uses unknown variables ['x1']", id="exosystem-build"),
+    # [plant] and [reference]
+    pytest.param(_edit(("n = 1\n", "")), "f [plant]: missing 'n'", id="plant-missing-n"),
+    pytest.param(_edit(("n = 1", "n = -1")), "f [plant]: 'n' must be an integer >= 1, got -1",
+                 id="plant-n-negative"),
+    pytest.param(_edit(("f1 =", "f2 =")), "f [plant]: missing 'f1'", id="plant-missing-f"),
+    pytest.param(_edit(("g = x1\n", "")), "f [plant]: missing 'g'", id="plant-missing-g"),
+    pytest.param(_edit(("g = x1", "g = x1\nh = 1")), "f [plant]: unknown keys ['h']",
+                 id="plant-leftover"),
+    pytest.param(_edit(("q = w1", "r = w1")), "f [reference]: missing 'q'",
+                 id="reference-missing-q"),
+    pytest.param(_edit(("q = w1", "q = w1\nr = 1")), "f [reference]: unknown keys ['r']",
+                 id="reference-leftover"),
+    pytest.param(_edit(("f1 = -x1 + u", "f1 = 1.2.3")),
+                 "f [plant]: bad number literal '1.2.3' (at offset 0)", id="plant-literal"),
+    pytest.param(_edit(("q = w1", "q = w2")), "f [plant]: q uses unknown variables ['w2']",
+                 id="plant-build-q"),
+    pytest.param(_edit(("f1 = -x1 + u", "f1 = " + "(" * 3000 + "x1" + ")" * 3000)),
+                 "f [plant]: maximum recursion depth exceeded", id="plant-deep"),
+    # [controller]
+    pytest.param(_edit(("nc = 1", "nc = 1.0")), "f [controller]: 'nc' must be an integer",
+                 id="controller-nc-text"),
+    pytest.param(_edit(("lam = xi1\nbc", "bc")), "f [controller]: missing 'lam'",
+                 id="controller-missing-lam"),
+    pytest.param(_edit(("bc = 1.0\n", "")), "f [controller]: missing 'bc'",
+                 id="controller-missing-bc"),
+    pytest.param(_edit(("bc = 1.0", "bc = 1, x")),
+                 "f [controller]: 'bc' must be a comma-separated number list",
+                 id="controller-bc-text"),
+    pytest.param(_edit(("bc = 1.0", "bc = 1, 2")),
+                 "f [controller]: 'bc' has 2 entries, expected 1", id="controller-bc-count"),
+    pytest.param(_edit(("bc = 1.0", "bc = 1.0\nextra = 1")),
+                 "f [controller]: unknown keys ['extra']", id="controller-leftover"),
+    pytest.param(_edit(("phi1 = 0", "phi1 = w1")),
+                 "f [controller]: phi uses unknown variables ['w1']", id="controller-build"),
+    # [immersion]
+    pytest.param(_edit(("nu = 1\n", "")), "f [immersion]: missing 'nu'",
+                 id="immersion-missing-nu"),
+    pytest.param(_edit(("tau1 = w1\nphi1 = 0", "tau1 = w1")), "f [immersion]: missing 'phi1'",
+                 id="immersion-missing-phi"),
+    pytest.param(_edit(("tau1 = w1", "tau1 = w1\ntau2 = w1")),
+                 "f [immersion]: unknown keys ['tau2']", id="immersion-leftover"),
+    pytest.param(_edit(("tau1 = w1", "tau1 = w2")),
+                 "f [immersion]: tau uses unknown variables ['w2']", id="immersion-build"),
+    # [regulator_solution]
+    pytest.param(_edit(("pi1 = w1\n", "")), "f [regulator_solution]: missing 'pi1'",
+                 id="regulator-solution-missing-pi"),
+    pytest.param(_edit(("gamma = w1\n", "")), "f [regulator_solution]: missing 'gamma'",
+                 id="regulator-solution-missing-gamma"),
+    pytest.param(_edit(("gamma = w1\n", "gamma = w1\nradius = -2\n")),
+                 "f [regulator_solution]: 'radius' must be a finite positive number, got '-2'",
+                 id="radius-negative"),
+    pytest.param(_edit(("gamma = w1\n", "gamma = w1\nradius = big\n")),
+                 "f [regulator_solution]: 'radius' must be a finite positive number, got 'big'",
+                 id="radius-text"),
+    pytest.param(_edit(("gamma = w1\n", "gamma = w1\npi2 = 0\n")),
+                 "f [regulator_solution]: unknown keys ['pi2']",
+                 id="regulator-solution-leftover"),
+    pytest.param(_edit(("gamma = w1", "gamma = x1")),
+                 "f [regulator_solution]: gamma uses unknown variables ['x1']",
+                 id="regulator-solution-build"),
+    # [params]
+    pytest.param(_edit(("C = 1", "C = forty")), "f [params]: values must be numbers",
+                 id="params-text"),
+    # the order of the checks: sections in file-independent order, and in
+    # a section the keys before the leftovers before the model
+    pytest.param(_edit(("s1 = 0", "s2 = 0"), ("f1 =", "f2 =")), "f [exosystem]: missing 's1'",
+                 id="exosystem-before-plant"),
+    pytest.param(_edit(("g = x1", "g = x1\nh = 1"), ("q = w1", "r = w1")),
+                 "f [plant]: unknown keys ['h']", id="plant-leftover-before-reference"),
+    pytest.param(_edit(("g = x1", "g = x1\nh = 1"), ("q = w1", "q = w2")),
+                 "f [plant]: unknown keys ['h']", id="plant-leftover-before-build"),
+    pytest.param(_edit(("f1 = -x1 + u", "f1 = 1.2.3"), ("bc = 1.0\n", "")),
+                 "f [plant]: bad number literal '1.2.3' (at offset 0)",
+                 id="plant-before-controller"),
+    pytest.param(_edit(("bc = 1.0", "bc = 1, 2\nextra = 1")),
+                 "f [controller]: 'bc' has 2 entries, expected 1", id="bc-before-leftover"),
+    pytest.param(_edit(("bc = 1.0", "bc = x\nextra = 1")),
+                 "f [controller]: 'bc' must be a comma-separated number list",
+                 id="bc-text-before-leftover"),
+    pytest.param(_edit(("bc = 1.0\n", ""), ("nu = 1\n", "")), "f [controller]: missing 'bc'",
+                 id="controller-before-immersion"),
+    pytest.param(_edit(("nu = 1\n", ""), ("pi1 = w1\n", "")), "f [immersion]: missing 'nu'",
+                 id="immersion-before-regulator-solution"),
+    pytest.param(_NO_PLANT + _CONTROLLER.replace("bc = 1.0", "bc = 1, 2"),
+                 "f [controller]: 'bc' has 2 entries, expected 1",
+                 id="controller-before-requires-plant"),
+    pytest.param(_edit(("gamma = w1\n", "gamma = w1\nradius = 0\nz = 1\n")),
+                 "f [regulator_solution]: 'radius' must be a finite positive number, got '0'",
+                 id="radius-before-leftover"),
+    pytest.param(_edit(("gamma = w1\n", ""), ("C = 1", "C = forty")),
+                 "f [regulator_solution]: missing 'gamma'", id="params-last"),
+])
+def test_rejection_messages_are_pinned(text, message):
+    with pytest.raises(SysFileError) as info:
+        parse_text(text, origin="f")
+    assert str(info.value) == message
