@@ -211,8 +211,12 @@ def cmd_simulate(args):
     dt = args.dt if args.dt is not None else (ex.default_dt if ex else 1e-4)
     if T is None:
         raise sysfile.SysFileError("--T is required for systems loaded from files")
+    try:
+        steps = _check_grid(T, dt)
+    except SimulationError as exc:
+        raise sysfile.SysFileError(f"--T/--dt: {exc}") from None
     # the trajectory: state, e, u and t per step
-    _check_budget("--T/--dt", _check_grid(T, dt) + 1, n + nc + p + 3)
+    _check_budget("--T/--dt", steps + 1, n + nc + p + 3)
     if args.ic is not None:
         x0, xi0, w0 = _parse_ic(args.ic, n, nc, p)
     elif ex is not None:
@@ -243,9 +247,9 @@ def _boost_params(arg):
         raise sysfile.SysFileError(f"{arg} has no [params] section")
     try:
         inspect.signature(regeq.BoostParams).bind(**sf.params)
-    except TypeError as exc:
+        return regeq.BoostParams(**sf.params)
+    except (TypeError, regeq.RegulatorError) as exc:
         raise sysfile.SysFileError(f"{arg} [params]: {exc}") from None
-    return regeq.BoostParams(**sf.params)
 
 
 def _cell_tag(v):
@@ -313,7 +317,7 @@ def cmd_boost(args):
             if c.present and not c.converged:
                 print(f"unconverged cell (w1={c.w1:g}, rho={c.rho:g}): {c.message}")
     checks.add("boost_grid_converged", n_fail == 0, float(n_fail))
-    resid = regeq.pde_residual(boost, params)
+    resid = regeq.pde_residual(boost)
     checks.add("boost_pde_residual", resid <= PDE_RESIDUAL_TOL, resid)
     return checks.status
 

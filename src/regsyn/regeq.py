@@ -53,7 +53,7 @@ class RegulatorSolution:
     p: int
     pi: tuple[Expr, ...]
     gamma: Expr
-    radius: float = 0.3
+    radius: float  # verify samples the residuals in the ball ||w|| <= radius
 
     def __post_init__(self):
         wv = w_names(self.p)
@@ -62,7 +62,7 @@ class RegulatorSolution:
         _check_origin([*self.pi, self.gamma], wv, _indexed("pi", len(self.pi)) + ["gamma(0)"])
 
     @classmethod
-    def from_strings(cls, p, pi, gamma, radius=0.3):
+    def from_strings(cls, p, pi, gamma, radius):
         return cls(p, _as_exprs(pi), expr.parse(gamma), radius)
 
 
@@ -160,8 +160,8 @@ class BoostParams:
 
     def __post_init__(self):
         for name in ("C", "L", "R", "r", "v0", "z10", "alpha"):
-            if getattr(self, name) <= 0:
-                raise RegulatorError(f"parameter {name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise RegulatorError(f"parameter {name} must be finite and positive")
         if not 0.0 < self.beta < 1.0:
             raise RegulatorError("beta must lie in (0, 1)")
         D0, z20 = boost_equilibrium(self.v0, self.z10, self.R, self.r)
@@ -390,7 +390,8 @@ def recover_gamma(orbit, w1, rho, params: BoostParams):
     tau = np.linspace(0.0, 2.0 * math.pi, orbit.shape[-1])
     denom = orbit + pr.z20
     if np.any(denom * pr.alpha * pr.L < DENOM_GUARD):
-        raise RegulatorError("orbit too close to psi = -z20 for gamma recovery")
+        raise RegulatorError("orbit too close to psi = -z20 for gamma recovery "
+                             f"at (w1, rho) = ({w1}, {rho})")
     return (rho * np.cos(tau) - pr.D0 * orbit) / denom
 
 
@@ -449,24 +450,23 @@ def solve_boost_grid(params: BoostParams, n_w1=21, n_rho=21, ode_steps=2000,
     return BoostSolution(params, w1s, rho_grid, columns, ode_steps)
 
 
-def pde_residual(boost: BoostSolution, params: BoostParams = None):
-    """Max normalized residual of the quasilinear regulator PDE.
+def pde_residual(boost: BoostSolution):
+    """Max normalized residual of the quasilinear regulator PDE, NaN when no
+    column has an interior converged cell.
 
     The partial derivatives of pi2 with respect to w2 and w3 are
     reconstructed from the (rho, tau) parametrization by central
     differences across grid cells, then substituted into the PDE.  The
     residual at each point is normalized by (1 + |w1| + rho).
     """
-    pr = params or boost.params
-    worst = 0.0
+    pr = boost.params
+    worst = math.nan
     n_tau = boost.ode_steps
     tau = boost.tau_grid[:-1]
     cos_t, sin_t = np.cos(tau), np.sin(tau)
     for i, col in enumerate(boost.cells):
         cells = [c for c in col if c.present]
-        if len(cells) < 3:
-            continue
-        if not all(c.converged for c in cells):
+        if len(cells) < 3 or not all(c.converged for c in cells):
             continue
         rhos = boost.rho_values[i]
         drho = rhos[1] - rhos[0]
@@ -486,9 +486,7 @@ def pde_residual(boost: BoostSolution, params: BoostParams = None):
             resid = ((pr.D0 + pr.L / pr.z10 * bracket) * pj
                      + pr.z20 * pr.L / pr.z10 * bracket - w2)
             scale = 1.0 + abs(w1) + rho
-            worst = max(worst, float(np.max(np.abs(resid))) / scale)
-    if worst == 0.0:
-        raise RegulatorError("grid has no interior converged cells")
+            worst = float(np.fmax(worst, float(np.max(np.abs(resid))) / scale))
     return worst
 
 

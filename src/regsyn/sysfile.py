@@ -12,7 +12,9 @@ and keys:
     [params]              free numeric keys (boost converter parameters)
 
 Values are expression strings or numbers; `#` starts a comment.  Unknown
-sections or keys are rejected so typos fail loudly.
+sections or keys are rejected so typos fail loudly.  parse_text reads every
+section through one reader, _Section, which prefixes each error with
+`<file> [<section>]: `.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import expr
 from .model import ControllerModel, ExosystemModel, PlantModel
 from .regeq import ImmersionMap, RegulatorSolution
 
@@ -73,138 +76,110 @@ def _parse_sections(text, origin):
     return sections
 
 
-def _take_int(sec, key, origin):
-    """A dimension key (p, n, nc, nu): an integer >= 1."""
-    try:
-        v = int(_take(sec, key, origin))
-    except ValueError:
-        raise SysFileError(f"{origin}: '{key}' must be an integer") from None
-    if v < 1:
-        raise SysFileError(f"{origin}: '{key}' must be an integer >= 1, got {v}")
-    return v
+class _Section:
+    """The keys of one section, taken one at a time; a key left untaken is
+    an error."""
 
+    def __init__(self, sections, name, origin):
+        self.keys = dict(sections[name])
+        self.where = f"{origin} [{name}]"
 
-def _take(sec, key, origin):
-    if key not in sec:
-        raise SysFileError(f"{origin}: missing '{key}'")
-    return sec.pop(key)
+    def error(self, message):
+        return SysFileError(f"{self.where}: {message}")
 
+    def take(self, key):
+        if key not in self.keys:
+            raise self.error(f"missing '{key}'")
+        return self.keys.pop(key)
 
-def _take_radius(sec, origin):
-    text = sec.pop("radius", "0.3")
-    try:
-        radius = float(text)
-    except ValueError:
-        radius = math.nan
-    if not (math.isfinite(radius) and radius > 0):
-        raise SysFileError(f"{origin}: 'radius' must be a finite positive number, got '{text}'")
-    return radius
+    def dimension(self, key):
+        """A dimension key (p, n, nc, nu): an integer >= 1."""
+        try:
+            v = int(self.take(key))
+        except ValueError:
+            raise self.error(f"'{key}' must be an integer") from None
+        if v < 1:
+            raise self.error(f"'{key}' must be an integer >= 1, got {v}")
+        return v
 
+    def series(self, prefix, count):
+        return [self.take(f"{prefix}{i + 1}") for i in range(count)]
 
-def _take_series(sec, prefix, count, origin):
-    return [_take(sec, f"{prefix}{i + 1}", origin) for i in range(count)]
+    def done(self):
+        if self.keys:
+            raise self.error(f"unknown keys {sorted(self.keys)}")
 
-
-def _reject_leftovers(sec, origin):
-    if sec:
-        raise SysFileError(f"{origin}: unknown keys {sorted(sec)}")
+    def build(self, make, *args):
+        """make(*args) once every key is taken, any error located here."""
+        self.done()
+        try:
+            return make(*args)
+        except Exception as exc:
+            raise self.error(exc) from exc
 
 
 def parse_text(text, origin="<string>") -> SystemFile:
     sections = _parse_sections(text, origin)
     has = sections.__contains__
-
     if has("plant") != has("reference"):
         raise SysFileError(f"{origin}: [plant] and [reference] must appear together")
     for name in ("plant", "immersion"):
         if has(name) and not has("exosystem"):
             raise SysFileError(f"{origin}: [{name}] requires [exosystem]")
 
-    exo = None
-    p = None
+    exo = plant = controller = immersion = regsol = params = p = None
     if has("exosystem"):
-        sec = dict(sections["exosystem"])
-        where = f"{origin} [exosystem]"
-        p = _take_int(sec, "p", where)
-        s = _take_series(sec, "s", p, where)
-        _reject_leftovers(sec, where)
-        try:
-            exo = ExosystemModel.from_strings(s)
-        except Exception as exc:
-            raise SysFileError(f"{where}: {exc}") from exc
+        sec = _Section(sections, "exosystem", origin)
+        p = sec.dimension("p")
+        exo = sec.build(ExosystemModel.from_strings, sec.series("s", p))
 
-    plant = None
     if has("plant"):
-        psec = dict(sections["plant"])
-        rsec = dict(sections["reference"])
-        where = f"{origin} [plant]"
-        n = _take_int(psec, "n", where)
-        f = _take_series(psec, "f", n, where)
-        g = _take(psec, "g", where)
-        _reject_leftovers(psec, where)
-        q = _take(rsec, "q", f"{origin} [reference]")
-        _reject_leftovers(rsec, f"{origin} [reference]")
-        try:
-            plant = PlantModel.from_strings(f, g, q, p)
-        except Exception as exc:
-            raise SysFileError(f"{where}: {exc}") from exc
+        sec, ref = _Section(sections, "plant", origin), _Section(sections, "reference", origin)
+        n = sec.dimension("n")
+        f, g = sec.series("f", n), sec.take("g")
+        sec.done()
+        q = ref.take("q")
+        ref.done()
+        plant = sec.build(PlantModel.from_strings, f, g, q, p)
 
-    controller = None
     if has("controller"):
-        sec = dict(sections["controller"])
-        where = f"{origin} [controller]"
-        nc = _take_int(sec, "nc", where)
-        phi = _take_series(sec, "phi", nc, where)
-        lam = _take(sec, "lam", where)
-        bc_text = _take(sec, "bc", where)
+        sec = _Section(sections, "controller", origin)
+        nc = sec.dimension("nc")
+        phi, lam = sec.series("phi", nc), sec.take("lam")
         try:
-            bc = [float(v) for v in bc_text.split(",")]
+            bc = [float(v) for v in sec.take("bc").split(",")]
         except ValueError:
-            raise SysFileError(f"{where}: 'bc' must be a comma-separated number list") from None
+            raise sec.error("'bc' must be a comma-separated number list") from None
         if len(bc) != nc:
-            raise SysFileError(f"{where}: 'bc' has {len(bc)} entries, expected {nc}")
-        _reject_leftovers(sec, where)
-        try:
-            controller = ControllerModel.from_strings(phi, lam, bc)
-        except Exception as exc:
-            raise SysFileError(f"{where}: {exc}") from exc
+            raise sec.error(f"'bc' has {len(bc)} entries, expected {nc}")
+        controller = sec.build(ControllerModel.from_strings, phi, lam, bc)
 
-    immersion = None
     if has("immersion"):
-        sec = dict(sections["immersion"])
-        where = f"{origin} [immersion]"
-        nu = _take_int(sec, "nu", where)
-        tau = _take_series(sec, "tau", nu, where)
-        phi = _take_series(sec, "phi", nu, where)
-        lam = _take(sec, "lam", where)
-        _reject_leftovers(sec, where)
-        try:
-            immersion = ImmersionMap.from_strings(p, tau, phi, lam)
-        except Exception as exc:
-            raise SysFileError(f"{where}: {exc}") from exc
+        sec = _Section(sections, "immersion", origin)
+        nu = sec.dimension("nu")
+        immersion = sec.build(ImmersionMap.from_strings, p, sec.series("tau", nu),
+                              sec.series("phi", nu), sec.take("lam"))
 
-    regsol = None
     if has("regulator_solution"):
         if plant is None:
             raise SysFileError(f"{origin}: [regulator_solution] requires [plant]")
-        sec = dict(sections["regulator_solution"])
-        where = f"{origin} [regulator_solution]"
-        pi = _take_series(sec, "pi", plant.n, where)
-        gamma = _take(sec, "gamma", where)
-        radius = _take_radius(sec, where)
-        _reject_leftovers(sec, where)
+        sec = _Section(sections, "regulator_solution", origin)
+        pi, gamma = sec.series("pi", plant.n), sec.take("gamma")
+        given = sec.keys.pop("radius", "0.3")
         try:
-            regsol = RegulatorSolution.from_strings(p, pi, gamma, radius)
-        except Exception as exc:
-            raise SysFileError(f"{where}: {exc}") from exc
-
-    params = None
-    if has("params"):
-        sec = sections["params"]
-        try:
-            params = {k: float(v) for k, v in sec.items()}
+            radius = float(given)
         except ValueError:
-            raise SysFileError(f"{origin} [params]: values must be numbers") from None
+            radius = math.nan
+        if not 0.0 < radius < math.inf:
+            raise sec.error(f"'radius' must be a finite positive number, got '{given}'")
+        regsol = sec.build(RegulatorSolution.from_strings, p, pi, gamma, radius)
+
+    if has("params"):
+        sec = _Section(sections, "params", origin)
+        try:
+            params = {k: float(v) for k, v in sec.keys.items()}
+        except ValueError:
+            raise sec.error("values must be numbers") from None
 
     return SystemFile(plant, exo, controller, immersion, regsol, params)
 
@@ -216,7 +191,6 @@ def parse_file(path) -> SystemFile:
 
 def controller_section(ctrl: ControllerModel) -> str:
     """Render a [controller] section that parse_text accepts back."""
-    from . import expr
     lines = ["[controller]", f"nc = {ctrl.nc}"]
     for i, pe in enumerate(ctrl.phi):
         lines.append(f"phi{i + 1} = {expr.to_string(pe)}")

@@ -229,7 +229,7 @@ def test_simulate_bad_grid_is_an_error(T, dt):
     proc = _cli("simulate", "example51", "--T", T, "--dt", dt)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert proc.stderr == "error: need finite dt > 0 and T >= dt\n"
+    assert proc.stderr == "error: --T/--dt: need finite dt > 0 and T >= dt\n"
 
 
 @pytest.mark.parametrize("radius", ["abc", "nan", "-1", "inf", "0"])
@@ -292,6 +292,18 @@ def test_boost_grid_mode(tmp_path, capsys):
     grid = (tmp_path / "psi0_grid.csv").read_text().splitlines()
     assert grid[0] == "w1,rho,psi0,converged,iters"
     assert len(grid) > 30
+
+
+def test_boost_grid_without_interior_cell_is_a_failed_check(tmp_path, capsys):
+    # at 20 ODE steps every circle but the degenerate (0, 0) one escapes, so
+    # no column has an interior converged cell to take the PDE residual at
+    status, out, err = _run(capsys, "boost", "--out", str(tmp_path),
+                            "--grid-w1", "3", "--grid-rho", "3", "--ode-steps", "20")
+    assert status == 1, err
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[-2:] == ["CHECK boost_grid_converged FAIL 5", "CHECK boost_pde_residual FAIL nan"]
+    assert (tmp_path / "psi0_grid.csv").exists()
 
 
 @pytest.mark.parametrize("extra", [[], ["--cell", "0", "0"], ["--cell", "10", "0.4"]])
@@ -411,6 +423,13 @@ _BOOST_PARAMS = {"C": "4e-5", "L": "0.004", "R": "400", "r": "0.25",
 @pytest.mark.parametrize("edit, message", [
     ({"bogus": "1"}, "[params]: got an unexpected keyword argument 'bogus'"),
     ({"L": None}, "[params]: missing a required argument: 'L'"),
+    ({"C": "nan"}, "[params]: parameter C must be finite and positive"),
+    ({"alpha": "1e400"}, "[params]: parameter alpha must be finite and positive"),
+    ({"L": "inf"}, "[params]: parameter L must be finite and positive"),
+    ({"C": "-1"}, "[params]: parameter C must be finite and positive"),
+    ({"r": "0"}, "[params]: parameter r must be finite and positive"),
+    ({"beta": "nan"}, "[params]: beta must lie in (0, 1)"),
+    ({"v0": "900"}, "[params]: duty ratio 2.249722187920199 outside (0, 1)"),
 ])
 def test_boost_params_keys_checked(tmp_path, capsys, edit, message):
     params = {**_BOOST_PARAMS, **edit}
@@ -420,8 +439,8 @@ def test_boost_params_keys_checked(tmp_path, capsys, edit, message):
     status, out, err = _run(capsys, "boost", "--params", str(path),
                             "--out", str(tmp_path), "--cell", "10", "0.4")
     assert status == 2
-    assert f"{path} {message}" in err
-    assert "CHECK" not in out
+    assert err == f"error: {path} {message}\n"
+    assert out == ""
 
 
 def test_boost_params_file_accepted(tmp_path, capsys):
@@ -469,3 +488,53 @@ def test_builtin_output_is_pinned(capsys, command, name):
     status, out, err = _run(capsys, command, name)
     assert status == 0, err
     assert out == (_GOLDEN / f"{command}_{name}.txt").read_text(encoding="utf-8")
+
+
+_EXAMPLE51 = examples.get("example51").text
+# u does not enter f, so the linear regulator equations have no solution
+_NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
+             "[exosystem]\np = 2\ns1 = w2\ns2 = -w1\n")
+
+
+@pytest.mark.parametrize("argv, text, status, out, err", [
+    pytest.param(("verify", "FILE"), "[exosystem]\np = 1\ns1 = 0\n", 2, "",
+                 "error: verify needs [plant], [reference] and [exosystem]\n",
+                 id="verify-without-plant"),
+    pytest.param(("simulate", "FILE"), _EXAMPLE51, 2, "",
+                 "error: --T is required for systems loaded from files\n",
+                 id="simulate-file-without-T"),
+    pytest.param(("boost", "--params", "FILE", "--cell", "10", "0.4"), _EXAMPLE51, 2, "",
+                 "error: FILE has no [params] section\n", id="boost-params-without-params"),
+    pytest.param(("verify", "FILE"), _NO_INPUT, 2,
+                 "CHECK plant_stable PASS -1\nCHECK exosystem_spectrum_on_axis PASS 0\n"
+                 "CHECK combined_pair_detectable PASS -\n",
+                 # the condition number depends on the BLAS
+                 "error: linearized regulator system is singular or ill-conditioned (cond ~",
+                 id="verify-singular-regulator-equations"),
+    pytest.param(("verify", "FILE"), _EXAMPLE51.replace("f1 = x2 - w1", "f1 = x2 - 1.2.3"),
+                 2, "", "error: FILE [plant]: bad number literal '1.2.3' (at offset 5)\n",
+                 id="verify-bad-literal"),
+    pytest.param(("verify", "FILE"), _EXAMPLE51.replace("pi2 = w1", "pi2 = w1 + sqrt(w1)"),
+                 2, ("CHECK transfer_function_nonzero PASS 1",),
+                 "error: evaluation failed at w = [", id="verify-residual-eval-error"),
+    pytest.param(("verify", "FILE"), examples.get("example52").text.split(
+                     "[regulator_solution]")[0], 0,
+                 ("note: [immersion] present without [regulator_solution]; "
+                  "immersion residual not evaluated",), "", id="verify-immersion-alone"),
+])
+def test_cli_exit_paths(tmp_path, capsys, argv, text, status, out, err):
+    # out is the whole stdout, or a tuple of lines it must contain; err is
+    # the start of a stderr that is one line on exit 2 and empty otherwise
+    path = tmp_path / "system.sys"
+    path.write_text(text)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    if argv[0] == "boost":
+        argv += ["--out", str(tmp_path / "out")]
+    got_status, got_out, got_err = _run(capsys, *argv)
+    assert got_status == status, got_err
+    if isinstance(out, str):
+        assert got_out == out
+    else:
+        assert set(out) <= set(got_out.splitlines()), got_out
+    assert got_err.startswith(err.replace("FILE", str(path)))
+    assert got_err.count("\n") == (status == 2)

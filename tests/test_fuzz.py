@@ -1,18 +1,20 @@
-"""Property test of file input: a built-in dump with one value replaced.
+"""Property tests of outside input: a built-in dump with one value replaced,
+and extreme values of `[params]`, `--cell`, `--T`, `--dt` and `--ic`.
 
-Whatever the value, every command must end in exit status 0, 1 or 2 with
-no exception escaping `cli.main`, and when the file itself is rejected the
-message must name the file.
+Whatever the input, every command must end in exit status 0, 1 or 2 with
+no exception escaping `cli.main`, and a rejected input must be named in
+the message: the file, or the option.
 """
 
 import contextlib
 import io
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 
-from regsyn import cli, examples, sysfile
+from regsyn import cli, examples, expr, sysfile
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -85,3 +87,84 @@ def test_mutated_file_never_escapes(text):
             if rejected:
                 assert status == 2
                 assert err.getvalue().startswith(f"error: {path}"), err.getvalue()
+
+
+# ------------------------------------------------- extreme option values
+
+_EXTREMES = ("nan", "inf", "-inf", "-1", "0", "1e-300", "1e300", "1e400", "x")
+_DEFAULT_PARAMS = {"C": "4e-5", "L": "0.004", "R": "400", "r": "0.25", "v0": "100",
+                   "z10": "400", "alpha": "628.3185307179586"}
+# argparse takes "-inf" after --cell for an option, so W1 has no "-inf"
+_W1 = ("nan", "inf", "0", "10", "-10", "-97.98", "1e300")
+_RHO = ("nan", "inf", "-0.1", "0", "0.4", "0.9", "5", "1e300")
+# horizons and steps, drawn half the time from the ordinary ones: every
+# pair either runs at most 1000 RK4 steps or is refused before any work
+_T = st.sampled_from(("nan", "inf", "-inf", "-1", "0", "1e-300", "1e300")) \
+    | st.sampled_from(("0.01", "1"))
+_DT = st.sampled_from(("nan", "inf", "0", "-0.1", "1e-300", "1e300")) \
+    | st.sampled_from(("1e-3", "0.1"))
+_IC = ("0", "1", "-1", "1e308", "nan", "inf", "x")
+
+
+@st.composite
+def _boost_runs(draw):
+    edits = draw(st.dictionaries(st.sampled_from(sorted(_DEFAULT_PARAMS) + ["beta"]),
+                                 st.sampled_from(_EXTREMES), max_size=2))
+    params = "".join(f"{k} = {v}\n" for k, v in {**_DEFAULT_PARAMS, **edits}.items())
+    cells = draw(st.lists(st.tuples(st.sampled_from(_W1), st.sampled_from(_RHO)),
+                          min_size=1, max_size=2))
+    argv = ["boost", "--params", "FILE", "--ode-steps", "50"]
+    for w1, rho in cells:
+        argv += ["--cell", w1, rho]
+    return "[params]\n" + params, argv
+
+
+@st.composite
+def _simulate_runs(draw):
+    argv = ["simulate", "FILE", f"--T={draw(_T)}", f"--dt={draw(_DT)}"]
+    if draw(st.booleans()):
+        size = draw(st.sampled_from((3, 6, 6, 6)))
+        ic = draw(st.lists(st.sampled_from(_IC), min_size=size, max_size=size))
+        argv.append("--ic=" + ",".join(ic))
+    return examples.get("example51").text, argv
+
+
+def _noting_eval_errors(raised):
+    """cli.simulate, appending to raised each evaluation error of the model."""
+    simulate = cli.simulate
+
+    def spy(*args):
+        try:
+            return simulate(*args)
+        except expr.ExprError as exc:
+            raised.append(exc)
+            raise
+    return spy
+
+
+@hypothesis.settings(max_examples=200, deadline=None,
+                     suppress_health_check=[hypothesis.HealthCheck.too_slow])
+@hypothesis.given(st.one_of(_boost_runs(), _simulate_runs()))
+def test_extreme_option_values_never_escape(run):
+    text, argv = run
+    raised = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "system.sys")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = [path if a == "FILE" else a for a in argv]
+        if argv[0] == "boost":
+            argv += ["--out", os.path.join(tmp, "out")]
+        err = io.StringIO()
+        with mock.patch.object(cli, "simulate", _noting_eval_errors(raised)), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = cli.main(argv)
+    assert status in (0, 1, 2), (argv, status)
+    if status == 2:
+        # besides the options and the file, a message may name a circle by
+        # its --cell values, or be the model's own evaluation error in the
+        # middle of a run (as test_cli.py::test_simulate_eval_error_mid_run)
+        named = tuple(f"error: {n}" for n in (path, "--T/--dt:", "--ic", "--cell:"))
+        message = err.getvalue()
+        assert (message.startswith(named) or " at (w1, rho) = (" in message
+                or raised), (argv, message)

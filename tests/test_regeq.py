@@ -240,6 +240,14 @@ def test_gamma_consistent_with_algebraic_equation():
     assert np.max(np.abs(resid)) <= 1e-6 * (1 + np.max(np.abs(orbit)))
 
 
+def test_gamma_recovery_guard_names_the_circle():
+    orbit = np.full(11, -PARAMS.z20)
+    with pytest.raises(RegulatorError) as info:
+        recover_gamma(orbit, 10.0, 0.4, PARAMS)
+    assert str(info.value) == ("orbit too close to psi = -z20 for gamma recovery "
+                               "at (w1, rho) = (10.0, 0.4)")
+
+
 def test_gamma_consistent_with_ode():
     # the ODE slope equals (r*psi + z10*gamma - w1) / (alpha*L) on the orbit,
     # i.e. the current-dynamics balance written in shifted coordinates
