@@ -13,6 +13,7 @@ passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import math
 import os
@@ -87,9 +88,9 @@ def _internal_model(sf: sysfile.SystemFile, lin) -> model.ControllerModel:
     return synth.internal_model_copy_of_exosystem(lin, sf.exo.s, Gamma)
 
 
-def _sample_ball(p, radius, count=SAMPLE_COUNT, seed=0):
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-radius, radius, size=(count, p))
+def _sample_ball(p, radius):
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(-radius, radius, size=(SAMPLE_COUNT, p))
     norms = np.linalg.norm(pts, axis=1)
     scale = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
     return pts * scale[:, None]
@@ -109,13 +110,13 @@ def cmd_verify(args):
     absc = specan.spectral_abscissa(lin.A)
     checks.add("plant_stable", absc < 0, absc)
 
-    radius = specan.cluster_radius(lin.S)
-    off_axis = max(abs(v.real) for v in specan.eigen(lin.S).eigenvalues)
-    checks.add("exosystem_spectrum_on_axis", off_axis <= radius, off_axis)
+    sp = specan.eigen(lin.S)
+    off_axis = max(abs(v.real) for v in sp.eigenvalues)
+    checks.add("exosystem_spectrum_on_axis", off_axis <= sp.radius, off_axis)
 
     M = np.block([[lin.A, lin.P], [np.zeros((lin.p, lin.n)), lin.S]])
     Cm = np.hstack([lin.C, lin.Q])
-    combined = specan.hautus_detectable(Cm, M)
+    combined = specan.hautus_detectable(Cm, M, specan.eigen(M))
     if sf.controller is None and sf.immersion is None:
         # the exosystem-copy construction hinges on this pair
         checks.add("combined_pair_detectable", combined, "-")
@@ -206,7 +207,8 @@ def cmd_simulate(args):
                                    "(run synthesize first)")
     checks = _Checks()
     n, nc, p = sf.plant.n, sf.controller.nc, sf.exo.p
-    ex = examples.get(args.system) if args.system in examples.names() else None
+    # a file named like a built-in shadows it, defaults and all
+    ex = None if os.path.exists(args.system) else examples.get(args.system)
     T = args.T if args.T is not None else (ex.default_T if ex else None)
     dt = args.dt if args.dt is not None else (ex.default_dt if ex else 1e-4)
     if T is None:
@@ -333,6 +335,7 @@ def cmd_example(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="regsyn",
@@ -341,7 +344,6 @@ def _build_parser():
 
     pv = sub.add_parser("verify", help="check regulation hypotheses and residuals")
     pv.add_argument("system", help="system file path or built-in example name")
-    pv.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("synthesize", help="construct Bc and emit a controller")
     ps.add_argument("system")
@@ -350,7 +352,6 @@ def _build_parser():
     ps.add_argument("--max-halvings", type=int, default=40)
     ps.add_argument("--margin", type=float, default=1e-6)
     ps.add_argument("--out", help="controller file to write")
-    ps.set_defaults(func=cmd_synthesize)
 
     pm = sub.add_parser("simulate", help="integrate the nonlinear closed loop")
     pm.add_argument("system")
@@ -358,7 +359,6 @@ def _build_parser():
     pm.add_argument("--dt", type=float, default=None, help="step size")
     pm.add_argument("--ic", help="comma-separated x, xi, w initial values")
     pm.add_argument("--out", help="trajectory CSV to write")
-    pm.set_defaults(func=cmd_simulate)
 
     pb = sub.add_parser("boost", help="solve the boost-converter regulator PDE")
     pb.add_argument("--params", default=None,
@@ -369,25 +369,21 @@ def _build_parser():
     pb.add_argument("--cell", nargs=2, type=float, action="append",
                     metavar=("W1", "RHO"), help="solve a single circle (repeatable)")
     pb.add_argument("--out", default=".", help="output directory")
-    pb.set_defaults(func=cmd_boost)
 
     pe = sub.add_parser("example", help="list or dump built-in examples")
     pe_sub = pe.add_subparsers(dest="action", required=True)
-    pl = pe_sub.add_parser("list")
-    pl.set_defaults(func=cmd_example)
-    pd = pe_sub.add_parser("dump")
-    pd.add_argument("name")
-    pd.set_defaults(func=cmd_example)
-    pe.set_defaults(func=cmd_example)
+    pe_sub.add_parser("list")
+    pe_sub.add_parser("dump").add_argument("name")
 
     return ap
 
 
 def main(argv=None):
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call: the cached parser must not pin the command
+        # functions that were current when it was built
+        return globals()[f"cmd_{args.command}"](args)
     except (sysfile.SysFileError, model.ModelError, regeq.RegulatorError,
             synth.SynthesisError, specan.SpectralError, expr.ExprError,
             SimulationError) as exc:

@@ -332,20 +332,18 @@ def _periodic_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter):
     return start, orbit, iters, escaped
 
 
-def solve_psi0(w1, rho, params: BoostParams, ode_steps=2000, max_iter=200,
-               tol=None):
+def solve_psi0(w1, rho, params: BoostParams, ode_steps=2000, max_iter=200):
     """Periodic-orbit initial value on one characteristic circle.
 
     Iterates psi^1(0) = (psi1 + psi2)/2, psi^n(0) = psi^{n-1}(2*pi) until
-    |psi^n(2*pi) - psi^n(0)| < tol, as one cell of solve_boost_grid's
-    solver.  Returns (psi0, orbit, iterations) with orbit sampled on the
-    uniform tau grid (ode_steps + 1 points).
+    |psi^n(2*pi) - psi^n(0)| < 1e-9 * (1 + |psi1|), as one cell of
+    solve_boost_grid's solver.  Returns (psi0, orbit, iterations) with orbit
+    sampled on the uniform tau grid (ode_steps + 1 points).
     """
     psi1, psi2 = psi_bounds(w1, rho, params)
-    if tol is None:
-        tol = 1e-9 * (1.0 + abs(psi1))
     psi0, orbit, iters, escaped = _periodic_orbits(
-        0.5 * (psi1 + psi2), tol, w1, rho, params, ode_steps, max_iter)
+        0.5 * (psi1 + psi2), 1e-9 * (1.0 + abs(psi1)), w1, rho, params, ode_steps,
+        max_iter)
     where = f"at (w1, rho) = ({w1}, {rho})"
     if escaped:
         raise RegulatorError(f"orbit escaped psi <= -z20 {where}")

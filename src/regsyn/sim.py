@@ -59,8 +59,9 @@ def _rk4_kernel(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel):
 
     The generated function takes the initial state as scalars, then steps,
     dt and the preallocated output arrays out, e_out and u_out.  It writes
-    row k of each output, returns k as soon as the state's infinity-norm
-    exceeds DIVERGENCE_CAP and returns -1 once every row is written.  Each
+    row k of each output, returns k as soon as a state component is NaN or
+    exceeds DIVERGENCE_CAP in magnitude (before the row's u and e are
+    evaluated) and returns -1 once every row is written.  Each
     stage evaluates u, f, e, phi + Bc e and s in that order, as evaluate()
     would, so trajectories and EvalError messages are those of a
     stage-by-stage evaluate() loop; stage 1 reuses the u and e of the row."""
@@ -81,10 +82,11 @@ def _rk4_kernel(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel):
 
     state = [f"s{i}" for i in range(dim)]
     u, f, e, rest = stage(1, state)
-    norm = f"max({', '.join(f'abs({v})' for v in state)})" if dim > 1 else f"abs({state[0]})"
-    loop = [f"out[k] = ({', '.join(state)},)", *u, *e, "e_out[k] = e1", "u_out[k] = u1",
-            f"if {norm} > {_literal(DIVERGENCE_CAP)}:", "    return k",
-            "if k == steps:", "    break", *f, *rest]
+    # a NaN component fails every comparison, so it counts as diverged
+    bounded = " and ".join(f"abs({v}) <= {_literal(DIVERGENCE_CAP)}" for v in state)
+    loop = [f"out[k] = ({', '.join(state)},)", f"if not ({bounded}):", "    return k",
+            *u, *e, "e_out[k] = e1", "u_out[k] = u1", "if k == steps:", "    break",
+            *f, *rest]
     for j, step in ((2, "half"), (3, "half"), (4, "dt")):
         z = [f"y{j}_{i}" for i in range(dim)]
         loop += [f"{z[i]} = s{i} + {step} * k{j - 1}_{i}" for i in range(dim)]
@@ -101,7 +103,8 @@ def simulate(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
              x0, xi0, w0, T, dt) -> Trajectory:
     """RK4 on dx = f(x, lambda(xi), w), dxi = phi(xi) + Bc h(x, lambda(xi), w),
     dw = s(w).  Aborts when the state infinity-norm exceeds the divergence
-    cap (local results only cover small data; runaway must fail loudly)."""
+    cap or the state is NaN (local results only cover small data; runaway
+    must fail loudly)."""
     n, nc, p = plant.n, ctrl.nc, exo.p
     x0, xi0, w0 = (np.asarray(v, dtype=float) for v in (x0, xi0, w0))
     if x0.shape != (n,) or xi0.shape != (nc,) or w0.shape != (p,):

@@ -16,6 +16,9 @@ import numpy as np
 from .model import LinearizedData
 
 COND_CAP = 1e12
+# Hautus test: [M - lam*I; Cm] counts as rank deficient when its smallest
+# singular value is at most HAUTUS_TOL * ||M||_inf
+HAUTUS_TOL = 1e-9
 
 
 class SpectralError(Exception):
@@ -24,14 +27,16 @@ class SpectralError(Exception):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Clustered eigenvalues with algebraic multiplicities."""
+    """Clustered eigenvalues with algebraic multiplicities.
+
+    radius is the matrix's one axis tolerance: eigenvalues closer than it
+    are one cluster, and a real part within it counts as on the imaginary
+    axis.
+    """
 
     eigenvalues: tuple[complex, ...]
     multiplicities: tuple[int, ...]
-
-
-def cluster_radius(M):
-    return 1e-6 * (1.0 + float(np.linalg.norm(M, np.inf)))
+    radius: float
 
 
 def _cluster(values, radius):
@@ -56,7 +61,7 @@ def eigen(M) -> Spectrum:
         raise SpectralError("expected a square matrix of dimension >= 1")
     if not np.all(np.isfinite(M)):
         raise SpectralError("matrix has non-finite entries")
-    radius = cluster_radius(M)
+    radius = 1e-6 * (1.0 + float(np.linalg.norm(M, np.inf)))
     centers, counts = _cluster(np.linalg.eigvals(M), radius)
     # snap near-real clusters to the real axis; mirror conjugate pairs
     out = []
@@ -75,7 +80,7 @@ def eigen(M) -> Spectrum:
                 used[i] = used[j] = True
                 break
     vals, mults = zip(*sorted(out, key=lambda t: (t[0].real, t[0].imag)))
-    return Spectrum(tuple(vals), tuple(mults))
+    return Spectrum(tuple(vals), tuple(mults), radius)
 
 
 def spectral_abscissa(M) -> float:
@@ -83,18 +88,17 @@ def spectral_abscissa(M) -> float:
     return max(v.real for v in sp.eigenvalues)
 
 
-def hautus_detectable(Cm, M, tol=1e-9) -> bool:
+def hautus_detectable(Cm, M, sp: Spectrum) -> bool:
     """Hautus/PBH test: [M - lam*I; Cm] full column rank at every eigenvalue
-    of M in the closed right half-plane."""
+    of M (sp = eigen(M)) in the closed right half-plane."""
     Cm = np.atleast_2d(np.asarray(Cm, dtype=float))
     M = np.asarray(M, dtype=float)
     k = M.shape[0]
     if Cm.shape[1] != k:
         raise SpectralError("dimension mismatch in Hautus test")
-    radius = cluster_radius(M)
-    thresh = tol * float(np.linalg.norm(M, np.inf))
-    for lam in eigen(M).eigenvalues:
-        if lam.real < -radius:
+    thresh = HAUTUS_TOL * float(np.linalg.norm(M, np.inf))
+    for lam in sp.eigenvalues:
+        if lam.real < -sp.radius:
             continue
         stacked = np.vstack([M - lam * np.eye(k), Cm.astype(complex)])
         smin = np.linalg.svd(stacked, compute_uv=False)[-1]
@@ -146,29 +150,14 @@ def _extend_chain(E, v1, m, rcond, what):
     return chain
 
 
-def _jordan_chain(S, lam, m, tol):
-    """Generalized eigenvector chain v1..vm for eigenvalue lam (geometric
-    multiplicity 1)."""
-    k = S.shape[0]
-    E = S.astype(complex) - lam * np.eye(k)
-    U, sv, Vh = np.linalg.svd(E)
-    kernel_dim = int(np.sum(sv <= tol * max(1.0, sv[0] if len(sv) else 1.0)))
-    if kernel_dim != 1:
-        raise SpectralError(
-            f"eigenvalue {lam}: geometric multiplicity {kernel_dim} != 1")
-    return _extend_chain(E, Vh[-1].conj(), m, tol,
-                         f"eigenvalue {lam}: Jordan chain broke down")
-
-
-def jordan_structure(S, tol=1e-8) -> JordanData:
-    """Jordan form of a real matrix whose spectrum lies on the imaginary axis
-    and whose eigenvalues all have geometric multiplicity 1."""
+def jordan_structure(S, sp: Spectrum, tol=1e-8) -> JordanData:
+    """Jordan form of a real matrix S (sp = eigen(S)) whose spectrum lies on
+    the imaginary axis and whose eigenvalues all have geometric
+    multiplicity 1."""
     S = np.asarray(S, dtype=float)
     p = S.shape[0]
-    sp = eigen(S)
-    radius = cluster_radius(S)
     for lam in sp.eigenvalues:
-        if abs(lam.real) > max(tol, radius):
+        if abs(lam.real) > max(tol, sp.radius):
             raise SpectralError(f"off-axis eigenvalue {lam}")
     # nonnegative frequencies, zero first then ascending
     pos = [(lam.imag, m) for lam, m in zip(sp.eigenvalues, sp.multiplicities)
@@ -182,15 +171,21 @@ def jordan_structure(S, tol=1e-8) -> JordanData:
     blocks = []  # (eigenvalue, chain) in the column order of JordanData
     for alpha, m in pos:
         lam = 1j * alpha
-        chain = _jordan_chain(S, lam, m, tol)
+        E = S.astype(complex) - lam * np.eye(p)
+        _, sv, Vh = np.linalg.svd(E)
+        kernel_dim = int(np.sum(sv <= tol * max(1.0, sv[0])))
+        if kernel_dim != 1:
+            raise SpectralError(
+                f"eigenvalue {lam}: geometric multiplicity {kernel_dim} != 1")
+        v1 = Vh[-1].conj()
         if alpha == 0:
             # real eigenvalue of a real matrix: the chain can be taken real
-            v1 = chain[0]
             v1 = (np.real(v1) if np.linalg.norm(np.imag(v1)) < np.linalg.norm(v1) * 0.5
                   else np.imag(v1))
             blocks.append((lam, _extend_chain(S, v1, m, None,
                                               "real Jordan chain broke down")))
         else:
+            chain = _extend_chain(E, v1, m, tol, f"eigenvalue {lam}: Jordan chain broke down")
             blocks.append((lam, chain))
             blocks.append((lam.conjugate(), [np.conj(v) for v in chain]))
     T = np.column_stack([v for _, chain in blocks for v in chain]).astype(complex)

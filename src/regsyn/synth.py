@@ -16,7 +16,7 @@ import numpy as np
 from . import expr, specan
 from .model import (ControllerModel, LinearizedData, controller_jacobians,
                     w_names, xi_names)
-from .specan import JordanData, SpectralError
+from .specan import JordanData, SpectralError, Spectrum
 
 TF_ZERO_TOL = 1e-9
 
@@ -59,6 +59,7 @@ class ConditionFlags:
     detectable: bool
     tf_nonzero: bool
     spectrum_on_axis: bool
+    spectrum: Spectrum  # of Phi
     tf_values: dict = field(default_factory=dict)  # eigenvalue -> G(eigenvalue)
 
     @property
@@ -91,20 +92,18 @@ def closed_loop_matrix(lin: LinearizedData, im: InternalModel) -> np.ndarray:
     return np.vstack([top, bot])
 
 
-def verify_conditions(lin: LinearizedData, im: InternalModel,
-                      tf_tol=TF_ZERO_TOL) -> ConditionFlags:
+def verify_conditions(lin: LinearizedData, im: InternalModel) -> ConditionFlags:
     """Report on: A Hurwitz, (Lambda, Phi) detectable, G(p) != 0 at every
     imaginary-axis eigenvalue p of Phi, and whether spec(Phi) lies on the
     imaginary axis."""
     plant_stable = specan.spectral_abscissa(lin.A) < 0
-    detectable = specan.hautus_detectable(im.Lambda, im.Phi)
-    radius = specan.cluster_radius(im.Phi)
     sp = specan.eigen(im.Phi)
-    on_axis = all(abs(v.real) <= radius for v in sp.eigenvalues)
+    detectable = specan.hautus_detectable(im.Lambda, im.Phi, sp)
+    on_axis = all(abs(v.real) <= sp.radius for v in sp.eigenvalues)
     tf_values = {}
     tf_nonzero = True
     for v in sp.eigenvalues:
-        if abs(v.real) > radius:
+        if abs(v.real) > sp.radius:
             continue
         z = complex(0.0, v.imag)
         try:
@@ -113,9 +112,9 @@ def verify_conditions(lin: LinearizedData, im: InternalModel,
             tf_nonzero = False
             continue
         tf_values[z] = g
-        if abs(g) <= tf_tol:
+        if abs(g) <= TF_ZERO_TOL:
             tf_nonzero = False
-    return ConditionFlags(plant_stable, detectable, tf_nonzero, on_axis, tf_values)
+    return ConditionFlags(plant_stable, detectable, tf_nonzero, on_axis, sp, tf_values)
 
 
 def choose_block_coefficients(mj: int, Gj: complex):
@@ -200,8 +199,9 @@ def synthesize(lin: LinearizedData, im: InternalModel, eps0=1.0, factor=0.5,
                                   ("spectrum_on_axis", flags.spectrum_on_axis)) if not ok]
         return SynthesisReport(False, flags, f"verification failed: {', '.join(failed)}")
     try:
-        jd = specan.jordan_structure(im.Phi)
+        jd = specan.jordan_structure(im.Phi, flags.spectrum)
         coeffs = {}
+        # jd's frequencies are those of flags.spectrum, so each has a G value
         for j, alpha in enumerate(jd.frequencies):
             g = flags.tf_values[complex(0.0, alpha)]
             if alpha == 0:

@@ -46,7 +46,8 @@ def test_criterion_1_linear_analysis():
              and np.allclose(lin.S, [[0, 1], [0, 0]], atol=tol))
     hurwitz = specan.spectral_abscissa(lin.A) < 0
     M = np.block([[lin.A, lin.P], [np.zeros((2, 2)), lin.S]])
-    detectable = specan.hautus_detectable(np.hstack([lin.C, lin.Q]), M)
+    detectable = specan.hautus_detectable(np.hstack([lin.C, lin.Q]), M,
+                                          specan.eigen(M))
     _, Gamma = synth.solve_linear_regulator(lin)
     gamma_ok = np.allclose(Gamma, [[2.0, 1.0]], atol=1e-6)
     ok = exact and hurwitz and detectable and gamma_ok
@@ -263,7 +264,7 @@ def test_criterion_9_oracle_equivalence():
             c = rng.uniform(-2, 2, k)
             v = T[:, 0]
             Cm = (c - (c @ v) / (v @ v) * v).reshape(1, k)
-        if specan.hautus_detectable(Cm, M) != _hautus_oracle(Cm, M):
+        if specan.hautus_detectable(Cm, M, specan.eigen(M)) != _hautus_oracle(Cm, M):
             mismatches += 1
 
     worst = 0.0
@@ -273,7 +274,7 @@ def test_criterion_9_oracle_equivalence():
                        [0.0, 0.0, 2.0],
                        [0.0, -2.0, 0.0]])]                    # zero + oscillator
     for S in cases:
-        jd = specan.jordan_structure(S)
+        jd = specan.jordan_structure(S, specan.eigen(S))
         Cc = rng.uniform(0.5, 2.0, (1, S.shape[0]))
         eps = 0.3
         coeffs = {}

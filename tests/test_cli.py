@@ -1,5 +1,6 @@
 import os
 import re
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regsyn import cli, examples, model, regeq, synth
+from regsyn import cli, examples, model, regeq, specan, synth
 
 
 _SUBPROCESS_ENV = {**os.environ,
@@ -152,6 +153,22 @@ def test_simulate_default_metadata(capsys):
     assert "settle_fraction = " in out
 
 
+def test_file_shadows_builtin_and_its_defaults(tmp_path, capsys, monkeypatch):
+    # a file named like a built-in is loaded, so the built-in's T, dt and
+    # initial state do not apply to it
+    text = examples.get("example53").text
+    (tmp_path / "example51").write_text(text)
+    (tmp_path / "other.sys").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    status, out, err = _run(capsys, "simulate", "example51")
+    assert (status, out) == (2, "")
+    assert err.startswith("error: --T is required")
+    argv = ("--T", "1e-4", "--dt", "1e-5")
+    shadowed = _run(capsys, "simulate", "example51", *argv)
+    assert shadowed[0] == 0
+    assert shadowed == _run(capsys, "simulate", "other.sys", *argv)
+
+
 def test_simulate_requires_controller(capsys):
     status, _, err = _run(capsys, "simulate", "example52")
     assert status == 2
@@ -179,6 +196,13 @@ def test_simulate_divergence_is_a_failed_check():
     assert len(lines) == 1
     assert re.fullmatch(r"CHECK simulation_bounded FAIL \S+", lines[0])
     assert 0.0 < float(lines[0].split()[-1]) < 5.0
+
+
+@pytest.mark.parametrize("ic", ["nan,inf,0,0,0,0", "0,nan,0,0,0,0"])
+def test_simulate_nan_state_is_a_failed_check(capsys, ic):
+    status, out, err = _run(capsys, "simulate", "example51", "--T=1", "--dt=1e-3",
+                            f"--ic={ic}")
+    assert (status, out, err) == (1, "CHECK simulation_bounded FAIL 0\n", "")
 
 
 def test_simulate_ic_must_be_numbers():
@@ -279,6 +303,17 @@ def test_boost_single_cells(tmp_path, capsys):
     rows = (tmp_path / "orbit_10_0p4.csv").read_text().splitlines()
     assert rows[0] == "tau,psi,gamma"
     assert len(rows) == 1002
+
+
+def test_cached_parser_shares_no_option_state(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    for w1, rho in (("10", "0.4"), ("0", "0")):
+        status, out, _ = _run(capsys, "boost", "--out", str(tmp_path), "--ode-steps",
+                              "500", "--cell", w1, rho)
+        assert status == 0
+        tags = [line.split()[1] for line in out.splitlines()
+                if line.startswith("CHECK boost_cell_")]
+        assert tags == [f"boost_cell_{w1}_{rho.replace('.', 'p')}"]
 
 
 def test_boost_grid_mode(tmp_path, capsys):
@@ -465,6 +500,40 @@ def test_controller_differentiated_once(capsys, monkeypatch, command):
     monkeypatch.setattr(synth, "controller_jacobians", spy)
     assert _run(capsys, command, "example51")[0] == 0
     assert len(calls) == 1
+
+
+def _key(M):
+    M = np.asarray(M, dtype=float)
+    return M.shape, M.tobytes()
+
+
+@pytest.mark.parametrize("name", ["example51", "example52", "example53"])
+def test_each_matrix_analysed_once(capsys, monkeypatch, name):
+    sf = examples.get(name).load()
+    lin = model.linearize(sf.plant, sf.exo)
+    Phi = synth.InternalModel.from_controller(cli._internal_model(sf, lin)).Phi
+    keys = []
+    eigen = specan.eigen
+
+    def spy(M):
+        keys.append(_key(M))
+        return eigen(M)
+
+    monkeypatch.setattr(specan, "eigen", spy)
+    # A, Phi and the closed loop of each eps tried
+    assert _run(capsys, "synthesize", name)[0] == 0
+    assert len(keys) == len(set(keys))
+    assert {_key(lin.A), _key(Phi)} <= set(keys)
+
+    keys.clear()
+    assert _run(capsys, "verify", name)[0] == 0
+    counts = Counter(keys)
+    # once per role: verify checks A before the internal model exists and
+    # verify_conditions checks it again, and an internal model that copies
+    # the exosystem has Phi equal to S bit for bit
+    twice = {_key(lin.A)} | ({_key(Phi)} if _key(Phi) == _key(lin.S) else set())
+    assert _key(Phi) in counts
+    assert counts == {k: 2 if k in twice else 1 for k in counts}
 
 
 def test_example_list_and_dump(capsys):

@@ -145,6 +145,8 @@ def _noting_eval_errors(raised):
 @hypothesis.settings(max_examples=200, deadline=None,
                      suppress_health_check=[hypothesis.HealthCheck.too_slow])
 @hypothesis.given(st.one_of(_boost_runs(), _simulate_runs()))
+@hypothesis.example((examples.get("example51").text,
+                     ["simulate", "FILE", "--T=1", "--dt=1e-3", "--ic=nan,inf,0,0,0,0"]))
 def test_extreme_option_values_never_escape(run):
     text, argv = run
     raised = []

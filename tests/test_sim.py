@@ -69,11 +69,11 @@ def _ref_simulate(plant, exo, ctrl, x0, xi0, w0, T, dt):
     sixth = dt / 6.0
     for k in range(steps + 1):
         out[k] = state
+        if not all(abs(v) <= DIVERGENCE_CAP for v in state):
+            raise SimulationError(f"state diverged at t = {k * dt}")
         u_k = lam_fn(*state[n:n + nc])
         e_out[k] = h_fn(*state[:n], u_k, *state[n + nc:])
         u_out[k] = u_k
-        if max(abs(v) for v in state) > DIVERGENCE_CAP:
-            raise SimulationError(f"state diverged at t = {k * dt}")
         if k == steps:
             break
         k1 = deriv(state)
@@ -268,6 +268,31 @@ def test_divergence_cap():
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("state diverged at t = ")
     assert str(got.value) == f"state diverged at t = {got.value.t}"
+
+
+@pytest.mark.parametrize("x0", [(math.nan, 0.0), (0.0, math.nan), (math.inf, math.nan)])
+def test_divergence_cap_catches_nan(x0):
+    # max() drops a NaN after the first component; the cap must not
+    plant = PlantModel.from_strings(["x2", "-x1 + u"], "x1", "0", 1)
+    exo = ExosystemModel.from_strings(["0"])
+    ctrl = ControllerModel.from_strings(["0"], "0", [0.0])
+    with pytest.raises(DivergenceError) as got:
+        simulate(plant, exo, ctrl, x0, (0.0,), (0.0,), T=1.0, dt=1e-2)
+    with pytest.raises(SimulationError) as want:
+        _ref_simulate(plant, exo, ctrl, x0, (0.0,), (0.0,), T=1.0, dt=1e-2)
+    assert got.value.t == 0.0
+    assert str(got.value) == str(want.value)
+
+
+def test_divergence_cap_precedes_the_row_outputs():
+    # e = sqrt(x1) fails at x1 < 0, but a state past the cap is reported
+    # as divergence before the row's u and e are evaluated
+    plant = PlantModel.from_strings(["0"], "sqrt(x1)", "0", 1)
+    exo = ExosystemModel.from_strings(["0"])
+    ctrl = ControllerModel.from_strings(["0"], "0", [0.0])
+    with pytest.raises(DivergenceError) as got:
+        simulate(plant, exo, ctrl, (-2 * DIVERGENCE_CAP,), (0.0,), (0.0,), T=1.0, dt=0.1)
+    assert got.value.t == 0.0
 
 
 def test_bad_grid_rejected():

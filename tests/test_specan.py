@@ -108,18 +108,21 @@ def test_hautus_matches_elimination_oracle():
             v = T[:, 0]
             c = c - (c @ v) / (v @ v) * v
             Cm = c.reshape(1, k)
-        assert hautus_detectable(Cm, M) == _hautus_oracle(Cm, M)
+        assert hautus_detectable(Cm, M, eigen(M)) == _hautus_oracle(Cm, M)
         n_checked += 1
     assert n_checked == 200
 
 
 def test_hautus_known_cases():
     # integrator observed directly: detectable
-    assert hautus_detectable([[1.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]])
+    M = [[0.0, 1.0], [0.0, 0.0]]
+    assert hautus_detectable([[1.0, 0.0]], M, eigen(M))
     # unstable unobserved mode: not detectable
-    assert not hautus_detectable([[0.0, 1.0]], np.diag([1.0, -1.0]))
+    M = np.diag([1.0, -1.0])
+    assert not hautus_detectable([[0.0, 1.0]], M, eigen(M))
     # stable unobserved mode: still detectable
-    assert hautus_detectable([[0.0, 1.0]], np.diag([-1.0, -2.0]))
+    M = np.diag([-1.0, -2.0])
+    assert hautus_detectable([[0.0, 1.0]], M, eigen(M))
 
 
 def _lin(A, B, C, D):
@@ -148,7 +151,7 @@ def test_transfer_function_values_and_symmetry():
 
 def test_jordan_structure_double_zero():
     S = np.array([[0.0, 1.0], [0.0, 0.0]])
-    jd = jordan_structure(S)
+    jd = jordan_structure(S, eigen(S))
     assert jd.frequencies == (0.0,)
     assert jd.multiplicities == (2,)
     assert np.allclose(jd.J, [[0, 1], [0, 0]])
@@ -158,7 +161,7 @@ def test_jordan_structure_double_zero():
 def test_jordan_structure_oscillator_with_zero():
     a = 200 * math.pi
     S = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, a], [0.0, -a, 0.0]])
-    jd = jordan_structure(S)
+    jd = jordan_structure(S, eigen(S))
     assert jd.frequencies == pytest.approx((0.0, a))
     assert jd.multiplicities == (1, 1)
     assert np.diag(jd.J)[0] == 0
@@ -176,16 +179,18 @@ def test_jordan_structure_similarity_invariant():
     for _ in range(10):
         T = rng.uniform(-1, 1, (4, 4)) + 2 * np.eye(4)
         S = T @ base @ np.linalg.inv(T)
-        jd = jordan_structure(S, tol=1e-7)
+        jd = jordan_structure(S, eigen(S), tol=1e-7)
         assert jd.frequencies == pytest.approx((0.0, 2.0), abs=1e-7)
         assert jd.multiplicities == (2, 1)
 
 
 def test_jordan_structure_rejects_off_axis():
+    S = np.diag([-1.0, 0.0])
     with pytest.raises(SpectralError):
-        jordan_structure(np.diag([-1.0, 0.0]))
+        jordan_structure(S, eigen(S))
 
 
 def test_jordan_structure_rejects_geometric_multiplicity_two():
+    S = np.zeros((2, 2))
     with pytest.raises(SpectralError):
-        jordan_structure(np.zeros((2, 2)))
+        jordan_structure(S, eigen(S))

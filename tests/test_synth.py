@@ -109,7 +109,8 @@ def test_choose_block_coefficients_complex_g():
 
 def _transfer_identity_case(S, Cc, eps, rng, rel=1e-6):
     """build_Bc must realize -C(z) = sum_jk a_jk eps^k/(z - i a_j)^k + conj."""
-    jd = specan.jordan_structure(np.asarray(S, float))
+    S = np.asarray(S, float)
+    jd = specan.jordan_structure(S, specan.eigen(S))
     coeffs = {}
     for j, alpha in enumerate(jd.frequencies):
         g = rng.uniform(0.5, 2.0) + (rng.uniform(-1, 1) * 1j if alpha > 0 else 0)
@@ -151,7 +152,7 @@ def test_build_Bc_scale_invariance():
     rng = np.random.default_rng(41)
     S = np.zeros((3, 3))
     S[1, 2], S[2, 1] = 1.0, -1.0
-    jd = specan.jordan_structure(S)
+    jd = specan.jordan_structure(S, specan.eigen(S))
     coeffs = {j: choose_block_coefficients(m, 1.0 + 0j)
               for j, m in enumerate(jd.multiplicities)}
     Cc = rng.uniform(0.5, 2.0, (1, 3))
@@ -162,7 +163,7 @@ def test_build_Bc_scale_invariance():
 
 def test_build_Bc_detects_vanishing_leading_coordinate():
     S = np.array([[0.0, 1.0], [0.0, 0.0]])
-    jd = specan.jordan_structure(S)
+    jd = specan.jordan_structure(S, specan.eigen(S))
     coeffs = {0: choose_block_coefficients(2, 1.0 + 0j)}
     # Cc = [0, 1] makes (Cc, S) undetectable: leading Jordan coordinate is 0
     with pytest.raises(SynthesisError):
