@@ -126,7 +126,7 @@ def cmd_verify(args):
         print(f"combined_pair_detectable = {combined}")
 
     im = synth.InternalModel.from_controller(_internal_model(sf, lin))
-    flags = synth.verify_conditions(lin, im)
+    flags = synth.verify_conditions(lin, im, absc)
     checks.add("internal_model_detectable", flags.detectable, "-")
     checks.add("internal_model_spectrum_on_axis", flags.spectrum_on_axis, "-")
     for z, g in sorted(flags.tf_values.items(), key=lambda t: t[0].imag):
@@ -135,8 +135,7 @@ def cmd_verify(args):
     checks.add("transfer_function_nonzero", flags.tf_nonzero, min_g)
 
     if sf.controller is not None:
-        A_cl = synth.closed_loop_matrix(lin, im)
-        cl_absc = specan.spectral_abscissa(A_cl)
+        cl_absc = specan.spectral_abscissa(synth.closed_loop_matrix(lin, im))
         checks.add("closed_loop_stable", cl_absc < 0, cl_absc)
 
     if sf.regulator_solution is not None:
@@ -156,6 +155,13 @@ def cmd_verify(args):
 
 
 def cmd_synthesize(args):
+    for option, value, ok, rule in (
+            ("--eps0", args.eps0, 0 < args.eps0 < math.inf, "finite EPS0 > 0"),
+            ("--factor", args.factor, 0 < args.factor < 1, "0 < FACTOR < 1"),
+            ("--max-halvings", args.max_halvings, args.max_halvings >= 0, "MAX_HALVINGS >= 0"),
+            ("--margin", args.margin, 0 <= args.margin < math.inf, "finite MARGIN >= 0")):
+        if not ok:
+            raise synth.SynthesisError(f"{option}: need {rule}, got {value:g}")
     sf = _load_system(args.system)
     _require_plant(sf, "synthesize")
     checks = _Checks()

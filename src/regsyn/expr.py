@@ -370,14 +370,15 @@ _DERIVATIVES = {  # f -> f'(u)
 def diff(e, var):
     """Symbolic derivative of e with respect to the variable var.
 
-    Subtrees free of var differentiate to Num(0), zero terms and unit
-    factors fold away, and a denominator constant in var stays one
-    division.  Powers use the power rule when the exponent is free of var
-    and a^b * (b' log(a) + b a'/a) otherwise."""
-    if var not in free_vars(e):
-        return _ZERO
+    Visits each node once: zero terms and unit factors fold away, so a
+    subtree free of var differentiates to Num(0), and a denominator constant
+    in var stays one division.  Powers use the power rule when the exponent
+    is free of var and a^b * (b' log(a) + b a'/a) otherwise.  Nothing
+    differentiates twice, so a call to sign or log raises KeyError."""
     if isinstance(e, Var):
-        return _ONE
+        return _ONE if e.name == var else _ZERO
+    if isinstance(e, (Num, Const)):
+        return _ZERO
     if isinstance(e, Neg):
         return _neg(diff(e.arg, var))
     if isinstance(e, Call):

@@ -91,28 +91,23 @@ class ImmersionMap:
         return cls(p, _as_exprs(tau), _as_exprs(phi), expr.parse(lam))
 
 
-def _along_exosystem(maps, exo):
-    """d maps / dw * s(w): the derivative of each map along the exosystem,
-    one expression per map."""
+def _max_residuals(maps, fields, at, output, exo, samples):
+    """Max over samples of ||d maps/dw s(w) - fields(at(w))||_inf and
+    |output(w)|, with every expression compiled once.  A NaN residual
+    makes its maximum NaN."""
     wv = w_names(exo.p)
-    return [reduce(expr._add, [expr._mul(expr.diff(m, w), s) for w, s in zip(wv, exo.s)])
-            for m in maps]
-
-
-def _max_residuals(dynamics, output, p, samples):
-    """Max over samples of ||dynamics(w)||_inf and |output(w)|, with every
-    expression compiled once."""
-    fn = expr.compile_fn(list(dynamics) + [output], w_names(p))
-    r1 = r2 = 0.0
-    for w in samples:
-        w = np.asarray(w, dtype=float)
+    dynamics = [Bin("-", reduce(expr._add, [expr._mul(expr.diff(m, w), s)
+                                            for w, s in zip(wv, exo.s)]),
+                    expr.substitute(f, at)) for m, f in zip(maps, fields)]
+    fn = expr.compile_fn(dynamics + [output], wv)
+    rows = []
+    for w in np.asarray(samples, dtype=float).tolist():
         try:
-            *dyn, out = fn(*w.tolist())
+            rows.append(fn(*w))
         except expr.EvalError as exc:
-            raise RegulatorError(f"evaluation failed at w = {w.tolist()}: {exc}") from exc
-        r1 = max(r1, float(np.max(np.abs(dyn))))
-        r2 = max(r2, abs(out))
-    return r1, r2
+            raise RegulatorError(f"evaluation failed at w = {w}: {exc}") from exc
+    rows = np.abs(np.array(rows))
+    return float(np.max(rows[:, :-1])), float(np.max(rows[:, -1]))
 
 
 def regulator_residual(sol: RegulatorSolution, plant: PlantModel,
@@ -123,9 +118,8 @@ def regulator_residual(sol: RegulatorSolution, plant: PlantModel,
     residual2 = max | h(pi(w), gamma(w), w) |
     """
     at_sol = dict(zip(x_names(plant.n), sol.pi), u=sol.gamma)
-    dynamics = [Bin("-", lie, expr.substitute(f, at_sol))
-                for lie, f in zip(_along_exosystem(sol.pi, exo), plant.f)]
-    return _max_residuals(dynamics, expr.substitute(plant.h, at_sol), exo.p, samples)
+    return _max_residuals(sol.pi, plant.f, at_sol, expr.substitute(plant.h, at_sol),
+                          exo, samples)
 
 
 def immersion_residual(im: ImmersionMap, exo: ExosystemModel, gamma: Expr, samples):
@@ -135,10 +129,8 @@ def immersion_residual(im: ImmersionMap, exo: ExosystemModel, gamma: Expr, sampl
     residual2 = max | gamma(w) - lambda(tau(w)) |
     """
     at_tau = dict(zip(xi_names(len(im.tau)), im.tau))
-    dynamics = [Bin("-", lie, expr.substitute(phi, at_tau))
-                for lie, phi in zip(_along_exosystem(im.tau, exo), im.phi)]
-    return _max_residuals(dynamics, Bin("-", gamma, expr.substitute(im.lam, at_tau)),
-                          exo.p, samples)
+    return _max_residuals(im.tau, im.phi, at_tau,
+                          Bin("-", gamma, expr.substitute(im.lam, at_tau)), exo, samples)
 
 
 # ------------------------------------------------------------ boost model

@@ -70,7 +70,7 @@ class ConditionFlags:
 
 @dataclass(frozen=True)
 class SynthesisReport:
-    """Outcome of synthesize; eps, Bc, A_cl and abscissa are set on success."""
+    """Outcome of synthesize; eps, Bc and abscissa are set on success."""
 
     success: bool
     flags: ConditionFlags
@@ -78,7 +78,6 @@ class SynthesisReport:
     coefficients: dict = field(default_factory=dict)  # block index j -> a_j1..a_jmj
     eps: float | None = None
     Bc: np.ndarray | None = None
-    A_cl: np.ndarray | None = None
     abscissa: float | None = None
 
 
@@ -92,11 +91,12 @@ def closed_loop_matrix(lin: LinearizedData, im: InternalModel) -> np.ndarray:
     return np.vstack([top, bot])
 
 
-def verify_conditions(lin: LinearizedData, im: InternalModel) -> ConditionFlags:
-    """Report on: A Hurwitz, (Lambda, Phi) detectable, G(p) != 0 at every
-    imaginary-axis eigenvalue p of Phi, and whether spec(Phi) lies on the
-    imaginary axis."""
-    plant_stable = specan.spectral_abscissa(lin.A) < 0
+def verify_conditions(lin: LinearizedData, im: InternalModel,
+                      plant_abscissa: float) -> ConditionFlags:
+    """Report on: A Hurwitz (from the caller's spectral abscissa of A),
+    (Lambda, Phi) detectable, G(p) != 0 at every imaginary-axis eigenvalue
+    p of Phi, and whether spec(Phi) lies on the imaginary axis."""
+    plant_stable = plant_abscissa < 0
     sp = specan.eigen(im.Phi)
     detectable = specan.hautus_detectable(im.Lambda, im.Phi, sp)
     on_axis = all(abs(v.real) <= sp.radius for v in sp.eigenvalues)
@@ -165,7 +165,10 @@ def build_Bc(jd: JordanData, Cc, eps: float, coeffs: dict) -> np.ndarray:
                 f"block {j}: leading Jordan coordinate of Cc vanishes "
                 "(detectability violated numerically)")
         b_blk = np.zeros(m, dtype=complex)
-        b_blk[m - 1] = -(eps ** m) * a[m - 1] / c[0]
+        try:
+            b_blk[m - 1] = -(eps ** m) * a[m - 1] / c[0]
+        except OverflowError:
+            raise SynthesisError(f"block {j}: eps^{m} overflows at eps = {eps:.17g}") from None
         for k in range(m - 1, 0, -1):  # k = m-1 .. 1 (1-based)
             acc = a[k - 1] * eps ** k
             for ell in range(2, m - k + 2):
@@ -178,7 +181,7 @@ def build_Bc(jd: JordanData, Cc, eps: float, coeffs: dict) -> np.ndarray:
             s += m
     Bc = jd.T @ b_hat
     imag_resid = float(np.max(np.abs(Bc.imag)))
-    if imag_resid > 1e-8 * (1.0 + float(np.max(np.abs(Bc.real)))):
+    if not imag_resid <= 1e-8 * (1.0 + float(np.max(np.abs(Bc.real)))):
         raise SynthesisError(f"imaginary residue {imag_resid} in Bc too large")
     return np.real(Bc).reshape(-1, 1)
 
@@ -191,7 +194,7 @@ def synthesize(lin: LinearizedData, im: InternalModel, eps0=1.0, factor=0.5,
     function nonzero) and spec(Phi) on the imaginary axis; Cc := Lambda.
     The scan is sequential so the first success is deterministic.
     """
-    flags = verify_conditions(lin, im)
+    flags = verify_conditions(lin, im, specan.spectral_abscissa(lin.A))
     if not flags.all_pass:
         failed = [n for n, ok in (("plant_stable", flags.plant_stable),
                                   ("detectable", flags.detectable),
@@ -219,11 +222,9 @@ def synthesize(lin: LinearizedData, im: InternalModel, eps0=1.0, factor=0.5,
             Bc = build_Bc(jd, im.Lambda, eps, coeffs)
         except SynthesisError as exc:
             return SynthesisReport(False, flags, str(exc), coeffs)
-        A_cl = closed_loop_matrix(lin, replace(im, Bc=Bc))
-        absc = specan.spectral_abscissa(A_cl)
+        absc = specan.spectral_abscissa(closed_loop_matrix(lin, replace(im, Bc=Bc)))
         if absc < -margin:
-            return SynthesisReport(True, flags, coefficients=coeffs, eps=eps, Bc=Bc,
-                                   A_cl=A_cl, abscissa=absc)
+            return SynthesisReport(True, flags, coefficients=coeffs, eps=eps, Bc=Bc, abscissa=absc)
         eps *= factor
     return SynthesisReport(False, flags,
                            f"no stabilizing eps found in {max_halvings} halvings", coeffs)

@@ -6,6 +6,7 @@ so a plain `pytest -s` run doubles as an acceptance report.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,14 +198,15 @@ def test_criterion_8_synthesis_soundness():
             Q=np.zeros((1, p)), S=S)
         Cc = rng.uniform(0.5, 2.0, (1, p)) * rng.choice([-1.0, 1.0], p)
         im = internal_model(S, Cc)
-        flags = synth.verify_conditions(lin, im)
+        flags = synth.verify_conditions(lin, im, specan.spectral_abscissa(lin.A))
         if not flags.all_pass or min(abs(g) for g in flags.tf_values.values()) < 1e-3:
             continue
         trials += 1
         rep = synth.synthesize(lin, im)
         if rep.success:
             successes += 1
-            if np.max(np.linalg.eigvals(rep.A_cl).real) >= 0:
+            A_cl = synth.closed_loop_matrix(lin, replace(im, Bc=rep.Bc))
+            if np.max(np.linalg.eigvals(A_cl).real) >= 0:
                 false_successes += 1
     rate = successes / trials
     ok = false_successes == 0 and rate >= 0.95

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regsyn import cli, examples, model, regeq, specan, synth
+from regsyn import cli, examples, expr, model, regeq, specan, synth
 
 
 _SUBPROCESS_ENV = {**os.environ,
@@ -502,6 +502,23 @@ def test_controller_differentiated_once(capsys, monkeypatch, command):
     assert len(calls) == 1
 
 
+def test_diff_is_one_pass(monkeypatch):
+    # diff folds a subtree free of the variable to 0 on its own, so it never
+    # asks which variables a subtree holds
+    sf = examples.get("example53").load()
+    calls = []
+    free_vars = expr.free_vars
+
+    def spy(e):
+        calls.append(e)
+        return free_vars(e)
+
+    monkeypatch.setattr(expr, "free_vars", spy)
+    model.linearize(sf.plant, sf.exo)
+    model.controller_jacobians(sf.controller)
+    assert calls == []
+
+
 def _key(M):
     M = np.asarray(M, dtype=float)
     return M.shape, M.tobytes()
@@ -528,10 +545,9 @@ def test_each_matrix_analysed_once(capsys, monkeypatch, name):
     keys.clear()
     assert _run(capsys, "verify", name)[0] == 0
     counts = Counter(keys)
-    # once per role: verify checks A before the internal model exists and
-    # verify_conditions checks it again, and an internal model that copies
-    # the exosystem has Phi equal to S bit for bit
-    twice = {_key(lin.A)} | ({_key(Phi)} if _key(Phi) == _key(lin.S) else set())
+    # once per role: an internal model that copies the exosystem has Phi
+    # equal to S bit for bit, and verify analyses S and Phi apart
+    twice = {_key(Phi)} if _key(Phi) == _key(lin.S) else set()
     assert _key(Phi) in counts
     assert counts == {k: 2 if k in twice else 1 for k in counts}
 
@@ -586,6 +602,23 @@ _NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
     pytest.param(("verify", "FILE"), _EXAMPLE51.replace("pi2 = w1", "pi2 = w1 + sqrt(w1)"),
                  2, ("CHECK transfer_function_nonzero PASS 1",),
                  "error: evaluation failed at w = [", id="verify-residual-eval-error"),
+    # 0 at the origin and NaN (inf - inf) at every other sample
+    pytest.param(("verify", "FILE"), _EXAMPLE51.replace(
+                     "pi2 = w1", "pi2 = w1 + (1e308*w1*1e10 - 1e308*w1*1e10)"),
+                 1, ("CHECK regulator_residual_dynamics FAIL nan",), "",
+                 id="verify-nan-residual"),
+    pytest.param(("synthesize", "FILE", "--margin", "-1"), _EXAMPLE51, 2, "",
+                 "error: --margin: need finite MARGIN >= 0, got -1\n",
+                 id="synthesize-negative-margin"),
+    pytest.param(("synthesize", "FILE", "--eps0", "1e200"), _EXAMPLE51, 1,
+                 ("CHECK synthesis FAIL block 0: eps^2 overflows at eps = "
+                  "9.9999999999999997e+199",), "", id="synthesize-overflowing-eps0"),
+    pytest.param(("synthesize", "FILE", "--factor", "nan"), _EXAMPLE51, 2, "",
+                 "error: --factor: need 0 < FACTOR < 1, got nan\n",
+                 id="synthesize-nan-factor"),
+    pytest.param(("synthesize", "FILE", "--max-halvings", "-5"), _EXAMPLE51, 2, "",
+                 "error: --max-halvings: need MAX_HALVINGS >= 0, got -5\n",
+                 id="synthesize-negative-halvings"),
     pytest.param(("verify", "FILE"), examples.get("example52").text.split(
                      "[regulator_solution]")[0], 0,
                  ("note: [immersion] present without [regulator_solution]; "

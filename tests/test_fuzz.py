@@ -1,5 +1,6 @@
 """Property tests of outside input: a built-in dump with one value replaced,
-and extreme values of `[params]`, `--cell`, `--T`, `--dt` and `--ic`.
+and extreme values of `[params]`, `--cell`, `--T`, `--dt`, `--ic` and the
+synthesis options.
 
 Whatever the input, every command must end in exit status 0, 1 or 2 with
 no exception escaping `cli.main`, and a rejected input must be named in
@@ -129,6 +130,23 @@ def _simulate_runs(draw):
     return examples.get("example51").text, argv
 
 
+# each synthesis option drawn from the extremes or its default; argparse
+# itself refuses a --max-halvings that is not an integer
+_SYNTHESIS_EXTREMES = ("nan", "inf", "-1", "0", "1e200")
+_SYNTHESIS_OPTIONS = {"--eps0": _SYNTHESIS_EXTREMES + ("1",),
+                      "--factor": _SYNTHESIS_EXTREMES + ("0.5",),
+                      "--max-halvings": ("-1", "0", "40"),
+                      "--margin": _SYNTHESIS_EXTREMES + ("1e-6",)}
+
+
+@st.composite
+def _synthesize_runs(draw):
+    argv = ["synthesize", "FILE"]
+    for option, values in _SYNTHESIS_OPTIONS.items():
+        argv.append(f"{option}={draw(st.sampled_from(values))}")
+    return examples.get(draw(st.sampled_from(examples.names()))).text, argv
+
+
 def _noting_eval_errors(raised):
     """cli.simulate, appending to raised each evaluation error of the model."""
     simulate = cli.simulate
@@ -144,7 +162,7 @@ def _noting_eval_errors(raised):
 
 @hypothesis.settings(max_examples=200, deadline=None,
                      suppress_health_check=[hypothesis.HealthCheck.too_slow])
-@hypothesis.given(st.one_of(_boost_runs(), _simulate_runs()))
+@hypothesis.given(st.one_of(_boost_runs(), _simulate_runs(), _synthesize_runs()))
 @hypothesis.example((examples.get("example51").text,
                      ["simulate", "FILE", "--T=1", "--dt=1e-3", "--ic=nan,inf,0,0,0,0"]))
 def test_extreme_option_values_never_escape(run):
@@ -166,7 +184,8 @@ def test_extreme_option_values_never_escape(run):
         # besides the options and the file, a message may name a circle by
         # its --cell values, or be the model's own evaluation error in the
         # middle of a run (as test_cli.py::test_simulate_eval_error_mid_run)
-        named = tuple(f"error: {n}" for n in (path, "--T/--dt:", "--ic", "--cell:"))
+        named = tuple(f"error: {n}" for n in (path, "--T/--dt:", "--ic", "--cell:",
+                                              *(f"{o}:" for o in _SYNTHESIS_OPTIONS)))
         message = err.getvalue()
         assert (message.startswith(named) or " at (w1, rho) = (" in message
                 or raised), (argv, message)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,7 +63,7 @@ def test_closed_loop_matrix_block_layout():
 def test_verify_conditions_quartic_example():
     lin = _example51_lin()
     im = internal_model([[0, 1], [0, 0]], [2.0, 1.0])
-    flags = verify_conditions(lin, im)
+    flags = verify_conditions(lin, im, specan.spectral_abscissa(lin.A))
     assert flags.all_pass
     assert flags.tf_values[0j] == pytest.approx(1.0)
 
@@ -70,20 +72,20 @@ def test_verify_conditions_flags_failures():
     # unstable plant
     lin = _lin([[1.0]], [1.0], [1.0], [0.0], [[0.0]])
     im = internal_model([[0.0]], [1.0])
-    assert not verify_conditions(lin, im).plant_stable
+    assert not verify_conditions(lin, im, specan.spectral_abscissa(lin.A)).plant_stable
     # transfer function zero at the internal model frequency:
     # G(z) = z/(z+1)^2 vanishes at z = 0
     lin2 = _lin([[0, 1], [-1, -2]], [0, 1], [0, 1], [0.0], [[0.0]])
-    flags2 = verify_conditions(lin2, im)
+    flags2 = verify_conditions(lin2, im, specan.spectral_abscissa(lin2.A))
     assert not flags2.tf_nonzero
     # undetectable internal model
     im3 = internal_model([[0, 0], [0, 0]], [1.0, 0.0])
     lin3 = _lin([[-1.0]], [1.0], [1.0], [0.0], [[0.0, 0.0], [0.0, 0.0]])
-    assert not verify_conditions(lin3, im3).detectable
+    assert not verify_conditions(lin3, im3, specan.spectral_abscissa(lin3.A)).detectable
     # off-axis internal model spectrum
     im4 = internal_model([[-1.0]], [1.0])
     lin4 = _lin([[-1.0]], [1.0], [1.0], [0.0], [[0.0]])
-    assert not verify_conditions(lin4, im4).spectrum_on_axis
+    assert not verify_conditions(lin4, im4, specan.spectral_abscissa(lin4.A)).spectrum_on_axis
 
 
 def test_choose_block_coefficients_simple():
@@ -177,7 +179,8 @@ def test_synthesize_quartic_example():
     assert rep.success
     assert rep.eps is not None and rep.eps > 0
     assert rep.abscissa < -1e-6
-    assert specan.spectral_abscissa(rep.A_cl) == pytest.approx(rep.abscissa)
+    A_cl = closed_loop_matrix(lin, replace(im, Bc=rep.Bc))
+    assert specan.spectral_abscissa(A_cl) == pytest.approx(rep.abscissa)
     assert rep.Bc.shape == (2, 1)
 
 
@@ -226,7 +229,7 @@ def test_synthesize_soundness_randomized():
         lin = _lin(A, B, C, D, S)
         Cc = rng.uniform(0.5, 2.0, (1, p)) * rng.choice([-1.0, 1.0], p)
         im = internal_model(S, Cc)
-        flags = verify_conditions(lin, im)
+        flags = verify_conditions(lin, im, specan.spectral_abscissa(lin.A))
         if not flags.all_pass:
             continue  # G vanished at a frequency; not a well-posed case
         if min(abs(g) for g in flags.tf_values.values()) < 1e-3:
@@ -236,5 +239,6 @@ def test_synthesize_soundness_randomized():
         if rep.success:
             successes += 1
             # no false successes: re-check stability independently
-            assert np.max(np.linalg.eigvals(rep.A_cl).real) < 0
+            A_cl = closed_loop_matrix(lin, replace(im, Bc=rep.Bc))
+            assert np.max(np.linalg.eigvals(A_cl).real) < 0
     assert successes >= 0.95 * trials
