@@ -448,13 +448,15 @@ _NAMESPACE = {"_pi": math.pi, "_inf": math.inf, "_nan": math.nan,
               **{f"_f_{name}": impl for name, impl in _FUNC_IMPL.items()}}
 
 
-def _define(name, params, body):
+def _define(name, params, body, what):
     """exec `def name(*params)` around the source lines of body.
 
     The body runs inside one try block that turns the exceptions of inline
     arithmetic and of the math functions into the EvalError messages of
     evaluate(): ZeroDivisionError becomes "division by zero", ValueError
-    and OverflowError keep their text."""
+    and OverflowError keep their text.  Source that CPython refuses (more
+    than 200 nested parentheses, or nesting too deep for its compiler) is
+    an ExprError naming what, the thing being compiled."""
     lines = "\n".join("        " + line for line in body)
     src = (f"def {name}({', '.join(params)}):\n"
            f"    try:\n{lines}\n"
@@ -463,21 +465,28 @@ def _define(name, params, body):
            f"    except (ValueError, OverflowError) as exc:\n"
            f"        raise _EvalError(str(exc)) from exc\n")
     ns = dict(_NAMESPACE)
-    exec(src, ns)
+    try:
+        exec(src, ns)
+    except SyntaxError as exc:
+        raise ExprError(f"cannot compile {what}: {exc.msg}") from None
+    except RecursionError:
+        raise ExprError(f"cannot compile {what}: nesting too deep") from None
     return ns[name]
 
 
-def compile_fn(exprs, var_order):
+def compile_fn(exprs, var_order, what="expressions"):
     """Compile expressions into a fast positional function.
 
     Returns f(v0, v1, ...) with arguments in var_order.  A single expression
     compiles to a scalar-valued function, a list to a tuple-valued one.
     Values and EvalError messages match evaluate() exactly: the generated
-    code does the same float operations in the same order.
+    code does the same float operations in the same order.  what names the
+    expressions in the ExprError of source that CPython refuses.
     """
     single = not isinstance(exprs, (list, tuple))
     items = [exprs] if single else list(exprs)
     argmap = {name: f"_a{i}" for i, name in enumerate(var_order)}
     bodies = [_codegen(e, argmap) for e in items]
     body = bodies[0] if single else "(" + ", ".join(bodies) + ("," if len(bodies) == 1 else "") + ")"
-    return _define("_compiled", [argmap[name] for name in var_order], [f"return {body}"])
+    return _define("_compiled", [argmap[name] for name in var_order], [f"return {body}"],
+                   what)

@@ -30,14 +30,15 @@ from .sim import _write_csv
 DENOM_GUARD = 1e-12
 # A pass of _periodic_orbits integrates every row of the grid on the array
 # body while more than FLOAT_CELLS cells are active, else each active cell
-# alone on the float body.  At ode_steps = 2000 on a 2-vCPU x86 VM one array
-# pass costs as much as 50 float orbits on 1-80 rows and 70 on the 399 rows
-# of the default 21x21 grid (94-135 ms against 1.9 ms), so the float body
-# wins from about that many active cells down.  Raw solve of that grid,
-# best of 3 in each of two sweeps: 1.45-1.49 s array only, 1.78-2.18 s
-# float only, 0.63-0.91 s switching at 40, 80 or 120 active cells (after
-# pass 2 or 3 of 10).
-FLOAT_CELLS = 80
+# alone on the float body.  At ode_steps = 2000 on a 2-vCPU x86 VM, timed
+# interleaved (best of 5), one array pass costs as much as 37-41 float
+# orbits on 10-80 rows, 44 on 160 and 51 on the 399 rows of the default
+# 21x21 grid (56-76 ms against 1.4-1.5 ms), so the float body wins from
+# about 40 active cells down.  Raw solve of that grid, best of 3: 0.85 s
+# array only, 1.53 s float only, 0.51-0.53 s switching at 40 to 120 active
+# cells and 0.57-0.61 s at 20 or 30.  At 40 the grid runs 3 array passes
+# (1197 rows) and 158 float orbits.
+FLOAT_CELLS = 40
 
 
 class RegulatorError(Exception):
@@ -91,15 +92,15 @@ class ImmersionMap:
         return cls(p, _as_exprs(tau), _as_exprs(phi), expr.parse(lam))
 
 
-def _max_residuals(maps, fields, at, output, exo, samples):
+def _max_residuals(maps, fields, at, output, exo, samples, what):
     """Max over samples of ||d maps/dw s(w) - fields(at(w))||_inf and
-    |output(w)|, with every expression compiled once.  A NaN residual
-    makes its maximum NaN."""
+    |output(w)|, with every expression compiled once (what names them in
+    a compile error).  A NaN residual makes its maximum NaN."""
     wv = w_names(exo.p)
     dynamics = [Bin("-", reduce(expr._add, [expr._mul(expr.diff(m, w), s)
                                             for w, s in zip(wv, exo.s)]),
                     expr.substitute(f, at)) for m, f in zip(maps, fields)]
-    fn = expr.compile_fn(dynamics + [output], wv)
+    fn = expr.compile_fn(dynamics + [output], wv, what)
     rows = []
     for w in np.asarray(samples, dtype=float).tolist():
         try:
@@ -119,7 +120,7 @@ def regulator_residual(sol: RegulatorSolution, plant: PlantModel,
     """
     at_sol = dict(zip(x_names(plant.n), sol.pi), u=sol.gamma)
     return _max_residuals(sol.pi, plant.f, at_sol, expr.substitute(plant.h, at_sol),
-                          exo, samples)
+                          exo, samples, "the regulator equation residuals")
 
 
 def immersion_residual(im: ImmersionMap, exo: ExosystemModel, gamma: Expr, samples):
@@ -130,7 +131,8 @@ def immersion_residual(im: ImmersionMap, exo: ExosystemModel, gamma: Expr, sampl
     """
     at_tau = dict(zip(xi_names(len(im.tau)), im.tau))
     return _max_residuals(im.tau, im.phi, at_tau,
-                          Bin("-", gamma, expr.substitute(im.lam, at_tau)), exo, samples)
+                          Bin("-", gamma, expr.substitute(im.lam, at_tau)), exo, samples,
+                          "the immersion residuals")
 
 
 # ------------------------------------------------------------ boost model
@@ -267,20 +269,44 @@ def _integrate_circle(psi0, w1, rho, params: BoostParams, steps, cos, out=None):
         orbit[...] = samples
         return orbit
 
-    def rhs(p, c):
-        denom = aL * (p + z20)
-        num = r * p * p + b_lin * p + c_con + zr * c
-        return np.where(denom < DENOM_GUARD, np.nan, num / denom)
+    # every buffer and operand is made once at the row shape, so a step
+    # runs only ufuncs writing into preallocated arrays; the operations and
+    # their order are those of the float body
+    shape = np.shape(psi0)
+    psi = np.array(psi0, dtype=float)
+    r, z20, aL, b_lin, c_con, zr, guard, two, half, h, sixth = (
+        np.broadcast_to(v, shape).astype(float) for v in
+        (r, z20, aL, b_lin, c_con, zr, DENOM_GUARD, 2.0, half, h, sixth))
+    num, tmp, den, p, k1, k2, k3, k4 = (np.empty(shape) for _ in range(8))
+    mask = np.empty(shape, dtype=bool)
 
-    psi = np.asarray(psi0, dtype=float)
+    def rhs(p, c, k):
+        np.add(p, z20, tmp)
+        np.multiply(aL, tmp, den)
+        np.multiply(r, p, num)
+        np.multiply(num, p, num)
+        np.multiply(b_lin, p, tmp)
+        np.add(num, tmp, num)
+        np.add(num, c_con, num)
+        np.multiply(zr, c, tmp)
+        np.add(num, tmp, num)
+        np.divide(num, den, k)
+        np.copyto(k, np.nan, where=np.less(den, guard, mask))
+
     orbit[..., 0] = psi
     with np.errstate(invalid="ignore", divide="ignore"):
         for k, (c1, c2, c4) in enumerate(zip(stages, stages, stages), 1):
-            k1 = rhs(psi, c1)
-            k2 = rhs(psi + half * k1, c2)
-            k3 = rhs(psi + half * k2, c2)
-            k4 = rhs(psi + h * k3, c4)
-            psi = psi + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rhs(psi, c1, k1)
+            np.add(psi, np.multiply(half, k1, p), p)
+            rhs(p, c2, k2)
+            np.add(psi, np.multiply(half, k2, p), p)
+            rhs(p, c2, k3)
+            np.add(psi, np.multiply(h, k3, p), p)
+            rhs(p, c4, k4)
+            np.add(k1, np.multiply(two, k2, tmp), tmp)
+            np.add(tmp, np.multiply(two, k3, num), tmp)
+            np.add(tmp, k4, tmp)
+            np.add(psi, np.multiply(sixth, tmp, tmp), psi)
             orbit[..., k] = psi
     return orbit
 
@@ -442,7 +468,7 @@ def solve_boost_grid(params: BoostParams, n_w1=21, n_rho=21, ode_steps=2000,
 
 def pde_residual(boost: BoostSolution):
     """Max normalized residual of the quasilinear regulator PDE, NaN when no
-    column has an interior converged cell.
+    column has an interior converged cell or any residual is NaN.
 
     The partial derivatives of pi2 with respect to w2 and w3 are
     reconstructed from the (rho, tau) parametrization by central
@@ -450,7 +476,7 @@ def pde_residual(boost: BoostSolution):
     residual at each point is normalized by (1 + |w1| + rho).
     """
     pr = boost.params
-    worst = math.nan
+    worst = []
     n_tau = boost.ode_steps
     tau = boost.tau_grid[:-1]
     cos_t, sin_t = np.cos(tau), np.sin(tau)
@@ -467,7 +493,12 @@ def pde_residual(boost: BoostSolution):
             w1 = cells[j].w1
             pj = psi[j]
             dpsi_drho = (psi[j + 1] - psi[j - 1]) / (2.0 * drho)
-            dpsi_dtau = (np.roll(pj, -1) - np.roll(pj, 1)) * n_tau / (4.0 * math.pi)
+            # pj[i + 1] - pj[i - 1] with i taken modulo n_tau
+            dpj = np.empty(n_tau)
+            dpj[1:-1] = pj[2:] - pj[:-2]
+            dpj[0] = pj[1 % n_tau] - pj[-1]
+            dpj[-1] = pj[0] - pj[-2 % n_tau]
+            dpsi_dtau = dpj * n_tau / (4.0 * math.pi)
             dpi_dw2 = cos_t * dpsi_drho - sin_t / rho * dpsi_dtau
             dpi_dw3 = sin_t * dpsi_drho + cos_t / rho * dpsi_dtau
             w2, w3 = rho * cos_t, rho * sin_t
@@ -476,8 +507,9 @@ def pde_residual(boost: BoostSolution):
             resid = ((pr.D0 + pr.L / pr.z10 * bracket) * pj
                      + pr.z20 * pr.L / pr.z10 * bracket - w2)
             scale = 1.0 + abs(w1) + rho
-            worst = float(np.fmax(worst, float(np.max(np.abs(resid))) / scale))
-    return worst
+            worst.append(float(np.max(np.abs(resid))) / scale)
+    # NaN if any cell's residual is NaN
+    return float(np.max(worst)) if worst else math.nan
 
 
 # ---------------------------------------------------------------- exports

@@ -96,7 +96,8 @@ def _rk4_kernel(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel):
              for i in range(dim)]
     body = ["half = dt / 2.0", "sixth = dt / 6.0", "for k in range(steps + 1):",
             *("    " + line for line in loop), "return -1"]
-    return _define("_rk4", state + ["steps", "dt", "out", "e_out", "u_out"], body)
+    return _define("_rk4", state + ["steps", "dt", "out", "e_out", "u_out"], body,
+                   "the closed-loop RK4 kernel")
 
 
 def simulate(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,

@@ -166,14 +166,18 @@ def build_Bc(jd: JordanData, Cc, eps: float, coeffs: dict) -> np.ndarray:
                 "(detectability violated numerically)")
         b_blk = np.zeros(m, dtype=complex)
         try:
-            b_blk[m - 1] = -(eps ** m) * a[m - 1] / c[0]
+            # an overflow is reported by the finiteness check below
+            with np.errstate(over="ignore", invalid="ignore"):
+                b_blk[m - 1] = -(eps ** m) * a[m - 1] / c[0]
+                for k in range(m - 1, 0, -1):  # k = m-1 .. 1 (1-based)
+                    acc = a[k - 1] * eps ** k
+                    for ell in range(2, m - k + 2):
+                        acc += c[ell - 1] * b_blk[(ell + k - 1) - 1]
+                    b_blk[k - 1] = -acc / c[0]
         except OverflowError:
             raise SynthesisError(f"block {j}: eps^{m} overflows at eps = {eps:.17g}") from None
-        for k in range(m - 1, 0, -1):  # k = m-1 .. 1 (1-based)
-            acc = a[k - 1] * eps ** k
-            for ell in range(2, m - k + 2):
-                acc += c[ell - 1] * b_blk[(ell + k - 1) - 1]
-            b_blk[k - 1] = -acc / c[0]
+        if not np.all(np.isfinite(b_blk)):
+            raise SynthesisError(f"block {j}: Bc overflows at eps = {eps:.17g}")
         b_hat[s:s + m] = b_blk
         s += m
         if alpha > 0:
@@ -217,7 +221,11 @@ def synthesize(lin: LinearizedData, im: InternalModel, eps0=1.0, factor=0.5,
     except SynthesisError as exc:
         return SynthesisReport(False, flags, str(exc))
     eps = eps0
-    for _ in range(max_halvings + 1):
+    for halvings in range(max_halvings + 1):
+        if eps == 0:
+            # Bc = 0 from here on: the same closed loop at every later trial
+            return SynthesisReport(False, flags,
+                                   f"eps underflows to 0 after {halvings} halvings", coeffs)
         try:
             Bc = build_Bc(jd, im.Lambda, eps, coeffs)
         except SynthesisError as exc:

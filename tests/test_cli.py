@@ -576,6 +576,10 @@ def test_builtin_output_is_pinned(capsys, command, name):
 
 
 _EXAMPLE51 = examples.get("example51").text
+_EXAMPLE52 = examples.get("example52").text
+# a flat sum of 250 terms: the generated source nests more than the 200
+# parentheses CPython's parser accepts
+_DEEP_SUM = _EXAMPLE51.replace("f1 = x2 - w1", "f1 = x2 - w1" + " + 0*x1" * 250)
 # u does not enter f, so the linear regulator equations have no solution
 _NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
              "[exosystem]\np = 2\ns1 = w2\ns2 = -w1\n")
@@ -619,7 +623,20 @@ _NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
     pytest.param(("synthesize", "FILE", "--max-halvings", "-5"), _EXAMPLE51, 2, "",
                  "error: --max-halvings: need MAX_HALVINGS >= 0, got -5\n",
                  id="synthesize-negative-halvings"),
-    pytest.param(("verify", "FILE"), examples.get("example52").text.split(
+    # eps reaches 0 after 79 halvings; every later trial would repeat it
+    pytest.param(("synthesize", "FILE", "--eps0", "1e-300", "--max-halvings", "30000"),
+                 _EXAMPLE52, 1, ("CHECK synthesis FAIL eps underflows to 0 after 79 halvings",),
+                 "", id="synthesize-eps-underflow"),
+    pytest.param(("synthesize", "FILE", "--eps0", "1e308"), _EXAMPLE52, 1,
+                 ("CHECK synthesis FAIL block 0: Bc overflows at eps = 1e+308",), "",
+                 id="synthesize-overflowing-bc"),
+    pytest.param(("verify", "FILE"), _DEEP_SUM, 2, ("CHECK transfer_function_nonzero PASS 1",),
+                 "error: cannot compile the regulator equation residuals: "
+                 "too many nested parentheses\n", id="verify-deep-generated-source"),
+    pytest.param(("simulate", "FILE", "--T", "0.01"), _DEEP_SUM, 2, "",
+                 "error: cannot compile the closed-loop RK4 kernel: "
+                 "too many nested parentheses\n", id="simulate-deep-generated-source"),
+    pytest.param(("verify", "FILE"), _EXAMPLE52.split(
                      "[regulator_solution]")[0], 0,
                  ("note: [immersion] present without [regulator_solution]; "
                   "immersion residual not evaluated",), "", id="verify-immersion-alone"),

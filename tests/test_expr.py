@@ -92,6 +92,17 @@ def test_non_finite_literals_compile():
     assert compile_fn(parse("x1 - 1e999"), ("x1",))(0.0) == -math.inf
 
 
+def test_refused_source_is_an_expr_error():
+    # CPython's parser refuses more than 200 nested parentheses and its
+    # compiler a flat sum of 3000 terms; both name what was being compiled
+    deep = parse("x1" + " + 0*x1" * 250)
+    with pytest.raises(expr.ExprError,
+                       match=r"^cannot compile the sum: too many nested parentheses$"):
+        compile_fn(deep, ("x1",), "the sum")
+    with pytest.raises(expr.ExprError, match=r"^cannot compile a flat sum: nesting too deep$"):
+        expr._define("f", ["a"], ["return a" + " + 1.0" * 3000], "a flat sum")
+
+
 def test_free_vars():
     assert free_vars(parse("x1 + sin(w2)*u - pi")) == {"x1", "w2", "u"}
     assert free_vars(parse("1 + 2")) == set()

@@ -194,6 +194,62 @@ def test_circle_bodies_agree(w1, rho, start):
     assert np.array_equal(solo, ref, equal_nan=True)
 
 
+def _allocating_circle(psi0, w1, rho, steps):
+    """The array body as it was before it ran in place: a fresh array for
+    every operation and the np.where guard, with the stage-cosine table."""
+    pr = PARAMS
+    h = 2.0 * math.pi / steps
+    half, sixth = 0.5 * h, h / 6.0
+    aL, z20, r = pr.alpha * pr.L, pr.z20, pr.r
+    b_lin = r * z20 - w1 - pr.D0 * pr.z10
+    c_con = -z20 * w1
+    zr = pr.z10 * rho
+    stages = iter(regeq._stage_cosines(steps))
+
+    def rhs(p, c):
+        denom = aL * (p + z20)
+        num = r * p * p + b_lin * p + c_con + zr * c
+        return np.where(denom < regeq.DENOM_GUARD, np.nan, num / denom)
+
+    psi = np.asarray(psi0, dtype=float)
+    orbit = np.empty(psi.shape + (steps + 1,))
+    orbit[..., 0] = psi
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k, (c1, c2, c4) in enumerate(zip(stages, stages, stages), 1):
+            k1 = rhs(psi, c1)
+            k2 = rhs(psi + half * k1, c2)
+            k3 = rhs(psi + half * k2, c2)
+            k4 = rhs(psi + h * k3, c4)
+            psi = psi + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            orbit[..., k] = psi
+    return orbit
+
+
+def test_in_place_array_body_matches_allocating_body():
+    # every start of the default 21x21 grid, one row that trips the guard
+    # at once and one that escapes mid-orbit: the same bits, NaN included,
+    # and the starts are not written
+    w1max, rho_max = admissible_domain(PARAMS)
+    rows = []
+    for w1 in np.linspace(-0.95 * w1max, 0.95 * w1max, 21):
+        rmax = rho_max(float(w1))
+        for rho in np.linspace(0.0, 0.95 * rmax, 21) if rmax > 0 else ():
+            psi1, psi2 = psi_bounds(float(w1), float(rho), PARAMS)
+            rows.append((0.5 * (psi1 + psi2), w1, rho))
+    assert len(rows) == 399
+    rows += [(-PARAMS.z20 + 1e-13, 0.0, 0.3), (-PARAMS.z20 + 0.05, 0.0, 2.0)]
+    start, w1, rho = (np.array(v) for v in zip(*rows))
+    before = start.copy()
+    got = _circle(start, w1, rho, 2000)
+    want = _allocating_circle(start, w1, rho, 2000)
+    assert np.array_equal(start.view(np.int64), before.view(np.int64))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.all(np.isfinite(got[:-2]))
+    assert np.all(np.isnan(got[-2, 1:]))
+    escape = np.flatnonzero(np.isnan(got[-1]))
+    assert 100 < escape[0] < 2000 and np.all(np.isnan(got[-1, escape[0]:]))
+
+
 def test_admissible_domain_shape():
     w1max, rho_max = admissible_domain(PARAMS)
     assert w1max == pytest.approx(PARAMS.D0 * PARAMS.z10 - PARAMS.r * PARAMS.z20)
@@ -302,6 +358,16 @@ def test_pde_residual_detects_corruption(boost_grid):
     assert r_bad >= 10 * max(r_good, 1e-4)
 
 
+def test_pde_residual_is_nan_sticky(boost_grid):
+    # one NaN sample of one orbit makes the whole residual NaN, so the
+    # boost_pde_residual check cannot pass on the other cells
+    bad = copy.deepcopy(boost_grid)
+    cell = bad.cells[len(bad.cells) // 2][5]
+    cell.orbit = cell.orbit.copy()
+    cell.orbit[7] = math.nan
+    assert math.isnan(pde_residual(bad))
+
+
 def test_grid_and_orbit_csv(tmp_path, boost_grid):
     grid_path = tmp_path / "psi0_grid.csv"
     write_grid_csv(boost_grid, grid_path)
@@ -401,6 +467,23 @@ def test_boost_grid_matches_solo_cells(monkeypatch):
             assert np.array_equal(c.gamma, recover_gamma(orbit, c.w1, c.rho, PARAMS))
             seen += 1
         assert seen >= 15
+
+
+def test_default_grid_switch_point(monkeypatch):
+    # the default 21x21 grid runs three array passes of its 399 rows while
+    # more than FLOAT_CELLS = 40 cells are active, then 158 float orbits
+    assert regeq.FLOAT_CELLS == 40
+    real_circle, rows = regeq._integrate_circle, []
+
+    def circle(psi0, *args, **kwargs):
+        rows.append(np.size(psi0) if np.ndim(psi0) else 0)
+        return real_circle(psi0, *args, **kwargs)
+
+    monkeypatch.setattr(regeq, "_integrate_circle", circle)
+    grid = solve_boost_grid(PARAMS)
+    assert all(c.converged for col in grid.cells for c in col if c.present)
+    assert [n for n in rows if n] == [399, 399, 399]
+    assert rows.count(0) == 158
 
 
 def test_boost_grid_max_iter_freezes_cells(monkeypatch):
