@@ -269,7 +269,8 @@ def cmd_boost(args):
         raise regeq.RegulatorError(f"--ode-steps must be >= 1, got {args.ode_steps}")
     if args.cell:  # orbit, gamma and tau of every cell
         option, per_step = "--ode-steps", 3 * len(args.cell)
-    else:  # the orbit and gamma of every cell
+    else:  # the orbit of every cell; a second row per cell bounds
+        # pde_residual's copy of a column and its temporaries
         option = "--grid-w1/--grid-rho/--ode-steps"
         per_step = 2 * args.grid_w1 * args.grid_rho
     _check_budget(option, args.ode_steps + 1, per_step + BOOST_STEP_FLOATS)
@@ -295,9 +296,9 @@ def cmd_boost(args):
             psi0, orbit, iters = 0.0, np.zeros(args.ode_steps + 1), 0
         else:
             psi0, orbit, iters = regeq.solve_psi0(w1, rho, params, ode_steps=args.ode_steps)
-        gamma = regeq.recover_gamma(orbit, w1, rho, params)
-        cells.append(regeq.BoostCell(w1=w1, rho=rho, present=True, converged=True,
-                                     psi0=psi0, iters=iters, orbit=orbit, gamma=gamma))
+        cells.append((regeq.BoostCell(w1=w1, rho=rho, present=True, converged=True,
+                                      psi0=psi0, iters=iters, orbit=orbit),
+                      regeq.recover_gamma(orbit, w1, rho, params)))
     boost = None if args.cell else regeq.solve_boost_grid(
         params, n_w1=args.grid_w1, n_rho=args.grid_rho, ode_steps=args.ode_steps)
     checks.add("boost_equilibrium", True, params.D0)
@@ -307,10 +308,10 @@ def cmd_boost(args):
     os.makedirs(args.out, exist_ok=True)
 
     if args.cell:
-        for cell in cells:
+        for cell, gamma in cells:
             tag = f"{_cell_tag(cell.w1)}_{_cell_tag(cell.rho)}"
             name = f"orbit_{tag}.csv"
-            regeq.write_orbit_csv(cell, args.ode_steps, os.path.join(args.out, name))
+            regeq.write_orbit_csv(cell, gamma, args.ode_steps, os.path.join(args.out, name))
             checks.add(f"boost_cell_{tag}", True, cell.psi0)
             print(f"cell (w1={cell.w1:g}, rho={cell.rho:g}): psi0 = {cell.psi0:.17g}, "
                   f"{cell.iters} iterations -> {name}")

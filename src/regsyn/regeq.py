@@ -379,7 +379,6 @@ class BoostCell:
     psi0: float = math.nan
     iters: int = 0
     orbit: np.ndarray | None = None   # psi(tau_k), len ode_steps + 1
-    gamma: np.ndarray | None = None   # gamma(tau_k)
     psi1: float = math.nan
     psi2: float = math.nan
     message: str = ""
@@ -398,17 +397,23 @@ class BoostSolution:
         return np.linspace(0.0, 2.0 * math.pi, self.ode_steps + 1)
 
 
+def _gamma_denominator(orbit, w1, rho, params: BoostParams):
+    """psi + z20 on the orbit, the denominator of gamma; raises unless
+    (psi + z20) * alpha * L stays at or above DENOM_GUARD everywhere."""
+    denom = orbit + params.z20
+    if np.any(denom * params.alpha * params.L < DENOM_GUARD):
+        raise RegulatorError("orbit too close to psi = -z20 for gamma recovery "
+                             f"at (w1, rho) = ({w1}, {rho})")
+    return denom
+
+
 def recover_gamma(orbit, w1, rho, params: BoostParams):
     """Feedforward gamma(tau) = (rho*cos(tau) - D0*psi) / (psi + z20),
     eliminated from the algebraic regulator equation."""
     orbit = np.asarray(orbit, dtype=float)
-    pr = params
     tau = np.linspace(0.0, 2.0 * math.pi, orbit.shape[-1])
-    denom = orbit + pr.z20
-    if np.any(denom * pr.alpha * pr.L < DENOM_GUARD):
-        raise RegulatorError("orbit too close to psi = -z20 for gamma recovery "
-                             f"at (w1, rho) = ({w1}, {rho})")
-    return (rho * np.cos(tau) - pr.D0 * orbit) / denom
+    denom = _gamma_denominator(orbit, w1, rho, params)
+    return (rho * np.cos(tau) - params.D0 * orbit) / denom
 
 
 def solve_boost_grid(params: BoostParams, n_w1=21, n_rho=21, ode_steps=2000,
@@ -462,7 +467,9 @@ def solve_boost_grid(params: BoostParams, n_w1=21, n_rho=21, ode_steps=2000,
             cell.psi0 = float(psi0[k])
             cell.iters = int(iters[k])
             cell.orbit = orbit[k]
-            cell.gamma = recover_gamma(cell.orbit, cell.w1, cell.rho, params)
+            # gamma is left to recover_gamma, but a cell it would refuse
+            # fails the grid here
+            _gamma_denominator(cell.orbit, cell.w1, cell.rho, params)
     return BoostSolution(params, w1s, rho_grid, columns, ode_steps)
 
 
@@ -522,9 +529,10 @@ def write_grid_csv(boost: BoostSolution, path):
                [np.array(rows, dtype=float).reshape(-1, 5)])
 
 
-def write_orbit_csv(cell: BoostCell, ode_steps, path):
-    """CSV with header tau,psi,gamma for one converged cell."""
+def write_orbit_csv(cell: BoostCell, gamma, ode_steps, path):
+    """CSV with header tau,psi,gamma for one converged cell, gamma being
+    recover_gamma of its orbit."""
     if not cell.converged:
         raise RegulatorError("cannot export an unconverged cell")
     tau = np.linspace(0.0, 2.0 * math.pi, ode_steps + 1)
-    _write_csv(path, ["tau", "psi", "gamma"], [tau, cell.orbit, cell.gamma])
+    _write_csv(path, ["tau", "psi", "gamma"], [tau, cell.orbit, gamma])

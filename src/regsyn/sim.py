@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import _codegen, _define, _literal
+from .expr import EvalError, _codegen, _define, _literal
 from .model import ControllerModel, ExosystemModel, PlantModel, w_names, x_names, xi_names
 
 DIVERGENCE_CAP = 1e6
@@ -54,7 +54,8 @@ def _check_grid(T, dt):
     return int(round(T / dt))
 
 
-def _rk4_kernel(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel):
+def _rk4_kernel(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
+                stage_checks=False):
     """Generate the RK4 loop of the closed loop.
 
     The generated function takes the initial state as scalars, then steps,
@@ -64,7 +65,10 @@ def _rk4_kernel(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel):
     evaluated) and returns -1 once every row is written.  Each
     stage evaluates u, f, e, phi + Bc e and s in that order, as evaluate()
     would, so trajectories and EvalError messages are those of a
-    stage-by-stage evaluate() loop; stage 1 reuses the u and e of the row."""
+    stage-by-stage evaluate() loop; stage 1 reuses the u and e of the row.
+    With stage_checks, the step from row k also returns k + 1 as soon as
+    the input of its stage 2, 3 or 4 leaves that ball, before the stage
+    is evaluated; the checks change no value."""
     n = plant.n
     names = x_names(n) + xi_names(ctrl.nc) + w_names(exo.p)
     dim = len(names)
@@ -80,16 +84,20 @@ def _rk4_kernel(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel):
                 [f"e{j} = {_codegen(plant.h, env)}"],
                 [f"k{j}_{n + i} = {v}" for i, v in enumerate(rhs)])
 
+    def bounded(z):
+        # a NaN component fails every comparison, so it counts as diverged
+        return " and ".join(f"abs({v}) <= {_literal(DIVERGENCE_CAP)}" for v in z)
+
     state = [f"s{i}" for i in range(dim)]
     u, f, e, rest = stage(1, state)
-    # a NaN component fails every comparison, so it counts as diverged
-    bounded = " and ".join(f"abs({v}) <= {_literal(DIVERGENCE_CAP)}" for v in state)
-    loop = [f"out[k] = ({', '.join(state)},)", f"if not ({bounded}):", "    return k",
+    loop = [f"out[k] = ({', '.join(state)},)", f"if not ({bounded(state)}):", "    return k",
             *u, *e, "e_out[k] = e1", "u_out[k] = u1", "if k == steps:", "    break",
             *f, *rest]
     for j, step in ((2, "half"), (3, "half"), (4, "dt")):
         z = [f"y{j}_{i}" for i in range(dim)]
         loop += [f"{z[i]} = s{i} + {step} * k{j - 1}_{i}" for i in range(dim)]
+        if stage_checks:
+            loop += [f"if not ({bounded(z)}):", "    return k + 1"]
         for part in stage(j, z):
             loop += part
     loop += [f"s{i} = s{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
@@ -105,17 +113,27 @@ def simulate(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
     """RK4 on dx = f(x, lambda(xi), w), dxi = phi(xi) + Bc h(x, lambda(xi), w),
     dw = s(w).  Aborts when the state infinity-norm exceeds the divergence
     cap or the state is NaN (local results only cover small data; runaway
-    must fail loudly)."""
+    must fail loudly).  A step whose evaluation fails (an overflow, say)
+    after the input of one of its stages left the cap ball diverges at the
+    end of that step; any other evaluation error is raised."""
     n, nc, p = plant.n, ctrl.nc, exo.p
     x0, xi0, w0 = (np.asarray(v, dtype=float) for v in (x0, xi0, w0))
     if x0.shape != (n,) or xi0.shape != (nc,) or w0.shape != (p,):
         raise SimulationError("initial state dimensions do not match the models")
     steps = _check_grid(T, dt)
-    out = np.empty((steps + 1, n + nc + p))
+    out = np.full((steps + 1, n + nc + p), np.nan)   # NaN until written
     e_out = np.empty(steps + 1)
     u_out = np.empty(steps + 1)
-    k = _rk4_kernel(plant, exo, ctrl)(*np.concatenate([x0, xi0, w0]).tolist(),
-                                      steps, dt, out, e_out, u_out)
+    try:
+        k = _rk4_kernel(plant, exo, ctrl)(*np.concatenate([x0, xi0, w0]).tolist(),
+                                          steps, dt, out, e_out, u_out)
+    except EvalError:
+        # every row written is finite: re-run the step from the last one
+        # with its stage inputs checked, which locates a divergence or
+        # raises the same error again
+        k = np.count_nonzero(~np.isnan(out[:, 0])) - 1
+        k += _rk4_kernel(plant, exo, ctrl, stage_checks=True)(
+            *out[k].tolist(), 1, dt, out[k:k + 2], e_out[k:k + 2], u_out[k:k + 2])
     if k >= 0:
         raise DivergenceError(k * dt)
     t = np.arange(steps + 1) * dt

@@ -205,6 +205,17 @@ def test_simulate_nan_state_is_a_failed_check(capsys, ic):
     assert (status, out, err) == (1, "CHECK simulation_bounded FAIL 0\n", "")
 
 
+@pytest.mark.parametrize("argv, t", [
+    (("--T=1", "--dt=1e-3", "--ic=-1,-1,-1,-1,-1,-1"), "0.253"),
+    (("--T=1e300", "--dt=1e300"), "1.0000000000000001e+300"),
+])
+def test_simulate_overflow_in_a_step_is_a_failed_check(capsys, argv, t):
+    # w1^4 overflows inside one RK4 step after a stage input left the cap
+    # ball: a divergence at the end of that step, not an evaluation error
+    status, out, err = _run(capsys, "simulate", "example51", *argv)
+    assert (status, out, err) == (1, f"CHECK simulation_bounded FAIL {t}\n", "")
+
+
 def test_simulate_ic_must_be_numbers():
     proc = _cli("simulate", "example51", "--T", "1", "--ic", "1,2,x,0,0,0")
     assert proc.returncode == 2

@@ -11,11 +11,10 @@ import contextlib
 import io
 import os
 import tempfile
-from unittest import mock
 
 import pytest
 
-from regsyn import cli, examples, expr, sysfile
+from regsyn import cli, examples, sysfile
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -24,7 +23,13 @@ _DIMENSIONS = ("p", "n", "nc", "nu")
 _SIZES = ("-1", "0", "1", "2", "50")
 _EXPRESSIONS = ("0", "1", "-2.5", "x1", "x2", "w1", "w3", "xi1", "u", "x1^2",
                 "-x1 + u", "w1*xi2", "sin(w1)", "1/x1", "sqrt(x1)", "exp(x1)",
-                "x1 +", "(w1", "1e308*x1", "nan", "inf")
+                "x1 +", "(w1", "1e308*x1", "nan", "inf",
+                # near the parser's and the compiler's limits: CPython refuses
+                # source nested past 200 parentheses, which the generated code
+                # of a flat sum of 200 terms or of 200 nested calls reaches
+                *("x1" + " + 0*x1" * n for n in (150, 199, 200, 260)),
+                *(f"{head * n}x1{')' * n}" for head in ("(", "sin(", "-(")
+                  for n in (190, 199, 200)))
 _NUMBERS = ("0", "1", "-0.5", "1e308", "nan", "inf", "x1", "")
 _COMMANDS = (("verify",), ("synthesize",),
              ("simulate", "--T", "0.01", "--dt", "0.001"))
@@ -147,27 +152,18 @@ def _synthesize_runs(draw):
     return examples.get(draw(st.sampled_from(examples.names()))).text, argv
 
 
-def _noting_eval_errors(raised):
-    """cli.simulate, appending to raised each evaluation error of the model."""
-    simulate = cli.simulate
-
-    def spy(*args):
-        try:
-            return simulate(*args)
-        except expr.ExprError as exc:
-            raised.append(exc)
-            raise
-    return spy
-
-
 @hypothesis.settings(max_examples=200, deadline=None,
                      suppress_health_check=[hypothesis.HealthCheck.too_slow])
 @hypothesis.given(st.one_of(_boost_runs(), _simulate_runs(), _synthesize_runs()))
 @hypothesis.example((examples.get("example51").text,
                      ["simulate", "FILE", "--T=1", "--dt=1e-3", "--ic=nan,inf,0,0,0,0"]))
+# w1^4 overflows inside one RK4 step after a stage input left the cap ball
+@hypothesis.example((examples.get("example51").text,
+                     ["simulate", "FILE", "--T=1", "--dt=1e-3", "--ic=-1,-1,-1,-1,-1,-1"]))
+@hypothesis.example((examples.get("example51").text,
+                     ["simulate", "FILE", "--T=1e300", "--dt=1e300"]))
 def test_extreme_option_values_never_escape(run):
     text, argv = run
-    raised = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "system.sys")
         with open(path, "w", encoding="utf-8") as fh:
@@ -176,16 +172,14 @@ def test_extreme_option_values_never_escape(run):
         if argv[0] == "boost":
             argv += ["--out", os.path.join(tmp, "out")]
         err = io.StringIO()
-        with mock.patch.object(cli, "simulate", _noting_eval_errors(raised)), \
-                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             status = cli.main(argv)
     assert status in (0, 1, 2), (argv, status)
     if status == 2:
         # besides the options and the file, a message may name a circle by
-        # its --cell values, or be the model's own evaluation error in the
-        # middle of a run (as test_cli.py::test_simulate_eval_error_mid_run)
+        # its --cell values.  example51 has no evaluation error inside the
+        # cap ball, so no run of it ends in one
         named = tuple(f"error: {n}" for n in (path, "--T/--dt:", "--ic", "--cell:",
                                               *(f"{o}:" for o in _SYNTHESIS_OPTIONS)))
         message = err.getvalue()
-        assert (message.startswith(named) or " at (w1, rho) = (" in message
-                or raised), (argv, message)
+        assert message.startswith(named) or " at (w1, rho) = (" in message, (argv, message)

@@ -1,8 +1,10 @@
 import copy
 import csv
+import dataclasses
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -392,7 +394,8 @@ def test_grid_and_orbit_csv(tmp_path, boost_grid):
     cell = next(c for col in boost_grid.cells for c in col
                 if c.present and c.converged and c.rho > 0)
     orbit_path = tmp_path / "orbit.csv"
-    write_orbit_csv(cell, boost_grid.ode_steps, orbit_path)
+    gamma = recover_gamma(cell.orbit, cell.w1, cell.rho, PARAMS)
+    write_orbit_csv(cell, gamma, boost_grid.ode_steps, orbit_path)
     rows = orbit_path.read_text().splitlines()
     assert rows[0] == "tau,psi,gamma"
     assert len(rows) == boost_grid.ode_steps + 2
@@ -401,6 +404,7 @@ def test_grid_and_orbit_csv(tmp_path, boost_grid):
     assert first[0] == 0.0
     assert last[0] == pytest.approx(2 * math.pi)
     assert first[1] == pytest.approx(cell.psi0)
+    assert [float(v) for v in rows[-1].split(",")[1:]] == [cell.orbit[-1], gamma[-1]]
 
 
 def _reference_psi0(w1, rho, steps, max_iter=200):
@@ -438,7 +442,8 @@ def _cell_state(c):
     return (c.present, c.converged, c.iters, c.message,
             np.array([c.w1, c.rho, c.psi0]).tobytes(),
             None if c.orbit is None else c.orbit.tobytes(),
-            None if c.gamma is None else c.gamma.tobytes())
+            None if c.orbit is None else
+            recover_gamma(c.orbit, c.w1, c.rho, PARAMS).tobytes())
 
 
 def _assert_same_grids(grids):
@@ -464,7 +469,8 @@ def test_boost_grid_matches_solo_cells(monkeypatch):
             assert c.psi0 == psi0
             assert c.iters == iters
             assert np.array_equal(c.orbit, orbit)
-            assert np.array_equal(c.gamma, recover_gamma(orbit, c.w1, c.rho, PARAMS))
+            assert np.array_equal(recover_gamma(c.orbit, c.w1, c.rho, PARAMS),
+                                  recover_gamma(orbit, c.w1, c.rho, PARAMS))
             seen += 1
         assert seen >= 15
 
@@ -584,12 +590,51 @@ def test_boost_grid_switches_body_mid_run(monkeypatch):
             assert (c.psi0, c.iters) == (psi0, iters)
             assert np.array_equal(c.orbit, orbit)
             continue
-        assert c.iters == 0 and c.orbit is None and c.gamma is None
+        assert c.iters == 0 and c.orbit is None
+        assert not hasattr(c, "gamma")
         with pytest.raises(RegulatorError, match=re.escape(c.message)):
             solve_psi0(c.w1, c.rho, PARAMS, ode_steps=500, max_iter=8)
     cell = {(c.w1, c.rho): c for col in mid.cells for c in col}
     assert cell[escapes].message == "orbit escaped psi <= -z20"
     assert cell[grows].message == "no periodic orbit within 8 iterations"
+
+
+def test_boost_grid_holds_one_row_per_cell():
+    # cells carry no gamma (recover_gamma derives it from the orbit), so a
+    # returned grid holds little more than the bytes of its orbit rows
+    assert "gamma" not in {f.name for f in dataclasses.fields(regeq.BoostCell)}
+    tracemalloc.start()
+    try:
+        grid = solve_boost_grid(PARAMS, n_w1=5, n_rho=5, ode_steps=2000)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # every cell's orbit is a row of one array
+    bases = {id(c.orbit.base): c.orbit.base for col in grid.cells for c in col
+             if c.converged}
+    assert len(bases) == 1
+    assert held <= 1.2 * next(iter(bases.values())).nbytes
+
+
+def test_boost_grid_keeps_gamma_guard(monkeypatch):
+    # a converged orbit that recover_gamma would refuse fails the whole
+    # grid with recover_gamma's message, though the grid keeps no gamma
+    kw = dict(n_w1=5, n_rho=5, ode_steps=200)
+    cell = [c for col in solve_boost_grid(PARAMS, **kw).cells for c in col
+            if c.present][3]
+    assert cell.converged
+    real_orbits = regeq._periodic_orbits
+
+    def orbits(*args):
+        psi0, orbit, iters, escaped = real_orbits(*args)
+        orbit[3, 7] = -PARAMS.z20
+        return psi0, orbit, iters, escaped
+
+    monkeypatch.setattr(regeq, "_periodic_orbits", orbits)
+    with pytest.raises(RegulatorError) as info:
+        solve_boost_grid(PARAMS, **kw)
+    assert str(info.value) == ("orbit too close to psi = -z20 for gamma recovery "
+                               f"at (w1, rho) = ({cell.w1}, {cell.rho})")
 
 
 def test_boost_grid_needs_three_radii():

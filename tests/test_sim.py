@@ -295,6 +295,38 @@ def test_divergence_cap_precedes_the_row_outputs():
     assert got.value.t == 0.0
 
 
+@pytest.mark.parametrize("ic, T, dt, t", [
+    # row 252 is bounded (|w1| = 2999), the stage-2 input of the next step
+    # is 4e10 and w1^4 overflows in stage 3
+    (((-1.0, -1.0), (-1.0, -1.0), (-1.0, -1.0)), 1.0, 1e-3, 0.253),
+    # one giant step from the default initial condition
+    (None, 1e300, 1e300, 1e300),
+])
+def test_overflow_after_a_stage_leaves_the_cap_is_divergence(ic, T, dt, t):
+    sf, default_ic = _example("example51")
+    args = (sf.plant, sf.exo, sf.controller, *(ic or default_ic))
+    with pytest.raises(EvalError, match="Numerical result out of range"):
+        _ref_simulate(*args, T=T, dt=dt)
+    with pytest.raises(DivergenceError) as got:
+        simulate(*args, T=T, dt=dt)
+    assert got.value.t == t
+
+
+def test_stage_past_the_cap_without_error_runs_on():
+    # at dt*25 = 2.5 the stage-4 input of each step is -2.28 times the
+    # state, past the cap on the first steps, but the steps themselves
+    # contract: only a step that fails is checked stage by stage
+    plant = PlantModel.from_strings(["-25*x1 + u"], "x1", "0", 1)
+    exo = ExosystemModel.from_strings(["0"])
+    ctrl = ControllerModel.from_strings(["0"], "0", [0.0])
+    args = (plant, exo, ctrl, (0.9 * DIVERGENCE_CAP,), (0.0,), (0.0,))
+    traj = simulate(*args, T=1.0, dt=0.1)
+    ref = _ref_simulate(*args, T=1.0, dt=0.1)
+    for got, want in zip((traj.x, traj.xi, traj.w, traj.e, traj.u), ref):
+        assert np.array_equal(got, want)
+    assert 2.28 * abs(traj.x[0, 0]) > DIVERGENCE_CAP
+
+
 def test_bad_grid_rejected():
     sf, ic = _example("example51")
     with pytest.raises(SimulationError):
