@@ -13,6 +13,7 @@ passed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import inspect
 import math
@@ -62,6 +63,16 @@ def _check_budget(option, rows, per_row):
         raise sysfile.SysFileError(
             f"{option}: {rows:.4g} rows x {per_row} floats need {size:.4g} bytes, "
             f"over the memory budget of {MEMORY_BUDGET} bytes")
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Exit 2 (SysFileError) if the --out write inside fails."""
+    try:
+        yield
+    except OSError as exc:
+        raise sysfile.SysFileError(
+            f"--out: cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _load_system(arg) -> sysfile.SystemFile:
@@ -187,7 +198,8 @@ def cmd_synthesize(args):
     ctrl = model.ControllerModel(base.nc, base.phi, base.lam,
                                  tuple(float(v) for v in report.Bc.ravel()))
     if args.out:
-        sysfile.write_controller(ctrl, args.out)
+        with _writing(args.out):
+            sysfile.write_controller(ctrl, args.out)
         print(f"controller written to {args.out}")
     else:
         print(sysfile.controller_section(ctrl), end="")
@@ -242,7 +254,8 @@ def cmd_simulate(args):
     print(f"peak = {peak:.17g}")
     print(f"settle_fraction = {settle:.17g}")
     if args.out:
-        write_trajectory_csv(traj, args.out)
+        with _writing(args.out):
+            write_trajectory_csv(traj, args.out)
         print(f"trajectory written to {args.out}")
     return checks.status
 
@@ -305,20 +318,24 @@ def cmd_boost(args):
     print(f"D0 = {params.D0:.17g}")
     print(f"z20 = {params.z20:.17g}")
     print(f"w1max = {w1max:.17g}")
-    os.makedirs(args.out, exist_ok=True)
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
 
     if args.cell:
         for cell, gamma in cells:
             tag = f"{_cell_tag(cell.w1)}_{_cell_tag(cell.rho)}"
             name = f"orbit_{tag}.csv"
-            regeq.write_orbit_csv(cell, gamma, args.ode_steps, os.path.join(args.out, name))
+            path = os.path.join(args.out, name)
+            with _writing(path):
+                regeq.write_orbit_csv(cell, gamma, args.ode_steps, path)
             checks.add(f"boost_cell_{tag}", True, cell.psi0)
             print(f"cell (w1={cell.w1:g}, rho={cell.rho:g}): psi0 = {cell.psi0:.17g}, "
                   f"{cell.iters} iterations -> {name}")
         return checks.status
 
     grid_path = os.path.join(args.out, "psi0_grid.csv")
-    regeq.write_grid_csv(boost, grid_path)
+    with _writing(grid_path):
+        regeq.write_grid_csv(boost, grid_path)
     print(f"grid written to {grid_path}")
     n_fail = sum(1 for col in boost.cells for c in col if c.present and not c.converged)
     for col in boost.cells:

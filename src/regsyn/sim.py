@@ -11,8 +11,10 @@ every expression with expr.evaluate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -155,17 +157,140 @@ def decay_metrics(traj: Trajectory, window: float):
     return final_rms, peak, settle
 
 
-def _write_csv(path, header, columns, block=512):
+# values per CSV block: enough to repay numpy's per-call cost, few enough
+# to keep a block's arrays near 1 MB
+CSV_BLOCK_VALUES = 3000
+# slots of the digit region, and the rank of each of the 17 digits from 1
+_SLOT = np.arange(18, dtype=np.uint8)[:, None]
+_RANK1 = _SLOT[1:]
+_POW10_INT32 = 10 ** np.arange(8, -1, -1, dtype=np.int32)[:, None]
+# "0.000": zero k + 1 follows the point of values with E < -1 - k
+_ZEROS = np.array([[-1], [-2], [-3]], np.int16)
+
+
+@functools.cache
+def _pow10():
+    """Rows hi, hi_high, hi_low, lo at column k + 263 for k = -263..296:
+    hi + lo = 10**k with hi and lo each correctly rounded, and
+    hi_high + hi_low = hi split for Dekker's product."""
+    exact = [Fraction(10) ** k for k in range(-263, 297)]
+    hi = np.array([float(v) for v in exact])
+    lo = np.array([float(v - Fraction(h)) for v, h in zip(exact, hi.tolist())])
+    return np.stack([hi, *_split(hi), lo])
+
+
+def _split(a):
+    """Dekker's split of a into two halves of at most 26 bits."""
+    c = 134217729.0 * a     # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _certified_digits(v):
+    """(D, E, ok): wherever ok, |v| rounded to 17 significant digits is
+    D * 10**(E - 16) with 10**16 <= D < 10**17.  ok is false for zero,
+    subnormal, non-finite and |v| >= 1e280 values, wherever the rounding
+    of y = |v| * 10**(16 - E), computed as a double-double with an error
+    of about 1e-14, lies within 1e-9 of a tie, and wherever log10 put E
+    one off (y's floor outside [10**16, 10**17), or a rounding carry to
+    10**17, which a log10 within one bit of the truth never gives)."""
+    a = np.abs(v)
+    ok = (a > 1e-280) & (a < 1e280)
+    a = np.where(ok, a, 1.0)
+    E = np.clip(np.floor(np.log10(a)), -280, 279).astype(np.int64)
+    hi, hi_high, hi_low, lo = _pow10().take(279 - E, axis=1)
+    # Dekker's TwoProduct: p + err = a * hi exactly, so y = p + t
+    p = a * hi
+    a_high, a_low = _split(a)
+    t = (((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
+         + a * lo)
+    # where floor(y) >= 10**16, p > 2**53 is an integer, so
+    # floor(y) = p + floor(t)
+    whole = np.floor(t)
+    frac = t - whole
+    up = frac > 0.5
+    D = p.astype(np.int64) + whole.astype(np.int64)
+    ok &= (D >= 10**16) & (D + up < 10**17) & (np.abs(frac - 0.5) > 1e-9)
+    return D + up, E, ok
+
+
+def _encode_rows(table):
+    """The CSV rows of a 2-d float table: each value as "%.17g" % v,
+    separated by commas, each row ended by CRLF.
+
+    Each value owns 31 byte slots of one uint8 matrix, in order: sign, the
+    "0.000" of a fixed-point value below 1 (zero, point, three zeros), a
+    region of 18 slots for the 17 digits and the point, "e", the exponent
+    sign, three exponent digits, and the separator (one slot for ",", two
+    for CRLF).  An empty slot holds NUL, so dropping the NULs leaves the
+    text.  The notation is Python's %g: fixed for -4 <= E < 17, scientific
+    otherwise, trailing zeros and a bare point stripped.  Values without
+    certified digits other than zero go through "%.17g" one at a time."""
+    rows, cols = table.shape
+    v = table.ravel()
+    D, E, ok = _certified_digits(v)
+    zero = v == 0.0
+    # g[1:18]: the 17 digits of D from a 9-digit and an 8-digit int32 half
+    high = (D // 10**8).astype(np.int32)
+    low = (D - high * np.int64(10**8)).astype(np.int32)
+    q = np.concatenate([high // _POW10_INT32, low // _POW10_INT32[1:]])
+    q[1:9] -= 10 * q[0:8]
+    q[10:] -= 10 * q[9:16]
+    g = np.zeros((19, v.size), np.uint8)
+    g[1:18] = q
+    # significant digits: through the last nonzero one
+    last = np.max((g[1:18] != 0) * _RANK1, axis=0)
+    g[1:18] += np.uint8(ord("0"))
+    e = E.astype(np.int16)
+    fixed = ok & (e >= -4) & (e < 17)
+    sci = ok & ~fixed
+    small = fixed & (e < 0)
+    # shown digits: through the last significant one, and all E + 1 of a
+    # fixed-point value's integer part.  The point follows digit P (none
+    # at P = 17) and shows if a digit follows it.
+    shown = ok * np.maximum(last, fixed * (e + 1))
+    P = 17 - (fixed & ~small) * (17 - e) - sci * np.int16(17)
+    width = (shown + (P + 1 < shown)).astype(np.uint8)
+    P = P.astype(np.uint8)
+    m = np.zeros((31, v.size), np.uint8)
+    m[0] = (np.signbit(v) & (ok | zero)) * np.uint8(ord("-"))
+    m[1] = (small | zero) * np.uint8(ord("0"))
+    m[2] = small * np.uint8(ord("."))
+    m[3:6] = (small & (e < _ZEROS)) * np.uint8(ord("0"))
+    # region slot j: digit j up to the point, the point, then digit j - 1
+    # (uint8 arithmetic wraps, so a + mask * (b - a) selects b where mask)
+    region = m[6:24]
+    region[:] = g[:18]
+    region += (_SLOT <= P) * (g[1:] - g[:18])
+    region += (_SLOT == P + 1) * (np.uint8(ord(".")) - region)
+    region *= _SLOT < width
+    mag = np.abs(e)
+    tens = mag // 10
+    hundreds = tens // 10
+    m[24] = sci * np.uint8(ord("e"))
+    m[25] = sci * (ord("+") + 2 * (e < 0))
+    m[26] = (sci & (hundreds > 0)) * (hundreds + ord("0"))
+    m[27] = sci * (tens - 10 * hundreds + ord("0"))
+    m[28] = sci * (mag - 10 * tens + ord("0"))
+    m[29].reshape(rows, cols)[:] = [ord(",")] * (cols - 1) + [ord("\r")]
+    m[30].reshape(rows, cols)[:, -1] = ord("\n")
+    for j in np.flatnonzero(~ok & ~zero).tolist():
+        text = b"%.17g" % v[j]
+        m[:len(text), j] = np.frombuffer(text, np.uint8)
+    t = m.T
+    return t[t != 0]
+
+
+def _write_csv(path, header, columns):
     """CSV of equal-length columns (1-d, or 2-d for several at once) with
-    every value at 17 significant digits and CRLF line ends.  Rows are
-    formatted a block at a time, so no copy of the whole table is made."""
-    fmt = ",".join(["%.17g"] * len(header)) + "\r\n"
-    rows = len(columns[0])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, rows, block):
-            table = np.column_stack([c[start:start + block] for c in columns])
-            fh.write("".join([fmt % tuple(row) for row in table.tolist()]))
+    every value written as "%.17g" % v and CRLF line ends.  Rows are
+    encoded a block of about CSV_BLOCK_VALUES values at a time, so no copy
+    of the whole table is made."""
+    block = max(1, CSV_BLOCK_VALUES // len(header))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for start in range(0, len(columns[0]), block):
+            fh.write(_encode_rows(np.column_stack([c[start:start + block] for c in columns])))
 
 
 def write_trajectory_csv(traj: Trajectory, path):

@@ -651,14 +651,27 @@ _NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
                      "[regulator_solution]")[0], 0,
                  ("note: [immersion] present without [regulator_solution]; "
                   "immersion residual not evaluated",), "", id="verify-immersion-alone"),
+    # an --out that cannot be written (NODIR lies in a missing directory)
+    pytest.param(("simulate", "example51", "--T", "0.01", "--out", "NODIR"), "", 2,
+                 ("CHECK simulation_finite PASS -", "peak = 1"),
+                 "error: --out: cannot write NODIR: No such file or directory\n",
+                 id="simulate-unwritable-out"),
+    pytest.param(("synthesize", "example51", "--out", "NODIR"), "", 2,
+                 ("CHECK synthesis PASS -0.11797503167399112",),
+                 "error: --out: cannot write NODIR: No such file or directory\n",
+                 id="synthesize-unwritable-out"),
+    pytest.param(("boost", "--cell", "0", "0", "--out", "FILE"), "", 2,
+                 ("CHECK boost_equilibrium PASS 0.2474744871391589",),
+                 "error: --out: cannot write FILE: File exists\n", id="boost-out-is-a-file"),
 ])
 def test_cli_exit_paths(tmp_path, capsys, argv, text, status, out, err):
     # out is the whole stdout, or a tuple of lines it must contain; err is
     # the start of a stderr that is one line on exit 2 and empty otherwise
     path = tmp_path / "system.sys"
     path.write_text(text)
-    argv = [str(path) if a == "FILE" else a for a in argv]
-    if argv[0] == "boost":
+    nodir = tmp_path / "missing" / "out"
+    argv = [{"FILE": str(path), "NODIR": str(nodir)}.get(a, a) for a in argv]
+    if argv[0] == "boost" and "--out" not in argv:
         argv += ["--out", str(tmp_path / "out")]
     got_status, got_out, got_err = _run(capsys, *argv)
     assert got_status == status, got_err
@@ -666,5 +679,5 @@ def test_cli_exit_paths(tmp_path, capsys, argv, text, status, out, err):
         assert got_out == out
     else:
         assert set(out) <= set(got_out.splitlines()), got_out
-    assert got_err.startswith(err.replace("FILE", str(path)))
+    assert got_err.startswith(err.replace("FILE", str(path)).replace("NODIR", str(nodir)))
     assert got_err.count("\n") == (status == 2)

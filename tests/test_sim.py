@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from regsyn import examples, expr, sysfile
 from regsyn.expr import EvalError, evaluate
 from regsyn.model import (ControllerModel, ExosystemModel, PlantModel, w_names,
                           x_names, xi_names)
-from regsyn.sim import (DIVERGENCE_CAP, DivergenceError, SimulationError,
-                        Trajectory, _write_csv, decay_metrics, simulate,
-                        write_trajectory_csv)
+from regsyn.sim import (CSV_BLOCK_VALUES, DIVERGENCE_CAP, DivergenceError,
+                        SimulationError, Trajectory, _certified_digits, _write_csv,
+                        decay_metrics, simulate, write_trajectory_csv)
 
 from helpers import detect_period, exosystem_orbit
 
@@ -397,15 +398,30 @@ def test_trajectory_csv(tmp_path):
     assert row_last[1] == traj.x[-1, 0]
 
 
+def _reference_csv(header, table):
+    """The bytes of a CSV written with one "%.17g" % v per value."""
+    rows = [",".join(header)] + [",".join("%.17g" % v for v in row) for row in table.tolist()]
+    return "".join(row + "\r\n" for row in rows).encode()
+
+
 def test_block_csv_matches_csv_writer(tmp_path):
     # the rows a csv.writer with one f"{v:.17g}" per value wrote, for values
     # that format specially and for a table spanning several blocks
     special = [0.0, -0.0, 1e-310, -1.5e300, math.inf, -math.inf, math.nan,
-               0.1 + 0.2, 2.0 ** 53 + 1, -7.0]
-    a = np.array(special)
-    b = np.column_stack([a[::-1], np.arange(10.0)])
+               -math.nan, 0.1 + 0.2, 2.0 ** 53 + 1, -7.0, 2.0 ** 60,
+               # a rounding carry to 10**17
+               99999999999999999.0, 0.99999999999999999, 9.9999999999999999e-5,
+               -9.99999999999999999e22, 0.099999999999999999,
+               # the ends of fixed notation, and 3-digit exponents
+               1e-5, 1e-4, 1.5e-5, 1.5e-4, 1e16, 1e17, 1.5e16, 1.5e17,
+               1e-100, -2.5e-123, 1e100, 6.02e299, 1e279, 1e281,
+               # an exact tie, which rounds half to even
+               1000000000000000.25, 1000000000000000.75]
+    a = np.array(special * 100)
+    b = np.column_stack([a[::-1], np.arange(len(a), dtype=float)])
+    assert len(a) * 3 > 2 * CSV_BLOCK_VALUES
     path = tmp_path / "block.csv"
-    _write_csv(path, ["a", "b1", "b2"], [a, b], block=4)
+    _write_csv(path, ["a", "b1", "b2"], [a, b])
     ref = tmp_path / "ref.csv"
     with open(ref, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -413,3 +429,37 @@ def test_block_csv_matches_csv_writer(tmp_path):
         for row in np.column_stack([a, b]):
             writer.writerow([f"{v:.17g}" for v in row])
     assert path.read_bytes() == ref.read_bytes()
+    assert path.read_bytes() == _reference_csv(["a", "b1", "b2"], np.column_stack([a, b]))
+
+
+def test_csv_matches_percent_format_on_random_bits(tmp_path):
+    # 10**5 random float64 bit patterns, and each power of ten with its
+    # two neighbours: certified digits and the per-value fallback both
+    # give the bytes of "%.17g" % v
+    bits = np.random.default_rng(2019).integers(0, 2**64, 10**5, dtype=np.uint64)
+    powers = 10.0 ** np.arange(-300, 300)
+    values = np.concatenate([bits.view(np.float64), powers,
+                             np.nextafter(powers, 0.0), np.nextafter(powers, math.inf)])
+    table = values.reshape(-1, 4)
+    path = tmp_path / "bits.csv"
+    _write_csv(path, list("abcd"), [table])
+    assert path.read_bytes() == _reference_csv(list("abcd"), table)
+    _, _, ok = _certified_digits(values)
+    fallback = ~ok & (values != 0.0)
+    assert np.count_nonzero(ok) > 8 * 10**4 and np.count_nonzero(fallback) > 10**4
+
+
+def test_csv_writer_memory(tmp_path):
+    # a 4001 x 11 table is encoded a block at a time: the writer's peak
+    # allocation stays near one block's arrays, not a copy of the table
+    rng = np.random.default_rng(7)
+    table = rng.standard_normal((4001, 11)) * 10.0 ** rng.uniform(-8, 8, (4001, 11))
+    header = [f"c{i}" for i in range(11)]
+    _write_csv(tmp_path / "warm.csv", header, [table])
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path / "table.csv", header, [table])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
