@@ -404,6 +404,7 @@ def _reference_csv(header, table):
     return "".join(row + "\r\n" for row in rows).encode()
 
 
+@pytest.mark.filterwarnings("error")
 def test_block_csv_matches_csv_writer(tmp_path):
     # the rows a csv.writer with one f"{v:.17g}" per value wrote, for values
     # that format specially and for a table spanning several blocks
@@ -432,6 +433,7 @@ def test_block_csv_matches_csv_writer(tmp_path):
     assert path.read_bytes() == _reference_csv(["a", "b1", "b2"], np.column_stack([a, b]))
 
 
+@pytest.mark.filterwarnings("error")
 def test_csv_matches_percent_format_on_random_bits(tmp_path):
     # 10**5 random float64 bit patterns, and each power of ten with its
     # two neighbours: certified digits and the per-value fallback both
