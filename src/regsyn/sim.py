@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -171,11 +170,15 @@ _ZEROS = np.array([[-1], [-2], [-3]], np.int16)
 @functools.cache
 def _pow10():
     """Rows hi, hi_high, hi_low, lo at column k + 263 for k = -263..296:
-    hi + lo = 10**k with hi and lo each correctly rounded, and
-    hi_high + hi_low = hi split for Dekker's product."""
-    exact = [Fraction(10) ** k for k in range(-263, 297)]
-    hi = np.array([float(v) for v in exact])
-    lo = np.array([float(v - Fraction(h)) for v, h in zip(exact, hi.tolist())])
+    hi + lo = 10**k with hi and lo each correctly rounded (int / int is),
+    and hi_high + hi_low = hi split for Dekker's product."""
+    table = []
+    for k in range(-263, 297):
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        hi = num / den
+        n, d = hi.as_integer_ratio()
+        table.append((hi, (num * d - n * den) / (den * d)))
+    hi, lo = np.array(table).T
     return np.stack([hi, *_split(hi), lo])
 
 
@@ -230,14 +233,16 @@ def _encode_rows(table):
     v = table.ravel()
     D, E, ok = _certified_digits(v)
     zero = v == 0.0
-    # g[1:18]: the 17 digits of D from a 9-digit and an 8-digit int32 half
+    # g[1:18]: the 17 digits of D from a 9-digit and an 8-digit int32
+    # half; digit j is prefix j less 10 times prefix j - 1, which uint8
+    # arithmetic (mod 256) gets right from the prefixes mod 256
     high = (D // 10**8).astype(np.int32)
     low = (D - high * np.int64(10**8)).astype(np.int32)
-    q = np.concatenate([high // _POW10_INT32, low // _POW10_INT32[1:]])
-    q[1:9] -= 10 * q[0:8]
-    q[10:] -= 10 * q[9:16]
     g = np.zeros((19, v.size), np.uint8)
-    g[1:18] = q
+    g[1:10] = high // _POW10_INT32
+    g[10:18] = low // _POW10_INT32[1:]
+    g[2:10] -= np.uint8(10) * g[1:9]
+    g[11:18] -= np.uint8(10) * g[10:17]
     # significant digits: through the last nonzero one
     last = np.max((g[1:18] != 0) * _RANK1, axis=0)
     g[1:18] += np.uint8(ord("0"))
