@@ -157,7 +157,7 @@ def decay_metrics(traj: Trajectory, window: float):
 
 
 # values per CSV block: enough to repay numpy's per-call cost, few enough
-# to keep a block's arrays near 1 MB
+# to keep a block's arrays under 0.5 MB
 CSV_BLOCK_VALUES = 3000
 # slots of the digit region, and the rank of each of the 17 digits from 1
 _SLOT = np.arange(18, dtype=np.uint8)[:, None]
@@ -251,10 +251,11 @@ def _encode_rows(table):
     sci = ok & ~fixed
     small = fixed & (e < 0)
     # shown digits: through the last significant one, and all E + 1 of a
-    # fixed-point value's integer part.  The point follows digit P (none
-    # at P = 17) and shows if a digit follows it.
+    # fixed-point value's integer part.  The point follows digit P (E in
+    # fixed notation from 1 up, 0 in scientific, none at P = 17) and
+    # shows if a digit follows it.
     shown = ok * np.maximum(last, fixed * (e + 1))
-    P = 17 - (fixed & ~small) * (17 - e) - sci * np.int16(17)
+    P = np.where(fixed & ~small, e, np.where(sci, 0, 17))
     width = (shown + (P + 1 < shown)).astype(np.uint8)
     P = P.astype(np.uint8)
     m = np.zeros((31, v.size), np.uint8)
