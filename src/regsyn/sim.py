@@ -191,12 +191,12 @@ def _split(a):
 
 def _certified_digits(v):
     """(D, E, ok): wherever ok, |v| rounded to 17 significant digits is
-    D * 10**(E - 16) with 10**16 <= D < 10**17.  ok is false for zero,
-    subnormal, non-finite and |v| >= 1e280 values, wherever the rounding
-    of y = |v| * 10**(16 - E), computed as a double-double with an error
-    of about 1e-14, lies within 1e-9 of a tie, and wherever log10 put E
-    one off (y's floor outside [10**16, 10**17), or a rounding carry to
-    10**17, which a log10 within one bit of the truth never gives)."""
+    D * 10**(E - 16) with 10**16 <= D < 10**17.  ok is false for |v| <=
+    1e-280 (zero and subnormals included), |v| >= 1e280 and non-finite v,
+    where the double-double y = |v| * 10**(16 - E) (error about 1e-14)
+    rounds within 1e-9 of a tie, and where log10 put E one off (floor(y)
+    outside [10**16, 10**17), or a carry to 10**17, which a log10 within
+    one bit of the truth never gives)."""
     a = np.abs(v)
     ok = (a > 1e-280) & (a < 1e280)
     a = np.where(ok, a, 1.0)
