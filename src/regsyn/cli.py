@@ -32,9 +32,10 @@ SAMPLE_COUNT = 100
 # bytes of float64 samples one command may hold: checked before any work,
 # from the sizes the options ask for
 MEMORY_BUDGET = 2**30
-# floats per RK4 step that a boost solve holds besides its cells' rows:
-# regeq._stage_cosines' table (t and the cosine array, then a list of three
-# Python floats at 32 bytes each) and the float body's list of samples
+# floats per RK4 step that a boost command holds besides its cells' rows:
+# while solving, regeq._stage_cosines' table (t and the cosine array, then
+# a list of three Python floats at 32 bytes each) and the float body's list
+# of samples; then pde_residual's temporaries besides its copy of a column
 BOOST_STEP_FLOATS = 20
 
 
@@ -282,10 +283,9 @@ def cmd_boost(args):
         raise regeq.RegulatorError(f"--ode-steps must be >= 1, got {args.ode_steps}")
     if args.cell:  # orbit, gamma and tau of every cell
         option, per_step = "--ode-steps", 3 * len(args.cell)
-    else:  # the orbit of every cell; a second row per cell bounds
-        # pde_residual's copy of a column and its temporaries
+    else:  # the orbit of every cell and pde_residual's copy of a column
         option = "--grid-w1/--grid-rho/--ode-steps"
-        per_step = 2 * args.grid_w1 * args.grid_rho
+        per_step = (args.grid_w1 + 1) * args.grid_rho
     _check_budget(option, args.ode_steps + 1, per_step + BOOST_STEP_FLOATS)
     checks = _Checks()
     params = _boost_params(args.params)

@@ -448,8 +448,9 @@ _NAMESPACE = {"_pi": math.pi, "_inf": math.inf, "_nan": math.nan,
               **{f"_f_{name}": impl for name, impl in _FUNC_IMPL.items()}}
 
 
-def _define(name, params, body, what):
-    """exec `def name(*params)` around the source lines of body.
+def _define(name, params, body, what, **names):
+    """exec `def name(*params)` around the source lines of body, with the
+    given names bound in its namespace next to the helpers of _codegen.
 
     The body runs inside one try block that turns the exceptions of inline
     arithmetic and of the math functions into the EvalError messages of
@@ -464,7 +465,7 @@ def _define(name, params, body, what):
            f"        raise _EvalError('division by zero') from None\n"
            f"    except (ValueError, OverflowError) as exc:\n"
            f"        raise _EvalError(str(exc)) from exc\n")
-    ns = dict(_NAMESPACE)
+    ns = {**_NAMESPACE, **names}
     try:
         exec(src, ns)
     except SyntaxError as exc:

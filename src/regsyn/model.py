@@ -163,11 +163,15 @@ class LinearizedData:
 def jacobian(exprs, vars_, point):
     """Exact Jacobian of a vector expression map at point (the values of
     vars_): each entry d exprs[i] / d vars_[j] is differentiated once by
-    expr.diff and evaluated."""
+    expr.diff and evaluated.  An entry whose variable exprs[i] does not
+    contain is 0.0, the value of the Num(0) that diff folds it to."""
     env = dict(zip(vars_, map(float, point)))
-    J = np.empty((len(exprs), len(vars_)))
+    J = np.zeros((len(exprs), len(vars_)))
     for i, e in enumerate(exprs):
+        names = expr.free_vars(e)
         for j, name in enumerate(vars_):
+            if name not in names:
+                continue
             try:
                 J[i, j] = expr.evaluate(expr.diff(e, name), env)
             except expr.EvalError as exc:

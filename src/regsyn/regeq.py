@@ -526,7 +526,7 @@ def write_grid_csv(boost: BoostSolution, path):
     rows = [(c.w1, c.rho, c.psi0, c.converged, c.iters)
             for col in boost.cells for c in col if c.present]
     _write_csv(path, ["w1", "rho", "psi0", "converged", "iters"],
-               [np.array(rows, dtype=float).reshape(-1, 5)])
+               np.array(rows, dtype=float).reshape(-1, 5))
 
 
 def write_orbit_csv(cell: BoostCell, gamma, ode_steps, path):
@@ -535,4 +535,4 @@ def write_orbit_csv(cell: BoostCell, gamma, ode_steps, path):
     if not cell.converged:
         raise RegulatorError("cannot export an unconverged cell")
     tau = np.linspace(0.0, 2.0 * math.pi, ode_steps + 1)
-    _write_csv(path, ["tau", "psi", "gamma"], [tau, cell.orbit, gamma])
+    _write_csv(path, ["tau", "psi", "gamma"], np.column_stack([tau, cell.orbit, gamma]))

@@ -3,16 +3,17 @@
 Integrates the forced nonlinear closed loop (plant + exosystem +
 controller) and computes error decay metrics.  One code generator
 (_rk4_kernel) turns the model expressions into a single Python function
-per system that runs all four RK4 stages over scalar locals and writes the
-trajectory into preallocated arrays.  The integrator is deterministic:
-identical inputs produce bit-identical trajectories, equal to evaluating
-every expression with expr.evaluate.
+per system that runs all four RK4 stages over scalar locals and packs
+each row into one preallocated table in CSV column order.  The
+integrator is deterministic: identical inputs produce bit-identical
+trajectories, equal to evaluating every expression with expr.evaluate.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +38,18 @@ class DivergenceError(SimulationError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    t: np.ndarray      # uniform time grid, length N+1
-    x: np.ndarray      # (N+1) x n
-    xi: np.ndarray     # (N+1) x nc
-    w: np.ndarray      # (N+1) x p
-    e: np.ndarray      # N+1
-    u: np.ndarray      # N+1
+    """The rows t | x | xi | w | e | u of a run, in CSV column order: one
+    (N+1) x (n + nc + p + 3) table with a column view per block."""
+    table: np.ndarray
+    n: int
+    nc: int
+
+    t = property(lambda self: self.table[:, 0])
+    x = property(lambda self: self.table[:, 1:1 + self.n])
+    xi = property(lambda self: self.table[:, 1 + self.n:1 + self.n + self.nc])
+    w = property(lambda self: self.table[:, 1 + self.n + self.nc:-2])
+    e = property(lambda self: self.table[:, -2])
+    u = property(lambda self: self.table[:, -1])
 
     @property
     def dt(self):
@@ -60,10 +67,11 @@ def _rk4_kernel(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
     """Generate the RK4 loop of the closed loop.
 
     The generated function takes the initial state as scalars, then steps,
-    dt and the preallocated output arrays out, e_out and u_out.  It writes
-    row k of each output, returns k as soon as a state component is NaN or
-    exceeds DIVERGENCE_CAP in magnitude (before the row's u and e are
-    evaluated) and returns -1 once every row is written.  Each
+    dt and a writable buffer over the rows t | state | e | u of a
+    C-contiguous float64 table.  It packs the state of row k, returns k as
+    soon as a state component is NaN or exceeds DIVERGENCE_CAP in magnitude
+    (before the row's u and e are evaluated), packs the row's e and u and
+    returns -1 once every row is written; it never writes t.  Each
     stage evaluates u, f, e, phi + Bc e and s in that order, as evaluate()
     would, so trajectories and EvalError messages are those of a
     stage-by-stage evaluate() loop; stage 1 reuses the u and e of the row.
@@ -91,8 +99,9 @@ def _rk4_kernel(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
 
     state = [f"s{i}" for i in range(dim)]
     u, f, e, rest = stage(1, state)
-    loop = [f"out[k] = ({', '.join(state)},)", f"if not ({bounded(state)}):", "    return k",
-            *u, *e, "e_out[k] = e1", "u_out[k] = u1", "if k == steps:", "    break",
+    loop = [f"o = k * {8 * (dim + 3)}", f"_pack_state(tab, o + 8, {', '.join(state)})",
+            f"if not ({bounded(state)}):", "    return k",
+            *u, *e, f"_pack_eu(tab, o + {8 * (dim + 1)}, e1, u1)", "if k == steps:", "    break",
             *f, *rest]
     for j, step in ((2, "half"), (3, "half"), (4, "dt")):
         z = [f"y{j}_{i}" for i in range(dim)]
@@ -105,8 +114,9 @@ def _rk4_kernel(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
              for i in range(dim)]
     body = ["half = dt / 2.0", "sixth = dt / 6.0", "for k in range(steps + 1):",
             *("    " + line for line in loop), "return -1"]
-    return _define("_rk4", state + ["steps", "dt", "out", "e_out", "u_out"], body,
-                   "the closed-loop RK4 kernel")
+    return _define("_rk4", state + ["steps", "dt", "tab"], body, "the closed-loop RK4 kernel",
+                   _pack_state=struct.Struct(f"{dim}d").pack_into,
+                   _pack_eu=struct.Struct("2d").pack_into)
 
 
 def simulate(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
@@ -122,23 +132,21 @@ def simulate(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
     if x0.shape != (n,) or xi0.shape != (nc,) or w0.shape != (p,):
         raise SimulationError("initial state dimensions do not match the models")
     steps = _check_grid(T, dt)
-    out = np.full((steps + 1, n + nc + p), np.nan)   # NaN until written
-    e_out = np.empty(steps + 1)
-    u_out = np.empty(steps + 1)
+    tab = np.full((steps + 1, n + nc + p + 3), np.nan)   # NaN until written
+    np.multiply(np.arange(steps + 1), dt, out=tab[:, 0])
     try:
         k = _rk4_kernel(plant, exo, ctrl)(*np.concatenate([x0, xi0, w0]).tolist(),
-                                          steps, dt, out, e_out, u_out)
+                                          steps, dt, memoryview(tab))
     except EvalError:
         # every row written is finite: re-run the step from the last one
         # with its stage inputs checked, which locates a divergence or
         # raises the same error again
-        k = np.count_nonzero(~np.isnan(out[:, 0])) - 1
+        k = np.count_nonzero(~np.isnan(tab[:, 1])) - 1
         k += _rk4_kernel(plant, exo, ctrl, stage_checks=True)(
-            *out[k].tolist(), 1, dt, out[k:k + 2], e_out[k:k + 2], u_out[k:k + 2])
+            *tab[k, 1:-2].tolist(), 1, dt, memoryview(tab[k:k + 2]))
     if k >= 0:
         raise DivergenceError(k * dt)
-    t = np.arange(steps + 1) * dt
-    return Trajectory(t, out[:, :n], out[:, n:n + nc], out[:, n + nc:], e_out, u_out)
+    return Trajectory(tab, n, nc)
 
 
 def decay_metrics(traj: Trajectory, window: float):
@@ -169,11 +177,11 @@ _ZEROS = np.array([[-1], [-2], [-3]], np.int16)
 
 @functools.cache
 def _pow10():
-    """Rows hi, hi_high, hi_low, lo at column k + 263 for k = -263..296:
+    """Rows hi, hi_high, hi_low, lo at column k + 263 for k = -263..297:
     hi + lo = 10**k with hi and lo each correctly rounded (int / int is),
     and hi_high + hi_low = hi split for Dekker's product."""
     table = []
-    for k in range(-263, 297):
+    for k in range(-263, 298):
         num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
         hi = num / den
         n, d = hi.as_integer_ratio()
@@ -189,18 +197,9 @@ def _split(a):
     return high, a - high
 
 
-def _certified_digits(v):
-    """(D, E, ok): wherever ok, |v| rounded to 17 significant digits is
-    D * 10**(E - 16) with 10**16 <= D < 10**17.  ok is false for |v| <=
-    1e-280 (zero and subnormals included), |v| >= 1e280 and non-finite v,
-    where the double-double y = |v| * 10**(16 - E) (error about 1e-14)
-    rounds within 1e-9 of a tie, and where log10 put E one off (floor(y)
-    outside [10**16, 10**17), or a carry to 10**17, which a log10 within
-    one bit of the truth never gives)."""
-    a = np.abs(v)
-    ok = (a > 1e-280) & (a < 1e280)
-    a = np.where(ok, a, 1.0)
-    E = np.clip(np.floor(np.log10(a)), -280, 279).astype(np.int64)
+def _scaled(a, E):
+    """(D, frac): floor and fraction of the double-double y = a * 10**(16 - E)
+    (error about 1e-14), for a in (1e-280, 1e280) and E in -281..279."""
     hi, hi_high, hi_low, lo = _pow10().take(279 - E, axis=1)
     # Dekker's TwoProduct: p + err = a * hi exactly, so y = p + t
     p = a * hi
@@ -210,9 +209,27 @@ def _certified_digits(v):
     # where floor(y) >= 10**16, p > 2**53 is an integer, so
     # floor(y) = p + floor(t)
     whole = np.floor(t)
-    frac = t - whole
+    return p.astype(np.int64) + whole.astype(np.int64), t - whole
+
+
+def _certified_digits(v):
+    """(D, E, ok): wherever ok, |v| rounded to 17 significant digits is
+    D * 10**(E - 16) with 10**16 <= D < 10**17.  E is floor(log10(|v|)),
+    less one where floor(y) for y = |v| * 10**(16 - E) falls below 10**16
+    (log10 rounds a double just below 10**k up to k).  ok is false for
+    |v| <= 1e-280 (zero and subnormals included), |v| >= 1e280 and
+    non-finite v, where y rounds within 1e-9 of a tie, and where the 17
+    digits carry to 10**17 (a double just below 10**k that rounds up to
+    it) or floor(y) is still outside [10**16, 10**17)."""
+    a = np.abs(v)
+    ok = (a > 1e-280) & (a < 1e280)
+    a = np.where(ok, a, 1.0)
+    E = np.clip(np.floor(np.log10(a)), -280, 279).astype(np.int64)
+    D, frac = _scaled(a, E)
+    low = np.flatnonzero(D < 10**16)
+    E[low] -= 1
+    D[low], frac[low] = _scaled(a[low], E[low])
     up = frac > 0.5
-    D = p.astype(np.int64) + whole.astype(np.int64)
     ok &= (D >= 10**16) & (D + up < 10**17) & (np.abs(frac - 0.5) > 1e-9)
     return D + up, E, ok
 
@@ -270,37 +287,38 @@ def _encode_rows(table):
     region += (_SLOT <= P) * (g[1:] - g[:18])
     region += (_SLOT == P + 1) * (np.uint8(ord(".")) - region)
     region *= _SLOT < width
-    mag = np.abs(e)
+    # the exponent of the few scientific values
+    at = np.flatnonzero(sci)
+    mag = np.abs(e[at])
     tens = mag // 10
     hundreds = tens // 10
-    m[24] = sci * np.uint8(ord("e"))
-    m[25] = sci * (ord("+") + 2 * (e < 0))
-    m[26] = (sci & (hundreds > 0)) * (hundreds + ord("0"))
-    m[27] = sci * (tens - 10 * hundreds + ord("0"))
-    m[28] = sci * (mag - 10 * tens + ord("0"))
+    m[24, at] = ord("e")
+    m[25, at] = ord("+") + 2 * (e[at] < 0)
+    m[26, at] = (hundreds > 0) * (hundreds + ord("0"))
+    m[27, at] = tens - 10 * hundreds + ord("0")
+    m[28, at] = mag - 10 * tens + ord("0")
     m[29].reshape(rows, cols)[:] = [ord(",")] * (cols - 1) + [ord("\r")]
     m[30].reshape(rows, cols)[:, -1] = ord("\n")
     for j in np.flatnonzero(~ok & ~zero).tolist():
         text = b"%.17g" % v[j]
         m[:len(text), j] = np.frombuffer(text, np.uint8)
-    t = m.T
-    return t[t != 0]
+    return m.T.tobytes().translate(None, b"\0")
 
 
-def _write_csv(path, header, columns):
-    """CSV of equal-length columns (1-d, or 2-d for several at once) with
-    every value written as "%.17g" % v and CRLF line ends.  Rows are
-    encoded a block of about CSV_BLOCK_VALUES values at a time, so no copy
-    of the whole table is made."""
+def _write_csv(path, header, table):
+    """CSV of the rows of a 2-d float table with every value written as
+    "%.17g" % v and CRLF line ends.  Rows are encoded a block of about
+    CSV_BLOCK_VALUES values at a time, and a block of a C-contiguous table
+    is a view, so no copy of the whole table is made."""
     block = max(1, CSV_BLOCK_VALUES // len(header))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for start in range(0, len(columns[0]), block):
-            fh.write(_encode_rows(np.column_stack([c[start:start + block] for c in columns])))
+        for start in range(0, len(table), block):
+            fh.write(_encode_rows(table[start:start + block]))
 
 
 def write_trajectory_csv(traj: Trajectory, path):
     """CSV with header t,x1..xn,xi1..xinc,w1..wp,e,u at full precision."""
     header = (["t"] + list(x_names(traj.x.shape[1])) + list(xi_names(traj.xi.shape[1]))
               + list(w_names(traj.w.shape[1])) + ["e", "u"])
-    _write_csv(path, header, [traj.t, traj.x, traj.xi, traj.w, traj.e, traj.u])
+    _write_csv(path, header, traj.table)

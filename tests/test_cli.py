@@ -417,7 +417,7 @@ def test_boost_accepts_cell_on_domain_edge(tmp_path, capsys):
     (("simulate", "example53", "--T", "1e300", "--dt", "1e-6"),
      "--T/--dt: 1e+306 rows x 11 floats need 8.8e+307 bytes"),
     (("boost", "--grid-w1", "2000", "--grid-rho", "2000", "--ode-steps", "100000"),
-     "--grid-w1/--grid-rho/--ode-steps: 1e+05 rows x 8000020 floats need 6.4e+12 bytes"),
+     "--grid-w1/--grid-rho/--ode-steps: 1e+05 rows x 4002020 floats need 3.202e+12 bytes"),
     (("boost", "--ode-steps", "10000000000", "--cell", "10", "0.4"),
      "--ode-steps: 1e+10 rows x 23 floats need 1.84e+12 bytes"),
     (("boost", "--ode-steps", "10000000000", "--cell", "10", "0.4", "--cell", "20", "0.3"),
@@ -449,6 +449,10 @@ def test_commands_check_the_memory_budget_first(tmp_path, capsys, monkeypatch,
     # BOOST_STEP_FLOATS
     (("boost", "--ode-steps", "200", "--cell", "10", "0.4"), 8 * 201 * 23,
      "201 rows x 23 floats"),
+    # a 2x3 grid at 1000 steps: 1001 rows of the 6 orbits, pde_residual's
+    # copy of a 3-cell column and BOOST_STEP_FLOATS
+    (("boost", "--grid-w1", "2", "--grid-rho", "3", "--ode-steps", "1000"), 8 * 1001 * 29,
+     "1001 rows x 29 floats"),
 ])
 def test_memory_budget_bound_is_inclusive(tmp_path, capsys, monkeypatch, argv,
                                           size, message):
@@ -515,19 +519,26 @@ def test_controller_differentiated_once(capsys, monkeypatch, command):
 
 def test_diff_is_one_pass(monkeypatch):
     # diff folds a subtree free of the variable to 0 on its own, so it never
-    # asks which variables a subtree holds
+    # asks which variables a subtree holds; jacobian asks once per
+    # expression (free_vars' own recursion is not counted)
     sf = examples.get("example53").load()
-    calls = []
+    calls, running = [], []
     free_vars = expr.free_vars
 
     def spy(e):
-        calls.append(e)
-        return free_vars(e)
+        if not running:
+            calls.append(e)
+        running.append(e)
+        try:
+            return free_vars(e)
+        finally:
+            running.pop()
 
     monkeypatch.setattr(expr, "free_vars", spy)
     model.linearize(sf.plant, sf.exo)
     model.controller_jacobians(sf.controller)
-    assert calls == []
+    ctrl = sf.controller
+    assert calls == [*sf.plant.f, sf.plant.h, *sf.exo.s, *ctrl.phi, ctrl.lam]
 
 
 def _key(M):

@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from regsyn import expr
+from regsyn import examples, expr
 from regsyn.expr import (Bin, Call, Const, EvalError, Neg, Num, SyntaxError_, Var,
                          compile_fn, diff, evaluate, parse, substitute)
+from regsyn.model import ModelError, jacobian, w_names, x_names, xi_names
 
 sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
@@ -120,3 +122,55 @@ def test_substitute_renames_whole_variables():
     renamed = substitute(e, {"w1": Var("xi1"), "w10": Var("xi10")})
     assert renamed == parse("xi1 + xi10*xi1^2")
     assert substitute(e, {"w1": parse("x1 + 1")}) == parse("(x1 + 1) + w10*(x1 + 1)^2")
+
+
+# ------------------------------------------------------------- jacobian
+
+def _per_pair_jacobian(exprs, vars_, point):
+    """model.jacobian differentiating every pair, absent variables too."""
+    env = dict(zip(vars_, map(float, point)))
+    J = np.empty((len(exprs), len(vars_)))
+    for i, e in enumerate(exprs):
+        for j, name in enumerate(vars_):
+            try:
+                J[i, j] = evaluate(diff(e, name), env)
+            except EvalError as exc:
+                raise ModelError(f"jacobian entry ({i},{j}): {exc}") from exc
+    return J
+
+
+def _same_jacobian(exprs, vars_, point):
+    """jacobian equals the per-pair one bit for bit (the sign of zero
+    included) or fails with the same message."""
+    try:
+        want = _per_pair_jacobian(exprs, vars_, point)
+    except ModelError as exc:
+        with pytest.raises(ModelError) as got:
+            jacobian(exprs, vars_, point)
+        assert str(got.value) == str(exc)
+        return
+    got = jacobian(exprs, vars_, point)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["example51", "example52", "example53"])
+def test_jacobian_skips_absent_variables_exactly(name):
+    sf = examples.get(name).load()
+    xv, wv = x_names(sf.plant.n), w_names(sf.exo.p)
+    maps = [([*sf.plant.f, sf.plant.h], xv + ("u",) + wv), (sf.exo.s, wv)]
+    for ctrl in (sf.controller, sf.immersion and sf.immersion.target()):
+        if ctrl is not None:
+            maps.append(([*ctrl.phi, ctrl.lam], xi_names(ctrl.nc)))
+    rng = np.random.default_rng(7)
+    for exprs, vars_ in maps:
+        assert any(not expr.free_vars(e) >= set(vars_) for e in exprs)
+        for point in (np.zeros(len(vars_)), rng.uniform(-0.5, 0.5, len(vars_))):
+            _same_jacobian(exprs, vars_, point)
+
+
+@hypothesis.settings(max_examples=200, deadline=None,
+                     suppress_health_check=[hypothesis.HealthCheck.too_slow])
+@hypothesis.given(st.lists(_ASTS, min_size=1, max_size=3), _POINTS)
+def test_jacobian_matches_per_pair_diff(exprs, point):
+    # "u" appears in no expression: its column is all +0.0
+    _same_jacobian(exprs, _VARS + ("u",), point + (0.5,))

@@ -599,10 +599,13 @@ def test_boost_grid_switches_body_mid_run(monkeypatch):
     assert cell[grows].message == "no periodic orbit within 8 iterations"
 
 
-def test_boost_grid_holds_one_row_per_cell():
+def test_boost_grid_holds_one_row_per_cell(monkeypatch):
     # cells carry no gamma (recover_gamma derives it from the orbit), so a
-    # returned grid holds little more than the bytes of its orbit rows
+    # returned grid holds little more than the bytes of its orbit rows.
+    # The array body gives the float body's bits, and tracemalloc does not
+    # have to trace each float of the float body's samples.
     assert "gamma" not in {f.name for f in dataclasses.fields(regeq.BoostCell)}
+    monkeypatch.setattr(regeq, "FLOAT_CELLS", 0)
     tracemalloc.start()
     try:
         grid = solve_boost_grid(PARAMS, n_w1=5, n_rho=5, ode_steps=2000)
