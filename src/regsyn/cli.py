@@ -35,7 +35,8 @@ MEMORY_BUDGET = 2**30
 # floats per RK4 step that a boost command holds besides its cells' rows:
 # while solving, regeq._stage_cosines' table (t and the cosine array, then
 # a list of three Python floats at 32 bytes each) and the float body's list
-# of samples; then pde_residual's temporaries besides its copy of a column
+# of samples, in each grid worker process; then pde_residual's temporaries
+# besides its copy of a column
 BOOST_STEP_FLOATS = 20
 
 
@@ -282,11 +283,13 @@ def cmd_boost(args):
     if args.ode_steps < 1:
         raise regeq.RegulatorError(f"--ode-steps must be >= 1, got {args.ode_steps}")
     if args.cell:  # orbit, gamma and tau of every cell
-        option, per_step = "--ode-steps", 3 * len(args.cell)
-    else:  # the orbit of every cell and pde_residual's copy of a column
+        option, per_step = "--ode-steps", 3 * len(args.cell) + BOOST_STEP_FLOATS
+    else:  # the orbit of every cell, pde_residual's copy of a column and
+        # the step floats of each worker the grid gets if every cell is present
         option = "--grid-w1/--grid-rho/--ode-steps"
-        per_step = (args.grid_w1 + 1) * args.grid_rho
-    _check_budget(option, args.ode_steps + 1, per_step + BOOST_STEP_FLOATS)
+        per_step = ((args.grid_w1 + 1) * args.grid_rho + BOOST_STEP_FLOATS
+                    * regeq._grid_workers(args.grid_w1 * args.grid_rho))
+    _check_budget(option, args.ode_steps + 1, per_step)
     checks = _Checks()
     params = _boost_params(args.params)
     w1max, rho_max = regeq.admissible_domain(params)
@@ -300,6 +303,14 @@ def cmd_boost(args):
         if not rho <= rho_max(w1):
             raise regeq.RegulatorError(
                 f"--cell: need RHO <= rho_max(W1) = {rho_max(w1):.17g}, got {w1:g} {rho:g}")
+    tagged = {}
+    for w1, rho in args.cell or ():
+        tag = f"{_cell_tag(w1)}_{_cell_tag(rho)}"
+        if tag in tagged:
+            raise regeq.RegulatorError(
+                f"--cell: circles ({tagged[tag][0]}, {tagged[tag][1]}) and ({w1}, {rho}) "
+                f"share the tag {tag} of their CHECK line and orbit file")
+        tagged[tag] = w1, rho
     # solve before any output, so that a rejected grid or a circle that
     # escapes or does not converge prints no CHECK line
     cells = []
@@ -322,8 +333,7 @@ def cmd_boost(args):
         os.makedirs(args.out, exist_ok=True)
 
     if args.cell:
-        for cell, gamma in cells:
-            tag = f"{_cell_tag(cell.w1)}_{_cell_tag(cell.rho)}"
+        for tag, (cell, gamma) in zip(tagged, cells):
             name = f"orbit_{tag}.csv"
             path = os.path.join(args.out, name)
             with _writing(path):

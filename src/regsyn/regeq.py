@@ -5,17 +5,24 @@ regulator equations and candidate immersions at sample points.  The second
 half solves the boost-converter regulator PDE: on circles of constant w1
 and radius rho the PDE reduces to a scalar periodic ODE, solved by
 fixed-step RK4 and a fixed-point iteration on the initial value, for one
-circle (solve_psi0) or a whole grid at once (solve_boost_grid).  The RK4
-loop has two bodies, on numpy arrays for passes over many cells and on
-Python floats for one circle (solve_psi0's, or a grid cell left over once
-few are active); both read one table of stage cosines and apply the same
-operations in the same order, and tests/test_regeq.py
-(test_circle_bodies_agree) ties them bit for bit.
+circle (solve_psi0) or a whole grid at once (solve_boost_grid).  The grid's
+cells are split into interleaved shares solved side by side, one forked
+process per CPU, each writing its rows into one shared array; every cell
+is solved by the same code in the same order whatever the split, so the
+bytes are those of one process.  The RK4 loop has two bodies, on numpy
+arrays for passes over many cells and on Python floats for one circle
+(solve_psi0's, or a grid cell left over once few are active); both read
+one table of stage cosines and apply the same operations in the same
+order, and tests/test_regeq.py (test_circle_bodies_agree) ties them bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -37,7 +44,11 @@ DENOM_GUARD = 1e-12
 # about 40 active cells down.  Raw solve of that grid, best of 3: 0.85 s
 # array only, 1.53 s float only, 0.51-0.53 s switching at 40 to 120 active
 # cells and 0.57-0.61 s at 20 or 30.  At 40 the grid runs 3 array passes
-# (1197 rows) and 158 float orbits.
+# (1197 rows) and 158 float orbits.  Re-swept per worker, with the grid
+# split in two shares of 200 and 199 rows (raw solve, median of 7
+# interleaved runs): 0.58 s at 40, 0.59-0.62 s at 20 to 120 and 1.24 s
+# float only; at 40 each share runs 2 array passes and about 116 float
+# orbits.  Outputs do not depend on FLOAT_CELLS.
 FLOAT_CELLS = 40
 
 
@@ -311,10 +322,13 @@ def _integrate_circle(psi0, w1, rho, params: BoostParams, steps, cos, out=None):
     return orbit
 
 
-def _periodic_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter):
+def _periodic_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter,
+                     orbit=None):
     """Fixed-point iteration psi^n(0) = psi^{n-1}(2*pi) on many circles at once.
 
-    start, tol, w1 and rho have one shape (0-d for one circle).
+    start, tol, w1 and rho have one shape (0-d for one circle).  The orbits
+    are written into `orbit` (any view of that shape + (steps + 1,)) if
+    given.
     A cell freezes once its orbit escapes or |psi(2*pi) - psi(0)| < tol and
     keeps its start, so later passes rewrite its orbit row bit for bit.
     A pass with more than FLOAT_CELLS active cells integrates all rows on
@@ -325,7 +339,7 @@ def _periodic_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter):
     """
     start = np.array(start, dtype=float)
     w1, rho = np.asarray(w1), np.asarray(rho)
-    orbit = np.empty(start.shape + (steps + 1,))
+    orbit = np.empty(start.shape + (steps + 1,)) if orbit is None else orbit
     iters = np.zeros(start.shape, dtype=int)
     escaped = np.zeros(start.shape, dtype=bool)
     active = np.ones(start.shape, dtype=bool)
@@ -348,6 +362,73 @@ def _periodic_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter):
             break
         np.copyto(start, end, where=active)
     return start, orbit, iters, escaped
+
+
+def _grid_workers(cells):
+    """Processes that solve a grid of `cells` present cells: one per CPU
+    this process may run on, but at most one per FLOAT_CELLS cells, and
+    1 where os.fork or os.sched_getaffinity is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), cells // max(FLOAT_CELLS, 1)))
+
+
+def _shared_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter):
+    """_periodic_orbits on the 1-d rows of a grid, in _grid_workers shares.
+
+    Cell k belongs to share k mod W, so the slow cells of one column are
+    spread over the shares.  Shares 1..W-1 run in forked children and
+    share 0 in the caller, each on its strided rows of one anonymous
+    shared mmap that backs the returned arrays.  A child never returns
+    into the caller.  A share whose fork fails, or whose child exits
+    non-zero or dies from a signal, is solved again by the caller, so the
+    result never depends on the workers; on an exception every child is
+    killed, and every child is reaped before this returns.
+    """
+    n, width = len(start), steps + 1
+    workers = _grid_workers(n)
+    mem = mmap.mmap(-1, max(1, 8 * n * (width + 2) + n))
+    orbit = np.frombuffer(mem, float, n * width).reshape(n, width)
+    psi0 = np.frombuffer(mem, float, n, 8 * n * width)
+    iters = np.frombuffer(mem, np.int64, n, 8 * n * (width + 1))
+    escaped = np.frombuffer(mem, bool, n, 8 * n * (width + 2))
+
+    def share(j):
+        rows = slice(j, None, workers)
+        psi0[rows], _, iters[rows], escaped[rows] = _periodic_orbits(
+            start[rows], tol[rows], w1[rows], rho[rows], params, steps, max_iter,
+            orbit=orbit[rows])
+
+    children, redo = {}, []
+    try:
+        for j in range(1, workers):
+            try:
+                pid = os.fork()
+            except OSError:
+                redo.append(j)
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    share(j)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = j
+        share(0)
+        while children:
+            pid, status = os.waitpid(next(iter(children)), 0)
+            j = children.pop(pid)
+            if status:
+                redo.append(j)
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        for pid in children:
+            os.waitpid(pid, 0)
+    for j in redo:
+        share(j)
+    return psi0, orbit, iters, escaped
 
 
 def solve_psi0(w1, rho, params: BoostParams, ode_steps=2000, max_iter=200):
@@ -422,10 +503,12 @@ def solve_boost_grid(params: BoostParams, n_w1=21, n_rho=21, ode_steps=2000,
 
     w1 is uniform on [-shrink*w1max, shrink*w1max]; for each w1, rho is
     uniform on [0, shrink*rho_max(w1)].  Columns where rho_max(w1) <= 0 are
-    marked absent.  All present cells go through one fixed-point iteration
-    (_periodic_orbits) as one flat array, each frozen on its own stopping
-    test, and a pass over few active cells takes them one by one; every
-    cell's psi0, iterations and orbit are bit-identical to solve_psi0.
+    marked absent.  The present cells go through the fixed-point iteration
+    (_periodic_orbits) as flat arrays, one share per worker process
+    (_shared_orbits), each cell frozen on its own stopping test, and a pass
+    over few active cells takes them one by one; every cell's psi0,
+    iterations and orbit are bit-identical to solve_psi0, whatever the
+    number of workers.
     """
     if n_w1 < 2 or n_rho < 3:
         # pde_residual differentiates across three radii of a column
@@ -454,7 +537,7 @@ def solve_boost_grid(params: BoostParams, n_w1=21, n_rho=21, ode_steps=2000,
                 cells.append(cell)
     w1, rho, psi1, psi2 = np.array(
         [(c.w1, c.rho, c.psi1, c.psi2) for c in cells]).reshape(-1, 4).T
-    psi0, orbit, iters, escaped = _periodic_orbits(
+    psi0, orbit, iters, escaped = _shared_orbits(
         0.5 * (psi1 + psi2), 1e-9 * (1.0 + np.abs(psi1)), w1, rho, params,
         ode_steps, max_iter)
     for k, cell in enumerate(cells):

@@ -4,7 +4,8 @@ Integrates the forced nonlinear closed loop (plant + exosystem +
 controller) and computes error decay metrics.  One code generator
 (_rk4_kernel) turns the model expressions into a single Python function
 per system that runs all four RK4 stages over scalar locals and packs
-each row into one preallocated table in CSV column order.  The
+each row into one preallocated table in CSV column order; a bounded
+cache keyed on the generated source keeps the compiled functions.  The
 integrator is deterministic: identical inputs produce bit-identical
 trajectories, equal to evaluating every expression with expr.evaluate.
 """
@@ -22,6 +23,8 @@ from .expr import EvalError, _codegen, _define, _literal
 from .model import ControllerModel, ExosystemModel, PlantModel, w_names, x_names, xi_names
 
 DIVERGENCE_CAP = 1e6
+# compiled RK4 kernels kept for the next simulate of the same system
+KERNEL_CACHE_SIZE = 16
 
 
 class SimulationError(Exception):
@@ -112,8 +115,17 @@ def _rk4_kernel(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
             loop += part
     loop += [f"s{i} = s{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
              for i in range(dim)]
-    body = ["half = dt / 2.0", "sixth = dt / 6.0", "for k in range(steps + 1):",
-            *("    " + line for line in loop), "return -1"]
+    body = ("half = dt / 2.0", "sixth = dt / 6.0", "for k in range(steps + 1):",
+            *("    " + line for line in loop), "return -1")
+    return _compiled_kernel(dim, body)
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _compiled_kernel(dim, body):
+    """The _rk4 function of _rk4_kernel's source lines, compiled once per
+    source: models that compare equal may give different source (Num(0.0)
+    == Num(-0.0)), so the cache is keyed on the lines, not on the models."""
+    state = [f"s{i}" for i in range(dim)]
     return _define("_rk4", state + ["steps", "dt", "tab"], body, "the closed-loop RK4 kernel",
                    _pack_state=struct.Struct(f"{dim}d").pack_into,
                    _pack_eu=struct.Struct("2d").pack_into)

@@ -394,6 +394,25 @@ def test_boost_rejects_cell_outside_domain(tmp_path, cell, bound):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("first, second, tag", [
+    (("10", "0.1234567"), ("10", "0.1234568"), "10_0p123457"),
+    (("10", "0.4"), ("10.0", "0.40"), "10_0p4"),
+    (("-50", "0.3"), ("-50.0000001", "0.3"), "m50_0p3"),
+])
+def test_boost_rejects_cells_sharing_a_tag(tmp_path, first, second, tag):
+    # %g keeps six digits, so two such circles would print one CHECK name
+    # and write one orbit file; a good cell between them changes nothing
+    proc = _cli("boost", "--out", str(tmp_path), "--ode-steps", "100",
+                "--cell", *first, "--cell", "0", "0", "--cell", *second)
+    assert proc.returncode == 2, proc.stdout
+    assert "Traceback" not in proc.stderr
+    circles = [f"({float(w1)}, {float(rho)})" for w1, rho in (first, second)]
+    assert proc.stderr == (f"error: --cell: circles {circles[0]} and {circles[1]} share "
+                           f"the tag {tag} of their CHECK line and orbit file\n")
+    assert proc.stdout == ""
+    assert not list(tmp_path.iterdir())
+
+
 def test_boost_solves_every_cell_before_output(tmp_path):
     # the second circle escapes at 100 ODE steps (it converges at 2000)
     proc = _cli("boost", "--out", str(tmp_path), "--ode-steps", "100",
@@ -430,6 +449,9 @@ def test_commands_check_the_memory_budget_first(tmp_path, capsys, monkeypatch,
         raise AssertionError("work started before the budget check")
 
     monkeypatch.setattr(cli, "simulate", refuse)
+    # the grid counts BOOST_STEP_FLOATS once per worker process; one keeps
+    # the message the same on every machine
+    monkeypatch.setattr(regeq, "_grid_workers", lambda cells: 1)
     monkeypatch.setattr(regeq, "solve_boost_grid", refuse)
     monkeypatch.setattr(regeq, "solve_psi0", refuse)
     status, out, err = _run(capsys, *argv, *(("--out", str(tmp_path / "x"))
@@ -453,11 +475,18 @@ def test_commands_check_the_memory_budget_first(tmp_path, capsys, monkeypatch,
     # copy of a 3-cell column and BOOST_STEP_FLOATS
     (("boost", "--grid-w1", "2", "--grid-rho", "3", "--ode-steps", "1000"), 8 * 1001 * 29,
      "1001 rows x 29 floats"),
+    # a 2x40 grid at 1000 steps on 2 CPUs: 80 cells, at most 2 workers of
+    # FLOAT_CELLS = 40 cells, so 1001 rows of the 80 orbits, pde_residual's
+    # copy of a 40-cell column and BOOST_STEP_FLOATS per worker
+    (("boost", "--grid-w1", "2", "--grid-rho", "40", "--ode-steps", "1000"),
+     8 * 1001 * (80 + 40 + 2 * 20), "1001 rows x 160 floats"),
 ])
 def test_memory_budget_bound_is_inclusive(tmp_path, capsys, monkeypatch, argv,
                                           size, message):
     if argv[0] == "boost":
         argv += ("--out", str(tmp_path))
+    assert regeq.FLOAT_CELLS == 40
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(cli, "MEMORY_BUDGET", size)
     assert _run(capsys, *argv)[0] == 0
     monkeypatch.setattr(cli, "MEMORY_BUDGET", size - 1)

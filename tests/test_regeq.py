@@ -1,9 +1,12 @@
 import copy
 import csv
 import dataclasses
+import errno
 import math
 import os
 import re
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -425,15 +428,31 @@ def _reference_psi0(w1, rho, steps, max_iter=200):
 # FLOAT_CELLS settings every grid test runs under: array passes only, the
 # shipped switch point, float body only
 FLOAT_CELLS_SETTINGS = (0, regeq.FLOAT_CELLS, 10**9)
+# worker counts every grid test runs under, each whatever the grid's size
+WORKER_SETTINGS = (1, 2, 3)
+
+
+def _pin_workers(monkeypatch, workers):
+    monkeypatch.setattr(regeq, "_grid_workers", lambda cells: workers)
+
+
+def _assert_no_children():
+    # every worker was reaped: this process has no child left at all
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _grids(monkeypatch, **kw):
-    """solve_boost_grid(PARAMS, **kw) under each of FLOAT_CELLS_SETTINGS."""
+    """solve_boost_grid(PARAMS, **kw) under each of FLOAT_CELLS_SETTINGS
+    at each of WORKER_SETTINGS."""
     grids = []
     for float_cells in FLOAT_CELLS_SETTINGS:
-        with monkeypatch.context() as m:
-            m.setattr(regeq, "FLOAT_CELLS", float_cells)
-            grids.append(solve_boost_grid(PARAMS, **kw))
+        for workers in WORKER_SETTINGS:
+            with monkeypatch.context() as m:
+                m.setattr(regeq, "FLOAT_CELLS", float_cells)
+                _pin_workers(m, workers)
+                grids.append(solve_boost_grid(PARAMS, **kw))
+            _assert_no_children()
     return grids
 
 
@@ -479,6 +498,7 @@ def test_default_grid_switch_point(monkeypatch):
     # the default 21x21 grid runs three array passes of its 399 rows while
     # more than FLOAT_CELLS = 40 cells are active, then 158 float orbits
     assert regeq.FLOAT_CELLS == 40
+    _pin_workers(monkeypatch, 1)     # the spy sees calls in this process only
     real_circle, rows = regeq._integrate_circle, []
 
     def circle(psi0, *args, **kwargs):
@@ -576,6 +596,7 @@ def test_boost_grid_switches_body_mid_run(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(regeq, "FLOAT_CELLS", 7)
+        _pin_workers(m, 1)     # the spy sees calls in this process only
         m.setattr(regeq, "_integrate_circle", circle)
         mid = solve_boost_grid(PARAMS, **kw)
     assert [nd for nd, _, _ in calls].count(1) == 2
@@ -628,11 +649,12 @@ def test_boost_grid_keeps_gamma_guard(monkeypatch):
     assert cell.converged
     real_orbits = regeq._periodic_orbits
 
-    def orbits(*args):
-        psi0, orbit, iters, escaped = real_orbits(*args)
+    def orbits(*args, **kwargs):
+        psi0, orbit, iters, escaped = real_orbits(*args, **kwargs)
         orbit[3, 7] = -PARAMS.z20
         return psi0, orbit, iters, escaped
 
+    _pin_workers(monkeypatch, 1)     # orbit row 3 is cell 3 of the grid
     monkeypatch.setattr(regeq, "_periodic_orbits", orbits)
     with pytest.raises(RegulatorError) as info:
         solve_boost_grid(PARAMS, **kw)
@@ -646,3 +668,104 @@ def test_boost_grid_needs_three_radii():
         solve_boost_grid(PARAMS, n_w1=3, n_rho=2, ode_steps=10)
     with pytest.raises(RegulatorError, match="n_w1 >= 2"):
         solve_boost_grid(PARAMS, n_w1=1, n_rho=3, ode_steps=10)
+
+
+def test_periodic_orbits_writes_into_strided_rows():
+    # a share's orbits go straight into every third row of the caller's
+    # array, the others untouched, with the bits of a call that allocates
+    w1 = np.array([10.0, -30.0, 0.0])
+    rho = np.array([0.4, 0.2, 0.3])
+    start = np.array([0.3, -0.1, 0.0])
+    tol = np.full(3, 1e-9)
+    want = regeq._periodic_orbits(start, tol, w1, rho, PARAMS, 500, 20)
+    rows = np.full((9, 501), 7.0)
+    got = regeq._periodic_orbits(start, tol, w1, rho, PARAMS, 500, 20, orbit=rows[1::3])
+    assert got[1].base is rows
+    assert np.array_equal(rows[1::3], want[1])
+    assert np.all(np.delete(rows, [1, 4, 7], axis=0) == 7.0)
+    for a, b in zip(got[::2], want[::2]):
+        assert np.array_equal(a, b)
+
+
+def test_default_grid_same_bytes_at_any_worker_count(monkeypatch):
+    # the 21x21 grid's psi0, iterations, messages, orbits and gammas at
+    # 1, 2 and 3 worker processes
+    grids = []
+    for workers in WORKER_SETTINGS:
+        with monkeypatch.context() as m:
+            _pin_workers(m, workers)
+            grids.append(solve_boost_grid(PARAMS))
+        _assert_no_children()
+    _assert_same_grids(grids)
+
+
+def _spy_orbits(monkeypatch, in_child):
+    """Patch _periodic_orbits to call in_child() first in a forked worker;
+    returns the list of the shares' row counts solved in this process."""
+    parent, real_orbits, solved = os.getpid(), regeq._periodic_orbits, []
+
+    def orbits(start, *args, **kwargs):
+        if os.getpid() != parent:
+            in_child()
+        else:
+            solved.append(len(start))
+        return real_orbits(start, *args, **kwargs)
+
+    monkeypatch.setattr(regeq, "_periodic_orbits", orbits)
+    return solved
+
+
+def _raise():
+    raise RuntimeError("worker failed")
+
+
+@pytest.mark.parametrize("in_child", [_raise, lambda: os._exit(3),
+                                      lambda: os.kill(os.getpid(), signal.SIGKILL)],
+                         ids=["raises", "exits-3", "sigkill"])
+def test_failed_worker_share_is_solved_again(monkeypatch, in_child):
+    # a worker that exits non-zero or dies from a signal costs time only:
+    # the caller solves its share itself and the grid keeps its bytes
+    kw = dict(n_w1=5, n_rho=5, ode_steps=500)
+    want = solve_boost_grid(PARAMS, **kw)
+    _pin_workers(monkeypatch, 3)
+    solved = _spy_orbits(monkeypatch, in_child)
+    got = solve_boost_grid(PARAMS, **kw)
+    _assert_no_children()
+    # share 0, then shares 1 and 2 again, together every present cell
+    assert len(solved) == 3
+    assert sum(solved) == sum(c.present for col in want.cells for c in col)
+    _assert_same_grids([want, got])
+
+
+def test_failed_fork_share_is_solved_in_caller(monkeypatch):
+    def fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    kw = dict(n_w1=5, n_rho=5, ode_steps=500)
+    want = solve_boost_grid(PARAMS, **kw)
+    _pin_workers(monkeypatch, 3)
+    solved = _spy_orbits(monkeypatch, lambda: None)
+    monkeypatch.setattr(regeq.os, "fork", fork)
+    got = solve_boost_grid(PARAMS, **kw)
+    assert len(solved) == 3
+    _assert_same_grids([want, got])
+
+
+def test_caller_exception_kills_workers(monkeypatch):
+    # the caller's share fails while its workers would run for a minute:
+    # they are killed and reaped before the exception leaves the solver
+    _pin_workers(monkeypatch, 3)
+    real_orbits, parent = regeq._periodic_orbits, os.getpid()
+
+    def orbits(*args, **kwargs):
+        if os.getpid() == parent:
+            raise RuntimeError("caller failed")
+        time.sleep(60)
+        return real_orbits(*args, **kwargs)
+
+    monkeypatch.setattr(regeq, "_periodic_orbits", orbits)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="caller failed"):
+        solve_boost_grid(PARAMS, n_w1=5, n_rho=5, ode_steps=500)
+    assert time.monotonic() - start < 30
+    _assert_no_children()

@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from regsyn import examples, expr, sysfile
+from regsyn import examples, expr, sim, sysfile
 from regsyn.expr import EvalError, evaluate
 from regsyn.model import (ControllerModel, ExosystemModel, PlantModel, w_names,
                           x_names, xi_names)
@@ -221,6 +221,35 @@ def test_zero_initial_state_stays_zero():
     assert not np.any(traj.e)
     assert not np.any(traj.u)
     assert decay_metrics(traj, 0.2) == (0.0, 0.0, 0.0)
+
+
+def test_kernel_cache_is_keyed_on_source(monkeypatch):
+    # controllers that compare equal (Bc 0.0 and -0.0) generate different
+    # source and give different bits; each run matches the reference loop,
+    # and a repeated system reuses its compiled kernel
+    plant = PlantModel.from_strings(["-x1 + u"], "x1", "0", 1)
+    exo = ExosystemModel.from_strings(["0"])
+    pos, neg = (ControllerModel.from_strings(["xi1"], "xi1", [b]) for b in (0.0, -0.0))
+    assert pos == neg
+    defined = []
+    real_define = sim._define
+
+    def define(*args, **kwargs):
+        defined.append(args[2])
+        return real_define(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "_define", define)
+    sim._compiled_kernel.cache_clear()
+    args = ((0.0,), (-0.0,), (0.0,))
+    runs = [simulate(plant, exo, ctrl, *args, T=0.01, dt=1e-3) for ctrl in (pos, neg, pos)]
+    assert len(defined) == 2 and defined[0] != defined[1]
+    bits = [traj.table.view(np.int64) for traj in runs]
+    assert not np.array_equal(bits[0], bits[1])
+    assert np.array_equal(bits[0], bits[2])
+    for traj, ctrl in zip(runs, (pos, neg)):
+        _, ref_xi, _, _, _ = _ref_simulate(plant, exo, ctrl, *args, T=0.01, dt=1e-3)
+        assert np.array_equal(traj.xi.view(np.int64), np.asarray(ref_xi).view(np.int64))
+    assert sim._compiled_kernel.cache_info().maxsize == sim.KERNEL_CACHE_SIZE
 
 
 def test_trajectory_shape_and_grid():
