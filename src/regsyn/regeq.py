@@ -6,15 +6,18 @@ half solves the boost-converter regulator PDE: on circles of constant w1
 and radius rho the PDE reduces to a scalar periodic ODE, solved by
 fixed-step RK4 and a fixed-point iteration on the initial value, for one
 circle (solve_psi0) or a whole grid at once (solve_boost_grid).  The grid's
-cells are split into interleaved shares solved side by side, one forked
-process per CPU, each writing its rows into one shared array; every cell
-is solved by the same code in the same order whatever the split, so the
-bytes are those of one process.  The RK4 loop has two bodies, on numpy
-arrays for passes over many cells and on Python floats for one circle
-(solve_psi0's, or a grid cell left over once few are active); both read
-one table of stage cosines and apply the same operations in the same
-order, and tests/test_regeq.py (test_circle_bodies_agree) ties them bit
-for bit.
+cells are split into interleaved shares, one forked process per CPU, that
+run their passes over many cells side by side, each writing its rows into
+one shared array.  The cells a share leaves active, once few are, go on
+one pipe that every process pulls from, and each is solved alone; a
+shared done flag marks each finished cell, and the caller solves again
+whatever a failed fork or a dead worker left undone.  Every cell is solved
+by the same code in the same order whatever the split, so the bytes are
+those of one process.  The RK4 loop has two bodies, on numpy arrays for
+passes over many cells and on Python floats for one circle (solve_psi0's,
+or a grid cell taken from the pipe); both read one table of stage cosines
+and apply the same operations in the same order, and tests/test_regeq.py
+(test_circle_bodies_agree) ties them bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import select
 import signal
+import struct
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -35,21 +40,23 @@ from .model import (ControllerModel, ExosystemModel, PlantModel, _as_exprs,
 from .sim import _write_csv
 
 DENOM_GUARD = 1e-12
-# A pass of _periodic_orbits integrates every row of the grid on the array
-# body while more than FLOAT_CELLS cells are active, else each active cell
-# alone on the float body.  At ode_steps = 2000 on a 2-vCPU x86 VM, timed
-# interleaved (best of 5), one array pass costs as much as 37-41 float
-# orbits on 10-80 rows, 44 on 160 and 51 on the 399 rows of the default
-# 21x21 grid (56-76 ms against 1.4-1.5 ms), so the float body wins from
-# about 40 active cells down.  Raw solve of that grid, best of 3: 0.85 s
-# array only, 1.53 s float only, 0.51-0.53 s switching at 40 to 120 active
-# cells and 0.57-0.61 s at 20 or 30.  At 40 the grid runs 3 array passes
-# (1197 rows) and 158 float orbits.  Re-swept per worker, with the grid
-# split in two shares of 200 and 199 rows (raw solve, median of 7
-# interleaved runs): 0.58 s at 40, 0.59-0.62 s at 20 to 120 and 1.24 s
-# float only; at 40 each share runs 2 array passes and about 116 float
-# orbits.  Outputs do not depend on FLOAT_CELLS.
+# A share of the grid runs its passes on the array body while more than
+# FLOAT_CELLS of its cells are active; the cells it leaves active then go
+# on the queue of _shared_orbits, and each is solved alone on the float
+# body.  At ode_steps = 2000 on a 2-vCPU x86 VM, timed interleaved (best of
+# 5) before the array body's 2-row buffers, one array pass cost as much as
+# 37-41 float orbits on 10-80 rows and 51 on the 399 rows of the default
+# 21x21 grid, so the float body wins from about 40 active cells down.
+# Re-swept with the queue (raw solve of the default grid on two processes,
+# median of 10 interleaved runs): 0.52-0.60 s for every value from 20 to
+# 120, 0.57 s at 40, each with an interquartile range of 0.02-0.08 s; 40
+# against 80 in 12 alternating pairs, 0.54 against 0.51 s, 80 faster in 7.
+# At 40 each of the two shares runs 2 array passes.  Outputs do not depend
+# on FLOAT_CELLS.
 FLOAT_CELLS = 40
+# a grid cell on the queue of _shared_orbits: its index and the pass it
+# resumes at
+_RECORD = struct.Struct("<qq")
 
 
 class RegulatorError(Exception):
@@ -281,87 +288,129 @@ def _integrate_circle(psi0, w1, rho, params: BoostParams, steps, cos, out=None):
         return orbit
 
     # every buffer and operand is made once at the row shape, so a step
-    # runs only ufuncs writing into preallocated arrays; the operations and
-    # their order are those of the float body
+    # runs 54 ufuncs writing into preallocated arrays.  A call on a 2-row
+    # buffer costs about as much as one on a row, but only where every
+    # operand has the same shape and is contiguous: so den and r*x*x come
+    # from one call, [aL; r*x] * [x + z20; x], and 2*k2 and 2*k3 from
+    # another.  The step's three zr*cos products take one broadcast call.
+    # Each element sees the float body's operations in its order, the
+    # guard included: it masks each stage's k before the next stage reads
+    # it, as a tripped stage's k left unmasked would feed later stages
+    # whose NaNs, of either sign, could win the sum.  The stages are
+    # written out, with the ufuncs in local names, because a Python call
+    # per stage cost about as much as the calls saved.
     shape = np.shape(psi0)
-    psi = np.array(psi0, dtype=float)
-    r, z20, aL, b_lin, c_con, zr, guard, two, half, h, sixth = (
+    r, b_lin, z20, c_con, zr, guard, half, h, sixth = (
         np.broadcast_to(v, shape).astype(float) for v in
-        (r, z20, aL, b_lin, c_con, zr, DENOM_GUARD, 2.0, half, h, sixth))
-    num, tmp, den, p, k1, k2, k3, k4 = (np.empty(shape) for _ in range(8))
+        (r, b_lin, z20, c_con, zr, DENOM_GUARD, half, h, sixth))
+    two = np.full((2,) + shape, 2.0)
+    a_rx = np.empty((2,) + shape)             # [aL; r*x]
+    a_rx[0] = aL
+    at_psi = np.empty((2,) + shape)           # [psi + z20; psi]
+    at_p = np.empty((2,) + shape)             # [p + z20; p]
+    at_psi[1] = psi0
+    den_rxx = np.empty((2,) + shape)          # [den; r*x*x]
+    k = np.empty((4,) + shape)
+    zc = np.empty((3,) + shape)               # zr * the step's stage cosines
+    twice = np.empty((2,) + shape)
+    num, b_x = np.empty(shape), np.empty(shape)
     mask = np.empty(shape, dtype=bool)
-
-    def rhs(p, c, k):
-        np.add(p, z20, tmp)
-        np.multiply(aL, tmp, den)
-        np.multiply(r, p, num)
-        np.multiply(num, p, num)
-        np.multiply(b_lin, p, tmp)
-        np.add(num, tmp, num)
-        np.add(num, c_con, num)
-        np.multiply(zr, c, tmp)
-        np.add(num, tmp, num)
-        np.divide(num, den, k)
-        np.copyto(k, np.nan, where=np.less(den, guard, mask))
+    (psi_z, psi), (p_z, p), r_x, (den, rxx) = at_psi, at_p, a_rx[1], den_rxx
+    (k1, k2, k3, k4), k23, (zc1, zc2, zc4), (twice2, twice3) = k, k[1:3], zc, twice
+    add, mul, div, less, copyto, nan = np.add, np.multiply, np.divide, np.less, np.copyto, np.nan
 
     orbit[..., 0] = psi
+    table = np.reshape(cos, (-1, 3) + (1,) * len(shape))
     with np.errstate(invalid="ignore", divide="ignore"):
-        for k, (c1, c2, c4) in enumerate(zip(stages, stages, stages), 1):
-            rhs(psi, c1, k1)
-            np.add(psi, np.multiply(half, k1, p), p)
-            rhs(p, c2, k2)
-            np.add(psi, np.multiply(half, k2, p), p)
-            rhs(p, c2, k3)
-            np.add(psi, np.multiply(h, k3, p), p)
-            rhs(p, c4, k4)
-            np.add(k1, np.multiply(two, k2, tmp), tmp)
-            np.add(tmp, np.multiply(two, k3, num), tmp)
-            np.add(tmp, k4, tmp)
-            np.add(psi, np.multiply(sixth, tmp, tmp), psi)
-            orbit[..., k] = psi
+        for j, c in enumerate(table, 1):
+            mul(zr, c, zc)
+            add(psi, z20, psi_z)
+            mul(r, psi, r_x)
+            mul(b_lin, psi, b_x)
+            mul(a_rx, at_psi, den_rxx)
+            add(rxx, b_x, num)
+            add(num, c_con, num)
+            add(num, zc1, num)
+            div(num, den, k1)
+            copyto(k1, nan, where=less(den, guard, mask))
+
+            add(psi, mul(half, k1, p), p)
+            add(p, z20, p_z)
+            mul(r, p, r_x)
+            mul(b_lin, p, b_x)
+            mul(a_rx, at_p, den_rxx)
+            add(rxx, b_x, num)
+            add(num, c_con, num)
+            add(num, zc2, num)
+            div(num, den, k2)
+            copyto(k2, nan, where=less(den, guard, mask))
+
+            add(psi, mul(half, k2, p), p)
+            add(p, z20, p_z)
+            mul(r, p, r_x)
+            mul(b_lin, p, b_x)
+            mul(a_rx, at_p, den_rxx)
+            add(rxx, b_x, num)
+            add(num, c_con, num)
+            add(num, zc2, num)
+            div(num, den, k3)
+            copyto(k3, nan, where=less(den, guard, mask))
+
+            add(psi, mul(h, k3, p), p)
+            add(p, z20, p_z)
+            mul(r, p, r_x)
+            mul(b_lin, p, b_x)
+            mul(a_rx, at_p, den_rxx)
+            add(rxx, b_x, num)
+            add(num, c_con, num)
+            add(num, zc4, num)
+            div(num, den, k4)
+            copyto(k4, nan, where=less(den, guard, mask))
+
+            mul(two, k23, twice)
+            add(k1, twice2, num)
+            add(num, twice3, num)
+            add(num, k4, num)
+            add(psi, mul(sixth, num, num), psi)
+            orbit[..., j] = psi
     return orbit
 
 
 def _periodic_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter,
-                     orbit=None):
+                     orbit=None, first=1, stop=0, cos=None):
     """Fixed-point iteration psi^n(0) = psi^{n-1}(2*pi) on many circles at once.
 
-    start, tol, w1 and rho have one shape (0-d for one circle).  The orbits
-    are written into `orbit` (any view of that shape + (steps + 1,)) if
-    given.
+    start, tol, w1 and rho have one shape: 0-d for one circle, which runs
+    on the float body of _integrate_circle, else on the array body.  The
+    orbits are written into `orbit` (any view of that shape + (steps + 1,))
+    if given; cos is _stage_cosines(steps), made here if not given.
     A cell freezes once its orbit escapes or |psi(2*pi) - psi(0)| < tol and
     keeps its start, so later passes rewrite its orbit row bit for bit.
-    A pass with more than FLOAT_CELLS active cells integrates all rows on
-    the array body, any other pass each active cell alone on the float
-    body.  The two bodies agree bit for bit, so the result does not
-    depend on FLOAT_CELLS.
-    Returns (psi0, orbit, iters, escaped); iters is 0 where not converged.
+    Passes first..max_iter run while more than `stop` cells are active;
+    a cell left active resumes from its returned start at the returned pass
+    (on the float body, alone, with the same bits: test_circle_bodies_agree).
+    Returns (psi0, orbit, iters, escaped, it); iters is 0 where not
+    converged, and it is the first pass not run.
     """
     start = np.array(start, dtype=float)
     w1, rho = np.asarray(w1), np.asarray(rho)
     orbit = np.empty(start.shape + (steps + 1,)) if orbit is None else orbit
+    cos = _stage_cosines(steps) if cos is None else cos
     iters = np.zeros(start.shape, dtype=int)
     escaped = np.zeros(start.shape, dtype=bool)
     active = np.ones(start.shape, dtype=bool)
-    cos = _stage_cosines(steps)
-    for it in range(1, max_iter + 1):
-        if np.count_nonzero(active) > FLOAT_CELLS:
-            _integrate_circle(start, w1, rho, params, steps, cos, out=orbit)
-        else:
-            for k in np.ndindex(start.shape):
-                if active[k]:
-                    _integrate_circle(start[k], w1[k], rho[k], params, steps,
-                                      cos, out=orbit[k])
+    it = first
+    while it <= max_iter and np.count_nonzero(active) > stop:
+        _integrate_circle(start, w1, rho, params, steps, cos, out=orbit)
         end = orbit[..., -1]
         escaped |= active & ~np.isfinite(end)
         active &= ~escaped
         done = active & (np.abs(end - start) < tol)
         iters[done] = it
         active &= ~done
-        if not active.any():
-            break
         np.copyto(start, end, where=active)
-    return start, orbit, iters, escaped
+        it += 1
+    return start, orbit, iters, escaped, it
 
 
 def _grid_workers(cells):
@@ -374,60 +423,108 @@ def _grid_workers(cells):
 
 
 def _shared_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter):
-    """_periodic_orbits on the 1-d rows of a grid, in _grid_workers shares.
+    """_periodic_orbits on the 1-d rows of a grid, in _grid_workers processes.
 
     Cell k belongs to share k mod W, so the slow cells of one column are
     spread over the shares.  Shares 1..W-1 run in forked children and
-    share 0 in the caller, each on its strided rows of one anonymous
-    shared mmap that backs the returned arrays.  A child never returns
-    into the caller.  A share whose fork fails, or whose child exits
-    non-zero or dies from a signal, is solved again by the caller, so the
-    result never depends on the workers; on an exception every child is
-    killed, and every child is reaped before this returns.
+    share 0 in the caller, all in one anonymous shared mmap that backs the
+    returned arrays.  A share runs the array body on its strided rows while
+    more than FLOAT_CELLS of them are active, then pushes each cell still
+    active, with the pass it resumes at, onto one pipe.  Every process then
+    pulls cells until EOF and solves each alone, from its saved start, on
+    the float body, so a faster CPU takes more of them.  A push never
+    blocks: it writes whole records, at most PIPE_BUF bytes at a time, and
+    the cells that do not fit are solved by the process that pushed them.
+    A cell is final once its shared done flag is set, and its saved start
+    is not written before then.  Once every child is reaped, the caller
+    solves again each share whose array phase did not finish (its fork
+    failed or its child died) and each cell not done, so the result never
+    depends on the workers.  A child never returns into the caller; on an
+    exception every child is killed, and every child is reaped before this
+    returns.
     """
     n, width = len(start), steps + 1
     workers = _grid_workers(n)
-    mem = mmap.mmap(-1, max(1, 8 * n * (width + 2) + n))
+    mem = mmap.mmap(-1, max(1, 8 * (n * (width + 3) + workers) + 2 * n))
     orbit = np.frombuffer(mem, float, n * width).reshape(n, width)
-    psi0 = np.frombuffer(mem, float, n, 8 * n * width)
-    iters = np.frombuffer(mem, np.int64, n, 8 * n * (width + 1))
-    escaped = np.frombuffer(mem, bool, n, 8 * n * (width + 2))
+    psi0, saved = np.frombuffer(mem, float, 2 * n, 8 * n * width).reshape(2, n)
+    iters = np.frombuffer(mem, np.int64, n, 8 * n * (width + 2))
+    # per share: 0 until its array phase finished, then the pass its cells
+    # left active resume at
+    resume = np.frombuffer(mem, np.int64, workers, 8 * n * (width + 3))
+    escaped, done = np.frombuffer(
+        mem, bool, 2 * n, 8 * (n * (width + 3) + workers)).reshape(2, n)
+    cos = _stage_cosines(steps)
 
-    def share(j):
+    def array_phase(j):
+        """Share j on the array body; returns its cells left active."""
         rows = slice(j, None, workers)
-        psi0[rows], _, iters[rows], escaped[rows] = _periodic_orbits(
+        p, _, its, esc, first = _periodic_orbits(
             start[rows], tol[rows], w1[rows], rho[rows], params, steps, max_iter,
-            orbit=orbit[rows])
+            orbit=orbit[rows], stop=FLOAT_CELLS, cos=cos)
+        left = (its == 0) & ~esc & (first <= max_iter)
+        psi0[rows] = saved[rows] = p
+        iters[rows], escaped[rows], done[rows] = its, esc, ~left
+        resume[j] = first
+        return np.arange(j, n, workers)[left]
 
-    children, redo = {}, []
-    try:
-        for j in range(1, workers):
-            try:
-                pid = os.fork()
-            except OSError:
-                redo.append(j)
-                continue
-            if pid == 0:
-                code = 1
+    def solve(k, first):
+        """Cell k alone from its saved start, from pass first on."""
+        psi0[k], _, iters[k], escaped[k], _ = _periodic_orbits(
+            saved[k], tol[k], w1[k], rho[k], params, steps, max_iter,
+            orbit=orbit[k], first=first, cos=cos)
+        done[k] = True
+
+    def push(queue, cells, first):
+        """Queue cells resuming at pass first; returns those that do not fit."""
+        per_write = select.PIPE_BUF // _RECORD.size
+        for at in range(0, len(cells), per_write):
+            data = b"".join(_RECORD.pack(k, first) for k in cells[at:at + per_write])
+            if queue.write(data) is None:   # the pipe is full
+                return cells[at:]
+        return cells[:0]
+
+    def work(j, queue_in, queue_out):
+        cells = array_phase(j)
+        cells = push(queue_out, cells, resume[j])
+        queue_out.close()
+        for k in cells:
+            solve(k, resume[j])
+        while record := queue_in.read(_RECORD.size):
+            solve(*_RECORD.unpack(record))
+
+    read_fd, write_fd = os.pipe()
+    os.set_blocking(write_fd, False)
+    children = []
+    with open(read_fd, "rb", buffering=0) as queue_in, \
+            open(write_fd, "wb", buffering=0) as queue_out:
+        try:
+            for j in range(1, workers):
                 try:
-                    share(j)
-                    code = 0
-                finally:
-                    os._exit(code)
-            children[pid] = j
-        share(0)
-        while children:
-            pid, status = os.waitpid(next(iter(children)), 0)
-            j = children.pop(pid)
-            if status:
-                redo.append(j)
-    finally:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-        for pid in children:
-            os.waitpid(pid, 0)
-    for j in redo:
-        share(j)
+                    pid = os.fork()
+                except OSError:
+                    continue
+                if pid == 0:
+                    code = 1
+                    try:
+                        work(j, queue_in, queue_out)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                children.append(pid)
+            work(0, queue_in, queue_out)
+            while children:
+                os.waitpid(children[-1], 0)
+                children.pop()
+        finally:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+            for pid in children:
+                os.waitpid(pid, 0)
+    for j in np.flatnonzero(resume == 0):
+        array_phase(j)
+    for k in np.flatnonzero(~done):
+        solve(k, resume[k % workers])
     return psi0, orbit, iters, escaped
 
 
@@ -440,7 +537,7 @@ def solve_psi0(w1, rho, params: BoostParams, ode_steps=2000, max_iter=200):
     sampled on the uniform tau grid (ode_steps + 1 points).
     """
     psi1, psi2 = psi_bounds(w1, rho, params)
-    psi0, orbit, iters, escaped = _periodic_orbits(
+    psi0, orbit, iters, escaped, _ = _periodic_orbits(
         0.5 * (psi1 + psi2), 1e-9 * (1.0 + abs(psi1)), w1, rho, params, ode_steps,
         max_iter)
     where = f"at (w1, rho) = ({w1}, {rho})"
@@ -505,8 +602,9 @@ def solve_boost_grid(params: BoostParams, n_w1=21, n_rho=21, ode_steps=2000,
     uniform on [0, shrink*rho_max(w1)].  Columns where rho_max(w1) <= 0 are
     marked absent.  The present cells go through the fixed-point iteration
     (_periodic_orbits) as flat arrays, one share per worker process
-    (_shared_orbits), each cell frozen on its own stopping test, and a pass
-    over few active cells takes them one by one; every cell's psi0,
+    (_shared_orbits), each cell frozen on its own stopping test, and once
+    few cells of a share are active each is taken from a shared queue and
+    solved alone; every cell's psi0,
     iterations and orbit are bit-identical to solve_psi0, whatever the
     number of workers.
     """

@@ -91,7 +91,7 @@ def test_boost_equilibrium_lossless_limit():
 
 
 def test_boost_equilibrium_rejects_bad_params():
-    with pytest.raises(RegulatorError):
+    with pytest.raises(RegulatorError, match="v0, z10, R, r must be positive"):
         boost_equilibrium(-1.0, 400.0, 400.0, 0.25)
 
 
@@ -230,10 +230,34 @@ def _allocating_circle(psi0, w1, rho, steps):
     return orbit
 
 
+def _first_guard_trip(psi, w1, rho, steps):
+    """(step, stage) at which the float RK4 of one circle first meets
+    alpha*L*(p + z20) < DENOM_GUARD, stages counted 1-4; None if never."""
+    pr = PARAMS
+    h = 2.0 * math.pi / steps
+    aL = pr.alpha * pr.L
+    b_lin = pr.r * pr.z20 - w1 - pr.D0 * pr.z10
+    stages = iter(regeq._stage_cosines(steps))
+    for step, (c1, c2, c4) in enumerate(zip(stages, stages, stages)):
+        p, ks = psi, []
+        for stage, (c, dt) in enumerate([(c1, 0.5 * h), (c2, 0.5 * h), (c2, h), (c4, 0.0)], 1):
+            if aL * (p + pr.z20) < regeq.DENOM_GUARD:
+                return step, stage
+            ks.append((pr.r * p * p + b_lin * p - pr.z20 * w1 + pr.z10 * rho * c)
+                      / (aL * (p + pr.z20)))
+            p = psi + dt * ks[-1]
+        psi = psi + h / 6.0 * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
+    return None
+
+
 def test_in_place_array_body_matches_allocating_body():
     # every start of the default 21x21 grid, one row that trips the guard
     # at once and one that escapes mid-orbit: the same bits, NaN included,
-    # and the starts are not written
+    # and the starts are not written.  The array body masks a step's four
+    # stages at once, so rows whose guard trips first at stage 1 (with a
+    # zero denominator, whose later stages then compute inf and a NaN of
+    # the other sign), 2 (mid-orbit), 3 and 4 check that masking late gives
+    # the NaN bits of masking each stage in turn
     w1max, rho_max = admissible_domain(PARAMS)
     rows = []
     for w1 in np.linspace(-0.95 * w1max, 0.95 * w1max, 21):
@@ -243,16 +267,25 @@ def test_in_place_array_body_matches_allocating_body():
             rows.append((0.5 * (psi1 + psi2), w1, rho))
     assert len(rows) == 399
     rows += [(-PARAMS.z20 + 1e-13, 0.0, 0.3), (-PARAMS.z20 + 0.05, 0.0, 2.0)]
+    trips = {(-PARAMS.z20, 0.0, 2.0): (0, 1),
+             (-PARAMS.z20 + 0.03218616423980385, 0.0, 2.0): (916, 2),
+             (-PARAMS.z20 + 0.0020095602596005113, 0.0, 2.0): (0, 3),
+             (-PARAMS.z20 + 3.026869272108271e-07, 0.0, 2.0): (0, 4)}
+    for row, trip in trips.items():
+        assert _first_guard_trip(*row, 2000) == trip
+    rows += list(trips)
     start, w1, rho = (np.array(v) for v in zip(*rows))
     before = start.copy()
     got = _circle(start, w1, rho, 2000)
     want = _allocating_circle(start, w1, rho, 2000)
     assert np.array_equal(start.view(np.int64), before.view(np.int64))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert np.all(np.isfinite(got[:-2]))
-    assert np.all(np.isnan(got[-2, 1:]))
-    escape = np.flatnonzero(np.isnan(got[-1]))
-    assert 100 < escape[0] < 2000 and np.all(np.isnan(got[-1, escape[0]:]))
+    assert np.all(np.isfinite(got[:-6]))
+    assert np.all(np.isnan(got[-6, 1:]))
+    escape = np.flatnonzero(np.isnan(got[-5]))
+    assert 100 < escape[0] < 2000 and np.all(np.isnan(got[-5, escape[0]:]))
+    for row, (step, _) in zip(got[-4:], trips.values()):
+        assert np.all(np.isfinite(row[:step + 1])) and np.all(np.isnan(row[step + 1:]))
 
 
 def test_admissible_domain_shape():
@@ -647,15 +680,14 @@ def test_boost_grid_keeps_gamma_guard(monkeypatch):
     cell = [c for col in solve_boost_grid(PARAMS, **kw).cells for c in col
             if c.present][3]
     assert cell.converged
-    real_orbits = regeq._periodic_orbits
+    real_orbits = regeq._shared_orbits
 
     def orbits(*args, **kwargs):
         psi0, orbit, iters, escaped = real_orbits(*args, **kwargs)
-        orbit[3, 7] = -PARAMS.z20
+        orbit[3, 7] = -PARAMS.z20     # orbit row 3 is cell 3 of the grid
         return psi0, orbit, iters, escaped
 
-    _pin_workers(monkeypatch, 1)     # orbit row 3 is cell 3 of the grid
-    monkeypatch.setattr(regeq, "_periodic_orbits", orbits)
+    monkeypatch.setattr(regeq, "_shared_orbits", orbits)
     with pytest.raises(RegulatorError) as info:
         solve_boost_grid(PARAMS, **kw)
     assert str(info.value) == ("orbit too close to psi = -z20 for gamma recovery "
@@ -699,41 +731,53 @@ def test_default_grid_same_bytes_at_any_worker_count(monkeypatch):
     _assert_same_grids(grids)
 
 
-def _spy_orbits(monkeypatch, in_child):
-    """Patch _periodic_orbits to call in_child() first in a forked worker;
-    returns the list of the shares' row counts solved in this process."""
+def _spy_orbits(monkeypatch, in_child, in_caller=lambda start: None):
+    """Patch _periodic_orbits to call in_child(start) first in a forked
+    worker and in_caller(start) in this process; returns the list of the
+    start shapes of the calls in this process: (n,) for a share's array
+    phase, () for one cell taken alone."""
     parent, real_orbits, solved = os.getpid(), regeq._periodic_orbits, []
 
     def orbits(start, *args, **kwargs):
         if os.getpid() != parent:
-            in_child()
+            in_child(start)
         else:
-            solved.append(len(start))
+            in_caller(start)
+            solved.append(np.shape(start))
         return real_orbits(start, *args, **kwargs)
 
     monkeypatch.setattr(regeq, "_periodic_orbits", orbits)
     return solved
 
 
-def _raise():
+def _raise(start):
     raise RuntimeError("worker failed")
 
 
-@pytest.mark.parametrize("in_child", [_raise, lambda: os._exit(3),
-                                      lambda: os.kill(os.getpid(), signal.SIGKILL)],
+def _assert_solved_in_caller(solved, grid):
+    # share 0, then shares 1 and 2 again, together every present cell; the
+    # shares are under FLOAT_CELLS cells, so every cell is then solved
+    # alone, and all of them here
+    present = sum(c.present for col in grid.cells for c in col)
+    shares = [shape[0] for shape in solved if shape]
+    assert len(shares) == 3 and sum(shares) == present
+    assert solved.count(()) == present
+
+
+@pytest.mark.parametrize("in_child", [_raise, lambda start: os._exit(3),
+                                      lambda start: os.kill(os.getpid(), signal.SIGKILL)],
                          ids=["raises", "exits-3", "sigkill"])
 def test_failed_worker_share_is_solved_again(monkeypatch, in_child):
-    # a worker that exits non-zero or dies from a signal costs time only:
-    # the caller solves its share itself and the grid keeps its bytes
+    # a worker that exits non-zero or dies from a signal in its array phase
+    # costs time only: the caller solves its share itself and the grid
+    # keeps its bytes
     kw = dict(n_w1=5, n_rho=5, ode_steps=500)
     want = solve_boost_grid(PARAMS, **kw)
     _pin_workers(monkeypatch, 3)
     solved = _spy_orbits(monkeypatch, in_child)
     got = solve_boost_grid(PARAMS, **kw)
     _assert_no_children()
-    # share 0, then shares 1 and 2 again, together every present cell
-    assert len(solved) == 3
-    assert sum(solved) == sum(c.present for col in want.cells for c in col)
+    _assert_solved_in_caller(solved, want)
     _assert_same_grids([want, got])
 
 
@@ -744,10 +788,71 @@ def test_failed_fork_share_is_solved_in_caller(monkeypatch):
     kw = dict(n_w1=5, n_rho=5, ode_steps=500)
     want = solve_boost_grid(PARAMS, **kw)
     _pin_workers(monkeypatch, 3)
-    solved = _spy_orbits(monkeypatch, lambda: None)
+    solved = _spy_orbits(monkeypatch, lambda start: None)
     monkeypatch.setattr(regeq.os, "fork", fork)
     got = solve_boost_grid(PARAMS, **kw)
-    assert len(solved) == 3
+    _assert_solved_in_caller(solved, want)
+    _assert_same_grids([want, got])
+
+
+def test_worker_killed_on_a_queued_cell(monkeypatch):
+    # the worker is killed while it solves the first cell it took from the
+    # queue; this process waits for that death (without reaping it) before
+    # it solves a cell of its own, so the worker surely takes one.  The
+    # cell is not done, so the caller solves it again: every cell is solved
+    # here, and the grid keeps its bytes.
+    kw = dict(n_w1=5, n_rho=5, ode_steps=500)
+    want = solve_boost_grid(PARAMS, **kw)
+    _pin_workers(monkeypatch, 2)
+    deaths = []
+
+    def kill_self(start):
+        if np.ndim(start) == 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    def wait_for_death(start):
+        if np.ndim(start) == 0 and not deaths:
+            deaths.append(os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT))
+
+    solved = _spy_orbits(monkeypatch, kill_self, wait_for_death)
+    got = solve_boost_grid(PARAMS, **kw)
+    _assert_no_children()
+    assert [(d.si_code, d.si_status) for d in deaths] == [(os.CLD_KILLED, signal.SIGKILL)]
+    present = sum(c.present for col in want.cells for c in col)
+    assert solved.count(()) == present
+    _assert_same_grids([want, got])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_queue_bigger_than_the_pipe(monkeypatch, workers):
+    # a pipe shrunk to one page holds 256 records, far fewer than the 1155
+    # cells that all go on the queue when the float body takes every pass:
+    # a full pipe blocks no push, the pushing process solves the cells that
+    # do not fit, and the grid keeps its bytes
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("no F_SETPIPE_SZ")
+    kw = dict(n_w1=35, n_rho=35, ode_steps=50)
+    with monkeypatch.context() as m:
+        m.setattr(regeq, "FLOAT_CELLS", 10**9)
+        _pin_workers(m, workers)
+        want = solve_boost_grid(PARAMS, **kw)
+    real_pipe, sizes = os.pipe, []
+
+    def small_pipe():
+        fds = real_pipe()
+        fcntl.fcntl(fds[1], fcntl.F_SETPIPE_SZ, 4096)
+        sizes.append(fcntl.fcntl(fds[1], fcntl.F_GETPIPE_SZ))
+        return fds
+
+    monkeypatch.setattr(regeq, "FLOAT_CELLS", 10**9)
+    _pin_workers(monkeypatch, workers)
+    monkeypatch.setattr(regeq.os, "pipe", small_pipe)
+    got = solve_boost_grid(PARAMS, **kw)
+    _assert_no_children()
+    present = sum(c.present for col in want.cells for c in col)
+    assert present > 1024
+    assert len(sizes) == 1 and present * regeq._RECORD.size > 4 * sizes[0]
     _assert_same_grids([want, got])
 
 

@@ -186,11 +186,11 @@ def test_jordan_structure_similarity_invariant():
 
 def test_jordan_structure_rejects_off_axis():
     S = np.diag([-1.0, 0.0])
-    with pytest.raises(SpectralError):
+    with pytest.raises(SpectralError, match="off-axis eigenvalue"):
         jordan_structure(S, eigen(S))
 
 
 def test_jordan_structure_rejects_geometric_multiplicity_two():
     S = np.zeros((2, 2))
-    with pytest.raises(SpectralError):
+    with pytest.raises(SpectralError, match="geometric multiplicity 2"):
         jordan_structure(S, eigen(S))
