@@ -34,9 +34,10 @@ SAMPLE_COUNT = 100
 MEMORY_BUDGET = 2**30
 # floats per RK4 step that a boost command holds besides its cells' rows:
 # while solving, regeq._stage_cosines' table (t and the cosine array, then
-# a list of three Python floats at 32 bytes each) and the float body's list
-# of samples, in each grid worker process; then pde_residual's temporaries
-# besides its copy of a column
+# a list of three Python floats at 32 bytes each) and either the array
+# body's array of that table (3) or the float body's list of samples (4),
+# in each grid worker process; then pde_residual's temporaries besides its
+# copy of a column
 BOOST_STEP_FLOATS = 20
 
 

@@ -298,7 +298,7 @@ def _integrate_circle(psi0, w1, rho, params: BoostParams, steps, cos, out=None):
     # it, as a tripped stage's k left unmasked would feed later stages
     # whose NaNs, of either sign, could win the sum.  The stages are
     # written out, with the ufuncs in local names, because a Python call
-    # per stage cost about as much as the calls saved.
+    # per stage cost most of what the merged calls saved.
     shape = np.shape(psi0)
     r, b_lin, z20, c_con, zr, guard, half, h, sixth = (
         np.broadcast_to(v, shape).astype(float) for v in

@@ -253,11 +253,11 @@ def _first_guard_trip(psi, w1, rho, steps):
 def test_in_place_array_body_matches_allocating_body():
     # every start of the default 21x21 grid, one row that trips the guard
     # at once and one that escapes mid-orbit: the same bits, NaN included,
-    # and the starts are not written.  The array body masks a step's four
-    # stages at once, so rows whose guard trips first at stage 1 (with a
-    # zero denominator, whose later stages then compute inf and a NaN of
-    # the other sign), 2 (mid-orbit), 3 and 4 check that masking late gives
-    # the NaN bits of masking each stage in turn
+    # and the starts are not written.  Rows whose guard trips first at
+    # stage 1 (with a zero denominator: k1 unmasked is inf, and the next
+    # stage would make a NaN of the other sign), 2 (mid-orbit), 3 and 4
+    # check that each stage's k is masked before the next stage reads it;
+    # a mask applied once per step gave a negative NaN on the first
     w1max, rho_max = admissible_domain(PARAMS)
     rows = []
     for w1 in np.linspace(-0.95 * w1max, 0.95 * w1max, 21):
@@ -801,6 +801,8 @@ def test_worker_killed_on_a_queued_cell(monkeypatch):
     # it solves a cell of its own, so the worker surely takes one.  The
     # cell is not done, so the caller solves it again: every cell is solved
     # here, and the grid keeps its bytes.
+    if not hasattr(os, "waitid"):
+        pytest.skip("no os.waitid")
     kw = dict(n_w1=5, n_rho=5, ode_steps=500)
     want = solve_boost_grid(PARAMS, **kw)
     _pin_workers(monkeypatch, 2)
