@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from . import examples, expr, model, regeq, specan, synth, sysfile
-from .sim import (DivergenceError, SimulationError, _check_grid, decay_metrics,
-                  simulate, write_trajectory_csv)
+from .sim import (DivergenceError, SimulationError, _check_grid, _CsvWorker,
+                  decay_metrics, simulate, write_trajectory_csv)
 
 RESIDUAL_TOL = 1e-6
 PDE_RESIDUAL_TOL = 1e-3
@@ -246,20 +246,24 @@ def cmd_simulate(args):
         x0, xi0, w0 = ex.default_ic
     else:
         x0, xi0, w0 = [0.0] * n, [0.0] * nc, [0.0] * p
-    try:
-        traj = simulate(sf.plant, sf.exo, sf.controller, x0, xi0, w0, T, dt)
-    except DivergenceError as exc:
-        checks.add("simulation_bounded", False, exc.t)
-        return checks.status
-    checks.add("simulation_finite", bool(np.all(np.isfinite(traj.e))), "-")
-    final_rms, peak, settle = decay_metrics(traj, window=T / 5.0)
-    print(f"final_rms = {final_rms:.17g}")
-    print(f"peak = {peak:.17g}")
-    print(f"settle_fraction = {settle:.17g}")
-    if args.out:
-        with _writing(args.out):
-            write_trajectory_csv(traj, args.out)
-        print(f"trajectory written to {args.out}")
+    # with --out, one process may encode the CSV beside the kernel, holding
+    # as much text as the budget leaves beside the table
+    with _CsvWorker(MEMORY_BUDGET - 8 * (steps + 1) * (n + nc + p + 3)) as encoder:
+        try:
+            traj = simulate(sf.plant, sf.exo, sf.controller, x0, xi0, w0, T, dt,
+                            encoder=encoder if args.out else None)
+        except DivergenceError as exc:
+            checks.add("simulation_bounded", False, exc.t)
+            return checks.status
+        checks.add("simulation_finite", bool(np.all(np.isfinite(traj.e))), "-")
+        final_rms, peak, settle = decay_metrics(traj, window=T / 5.0)
+        print(f"final_rms = {final_rms:.17g}")
+        print(f"peak = {peak:.17g}")
+        print(f"settle_fraction = {settle:.17g}")
+        if args.out:
+            with _writing(args.out):
+                write_trajectory_csv(traj, args.out, encoder)
+            print(f"trajectory written to {args.out}")
     return checks.status
 
 
@@ -365,7 +369,10 @@ def cmd_example(args):
             ex = examples.get(name)
             print(f"{name}: {ex.description}")
         return 0
-    ex = examples.get(args.name)
+    try:
+        ex = examples.get(args.name)
+    except KeyError as exc:
+        raise sysfile.SysFileError(exc.args[0]) from None
     print(ex.text, end="")
     return 0
 

@@ -37,7 +37,7 @@ from . import expr
 from .expr import Bin, Expr
 from .model import (ControllerModel, ExosystemModel, PlantModel, _as_exprs,
                     _check_origin, _check_vars, _indexed, w_names, x_names, xi_names)
-from .sim import _write_csv
+from .sim import _cpus, _write_csv
 
 DENOM_GUARD = 1e-12
 # A share of the grid runs its passes on the array body while more than
@@ -416,10 +416,8 @@ def _periodic_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter,
 def _grid_workers(cells):
     """Processes that solve a grid of `cells` present cells: one per CPU
     this process may run on, but at most one per FLOAT_CELLS cells, and
-    1 where os.fork or os.sched_getaffinity is missing."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), cells // max(FLOAT_CELLS, 1)))
+    1 where os.fork or os.sched_getaffinity is missing (sim._cpus)."""
+    return max(1, min(_cpus(), cells // max(FLOAT_CELLS, 1)))
 
 
 def _shared_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter):

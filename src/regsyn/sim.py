@@ -5,15 +5,23 @@ controller) and computes error decay metrics.  One code generator
 (_rk4_kernel) turns the model expressions into a single Python function
 per system that runs all four RK4 stages over scalar locals and packs
 each row into one preallocated table in CSV column order; a bounded
-cache keyed on the generated source keeps the compiled functions.  The
-integrator is deterministic: identical inputs produce bit-identical
-trajectories, equal to evaluating every expression with expr.evaluate.
+cache keyed on the generated source keeps the compiled functions.
+simulate runs that function one CSV block of rows at a time, each call
+from the last row of the one before, and can hand each block once final
+to one forked process (_CsvWorker) that encodes the CSV while the next
+block is integrated.  The integrator is deterministic: identical inputs
+produce bit-identical trajectories, equal to evaluating every expression
+with expr.evaluate, and the CSV bytes do not depend on who encodes them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import mmap
+import os
+import signal
 import struct
 from dataclasses import dataclass
 
@@ -25,6 +33,21 @@ from .model import ControllerModel, ExosystemModel, PlantModel, w_names, x_names
 DIVERGENCE_CAP = 1e6
 # compiled RK4 kernels kept for the next simulate of the same system
 KERNEL_CACHE_SIZE = 16
+# values per CSV block: enough to repay numpy's per-call cost, few enough
+# to keep a block's arrays under 0.5 MB
+CSV_BLOCK_VALUES = 3000
+# A table of at least ENCODER_BLOCKS CSV blocks is encoded by a forked
+# _CsvWorker while the kernel runs.  The fork, the copy-on-write faults
+# after it and the child's exit cost several ms: on a 2-vCPU x86 VM,
+# `simulate --out` of example53 (272-row blocks) and example51 (333),
+# medians of 41 alternating in-process runs with the worker against
+# without, took 2.5-4.2 ms longer at 5 and 6 blocks, +0.0 and +0.6 ms at
+# 7, -0.2 and -1.4 ms at 8, -2.0 and -2.2 ms at 9 and -4.6 and -7.4 ms
+# at 15 blocks.
+ENCODER_BLOCKS = 8
+# a message to the encoder process: the count of table rows final, or -1
+# before the path to write
+_ROWS = struct.Struct("<q")
 
 
 class SimulationError(Exception):
@@ -57,6 +80,23 @@ class Trajectory:
     @property
     def dt(self):
         return float(self.t[1] - self.t[0])
+
+
+def _cpus():
+    """CPUs this process may run on; 1 where os.fork or
+    os.sched_getaffinity is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _block_rows(cols):
+    """Rows of one CSV block of a cols-column table."""
+    return max(1, CSV_BLOCK_VALUES // cols)
+
+
+def _csv_header(n, nc, p):
+    return ["t", *x_names(n), *xi_names(nc), *w_names(p), "e", "u"]
 
 
 def _check_grid(T, dt):
@@ -132,32 +172,47 @@ def _compiled_kernel(dim, body):
 
 
 def simulate(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
-             x0, xi0, w0, T, dt) -> Trajectory:
+             x0, xi0, w0, T, dt, encoder=None) -> Trajectory:
     """RK4 on dx = f(x, lambda(xi), w), dxi = phi(xi) + Bc h(x, lambda(xi), w),
     dw = s(w).  Aborts when the state infinity-norm exceeds the divergence
     cap or the state is NaN (local results only cover small data; runaway
     must fail loudly).  A step whose evaluation fails (an overflow, say)
     after the input of one of its stages left the cap ball diverges at the
-    end of that step; any other evaluation error is raised."""
+    end of that step; any other evaluation error is raised.
+
+    The kernel runs one CSV block of rows at a time, each call from the
+    packed state of the last row the call before wrote, so every bit is
+    that of one call.  With an encoder (a _CsvWorker), the table is the
+    encoder's and the rows of each block are handed to it once final."""
     n, nc, p = plant.n, ctrl.nc, exo.p
     x0, xi0, w0 = (np.asarray(v, dtype=float) for v in (x0, xi0, w0))
     if x0.shape != (n,) or xi0.shape != (nc,) or w0.shape != (p,):
         raise SimulationError("initial state dimensions do not match the models")
     steps = _check_grid(T, dt)
-    tab = np.full((steps + 1, n + nc + p + 3), np.nan)   # NaN until written
+    tab = (np.empty((steps + 1, n + nc + p + 3)) if encoder is None
+           else encoder.table(steps + 1, _csv_header(n, nc, p)))
+    tab.fill(np.nan)   # NaN until written
     np.multiply(np.arange(steps + 1), dt, out=tab[:, 0])
-    try:
-        k = _rk4_kernel(plant, exo, ctrl)(*np.concatenate([x0, xi0, w0]).tolist(),
-                                          steps, dt, memoryview(tab))
-    except EvalError:
-        # every row written is finite: re-run the step from the last one
-        # with its stage inputs checked, which locates a divergence or
-        # raises the same error again
-        k = np.count_nonzero(~np.isnan(tab[:, 1])) - 1
-        k += _rk4_kernel(plant, exo, ctrl, stage_checks=True)(
-            *tab[k, 1:-2].tolist(), 1, dt, memoryview(tab[k:k + 2]))
-    if k >= 0:
-        raise DivergenceError(k * dt)
+    kernel = _rk4_kernel(plant, exo, ctrl)
+    state = np.concatenate([x0, xi0, w0]).tolist()
+    block = _block_rows(tab.shape[1])
+    for start in range(0, steps, block):
+        stop = min(start + block, steps)
+        try:
+            k = kernel(*state, stop - start, dt, memoryview(tab[start:stop + 1]))
+        except EvalError:
+            # every row written is finite: re-run the step from the last one
+            # with its stage inputs checked, which locates a divergence or
+            # raises the same error again
+            k = np.count_nonzero(~np.isnan(tab[start:, 1])) - 1
+            k += _rk4_kernel(plant, exo, ctrl, stage_checks=True)(
+                *tab[start + k, 1:-2].tolist(), 1, dt,
+                memoryview(tab[start + k:start + k + 2]))
+        if k >= 0:
+            raise DivergenceError((start + k) * dt)
+        state = tab[stop, 1:-2].tolist()
+        if encoder is not None:
+            encoder.ready(stop)
     return Trajectory(tab, n, nc)
 
 
@@ -176,9 +231,6 @@ def decay_metrics(traj: Trajectory, window: float):
     return final_rms, peak, settle
 
 
-# values per CSV block: enough to repay numpy's per-call cost, few enough
-# to keep a block's arrays under 0.5 MB
-CSV_BLOCK_VALUES = 3000
 # slots of the digit region, and the rank of each of the 17 digits from 1
 _SLOT = np.arange(18, dtype=np.uint8)[:, None]
 _RANK1 = _SLOT[1:]
@@ -317,20 +369,131 @@ def _encode_rows(table):
     return m.T.tobytes().translate(None, b"\0")
 
 
-def _write_csv(path, header, table):
+def _write_csv(path, header, table, encoded=(), start=0):
     """CSV of the rows of a 2-d float table with every value written as
-    "%.17g" % v and CRLF line ends.  Rows are encoded a block of about
-    CSV_BLOCK_VALUES values at a time, and a block of a C-contiguous table
-    is a view, so no copy of the whole table is made."""
-    block = max(1, CSV_BLOCK_VALUES // len(header))
+    "%.17g" % v and CRLF line ends: the text of its first start rows is
+    the bytes of encoded, and the rest are encoded a block of about
+    CSV_BLOCK_VALUES values at a time.  A block of a C-contiguous table is
+    a view, so no copy of the whole table is made."""
+    block = _block_rows(len(header))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for start in range(0, len(table), block):
-            fh.write(_encode_rows(table[start:start + block]))
+        for text in encoded:
+            fh.write(text)
+        for at in range(start, len(table), block):
+            fh.write(_encode_rows(table[at:at + block]))
 
 
-def write_trajectory_csv(traj: Trajectory, path):
-    """CSV with header t,x1..xn,xi1..xinc,w1..wp,e,u at full precision."""
-    header = (["t"] + list(x_names(traj.x.shape[1])) + list(xi_names(traj.xi.shape[1]))
-              + list(w_names(traj.w.shape[1])) + ["e", "u"])
-    _write_csv(path, header, traj.table)
+class _CsvWorker:
+    """One forked process that encodes simulate's table while the kernel
+    runs, and writes the CSV file on commit.
+
+    table() forks it when the table spans at least ENCODER_BLOCKS blocks
+    and the process may run on two CPUs.  The table then lives in an
+    anonymous shared mmap, and after each kernel call ready() sends the
+    child, through a pipe, the count of rows that are final.  The child
+    encodes each whole block of them and keeps the text while it holds at
+    most `cap` bytes; past that it only drains the pipe.  commit(path)
+    sends the path and closes the pipe: the child encodes the rows left,
+    writes the file with _write_csv and exits 0.  commit is false where
+    no child started, it died or it failed (a write error, say), so the
+    caller writes the file itself and the bytes and errors never depend on
+    the child.  close(), or leaving the `with`, kills and reaps a child
+    still there.
+    """
+
+    def __init__(self, cap):
+        self.cap = cap
+        self.pid = None
+        self.pipe = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self):
+        """Kill and reap the child if it is still there."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        if self.pipe is not None:
+            with contextlib.suppress(OSError):   # data left for a dead child
+                self.pipe.close()
+
+    def table(self, rows, header):
+        """A rows x len(header) float table for simulate to fill."""
+        block = _block_rows(len(header))
+        if rows < ENCODER_BLOCKS * block or _cpus() < 2:
+            return np.empty((rows, len(header)))
+        tab = np.frombuffer(mmap.mmap(-1, 8 * rows * len(header)), float)
+        tab = tab.reshape(rows, len(header))
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            return tab
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(write_fd)
+                with open(read_fd, "rb") as pipe:
+                    self._encode(pipe, header, tab, block)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(read_fd)
+        self.pipe = open(write_fd, "wb")
+        return tab
+
+    def _encode(self, pipe, header, tab, block):
+        """The child: encode blocks as their rows become final, holding at
+        most cap bytes of text, then write the file that commit names."""
+        encoded, held, done, stop = [], 0, 0, len(tab)
+        while (rows := _ROWS.unpack(pipe.read(_ROWS.size))[0]) >= 0:
+            while done + block <= min(rows, stop):
+                text = _encode_rows(tab[done:done + block])
+                if held + len(text) > self.cap:
+                    stop = done   # the rest is encoded while writing
+                else:
+                    encoded.append(text)
+                    held += len(text)
+                    done += block
+        _write_csv(os.fsdecode(pipe.read()), header, tab, encoded, done)
+
+    def _send(self, data):
+        """False, with the child killed and reaped, if it is gone."""
+        try:
+            self.pipe.write(data)
+            self.pipe.flush()
+            return True
+        except BrokenPipeError:
+            self.close()
+            return False
+
+    def ready(self, rows):
+        """The table's first rows are final."""
+        if self.pid is not None:
+            self._send(_ROWS.pack(rows))
+
+    def commit(self, path):
+        """Whether the child wrote the CSV of the table to path."""
+        if self.pid is None or not self._send(_ROWS.pack(-1) + os.fsencode(path)):
+            return False
+        self.pipe.close()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return status == 0
+
+
+def write_trajectory_csv(traj: Trajectory, path, encoder=None):
+    """CSV with header t,x1..xn,xi1..xinc,w1..wp,e,u at full precision,
+    written by the encoder's process where traj is the encoder's table
+    and that process succeeds, else here."""
+    if encoder is None or not encoder.commit(path):
+        _write_csv(path, _csv_header(traj.x.shape[1], traj.xi.shape[1], traj.w.shape[1]),
+                   traj.table)

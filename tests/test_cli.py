@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regsyn import cli, examples, expr, model, regeq, specan, synth
+from regsyn import cli, examples, expr, model, regeq, sim, specan, synth
 
 
 _SUBPROCESS_ENV = {**os.environ,
@@ -257,6 +257,88 @@ def test_simulate_eval_error_mid_run(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: sqrt of negative value ")
     assert proc.stdout == ""
+
+
+@pytest.fixture
+def encoder_forks(monkeypatch):
+    """simulate --out forks its encoder process for any table of a block or
+    more, on any machine; yields the pids forked.  No child is left after."""
+    monkeypatch.setattr(sim, "ENCODER_BLOCKS", 1)
+    monkeypatch.setattr(sim, "_cpus", lambda: 2)
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_simulate_encoder_cap_comes_from_the_memory_budget(tmp_path, capsys, monkeypatch,
+                                                           encoder_forks):
+    # example53 over 4000 steps: 4001 rows of 11 floats.  The encoder
+    # process holds what MEMORY_BUDGET leaves beside the table; with room
+    # for one block of text the file is the same
+    argv = ("simulate", "example53", "--T", "0.004", "--out")
+    monkeypatch.setattr(sim, "ENCODER_BLOCKS", 10**9)
+    plain = _run(capsys, *argv, str(tmp_path / "plain.csv"))
+    assert encoder_forks == []
+    text = (tmp_path / "plain.csv").read_bytes()
+    block = sim._block_rows(11)
+    first = len(b"".join(text.splitlines(keepends=True)[1:1 + block]))
+    caps = []
+
+    class Worker(sim._CsvWorker):
+        def __init__(self, cap):
+            caps.append(cap)
+            super().__init__(cap)
+
+    monkeypatch.setattr(cli, "_CsvWorker", Worker)
+    monkeypatch.setattr(sim, "ENCODER_BLOCKS", 1)
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", 8 * 4001 * 11 + first)
+    for name in ("capped.csv", "again.csv"):
+        status, out, err = _run(capsys, *argv, str(tmp_path / name))
+        assert (status, out.replace(name, "plain.csv"), err) == plain
+        assert (tmp_path / name).read_bytes() == text
+    assert caps == [first, first] and len(encoder_forks) == 2
+
+
+@pytest.mark.parametrize("system, argv, status", [
+    ("example51", ("--T=1", "--dt=1e-3", "--ic=-1,-1,-1,-1,-1,-1"), 1),
+    ("FILE", ("--T", "10", "--dt", "0.01", "--ic", "0.1,0,0"), 2),
+])
+def test_failed_simulate_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, encoder_forks,
+                                              system, argv, status):
+    # a divergence and an evaluation error, each after the encoder process
+    # was sent several blocks of a few rows
+    monkeypatch.setattr(sim, "CSV_BLOCK_VALUES", 60)
+    path = tmp_path / "sqrt.sys"
+    path.write_text(_SQRT_SYS)
+    out = tmp_path / "traj.csv"
+    out.write_bytes(b"kept\r\n")
+    got, stdout, err = _run(capsys, "simulate", str(path) if system == "FILE" else system,
+                            *argv, "--out", str(out))
+    assert got == status and len(encoder_forks) == 1
+    assert (stdout, err) == (("CHECK simulation_bounded FAIL 0.253\n", "") if status == 1
+                             else ("", "error: sqrt of negative value -8.359348167008562e-07\n"))
+    assert out.read_bytes() == b"kept\r\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("forked", [True, False])
+def test_simulate_out_to_a_full_device(capsys, monkeypatch, encoder_forks, forked):
+    if not forked:
+        monkeypatch.setattr(sim, "ENCODER_BLOCKS", 10**9)
+    status, out, err = _run(capsys, "simulate", "example53", "--T", "0.004", "--out",
+                            "/dev/full")
+    assert status == 2 and len(encoder_forks) == forked
+    assert [line.split(" ")[0] for line in out.splitlines()] == [
+        "CHECK", "final_rms", "peak", "settle_fraction"]
+    assert err == "error: --out: cannot write /dev/full: No space left on device\n"
 
 
 @pytest.mark.parametrize("T, dt", [("1", "0"), ("1", "nan"), ("nan", "0.1"), ("inf", "0.1")])
@@ -509,6 +591,11 @@ _BOOST_PARAMS = {"C": "4e-5", "L": "0.004", "R": "400", "r": "0.25",
     ({"r": "0"}, "[params]: parameter r must be finite and positive"),
     ({"beta": "nan"}, "[params]: beta must lie in (0, 1)"),
     ({"v0": "900"}, "[params]: duty ratio 2.249722187920199 outside (0, 1)"),
+    # a zero discriminant: D0 = 1/2 gives D0*z10 = r*z20 = 1/2
+    ({"v0": "1", "z10": "1", "R": "4", "r": "1"},
+     "[params]: standing assumption D0*z10 > r*z20 violated"),
+    ({"v0": "1", "z10": "1", "R": "2", "r": "1"},
+     "[params]: no real duty ratio: discriminant negative"),
 ])
 def test_boost_params_keys_checked(tmp_path, capsys, edit, message):
     params = {**_BOOST_PARAMS, **edit}
@@ -703,6 +790,9 @@ _NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
     pytest.param(("boost", "--cell", "0", "0", "--out", "FILE"), "", 2,
                  ("CHECK boost_equilibrium PASS 0.2474744871391589",),
                  "error: --out: cannot write FILE: File exists\n", id="boost-out-is-a-file"),
+    pytest.param(("example", "dump", "nope"), "", 2, "",
+                 "error: unknown example 'nope'; available: example51, example52, example53\n",
+                 id="example-dump-unknown"),
 ])
 def test_cli_exit_paths(tmp_path, capsys, argv, text, status, out, err):
     # out is the whole stdout, or a tuple of lines it must contain; err is

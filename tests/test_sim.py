@@ -1,5 +1,7 @@
 import csv
 import math
+import os
+import signal
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -11,8 +13,8 @@ from regsyn.expr import EvalError, evaluate
 from regsyn.model import (ControllerModel, ExosystemModel, PlantModel, w_names,
                           x_names, xi_names)
 from regsyn.sim import (CSV_BLOCK_VALUES, DIVERGENCE_CAP, DivergenceError,
-                        SimulationError, Trajectory, _certified_digits, _write_csv,
-                        decay_metrics, simulate, write_trajectory_csv)
+                        SimulationError, Trajectory, _certified_digits, _CsvWorker,
+                        _write_csv, decay_metrics, simulate, write_trajectory_csv)
 
 from helpers import detect_period, exosystem_orbit
 
@@ -386,6 +388,167 @@ def test_stage_past_the_cap_without_error_runs_on():
     for got, want in zip((traj.x, traj.xi, traj.w, traj.e, traj.u), ref):
         assert np.array_equal(got, want)
     assert 2.28 * abs(traj.x[0, 0]) > DIVERGENCE_CAP
+
+
+# a sqrt that fails once the unstable state passes x1 = 1, mid-run
+_SQRT_LOOP = ("x1 + sqrt(1 - x1) - 1 + u", (0.1,), (0.0,), (0.0,), 10.0, 0.01)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 252, 253, 254, 2001])
+def test_kernel_blocks_keep_every_bit(monkeypatch, rows):
+    # the kernel runs a CSV block of rows per call, each from the packed
+    # last row of the call before: a run, a divergence located by the
+    # stage-checked re-run at row 253 and an evaluation error give the
+    # results of one call whatever the block, boundary rows included
+    sf, ic = _example("example51")
+    cases = [(sf.plant, sf.exo, sf.controller, *ic, 2.0, 1e-3),
+             (sf.plant, sf.exo, sf.controller, (-1.0, -1.0), (-1.0, -1.0), (-1.0, -1.0),
+              1.0, 1e-3)]
+    f1, *sqrt_args = _SQRT_LOOP
+    sqrt_case = (PlantModel.from_strings([f1], "x1", "0", 1),
+                 ExosystemModel.from_strings(["0"]),
+                 ControllerModel.from_strings(["0"], "xi1", [0.0]), *sqrt_args)
+
+    def outcomes():
+        traj = simulate(*cases[0])
+        with pytest.raises(DivergenceError) as diverged:
+            simulate(*cases[1])
+        with pytest.raises(EvalError) as failed:
+            simulate(*sqrt_case)
+        return traj.table.tobytes(), diverged.value.t, str(failed.value)
+
+    whole = outcomes()
+    assert whole[1] == 0.253 and whole[2].startswith("sqrt of negative value ")
+    monkeypatch.setattr(sim, "CSV_BLOCK_VALUES", 9 * rows)
+    assert sim._block_rows(9) == rows
+    assert outcomes() == whole
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def encoder_on(monkeypatch, tmp_path):
+    """Fork the encoder for any table of a block or more, on any machine,
+    and log each _write_csv call: whether the calling process wrote it,
+    the blocks of text it was given and the row it encoded from."""
+    monkeypatch.setattr(sim, "ENCODER_BLOCKS", 1)
+    monkeypatch.setattr(sim, "_cpus", lambda: 2)
+    log = tmp_path / "writes.log"
+    caller, write = os.getpid(), sim._write_csv
+
+    def spy(path, header, table, encoded=(), start=0):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid() == caller} {len(encoded)} {start}\n")
+        write(path, header, table, encoded, start)
+
+    monkeypatch.setattr(sim, "_write_csv", spy)
+    yield lambda: log.read_text().splitlines() if log.exists() else []
+    _no_child_left()
+
+
+def _rows_of(name, rows):
+    """simulate's arguments for rows rows of a built-in at its defaults."""
+    sf, ic = _example(name)
+    dt = examples.get(name).default_dt
+    return (sf.plant, sf.exo, sf.controller, *ic, (rows - 1) * dt, dt)
+
+
+def _encoded(name, rows, tmp_path, cap=2**30):
+    """The trajectory of rows rows, written with the encoder process and
+    without it: (table bytes, CSV bytes) of each."""
+    args = _rows_of(name, rows)
+    plain = simulate(*args)
+    write_trajectory_csv(plain, tmp_path / "plain.csv")
+    with _CsvWorker(cap) as worker:
+        traj = simulate(*args, encoder=worker)
+        assert len(traj.t) == rows
+        write_trajectory_csv(traj, tmp_path / "encoded.csv", worker)
+    _no_child_left()
+    return ((plain.table.tobytes(), (tmp_path / "plain.csv").read_bytes()),
+            (traj.table.tobytes(), (tmp_path / "encoded.csv").read_bytes()))
+
+
+@pytest.mark.parametrize("name", ["example51", "example53"])
+@pytest.mark.parametrize("blocks", [1, 1.1, 2.5, None])
+def test_encoder_writes_the_callers_bytes(tmp_path, encoder_on, name, blocks):
+    # exactly one block, one block and a row, a partial last block and
+    # the benchmark's 4001 rows
+    block = sim._block_rows(9 if name == "example51" else 11)
+    rows = {1: block, 1.1: block + 1, 2.5: 5 * block // 2, None: 4001}[blocks]
+    plain, encoded = _encoded(name, rows, tmp_path)
+    assert encoded == plain
+    # the caller wrote only the plain file, and the child had encoded each
+    # whole block that a finished kernel call left final
+    final = block * ((rows - 1) // block) if rows - 1 >= block else 0
+    assert encoder_on() == ["True 0 0", f"False {final // block} {final}"]
+
+
+@pytest.mark.parametrize("name", ["example51", "example53"])
+def test_encoder_holds_at_most_its_cap(tmp_path, encoder_on, name):
+    # the text of the first block fits, that of the first two does not
+    block = sim._block_rows(9 if name == "example51" else 11)
+    first = sim._encode_rows(simulate(*_rows_of(name, block)).table)
+    plain, encoded = _encoded(name, 4001, tmp_path, cap=len(first) + 10)
+    assert encoded == plain
+    assert encoder_on() == ["True 0 0", f"False 1 {block}"]
+
+
+@pytest.mark.parametrize("when", ["mid-run", "at commit"])
+def test_encoder_killed_falls_back_to_the_caller(tmp_path, monkeypatch, encoder_on, when):
+    ready, commit = _CsvWorker.ready, _CsvWorker.commit
+    calls = []
+
+    def kill_then(method):
+        def wrapped(self, *args):
+            calls.append(self.pid)
+            if when == "at commit" or len(calls) == 3:
+                os.kill(self.pid, signal.SIGKILL)
+            return method(self, *args)
+        return wrapped
+
+    monkeypatch.setattr(_CsvWorker, "commit" if when == "at commit" else "ready",
+                        kill_then(commit if when == "at commit" else ready))
+    plain, encoded = _encoded("example53", 4001, tmp_path)
+    assert encoded == plain and calls
+    assert encoder_on() == ["True 0 0", "True 0 0"]
+
+
+def test_encoder_fork_failure_falls_back_to_the_caller(tmp_path, monkeypatch, encoder_on):
+    def no_fork():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    plain, encoded = _encoded("example51", 4001, tmp_path)
+    assert encoded == plain
+    assert encoder_on() == ["True 0 0", "True 0 0"]
+
+
+def test_encoder_writes_nothing_for_a_failed_run(tmp_path, encoder_on, monkeypatch):
+    # the kernel stops on an evaluation error or a divergence after the
+    # child was sent blocks: nothing is written, and the child is gone
+    monkeypatch.setattr(sim, "CSV_BLOCK_VALUES", 60)
+    sent = []
+    ready = _CsvWorker.ready
+    monkeypatch.setattr(_CsvWorker, "ready", lambda self, rows: (sent.append(rows),
+                                                                 ready(self, rows)))
+    f1, *args = _SQRT_LOOP
+    loop = (PlantModel.from_strings([f1], "x1", "0", 1), ExosystemModel.from_strings(["0"]),
+            ControllerModel.from_strings(["0"], "xi1", [0.0]))
+    sf, _ = _example("example51")
+    for system, args, error in (
+            (loop, args, EvalError),
+            ((sf.plant, sf.exo, sf.controller), ((-1.0, -1.0), (-1.0, -1.0), (-1.0, -1.0),
+                                                  1.0, 1e-3), DivergenceError)):
+        sent.clear()
+        with pytest.raises(error):
+            with _CsvWorker(2**30) as worker:
+                simulate(*system, *args, encoder=worker)
+        assert len(sent) > 3 and worker.pid is None
+        _no_child_left()
+    assert encoder_on() == []
 
 
 def test_bad_grid_rejected():
