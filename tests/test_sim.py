@@ -472,17 +472,17 @@ def _encoded(name, rows, tmp_path, cap=2**30):
 
 
 @pytest.mark.parametrize("name", ["example51", "example53"])
-@pytest.mark.parametrize("blocks", [1, 1.1, 2.5, None])
-def test_encoder_writes_the_callers_bytes(tmp_path, encoder_on, name, blocks):
-    # exactly one block, one block and a row, a partial last block and
-    # the benchmark's 4001 rows
+@pytest.mark.parametrize("size", ["one block", "a block and a row", "2.5 blocks", "4001 rows"])
+def test_encoder_writes_the_callers_bytes(tmp_path, encoder_on, name, size):
     block = sim._block_rows(9 if name == "example51" else 11)
-    rows = {1: block, 1.1: block + 1, 2.5: 5 * block // 2, None: 4001}[blocks]
+    rows = {"one block": block, "a block and a row": block + 1,
+            "2.5 blocks": 5 * block // 2, "4001 rows": 4001}[size]
     plain, encoded = _encoded(name, rows, tmp_path)
     assert encoded == plain
     # the caller wrote only the plain file, and the child had encoded each
-    # whole block that a finished kernel call left final
-    final = block * ((rows - 1) // block) if rows - 1 >= block else 0
+    # whole block of the rows the last kernel call left final (all but
+    # the last row)
+    final = block * ((rows - 1) // block)
     assert encoder_on() == ["True 0 0", f"False {final // block} {final}"]
 
 
@@ -498,19 +498,17 @@ def test_encoder_holds_at_most_its_cap(tmp_path, encoder_on, name):
 
 @pytest.mark.parametrize("when", ["mid-run", "at commit"])
 def test_encoder_killed_falls_back_to_the_caller(tmp_path, monkeypatch, encoder_on, when):
-    ready, commit = _CsvWorker.ready, _CsvWorker.commit
-    calls = []
+    # SIGKILL before the third block is sent, or before the commit
+    name = "commit" if when == "at commit" else "ready"
+    method, calls = getattr(_CsvWorker, name), []
 
-    def kill_then(method):
-        def wrapped(self, *args):
-            calls.append(self.pid)
-            if when == "at commit" or len(calls) == 3:
-                os.kill(self.pid, signal.SIGKILL)
-            return method(self, *args)
-        return wrapped
+    def kill_then(self, *args):
+        calls.append(self.pid)
+        if name == "commit" or len(calls) == 3:
+            os.kill(self.pid, signal.SIGKILL)
+        return method(self, *args)
 
-    monkeypatch.setattr(_CsvWorker, "commit" if when == "at commit" else "ready",
-                        kill_then(commit if when == "at commit" else ready))
+    monkeypatch.setattr(_CsvWorker, name, kill_then)
     plain, encoded = _encoded("example53", 4001, tmp_path)
     assert encoded == plain and calls
     assert encoder_on() == ["True 0 0", "True 0 0"]
