@@ -8,15 +8,17 @@ each row into one preallocated table in CSV column order; a bounded
 cache keyed on the generated source keeps the compiled functions.
 simulate runs that function one CSV block of rows at a time, each call
 from the last row of the one before, and can hand each block once final
-to one forked process (_CsvWorker) that encodes the CSV while the next
-block is integrated.  The integrator is deterministic: identical inputs
-produce bit-identical trajectories, equal to evaluating every expression
-with expr.evaluate, and the CSV bytes do not depend on who encodes them.
+to one forked process (_CsvWorker) that encodes it into a memory file
+while the next block is integrated; the calling process then writes the
+CSV file from that text.  The integrator is deterministic: identical
+inputs produce bit-identical trajectories, equal to evaluating every
+expression with expr.evaluate, and the CSV bytes do not depend on who
+encodes them.
 """
 
 from __future__ import annotations
 
-import contextlib
+import errno
 import functools
 import math
 import mmap
@@ -37,17 +39,20 @@ KERNEL_CACHE_SIZE = 16
 # to keep a block's arrays under 0.5 MB
 CSV_BLOCK_VALUES = 3000
 # A table of at least ENCODER_BLOCKS CSV blocks is encoded by a forked
-# _CsvWorker while the kernel runs.  The fork, the copy-on-write faults
-# after it and the child's exit cost several ms: on a 2-vCPU x86 VM,
-# `simulate --out` of example53 (272-row blocks) and example51 (333),
-# medians of 41 alternating in-process runs with the worker against
-# without, took 2.5-4.2 ms longer at 5 and 6 blocks, +0.0 and +0.6 ms at
-# 7, -0.2 and -1.4 ms at 8, -2.0 and -2.2 ms at 9 and -4.6 and -7.4 ms
-# at 15 blocks.
-ENCODER_BLOCKS = 8
-# a message to the encoder process: the count of table rows final, or -1
-# before the path to write
+# _CsvWorker while the kernel runs.  The fork and the copy-on-write faults
+# after it cost a few ms: on a 2-vCPU x86 VM, `simulate --out` of
+# example53 (272-row blocks) and example51 (333), medians of 81
+# alternating in-process runs with the worker against without, two passes
+# each, took -0.3 and +0.2 ms (example53) and -0.6 and -0.8 ms
+# (example51) at 6 blocks, -0.7 and -0.9 ms and -1.1 ms twice at 7, and
+# -1.7 ms twice and -1.0 and -1.4 ms at 8; 61 runs took -4.5 and -4.7 ms
+# and -4.1 and -4.4 ms at 15 blocks.
+ENCODER_BLOCKS = 7
+# a message to the encoder process: the count of table rows final
 _ROWS = struct.Struct("<q")
+# int64 words of the encoder process's progress, after the table in shared
+# memory: a count of updates, then two (rows, bytes) slots
+_PROGRESS_WORDS = 5
 
 
 class SimulationError(Exception):
@@ -212,7 +217,7 @@ def simulate(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
             raise DivergenceError((start + k) * dt)
         state = tab[stop, 1:-2].tolist()
         if encoder is not None:
-            encoder.ready(stop)
+            encoder.ready(stop + 1)
     return Trajectory(tab, n, nc)
 
 
@@ -369,43 +374,65 @@ def _encode_rows(table):
     return m.T.tobytes().translate(None, b"\0")
 
 
-def _write_csv(path, header, table, encoded=(), start=0):
+def _write_csv(path, header, table, start=0, text=None):
     """CSV of the rows of a 2-d float table with every value written as
     "%.17g" % v and CRLF line ends: the text of its first start rows is
-    the bytes of encoded, and the rest are encoded a block of about
-    CSV_BLOCK_VALUES values at a time.  A block of a C-contiguous table is
-    a view, so no copy of the whole table is made."""
+    the first size bytes of the file descriptor fd of text = (fd, size),
+    and the rest are encoded a block of about CSV_BLOCK_VALUES values at a
+    time.  A block of a C-contiguous table is a view, so no copy of the
+    whole table is made."""
     block = _block_rows(len(header))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for text in encoded:
-            fh.write(text)
+        if text is not None:
+            _copy_text(fh, *text)
         for at in range(start, len(table), block):
             fh.write(_encode_rows(table[at:at + block]))
 
 
+def _copy_text(fh, fd, size):
+    """Append the first size bytes of the file fd to the open file fh,
+    with sendfile, or with reads where fh's file takes no sendfile (a
+    device without splice support, say)."""
+    fh.flush()
+    sent = 0
+    try:
+        while sent < size:
+            sent += os.sendfile(fh.fileno(), fd, sent, size - sent)
+    except OSError as exc:
+        if sent or exc.errno not in (errno.EINVAL, errno.ENOSYS, errno.ENOTSOCK):
+            raise
+        while sent < size:
+            sent += fh.write(os.pread(fd, min(size - sent, 2**20), sent))
+
+
 class _CsvWorker:
     """One forked process that encodes simulate's table while the kernel
-    runs, and writes the CSV file on commit.
+    runs, into a memory file that the caller copies into the CSV file.
 
-    table() forks it when the table spans at least ENCODER_BLOCKS blocks
-    and the process may run on two CPUs.  The table then lives in an
-    anonymous shared mmap, and after each kernel call ready() sends the
-    child, through a pipe, the count of rows that are final.  The child
-    encodes each whole block of them and keeps the text while it holds at
-    most `cap` bytes; past that it only drains the pipe.  commit(path)
-    sends the path and closes the pipe: the child encodes the rows left,
-    writes the file with _write_csv and exits 0.  commit is false where
-    no child started, it died or it failed (a write error, say), so the
-    caller writes the file itself and the bytes and errors never depend on
-    the child.  close(), or leaving the `with`, kills and reaps a child
-    still there.
+    table() forks it when the table spans at least ENCODER_BLOCKS blocks,
+    the process may run on two CPUs and os.memfd_create gives a memory
+    file; else no process starts.  The table then lives in an anonymous
+    shared mmap, and after each kernel call ready() sends the child,
+    through a pipe, the count of rows that are final.  The child encodes
+    each block once its rows are final, the last partial block included,
+    appends the text to the memory file and publishes the rows and bytes
+    done.  Once every row is done, the next block would take the text
+    past `cap` bytes or the pipe closes, it writes one byte to a back pipe
+    and exits.  encoded() waits for that byte, or for the back pipe's end
+    if the child died, and gives the rows and bytes done, which
+    write_trajectory_csv copies before it encodes the rest: the file, its
+    bytes and any error writing it are the caller's alone.  close(), or
+    leaving the `with`, closes the descriptors, then kills and reaps a
+    child still there.
     """
 
     def __init__(self, cap):
         self.cap = cap
         self.pid = None
-        self.pipe = None
+        # the pipe's write end, the back pipe's read end and the memory file
+        self.send = self.back = self.text = None
+        self.progress = None
 
     def __enter__(self):
         return self
@@ -413,87 +440,102 @@ class _CsvWorker:
     def __exit__(self, *exc):
         self.close()
 
+    def _stop_sending(self):
+        if self.send is not None:
+            os.close(self.send)
+            self.send = None
+
     def close(self):
-        """Kill and reap the child if it is still there."""
+        """Close the descriptors, then kill and reap the child if it is
+        still there."""
+        self._stop_sending()
+        for fd in (self.back, self.text):
+            if fd is not None:
+                os.close(fd)
+        self.back = self.text = None
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
-        if self.pipe is not None:
-            with contextlib.suppress(OSError):   # data left for a dead child
-                self.pipe.close()
 
     def table(self, rows, header):
         """A rows x len(header) float table for simulate to fill."""
-        block = _block_rows(len(header))
+        block, cols = _block_rows(len(header)), len(header)
         if rows < ENCODER_BLOCKS * block or _cpus() < 2:
-            return np.empty((rows, len(header)))
-        tab = np.frombuffer(mmap.mmap(-1, 8 * rows * len(header)), float)
-        tab = tab.reshape(rows, len(header))
-        read_fd, write_fd = os.pipe()
+            return np.empty((rows, cols))
+        fds = []
         try:
+            fds.append(os.memfd_create("regsyn-csv"))
+            fds += [*os.pipe(), *os.pipe()]
+            shared = mmap.mmap(-1, 8 * (rows * cols + _PROGRESS_WORDS))
+            tab = np.frombuffer(shared, float, rows * cols).reshape(rows, cols)
+            self.progress = np.frombuffer(shared, np.int64, _PROGRESS_WORDS, tab.nbytes)
             self.pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            return tab
+        except (AttributeError, OSError):   # no memfd_create, or no room
+            for fd in fds:
+                os.close(fd)
+            return np.empty((rows, cols))
+        self.text, read_fd, self.send, self.back, done_fd = fds
         if self.pid == 0:
             code = 1
             try:
-                os.close(write_fd)
+                os.close(self.send)
+                os.close(self.back)
                 with open(read_fd, "rb") as pipe:
-                    self._encode(pipe, header, tab, block)
+                    self._encode(pipe, tab, block)
+                os.write(done_fd, b"\1")
                 code = 0
             finally:
                 os._exit(code)
         os.close(read_fd)
-        self.pipe = open(write_fd, "wb")
+        os.close(done_fd)
         return tab
 
-    def _encode(self, pipe, header, tab, block):
-        """The child: encode blocks as their rows become final, holding at
-        most cap bytes of text, then write the file that commit names."""
-        encoded, held, done, stop = [], 0, 0, len(tab)
-        while (rows := _ROWS.unpack(pipe.read(_ROWS.size))[0]) >= 0:
-            while done + block <= min(rows, stop):
-                text = _encode_rows(tab[done:done + block])
-                if held + len(text) > self.cap:
-                    stop = done   # the rest is encoded while writing
-                else:
-                    encoded.append(text)
-                    held += len(text)
-                    done += block
-        _write_csv(os.fsdecode(pipe.read()), header, tab, encoded, done)
-
-    def _send(self, data):
-        """False, with the child killed and reaped, if it is gone."""
-        try:
-            self.pipe.write(data)
-            self.pipe.flush()
-            return True
-        except BrokenPipeError:
-            self.close()
-            return False
+    def _encode(self, pipe, tab, block):
+        """The child: append the text of each block whose rows are final to
+        the memory file and publish the rows and bytes done, until every
+        row is done, the next block would pass cap or the pipe closes."""
+        done = size = updates = 0
+        while done < len(tab) and len(msg := pipe.read(_ROWS.size)) == _ROWS.size:
+            final = _ROWS.unpack(msg)[0]
+            while done < len(tab) and (stop := min(done + block, len(tab))) <= final:
+                text = _encode_rows(tab[done:stop])
+                if size + len(text) > self.cap or os.write(self.text, text) < len(text):
+                    return
+                done, size, updates = stop, size + len(text), updates + 1
+                # the slot the count does not select, then the count: the
+                # pair read once the child stopped is whole however it stopped
+                self.progress[_slot(updates)] = done, size
+                self.progress[0] = updates
 
     def ready(self, rows):
         """The table's first rows are final."""
-        if self.pid is not None:
-            self._send(_ROWS.pack(rows))
+        if self.send is not None:
+            try:
+                os.write(self.send, _ROWS.pack(rows))
+            except BrokenPipeError:   # the child stopped
+                self._stop_sending()
 
-    def commit(self, path):
-        """Whether the child wrote the CSV of the table to path."""
-        if self.pid is None or not self._send(_ROWS.pack(-1) + os.fsencode(path)):
-            return False
-        self.pipe.close()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        return status == 0
+    def encoded(self):
+        """(rows, bytes): the text of the table's first rows is the first
+        bytes of the memory file; (0, 0) where no child started."""
+        if self.pid is None:
+            return 0, 0
+        self._stop_sending()
+        os.read(self.back, 1)   # the child's byte, or b"" once it is gone
+        return tuple(self.progress[_slot(self.progress[0])].tolist())
+
+
+def _slot(updates):
+    """The progress slot that update number updates fills."""
+    return slice(1 + 2 * (updates % 2), 3 + 2 * (updates % 2))
 
 
 def write_trajectory_csv(traj: Trajectory, path, encoder=None):
-    """CSV with header t,x1..xn,xi1..xinc,w1..wp,e,u at full precision,
-    written by the encoder's process where traj is the encoder's table
-    and that process succeeds, else here."""
-    if encoder is None or not encoder.commit(path):
-        _write_csv(path, _csv_header(traj.x.shape[1], traj.xi.shape[1], traj.w.shape[1]),
-                   traj.table)
+    """CSV with header t,x1..xn,xi1..xinc,w1..wp,e,u at full precision.
+    Where traj is an encoder's table, the text of the rows its process
+    encoded is copied from that process's memory file and only the rest
+    is encoded here."""
+    rows, size = (0, 0) if encoder is None else encoder.encoded()
+    _write_csv(path, _csv_header(traj.x.shape[1], traj.xi.shape[1], traj.w.shape[1]),
+               traj.table, rows, (encoder.text, size) if size else None)

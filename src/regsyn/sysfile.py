@@ -185,8 +185,13 @@ def parse_text(text, origin="<string>") -> SystemFile:
 
 
 def parse_file(path) -> SystemFile:
-    with open(path, encoding="utf-8") as fh:
-        return parse_text(fh.read(), origin=str(path))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:   # a directory, say, or not UTF-8
+        raise SysFileError(
+            f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
+    return parse_text(text, origin=str(path))
 
 
 def controller_section(ctrl: ControllerModel) -> str:

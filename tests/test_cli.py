@@ -793,14 +793,23 @@ _NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
     pytest.param(("example", "dump", "nope"), "", 2, "",
                  "error: unknown example 'nope'; available: example51, example52, example53\n",
                  id="example-dump-unknown"),
+    # a system file that is a directory (DIR) or is not UTF-8
+    *(pytest.param((*command, "DIR"), "", 2, "", "error: DIR: cannot read: Is a directory\n",
+                   id=f"{command[0]}-directory")
+      for command in (("verify",), ("simulate",), ("synthesize",), ("boost", "--params"))),
+    pytest.param(("verify", "FILE"), b"\xff\xfe[plant]\n", 2, "",
+                 "error: FILE: cannot read: 'utf-8' codec can't decode byte 0xff in position 0: "
+                 "invalid start byte\n", id="verify-not-utf8"),
 ])
 def test_cli_exit_paths(tmp_path, capsys, argv, text, status, out, err):
     # out is the whole stdout, or a tuple of lines it must contain; err is
-    # the start of a stderr that is one line on exit 2 and empty otherwise
+    # the start of a stderr that is one line on exit 2 and empty otherwise;
+    # text is the FILE's, bytes or str
     path = tmp_path / "system.sys"
-    path.write_text(text)
-    nodir = tmp_path / "missing" / "out"
-    argv = [{"FILE": str(path), "NODIR": str(nodir)}.get(a, a) for a in argv]
+    (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
+    names = {"FILE": str(path), "NODIR": str(tmp_path / "missing" / "out"),
+             "DIR": str(tmp_path)}
+    argv = [names.get(a, a) for a in argv]
     if argv[0] == "boost" and "--out" not in argv:
         argv += ["--out", str(tmp_path / "out")]
     got_status, got_out, got_err = _run(capsys, *argv)
@@ -809,5 +818,5 @@ def test_cli_exit_paths(tmp_path, capsys, argv, text, status, out, err):
         assert got_out == out
     else:
         assert set(out) <= set(got_out.splitlines()), got_out
-    assert got_err.startswith(err.replace("FILE", str(path)).replace("NODIR", str(nodir)))
+    assert got_err.startswith(re.sub("FILE|NODIR|DIR", lambda m: names[m[0]], err))
     assert got_err.count("\n") == (status == 2)

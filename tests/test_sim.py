@@ -1,7 +1,9 @@
 import csv
+import errno
 import math
 import os
 import signal
+import time
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -429,24 +431,32 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _open_fds():
+    """This process's open descriptors, or None where /proc does not list them."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
 @pytest.fixture
 def encoder_on(monkeypatch, tmp_path):
     """Fork the encoder for any table of a block or more, on any machine,
-    and log each _write_csv call: whether the calling process wrote it,
-    the blocks of text it was given and the row it encoded from."""
+    and log each _write_csv call: whether the calling process made it, the
+    rows whose text it copied and the bytes of that text.  No child and,
+    where /proc lists them, no more descriptors than before are left."""
     monkeypatch.setattr(sim, "ENCODER_BLOCKS", 1)
     monkeypatch.setattr(sim, "_cpus", lambda: 2)
     log = tmp_path / "writes.log"
     caller, write = os.getpid(), sim._write_csv
 
-    def spy(path, header, table, encoded=(), start=0):
+    def spy(path, header, table, start=0, text=None):
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid() == caller} {len(encoded)} {start}\n")
-        write(path, header, table, encoded, start)
+            fh.write(f"{os.getpid() == caller} {start} {text[1] if text else 0}\n")
+        write(path, header, table, start, text)
 
     monkeypatch.setattr(sim, "_write_csv", spy)
+    fds = _open_fds()
     yield lambda: log.read_text().splitlines() if log.exists() else []
     _no_child_left()
+    assert _open_fds() == fds
 
 
 def _rows_of(name, rows):
@@ -471,6 +481,11 @@ def _encoded(name, rows, tmp_path, cap=2**30):
             (traj.table.tobytes(), (tmp_path / "encoded.csv").read_bytes()))
 
 
+def _copied(csv_bytes, rows):
+    """The log line of a write that copied the text of a CSV's first rows."""
+    return f"True {rows} {len(b''.join(csv_bytes.splitlines(keepends=True)[1:1 + rows]))}"
+
+
 @pytest.mark.parametrize("name", ["example51", "example53"])
 @pytest.mark.parametrize("size", ["one block", "a block and a row", "2.5 blocks", "4001 rows"])
 def test_encoder_writes_the_callers_bytes(tmp_path, encoder_on, name, size):
@@ -479,11 +494,9 @@ def test_encoder_writes_the_callers_bytes(tmp_path, encoder_on, name, size):
             "2.5 blocks": 5 * block // 2, "4001 rows": 4001}[size]
     plain, encoded = _encoded(name, rows, tmp_path)
     assert encoded == plain
-    # the caller wrote only the plain file, and the child had encoded each
-    # whole block of the rows the last kernel call left final (all but
-    # the last row)
-    final = block * ((rows - 1) // block)
-    assert encoder_on() == ["True 0 0", f"False {final // block} {final}"]
+    # the caller wrote both files, the second from the child's text of
+    # every row: the last kernel call leaves the last row final too
+    assert encoder_on() == ["True 0 0", _copied(plain[1], rows)]
 
 
 @pytest.mark.parametrize("name", ["example51", "example53"])
@@ -493,25 +506,39 @@ def test_encoder_holds_at_most_its_cap(tmp_path, encoder_on, name):
     first = sim._encode_rows(simulate(*_rows_of(name, block)).table)
     plain, encoded = _encoded(name, 4001, tmp_path, cap=len(first) + 10)
     assert encoded == plain
-    assert encoder_on() == ["True 0 0", f"False 1 {block}"]
+    assert encoder_on() == ["True 0 0", _copied(plain[1], block)]
 
 
-@pytest.mark.parametrize("when", ["mid-run", "at commit"])
+def _wait_for_blocks(worker, blocks):
+    """Wait, at most 30 s, until the child has published blocks blocks."""
+    deadline = time.monotonic() + 30
+    while worker.progress[0] < blocks:
+        assert time.monotonic() < deadline
+        time.sleep(1e-3)
+
+
+@pytest.mark.parametrize("when", ["before its first block", "mid-run", "at commit"])
 def test_encoder_killed_falls_back_to_the_caller(tmp_path, monkeypatch, encoder_on, when):
-    # SIGKILL before the third block is sent, or before the commit
-    name = "commit" if when == "at commit" else "ready"
+    # SIGKILL at the first ready(), at the third once the child published
+    # two blocks, or at the commit once it published all 15: the caller
+    # copies the text published and encodes the rest itself
+    block = sim._block_rows(11)
+    name = "encoded" if when == "at commit" else "ready"
+    at, blocks = {"before its first block": (1, 0), "mid-run": (3, 2),
+                  "at commit": (1, -(-4001 // block))}[when]
     method, calls = getattr(_CsvWorker, name), []
 
     def kill_then(self, *args):
         calls.append(self.pid)
-        if name == "commit" or len(calls) == 3:
+        if len(calls) == at:
+            _wait_for_blocks(self, blocks)
             os.kill(self.pid, signal.SIGKILL)
         return method(self, *args)
 
     monkeypatch.setattr(_CsvWorker, name, kill_then)
     plain, encoded = _encoded("example53", 4001, tmp_path)
-    assert encoded == plain and calls
-    assert encoder_on() == ["True 0 0", "True 0 0"]
+    assert encoded == plain and len(calls) >= at
+    assert encoder_on() == ["True 0 0", _copied(plain[1], min(4001, blocks * block))]
 
 
 def test_encoder_fork_failure_falls_back_to_the_caller(tmp_path, monkeypatch, encoder_on):
@@ -522,6 +549,40 @@ def test_encoder_fork_failure_falls_back_to_the_caller(tmp_path, monkeypatch, en
     plain, encoded = _encoded("example51", 4001, tmp_path)
     assert encoded == plain
     assert encoder_on() == ["True 0 0", "True 0 0"]
+
+
+@pytest.mark.parametrize("memfd", ["fails", "missing"])
+def test_encoder_without_a_memory_file_starts_no_process(tmp_path, monkeypatch, encoder_on,
+                                                         memfd):
+    def no_memfd(*args):
+        raise OSError(24, "Too many open files")
+
+    if memfd == "fails":
+        monkeypatch.setattr(os, "memfd_create", no_memfd)
+    else:
+        monkeypatch.delattr(os, "memfd_create", raising=False)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    plain, encoded = _encoded("example53", 4001, tmp_path)
+    assert encoded == plain
+    assert encoder_on() == ["True 0 0", "True 0 0"]
+
+
+@pytest.mark.parametrize("sendfile", ["short", "unsupported"])
+def test_encoder_text_copied_in_pieces_or_by_reads(tmp_path, monkeypatch, encoder_on,
+                                                   sendfile):
+    # sendfile may send fewer bytes than asked, and a device without
+    # splice support (/dev/full, say) takes none: the bytes are the same
+    def short(out_fd, in_fd, offset, count):
+        return os_sendfile(out_fd, in_fd, offset, min(count, 1000))
+
+    def unsupported(*args):
+        raise OSError(errno.EINVAL, "Invalid argument")
+
+    os_sendfile = os.sendfile
+    monkeypatch.setattr(os, "sendfile", short if sendfile == "short" else unsupported)
+    plain, encoded = _encoded("example53", 4001, tmp_path)
+    assert encoded == plain
+    assert encoder_on() == ["True 0 0", _copied(plain[1], 4001)]
 
 
 def test_encoder_writes_nothing_for_a_failed_run(tmp_path, encoder_on, monkeypatch):
