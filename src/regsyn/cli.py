@@ -7,7 +7,8 @@ loop and report decay metrics), boost (solve the converter regulator PDE
 on characteristic circles) and example (list or dump the built-in
 systems).  Machine-readable result lines have the form
 `CHECK <name> PASS|FAIL <value>`; the exit status is 0 iff every check
-passed.
+passed, 1 if one failed, 2 on an input error, 141 once stdout's reader is
+gone and 130 on Ctrl-C.
 """
 
 from __future__ import annotations
@@ -425,12 +426,23 @@ def main(argv=None):
     try:
         # looked up per call: the cached parser must not pin the command
         # functions that were current when it was built
-        return globals()[f"cmd_{args.command}"](args)
+        status = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()
+        return status
     except (sysfile.SysFileError, model.ModelError, regeq.RegulatorError,
             synth.SynthesisError, specan.SpectralError, expr.ExprError,
             SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader is gone: what is left of stdout goes to /dev/null
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -22,11 +22,11 @@ and apply the same operations in the same order, and tests/test_regeq.py
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 import os
 import select
-import signal
 import struct
 from dataclasses import dataclass, field
 from functools import reduce
@@ -37,7 +37,7 @@ from . import expr
 from .expr import Bin, Expr
 from .model import (ControllerModel, ExosystemModel, PlantModel, _as_exprs,
                     _check_origin, _check_vars, _indexed, w_names, x_names, xi_names)
-from .sim import _cpus, _write_csv
+from .sim import _Children, _cpus, _write_csv
 
 DENOM_GUARD = 1e-12
 # A share of the grid runs its passes on the array body while more than
@@ -415,8 +415,8 @@ def _periodic_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter,
 
 def _grid_workers(cells):
     """Processes that solve a grid of `cells` present cells: one per CPU
-    this process may run on, but at most one per FLOAT_CELLS cells, and
-    1 where os.fork or os.sched_getaffinity is missing (sim._cpus)."""
+    this process may run on (sim._cpus), but at most one per FLOAT_CELLS
+    cells."""
     return max(1, min(_cpus(), cells // max(FLOAT_CELLS, 1)))
 
 
@@ -437,9 +437,7 @@ def _shared_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter):
     is not written before then.  Once every child is reaped, the caller
     solves again each share whose array phase did not finish (its fork
     failed or its child died) and each cell not done, so the result never
-    depends on the workers.  A child never returns into the caller; on an
-    exception every child is killed, and every child is reaped before this
-    returns.
+    depends on the workers.  A _Children forks, kills and reaps them.
     """
     n, width = len(start), steps + 1
     workers = _grid_workers(n)
@@ -493,32 +491,13 @@ def _shared_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter):
 
     read_fd, write_fd = os.pipe()
     os.set_blocking(write_fd, False)
-    children = []
     with open(read_fd, "rb", buffering=0) as queue_in, \
-            open(write_fd, "wb", buffering=0) as queue_out:
-        try:
-            for j in range(1, workers):
-                try:
-                    pid = os.fork()
-                except OSError:
-                    continue
-                if pid == 0:
-                    code = 1
-                    try:
-                        work(j, queue_in, queue_out)
-                        code = 0
-                    finally:
-                        os._exit(code)
-                children.append(pid)
-            work(0, queue_in, queue_out)
-            while children:
-                os.waitpid(children[-1], 0)
-                children.pop()
-        finally:
-            for pid in children:
-                os.kill(pid, signal.SIGKILL)
-            for pid in children:
-                os.waitpid(pid, 0)
+            open(write_fd, "wb", buffering=0) as queue_out, _Children() as children:
+        for j in range(1, workers):
+            with contextlib.suppress(OSError):
+                children.fork(work, j, queue_in, queue_out)
+        work(0, queue_in, queue_out)
+        children.wait()
     for j in np.flatnonzero(resume == 0):
         array_phase(j)
     for k in np.flatnonzero(~done):

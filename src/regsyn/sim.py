@@ -50,9 +50,8 @@ CSV_BLOCK_VALUES = 3000
 ENCODER_BLOCKS = 7
 # a message to the encoder process: the count of table rows final
 _ROWS = struct.Struct("<q")
-# int64 words of the encoder process's progress, after the table in shared
-# memory: a count of updates, then two (rows, bytes) slots
-_PROGRESS_WORDS = 5
+# the encoder process's last message: the rows and bytes it encoded
+_ENCODED = struct.Struct("<qq")
 
 
 class SimulationError(Exception):
@@ -88,11 +87,51 @@ class Trajectory:
 
 
 def _cpus():
-    """CPUs this process may run on; 1 where os.fork or
-    os.sched_getaffinity is missing."""
+    """CPUs this process may run on; 1 where fork or sched_getaffinity is
+    missing."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+class _Children:
+    """Forked processes that do not outlive their owner.
+
+    fork(child, *args) runs child(*args) in a forked process, which then
+    leaves through os._exit: with 0 if child returns, 1 if it raises, and
+    never into the caller's code.  An OSError of the fork propagates.
+    wait() reaps each child; close(), or leaving the `with`, kills each
+    child still there with SIGKILL and reaps it."""
+
+    def __init__(self):
+        self.pids = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def fork(self, child, *args):
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                child(*args)
+                code = 0
+            finally:
+                os._exit(code)
+        self.pids.append(pid)
+
+    def wait(self):
+        while self.pids:
+            os.waitpid(self.pids[-1], 0)
+            self.pids.pop()
+
+    def close(self):
+        for pid in self.pids:
+            os.kill(pid, signal.SIGKILL)
+        self.wait()
 
 
 def _block_rows(cols):
@@ -406,7 +445,7 @@ def _copy_text(fh, fd, size):
             sent += fh.write(os.pread(fd, min(size - sent, 2**20), sent))
 
 
-class _CsvWorker:
+class _CsvWorker(_Children):
     """One forked process that encodes simulate's table while the kernel
     runs, into a memory file that the caller copies into the CSV file.
 
@@ -416,47 +455,27 @@ class _CsvWorker:
     shared mmap, and after each kernel call ready() sends the child,
     through a pipe, the count of rows that are final.  The child encodes
     each block once its rows are final, the last partial block included,
-    appends the text to the memory file and publishes the rows and bytes
-    done.  Once every row is done, the next block would take the text
-    past `cap` bytes or the pipe closes, it writes one byte to a back pipe
-    and exits.  encoded() waits for that byte, or for the back pipe's end
-    if the child died, and gives the rows and bytes done, which
-    write_trajectory_csv copies before it encodes the rest: the file, its
-    bytes and any error writing it are the caller's alone.  close(), or
-    leaving the `with`, closes the descriptors, then kills and reaps a
-    child still there.
+    and appends the text to the memory file.  Once every row is done, the
+    next block would take the text past `cap` bytes or the pipe closes, it
+    sends the rows and bytes done as one record on a back pipe and exits.
+    encoded() reads that record, (0, 0) if the child died without it, and
+    write_trajectory_csv copies that text before it encodes the rest: the
+    file, its bytes and any error writing it are the caller's alone.
+    close() closes the descriptors, then kills and reaps the child.
     """
 
     def __init__(self, cap):
+        super().__init__()
         self.cap = cap
-        self.pid = None
         # the pipe's write end, the back pipe's read end and the memory file
         self.send = self.back = self.text = None
-        self.progress = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def _stop_sending(self):
-        if self.send is not None:
-            os.close(self.send)
-            self.send = None
 
     def close(self):
-        """Close the descriptors, then kill and reap the child if it is
-        still there."""
-        self._stop_sending()
-        for fd in (self.back, self.text):
+        for fd in (self.send, self.back, self.text):
             if fd is not None:
                 os.close(fd)
-        self.back = self.text = None
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
+        self.send = self.back = self.text = None
+        super().close()
 
     def table(self, rows, header):
         """A rows x len(header) float table for simulate to fill."""
@@ -467,46 +486,38 @@ class _CsvWorker:
         try:
             fds.append(os.memfd_create("regsyn-csv"))
             fds += [*os.pipe(), *os.pipe()]
-            shared = mmap.mmap(-1, 8 * (rows * cols + _PROGRESS_WORDS))
-            tab = np.frombuffer(shared, float, rows * cols).reshape(rows, cols)
-            self.progress = np.frombuffer(shared, np.int64, _PROGRESS_WORDS, tab.nbytes)
-            self.pid = os.fork()
+            tab = np.frombuffer(mmap.mmap(-1, 8 * rows * cols)).reshape(rows, cols)
+            self.fork(self._encode, fds, tab, block)
         except (AttributeError, OSError):   # no memfd_create, or no room
             for fd in fds:
                 os.close(fd)
             return np.empty((rows, cols))
         self.text, read_fd, self.send, self.back, done_fd = fds
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(self.send)
-                os.close(self.back)
-                with open(read_fd, "rb") as pipe:
-                    self._encode(pipe, tab, block)
-                os.write(done_fd, b"\1")
-                code = 0
-            finally:
-                os._exit(code)
         os.close(read_fd)
         os.close(done_fd)
         return tab
 
-    def _encode(self, pipe, tab, block):
+    def _encode(self, fds, tab, block):
         """The child: append the text of each block whose rows are final to
-        the memory file and publish the rows and bytes done, until every
-        row is done, the next block would pass cap or the pipe closes."""
-        done = size = updates = 0
-        while done < len(tab) and len(msg := pipe.read(_ROWS.size)) == _ROWS.size:
-            final = _ROWS.unpack(msg)[0]
-            while done < len(tab) and (stop := min(done + block, len(tab))) <= final:
-                text = _encode_rows(tab[done:stop])
-                if size + len(text) > self.cap or os.write(self.text, text) < len(text):
-                    return
-                done, size, updates = stop, size + len(text), updates + 1
-                # the slot the count does not select, then the count: the
-                # pair read once the child stopped is whole however it stopped
-                self.progress[_slot(updates)] = done, size
-                self.progress[0] = updates
+        the memory file until every row is done, the next block would pass
+        cap or the pipe closes, then send the rows and bytes done."""
+        text, read_fd, send, back, done_fd = fds
+        os.close(send)
+        os.close(back)
+        done = size = final = 0
+        with open(read_fd, "rb") as pipe:
+            while done < len(tab):
+                stop = min(done + block, len(tab))
+                if stop > final:   # wait for the block's rows
+                    if len(msg := pipe.read(_ROWS.size)) < _ROWS.size:
+                        break
+                    final = _ROWS.unpack(msg)[0]
+                    continue
+                chunk = _encode_rows(tab[done:stop])
+                if size + len(chunk) > self.cap or os.write(text, chunk) < len(chunk):
+                    break
+                done, size = stop, size + len(chunk)
+        os.write(done_fd, _ENCODED.pack(done, size))
 
     def ready(self, rows):
         """The table's first rows are final."""
@@ -514,21 +525,18 @@ class _CsvWorker:
             try:
                 os.write(self.send, _ROWS.pack(rows))
             except BrokenPipeError:   # the child stopped
-                self._stop_sending()
+                pass
 
     def encoded(self):
         """(rows, bytes): the text of the table's first rows is the first
-        bytes of the memory file; (0, 0) where no child started."""
-        if self.pid is None:
+        bytes of the memory file; (0, 0) where no child started or it died
+        before its record."""
+        if self.back is None:
             return 0, 0
-        self._stop_sending()
-        os.read(self.back, 1)   # the child's byte, or b"" once it is gone
-        return tuple(self.progress[_slot(self.progress[0])].tolist())
-
-
-def _slot(updates):
-    """The progress slot that update number updates fills."""
-    return slice(1 + 2 * (updates % 2), 3 + 2 * (updates % 2))
+        os.close(self.send)   # the child stops waiting for rows
+        self.send = None
+        msg = os.read(self.back, _ENCODED.size)
+        return _ENCODED.unpack(msg) if len(msg) == _ENCODED.size else (0, 0)
 
 
 def write_trajectory_csv(traj: Trajectory, path, encoder=None):

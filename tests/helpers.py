@@ -1,8 +1,12 @@
 """Analysis helpers that only the tests use: the exosystem orbit taken from
 a closed-loop simulation, its period, an internal model built from plain
-matrices, and the transfer function of a synthesized linear controller."""
+matrices, the transfer function of a synthesized linear controller, and
+the check that no forked process is left."""
+
+import os
 
 import numpy as np
+import pytest
 
 from regsyn.model import ControllerModel, PlantModel
 from regsyn.sim import simulate
@@ -64,3 +68,9 @@ def controller_transfer(im: InternalModel, z: complex) -> complex:
         raise SynthesisError("internal model has no Bc")
     x = np.linalg.solve(z * np.eye(im.nu) - im.Phi.astype(complex), im.Bc)
     return complex((im.Lambda @ x)[0, 0])
+
+
+def assert_no_child_left():
+    """This process has no child left at all, reaped or not."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -3,12 +3,15 @@ import re
 from collections import Counter
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from regsyn import cli, examples, expr, model, regeq, sim, specan, synth
+
+from helpers import assert_no_child_left
 
 
 _SUBPROCESS_ENV = {**os.environ,
@@ -259,6 +262,56 @@ def test_simulate_eval_error_mid_run(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("verify", "example52"), ("boost", "--cell", "10", "0.4"),
+                                  ("simulate", "example53", "--T", "0.01")],
+                         ids=lambda argv: argv[0])
+def test_closed_stdout_exits_141(tmp_path, argv, buffered):
+    # stdout's reader is gone (as after `| head -1`): a print or the final
+    # flush fails with EPIPE, and the command exits 141 without a
+    # traceback.  The reader closes before the first line, not after it,
+    # because a reader that leaves after the first line races the writer
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    env = {k: v for k, v in _SUBPROCESS_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with os.fdopen(write_fd, "wb") as stdout:
+        proc = subprocess.run([sys.executable, "-m", "regsyn.cli", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path,
+                              timeout=120)
+    assert proc.returncode == 141, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception" not in proc.stderr
+
+
+def test_interrupt_exits_130(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_verify", interrupted)
+    assert _run(capsys, "verify", "example52") == (130, "", "error: interrupted\n")
+
+
+def test_interrupted_boost_leaves_no_worker(tmp_path, capsys, monkeypatch):
+    # Ctrl-C in the caller's share while its workers would run for a
+    # minute: they are killed and reaped before main returns 130
+    monkeypatch.setattr(regeq, "_grid_workers", lambda cells: 3)
+    real_orbits, parent = regeq._periodic_orbits, os.getpid()
+
+    def orbits(*args, **kwargs):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return real_orbits(*args, **kwargs)
+
+    monkeypatch.setattr(regeq, "_periodic_orbits", orbits)
+    start = time.monotonic()
+    assert _run(capsys, "boost", "--grid-w1", "5", "--grid-rho", "5", "--ode-steps", "500",
+                "--out", str(tmp_path)) == (130, "", "error: interrupted\n")
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
 @pytest.fixture
 def encoder_forks(monkeypatch):
     """simulate --out forks its encoder process for any table of a block or
@@ -274,8 +327,7 @@ def encoder_forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", spy)
     yield pids
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert_no_child_left()
 
 
 def test_simulate_encoder_cap_comes_from_the_memory_budget(tmp_path, capsys, monkeypatch,
@@ -765,6 +817,9 @@ _NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
     pytest.param(("synthesize", "FILE", "--eps0", "1e-300", "--max-halvings", "30000"),
                  _EXAMPLE52, 1, ("CHECK synthesis FAIL eps underflows to 0 after 79 halvings",),
                  "", id="synthesize-eps-underflow"),
+    pytest.param(("synthesize", "example52", "--max-halvings", "0"), "", 1,
+                 ("CHECK synthesis FAIL no stabilizing eps found in 0 halvings",), "",
+                 id="synthesize-no-halvings"),
     pytest.param(("synthesize", "FILE", "--eps0", "1e308"), _EXAMPLE52, 1,
                  ("CHECK synthesis FAIL block 0: Bc overflows at eps = 1e+308",), "",
                  id="synthesize-overflowing-bc"),

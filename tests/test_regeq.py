@@ -20,6 +20,8 @@ from regsyn.regeq import (BoostParams, RegulatorError, RegulatorSolution,
                           solve_boost_grid, solve_psi0, write_grid_csv,
                           write_orbit_csv)
 
+from helpers import assert_no_child_left
+
 
 def _samples(p, radius, count=100, seed=0):
     rng = np.random.default_rng(seed)
@@ -469,12 +471,6 @@ def _pin_workers(monkeypatch, workers):
     monkeypatch.setattr(regeq, "_grid_workers", lambda cells: workers)
 
 
-def _assert_no_children():
-    # every worker was reaped: this process has no child left at all
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _grids(monkeypatch, **kw):
     """solve_boost_grid(PARAMS, **kw) under each of FLOAT_CELLS_SETTINGS
     at each of WORKER_SETTINGS."""
@@ -485,7 +481,7 @@ def _grids(monkeypatch, **kw):
                 m.setattr(regeq, "FLOAT_CELLS", float_cells)
                 _pin_workers(m, workers)
                 grids.append(solve_boost_grid(PARAMS, **kw))
-            _assert_no_children()
+            assert_no_child_left()
     return grids
 
 
@@ -727,7 +723,7 @@ def test_default_grid_same_bytes_at_any_worker_count(monkeypatch):
         with monkeypatch.context() as m:
             _pin_workers(m, workers)
             grids.append(solve_boost_grid(PARAMS))
-        _assert_no_children()
+        assert_no_child_left()
     _assert_same_grids(grids)
 
 
@@ -776,7 +772,7 @@ def test_failed_worker_share_is_solved_again(monkeypatch, in_child):
     _pin_workers(monkeypatch, 3)
     solved = _spy_orbits(monkeypatch, in_child)
     got = solve_boost_grid(PARAMS, **kw)
-    _assert_no_children()
+    assert_no_child_left()
     _assert_solved_in_caller(solved, want)
     _assert_same_grids([want, got])
 
@@ -818,7 +814,7 @@ def test_worker_killed_on_a_queued_cell(monkeypatch):
 
     solved = _spy_orbits(monkeypatch, kill_self, wait_for_death)
     got = solve_boost_grid(PARAMS, **kw)
-    _assert_no_children()
+    assert_no_child_left()
     assert [(d.si_code, d.si_status) for d in deaths] == [(os.CLD_KILLED, signal.SIGKILL)]
     present = sum(c.present for col in want.cells for c in col)
     assert solved.count(()) == present
@@ -851,7 +847,7 @@ def test_queue_bigger_than_the_pipe(monkeypatch, workers):
     _pin_workers(monkeypatch, workers)
     monkeypatch.setattr(regeq.os, "pipe", small_pipe)
     got = solve_boost_grid(PARAMS, **kw)
-    _assert_no_children()
+    assert_no_child_left()
     present = sum(c.present for col in want.cells for c in col)
     assert present > 1024
     assert len(sizes) == 1 and present * regeq._RECORD.size > 4 * sizes[0]
@@ -875,4 +871,4 @@ def test_caller_exception_kills_workers(monkeypatch):
     with pytest.raises(RuntimeError, match="caller failed"):
         solve_boost_grid(PARAMS, n_w1=5, n_rho=5, ode_steps=500)
     assert time.monotonic() - start < 30
-    _assert_no_children()
+    assert_no_child_left()

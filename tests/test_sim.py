@@ -18,7 +18,7 @@ from regsyn.sim import (CSV_BLOCK_VALUES, DIVERGENCE_CAP, DivergenceError,
                         SimulationError, Trajectory, _certified_digits, _CsvWorker,
                         _write_csv, decay_metrics, simulate, write_trajectory_csv)
 
-from helpers import detect_period, exosystem_orbit
+from helpers import assert_no_child_left, detect_period, exosystem_orbit
 
 
 def _example(name):
@@ -426,9 +426,61 @@ def test_kernel_blocks_keep_every_bit(monkeypatch, rows):
     assert outcomes() == whole
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def _ended(child):
+    """How a _Children process running child() ended, as (si_code,
+    si_status) read before wait() reaps it.  A fork that returns into this
+    code in the child ends the child with status 7."""
+    parent = os.getpid()
+    with sim._Children() as children:
+        try:
+            children.fork(child)
+        finally:
+            if os.getpid() != parent:
+                os._exit(7)
+        end = os.waitid(os.P_PID, children.pids[0], os.WEXITED | os.WNOWAIT)
+        children.wait()
+        assert children.pids == []
+    assert_no_child_left()
+    return end.si_code, end.si_status
+
+
+def _fail_in_child():
+    raise RuntimeError("child failed")
+
+
+@pytest.mark.parametrize("child, end", [
+    (lambda: None, (os.CLD_EXITED, 0)),
+    (_fail_in_child, (os.CLD_EXITED, 1)),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), (os.CLD_KILLED, signal.SIGKILL)),
+], ids=["returns", "raises", "sigkilled"])
+def test_child_leaves_through_its_exit(child, end):
+    # a child that returns exits 0 and one that raises exits 1, neither
+    # into the caller's code; one killed is reaped all the same
+    assert _ended(child) == end
+
+
+def test_failed_fork_raises(monkeypatch):
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with sim._Children() as children:
+        with pytest.raises(OSError, match="Resource temporarily"):
+            children.fork(pytest.fail, "forked")
+        assert children.pids == []
+
+
+def test_caller_exception_kills_children():
+    # the caller fails while its children would run for a minute: they
+    # are killed and reaped before the exception leaves the `with`
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="caller failed"):
+        with sim._Children() as children:
+            for _ in range(2):
+                children.fork(time.sleep, 60)
+            raise RuntimeError("caller failed")
+    assert time.monotonic() - start < 30 and children.pids == []
+    assert_no_child_left()
 
 
 def _open_fds():
@@ -455,7 +507,7 @@ def encoder_on(monkeypatch, tmp_path):
     monkeypatch.setattr(sim, "_write_csv", spy)
     fds = _open_fds()
     yield lambda: log.read_text().splitlines() if log.exists() else []
-    _no_child_left()
+    assert_no_child_left()
     assert _open_fds() == fds
 
 
@@ -476,7 +528,7 @@ def _encoded(name, rows, tmp_path, cap=2**30):
         traj = simulate(*args, encoder=worker)
         assert len(traj.t) == rows
         write_trajectory_csv(traj, tmp_path / "encoded.csv", worker)
-    _no_child_left()
+    assert_no_child_left()
     return ((plain.table.tobytes(), (tmp_path / "plain.csv").read_bytes()),
             (traj.table.tobytes(), (tmp_path / "encoded.csv").read_bytes()))
 
@@ -509,36 +561,40 @@ def test_encoder_holds_at_most_its_cap(tmp_path, encoder_on, name):
     assert encoder_on() == ["True 0 0", _copied(plain[1], block)]
 
 
-def _wait_for_blocks(worker, blocks):
-    """Wait, at most 30 s, until the child has published blocks blocks."""
+def _wait_for_text(worker, size):
+    """Wait, at most 30 s, until the child's memory file holds size bytes."""
     deadline = time.monotonic() + 30
-    while worker.progress[0] < blocks:
+    while os.fstat(worker.text).st_size < size:
         assert time.monotonic() < deadline
         time.sleep(1e-3)
 
 
 @pytest.mark.parametrize("when", ["before its first block", "mid-run", "at commit"])
 def test_encoder_killed_falls_back_to_the_caller(tmp_path, monkeypatch, encoder_on, when):
-    # SIGKILL at the first ready(), at the third once the child published
-    # two blocks, or at the commit once it published all 15: the caller
-    # copies the text published and encodes the rest itself
+    # SIGKILL at the first ready(), or at the third once the child wrote
+    # the text of two blocks: it dies before its record, so the caller
+    # encodes every row itself.  At the commit the child is killed once it
+    # exited, its record sent: the caller copies the text of every row
     block = sim._block_rows(11)
+    two_blocks = len(sim._encode_rows(simulate(*_rows_of("example53", 2 * block)).table))
     name = "encoded" if when == "at commit" else "ready"
-    at, blocks = {"before its first block": (1, 0), "mid-run": (3, 2),
-                  "at commit": (1, -(-4001 // block))}[when]
+    at = {"before its first block": 1, "mid-run": 3, "at commit": 1}[when]
     method, calls = getattr(_CsvWorker, name), []
 
     def kill_then(self, *args):
-        calls.append(self.pid)
+        calls.append(self.pids[0])
         if len(calls) == at:
-            _wait_for_blocks(self, blocks)
-            os.kill(self.pid, signal.SIGKILL)
+            if when == "mid-run":
+                _wait_for_text(self, two_blocks)
+            elif when == "at commit":
+                os.waitid(os.P_PID, self.pids[0], os.WEXITED | os.WNOWAIT)
+            os.kill(self.pids[0], signal.SIGKILL)
         return method(self, *args)
 
     monkeypatch.setattr(_CsvWorker, name, kill_then)
     plain, encoded = _encoded("example53", 4001, tmp_path)
     assert encoded == plain and len(calls) >= at
-    assert encoder_on() == ["True 0 0", _copied(plain[1], min(4001, blocks * block))]
+    assert encoder_on() == ["True 0 0", _copied(plain[1], 4001 if when == "at commit" else 0)]
 
 
 def test_encoder_fork_failure_falls_back_to_the_caller(tmp_path, monkeypatch, encoder_on):
@@ -605,8 +661,8 @@ def test_encoder_writes_nothing_for_a_failed_run(tmp_path, encoder_on, monkeypat
         with pytest.raises(error):
             with _CsvWorker(2**30) as worker:
                 simulate(*system, *args, encoder=worker)
-        assert len(sent) > 3 and worker.pid is None
-        _no_child_left()
+        assert len(sent) > 3 and worker.pids == []
+        assert_no_child_left()
     assert encoder_on() == []
 
 
