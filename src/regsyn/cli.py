@@ -199,7 +199,7 @@ def cmd_synthesize(args):
         print(f"block {j} coefficients: {rendered}")
     print("Bc = " + ", ".join(f"{v:.17g}" for v in report.Bc.ravel()))
     print(f"closed-loop abscissa = {report.abscissa:.17g}")
-    ctrl = model.ControllerModel(base.nc, base.phi, base.lam,
+    ctrl = model.ControllerModel(base.phi, base.lam,
                                  tuple(float(v) for v in report.Bc.ravel()))
     if args.out:
         with _writing(args.out):
@@ -326,9 +326,7 @@ def cmd_boost(args):
             psi0, orbit, iters = 0.0, np.zeros(args.ode_steps + 1), 0
         else:
             psi0, orbit, iters = regeq.solve_psi0(w1, rho, params, ode_steps=args.ode_steps)
-        cells.append((regeq.BoostCell(w1=w1, rho=rho, present=True, converged=True,
-                                      psi0=psi0, iters=iters, orbit=orbit),
-                      regeq.recover_gamma(orbit, w1, rho, params)))
+        cells.append((psi0, iters, orbit, regeq.recover_gamma(orbit, w1, rho, params)))
     boost = None if args.cell else regeq.solve_boost_grid(
         params, n_w1=args.grid_w1, n_rho=args.grid_rho, ode_steps=args.ode_steps)
     checks.add("boost_equilibrium", True, params.D0)
@@ -339,14 +337,14 @@ def cmd_boost(args):
         os.makedirs(args.out, exist_ok=True)
 
     if args.cell:
-        for tag, (cell, gamma) in zip(tagged, cells):
+        for (tag, (w1, rho)), (psi0, iters, orbit, gamma) in zip(tagged.items(), cells):
             name = f"orbit_{tag}.csv"
             path = os.path.join(args.out, name)
             with _writing(path):
-                regeq.write_orbit_csv(cell, gamma, args.ode_steps, path)
-            checks.add(f"boost_cell_{tag}", True, cell.psi0)
-            print(f"cell (w1={cell.w1:g}, rho={cell.rho:g}): psi0 = {cell.psi0:.17g}, "
-                  f"{cell.iters} iterations -> {name}")
+                regeq.write_orbit_csv(orbit, gamma, path)
+            checks.add(f"boost_cell_{tag}", True, psi0)
+            print(f"cell (w1={w1:g}, rho={rho:g}): psi0 = {psi0:.17g}, "
+                  f"{iters} iterations -> {name}")
         return checks.status
 
     grid_path = os.path.join(args.out, "psi0_grid.csv")

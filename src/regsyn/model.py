@@ -60,18 +60,18 @@ def xi_names(nc):
 
 @dataclass(frozen=True)
 class PlantModel:
-    """Plant dx = f(x, u, w), output y = g(x, u, w), reference q(w)."""
+    """Plant dx = f(x, u, w), output y = g(x, u, w), reference q(w), with
+    x in R^n for n = len(f) and w in R^p."""
 
-    n: int
     p: int
     f: tuple[Expr, ...]
     g: Expr
     q: Expr
     h: Expr = field(init=False)  # tracking error g - q
 
+    n = property(lambda self: len(self.f))
+
     def __post_init__(self):
-        if len(self.f) != self.n:
-            raise ModelError(f"expected {self.n} state equations, got {len(self.f)}")
         allowed = x_names(self.n) + ("u",) + w_names(self.p)
         _check_vars(self.f, allowed, "f")
         _check_vars([self.g], allowed, "g")
@@ -82,40 +82,39 @@ class PlantModel:
 
     @classmethod
     def from_strings(cls, f, g, q, p):
-        f = _as_exprs(f)
-        return cls(len(f), p, f, expr.parse(g), expr.parse(q))
+        return cls(p, _as_exprs(f), expr.parse(g), expr.parse(q))
 
 
 @dataclass(frozen=True)
 class ExosystemModel:
-    """Exosystem dw = s(w)."""
+    """Exosystem dw = s(w), with w in R^p for p = len(s)."""
 
-    p: int
     s: tuple[Expr, ...]
 
+    p = property(lambda self: len(self.s))
+
     def __post_init__(self):
-        if len(self.s) != self.p:
-            raise ModelError(f"expected {self.p} exosystem equations, got {len(self.s)}")
         _check_vars(self.s, w_names(self.p), "s")
         _check_origin(self.s, w_names(self.p), _indexed("s", self.p))
 
     @classmethod
     def from_strings(cls, s):
-        s = _as_exprs(s)
-        return cls(len(s), s)
+        return cls(_as_exprs(s))
 
 
 @dataclass(frozen=True)
 class ControllerModel:
-    """Controller dxi = phi(xi) + Bc*e, u = lambda(xi)."""
+    """Controller dxi = phi(xi) + Bc*e, u = lambda(xi), with xi in R^nc for
+    nc = len(phi) and one Bc entry per phi."""
 
-    nc: int
     phi: tuple[Expr, ...]
     lam: Expr
     Bc: tuple[float, ...]
 
+    nc = property(lambda self: len(self.phi))
+
     def __post_init__(self):
-        if len(self.phi) != self.nc or len(self.Bc) != self.nc:
+        if len(self.Bc) != len(self.phi):
             raise ModelError("controller dimension mismatch")
         _check_vars(self.phi, xi_names(self.nc), "phi")
         _check_vars([self.lam], xi_names(self.nc), "lambda")
@@ -124,8 +123,7 @@ class ControllerModel:
 
     @classmethod
     def from_strings(cls, phi, lam, Bc):
-        phi = _as_exprs(phi)
-        return cls(len(phi), phi, expr.parse(lam), tuple(float(b) for b in Bc))
+        return cls(_as_exprs(phi), expr.parse(lam), tuple(float(b) for b in Bc))
 
 
 @dataclass(frozen=True)

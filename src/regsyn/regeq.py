@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import mmap
 import os
 import select
 import struct
@@ -37,7 +36,7 @@ from . import expr
 from .expr import Bin, Expr
 from .model import (ControllerModel, ExosystemModel, PlantModel, _as_exprs,
                     _check_origin, _check_vars, _indexed, w_names, x_names, xi_names)
-from .sim import _Children, _cpus, _write_csv
+from .sim import _Children, _cpus, _shared, _write_csv
 
 DENOM_GUARD = 1e-12
 # A share of the grid runs its passes on the array body while more than
@@ -102,8 +101,7 @@ class ImmersionMap:
 
     def target(self) -> ControllerModel:
         """The target system (phi, lambda) as a controller with Bc = 0."""
-        nu = len(self.tau)
-        return ControllerModel(nu, self.phi, self.lam, (0.0,) * nu)
+        return ControllerModel(self.phi, self.lam, (0.0,) * len(self.tau))
 
     @classmethod
     def from_strings(cls, p, tau, phi, lam):
@@ -425,7 +423,7 @@ def _shared_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter):
 
     Cell k belongs to share k mod W, so the slow cells of one column are
     spread over the shares.  Shares 1..W-1 run in forked children and
-    share 0 in the caller, all in one anonymous shared mmap that backs the
+    share 0 in the caller, all on arrays from sim._shared, which back the
     returned arrays.  A share runs the array body on its strided rows while
     more than FLOAT_CELLS of them are active, then pushes each cell still
     active, with the pass it resumes at, onto one pipe.  Every process then
@@ -439,17 +437,15 @@ def _shared_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter):
     failed or its child died) and each cell not done, so the result never
     depends on the workers.  A _Children forks, kills and reaps them.
     """
-    n, width = len(start), steps + 1
+    n = len(start)
     workers = _grid_workers(n)
-    mem = mmap.mmap(-1, max(1, 8 * (n * (width + 3) + workers) + 2 * n))
-    orbit = np.frombuffer(mem, float, n * width).reshape(n, width)
-    psi0, saved = np.frombuffer(mem, float, 2 * n, 8 * n * width).reshape(2, n)
-    iters = np.frombuffer(mem, np.int64, n, 8 * n * (width + 2))
+    orbit = _shared((n, steps + 1))
+    psi0, saved = _shared((2, n))
+    iters = _shared(n, np.int64)
     # per share: 0 until its array phase finished, then the pass its cells
     # left active resume at
-    resume = np.frombuffer(mem, np.int64, workers, 8 * n * (width + 3))
-    escaped, done = np.frombuffer(
-        mem, bool, 2 * n, 8 * (n * (width + 3) + workers)).reshape(2, n)
+    resume = _shared(workers, np.int64)
+    escaped, done = _shared((2, n), bool)
     cos = _stage_cosines(steps)
 
     def array_phase(j):
@@ -687,10 +683,9 @@ def write_grid_csv(boost: BoostSolution, path):
                np.array(rows, dtype=float).reshape(-1, 5))
 
 
-def write_orbit_csv(cell: BoostCell, gamma, ode_steps, path):
-    """CSV with header tau,psi,gamma for one converged cell, gamma being
-    recover_gamma of its orbit."""
-    if not cell.converged:
-        raise RegulatorError("cannot export an unconverged cell")
-    tau = np.linspace(0.0, 2.0 * math.pi, ode_steps + 1)
-    _write_csv(path, ["tau", "psi", "gamma"], np.column_stack([tau, cell.orbit, gamma]))
+def write_orbit_csv(orbit, gamma, path):
+    """CSV with header tau,psi,gamma of one periodic orbit psi(tau_k) on the
+    uniform tau grid of len(orbit) points over [0, 2 pi], gamma being
+    recover_gamma of it."""
+    tau = np.linspace(0.0, 2.0 * math.pi, len(orbit))
+    _write_csv(path, ["tau", "psi", "gamma"], np.column_stack([tau, orbit, gamma]))

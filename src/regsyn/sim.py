@@ -94,6 +94,13 @@ def _cpus():
     return len(os.sched_getaffinity(0))
 
 
+def _shared(shape, dtype=float):
+    """A zeroed array in an anonymous shared mmap (at least 1 byte long),
+    so that what a forked child writes into it the caller reads."""
+    dtype = np.dtype(dtype)
+    return np.ndarray(shape, dtype, mmap.mmap(-1, max(1, dtype.itemsize * int(np.prod(shape)))))
+
+
 class _Children:
     """Forked processes that do not outlive their owner.
 
@@ -486,7 +493,7 @@ class _CsvWorker(_Children):
         try:
             fds.append(os.memfd_create("regsyn-csv"))
             fds += [*os.pipe(), *os.pipe()]
-            tab = np.frombuffer(mmap.mmap(-1, 8 * rows * cols)).reshape(rows, cols)
+            tab = _shared((rows, cols))
             self.fork(self._encode, fds, tab, block)
         except (AttributeError, OSError):   # no memfd_create, or no room
             for fd in fds:

@@ -30,25 +30,25 @@ class InternalModel:
     """Linear internal model dxi = Phi xi + Bc e, u = Lambda xi.
 
     Phi and Lambda are the linearization at 0 of a controller's (phi,
-    lambda) or given directly.  Bc may be absent until synthesized.
+    lambda) or given directly; nu = Phi.shape[0].  synthesize replaces a
+    controller's Bc by the one it builds.
     """
 
-    nu: int
     Phi: np.ndarray      # nu x nu
     Lambda: np.ndarray   # 1 x nu
-    Bc: np.ndarray | None = None
+    Bc: np.ndarray       # nu x 1
+
+    nu = property(lambda self: self.Phi.shape[0])
 
     def __post_init__(self):
-        if self.Phi.shape != (self.nu, self.nu) or self.Lambda.shape != (1, self.nu):
-            raise SynthesisError("internal model linearization shape mismatch")
-        if self.Bc is not None and self.Bc.shape != (self.nu, 1):
-            raise SynthesisError("Bc shape mismatch")
+        nu = self.nu
+        if (self.Phi.shape, self.Lambda.shape, self.Bc.shape) != ((nu, nu), (1, nu), (nu, 1)):
+            raise SynthesisError("internal model shape mismatch")
 
     @classmethod
     def from_controller(cls, ctrl: ControllerModel):
         Phi, Lam = controller_jacobians(ctrl)
-        Bc = np.asarray(ctrl.Bc, dtype=float).reshape(-1, 1)
-        return cls(ctrl.nc, Phi, Lam, Bc)
+        return cls(Phi, Lam, np.asarray(ctrl.Bc, dtype=float).reshape(-1, 1))
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,6 @@ class SynthesisReport:
 def closed_loop_matrix(lin: LinearizedData, im: InternalModel) -> np.ndarray:
     """State matrix [[A, B*Lambda], [Bc*C, Phi + Bc*D*Lambda]] of the
     linearized unforced closed loop."""
-    if im.Bc is None:
-        raise SynthesisError("internal model has no Bc")
     top = np.hstack([lin.A, lin.B @ im.Lambda])
     bot = np.hstack([im.Bc @ lin.C, im.Phi + im.Bc @ lin.D @ im.Lambda])
     return np.vstack([top, bot])
@@ -268,4 +266,4 @@ def internal_model_copy_of_exosystem(lin: LinearizedData, exo_exprs, Gamma):
     phi = tuple(expr.substitute(e, to_xi) for e in exo_exprs)
     terms = [expr.Bin("*", expr.Num(float(g)), expr.Var(xi)) for g, xi in zip(Gamma[0], names)]
     lam = reduce(lambda acc, t: expr.Bin("+", acc, t), terms)
-    return ControllerModel(p, phi, lam, (0.0,) * p)
+    return ControllerModel(phi, lam, (0.0,) * p)

@@ -6,7 +6,7 @@ and keys:
     [plant]               n, f1..fn, g
     [exosystem]           p, s1..sp
     [reference]           q
-    [controller]          nc, phi1..phinc, lam, bc (comma-separated list)
+    [controller]          nc, phi1..phinc, lam, bc (comma-separated finite numbers)
     [immersion]           nu, tau1..taunu, phi1..phinu, lam
     [regulator_solution]  pi1..pin, gamma, radius (optional)
     [params]              free numeric keys (boost converter parameters)
@@ -150,6 +150,8 @@ def parse_text(text, origin="<string>") -> SystemFile:
             bc = [float(v) for v in sec.take("bc").split(",")]
         except ValueError:
             raise sec.error("'bc' must be a comma-separated number list") from None
+        if not all(map(math.isfinite, bc)):
+            raise sec.error("'bc' must be finite numbers")
         if len(bc) != nc:
             raise sec.error(f"'bc' has {len(bc)} entries, expected {nc}")
         controller = sec.build(ControllerModel.from_strings, phi, lam, bc)

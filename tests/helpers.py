@@ -10,7 +10,7 @@ import pytest
 
 from regsyn.model import ControllerModel, PlantModel
 from regsyn.sim import simulate
-from regsyn.synth import InternalModel, SynthesisError
+from regsyn.synth import InternalModel
 
 
 def exosystem_orbit(exo, w0, T, dt):
@@ -54,18 +54,15 @@ def detect_period(t, w, tol=1e-3):
 
 def internal_model(Phi, Lambda, Bc=None) -> InternalModel:
     """InternalModel from array-likes: Phi is nu x nu, Lambda a row of nu
-    values and Bc, if given, nu values."""
+    values and Bc nu values, zeros if not given."""
     Phi = np.asarray(Phi, dtype=float)
     Lambda = np.atleast_2d(np.asarray(Lambda, dtype=float))
-    if Bc is not None:
-        Bc = np.asarray(Bc, dtype=float).reshape(-1, 1)
-    return InternalModel(Phi.shape[0], Phi, Lambda, Bc)
+    Bc = np.zeros(len(Phi)) if Bc is None else Bc
+    return InternalModel(Phi, Lambda, np.asarray(Bc, dtype=float).reshape(-1, 1))
 
 
 def controller_transfer(im: InternalModel, z: complex) -> complex:
     """Lambda (zI - Phi)^{-1} Bc of the synthesized linear controller."""
-    if im.Bc is None:
-        raise SynthesisError("internal model has no Bc")
     x = np.linalg.solve(z * np.eye(im.nu) - im.Phi.astype(complex), im.Bc)
     return complex((im.Lambda @ x)[0, 0])
 

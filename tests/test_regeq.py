@@ -433,7 +433,7 @@ def test_grid_and_orbit_csv(tmp_path, boost_grid):
                 if c.present and c.converged and c.rho > 0)
     orbit_path = tmp_path / "orbit.csv"
     gamma = recover_gamma(cell.orbit, cell.w1, cell.rho, PARAMS)
-    write_orbit_csv(cell, gamma, boost_grid.ode_steps, orbit_path)
+    write_orbit_csv(cell.orbit, gamma, orbit_path)
     rows = orbit_path.read_text().splitlines()
     assert rows[0] == "tau,psi,gamma"
     assert len(rows) == boost_grid.ode_steps + 2

@@ -296,10 +296,10 @@ def test_tracking_property_oscillator_example():
     from regsyn import model, synth, sysfile
     sf, _ = _example("example52")
     lin = model.linearize(sf.plant, sf.exo)
-    ctrl_base = ControllerModel(3, sf.immersion.phi, sf.immersion.lam, (0.0, 0.0, 0.0))
+    ctrl_base = ControllerModel(sf.immersion.phi, sf.immersion.lam, (0.0, 0.0, 0.0))
     rep = synth.synthesize(lin, synth.InternalModel.from_controller(ctrl_base))
     assert rep.success
-    ctrl = ControllerModel(3, ctrl_base.phi, ctrl_base.lam,
+    ctrl = ControllerModel(ctrl_base.phi, ctrl_base.lam,
                            tuple(float(v) for v in rep.Bc.ravel()))
     T = 9.0 / abs(rep.abscissa)
     traj = simulate(sf.plant, sf.exo, ctrl, (0.2, -0.2), (0, 0, 0), (0.2, 0.1),

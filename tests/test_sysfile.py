@@ -307,6 +307,8 @@ def _edit(*pairs):
     pytest.param(_edit(("bc = 1.0", "bc = 1, x")),
                  "f [controller]: 'bc' must be a comma-separated number list",
                  id="controller-bc-text"),
+    pytest.param(_edit(("bc = 1.0", "bc = nan")), "f [controller]: 'bc' must be finite numbers",
+                 id="controller-bc-nonfinite"),
     pytest.param(_edit(("bc = 1.0", "bc = 1, 2")),
                  "f [controller]: 'bc' has 2 entries, expected 1", id="controller-bc-count"),
     pytest.param(_edit(("bc = 1.0", "bc = 1.0\nextra = 1")),
