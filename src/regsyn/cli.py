@@ -33,12 +33,16 @@ SAMPLE_COUNT = 100
 # bytes of float64 samples one command may hold: checked before any work,
 # from the sizes the options ask for
 MEMORY_BUDGET = 2**30
-# floats per RK4 step that a boost command holds besides its cells' rows:
-# while solving, regeq._stage_cosines' table (t and the cosine array, then
-# a list of three Python floats at 32 bytes each) and either the array
-# body's array of that table (3) or the float body's list of samples (4),
-# in each grid worker process; then pde_residual's temporaries besides its
-# copy of a column
+# floats per RK4 step that a boost command holds besides its cells' rows,
+# in each grid worker process: while solving, regeq._stage_cosines'
+# (steps, 3) table and, while the float body solves a circle, its list of
+# z10*rho*cos products (three Python floats per step, at 32 bytes each)
+# and its list of samples (one per step), 19 in all; then pde_residual's
+# temporaries besides its copy of a column.  Measured on a 2-vCPU x86 VM
+# as growth per step, the tracemalloc peak of solve_boost_grid on a 3x3
+# grid (6 cells, one process) is 19.1, and its ru_maxrss 31.1 with the 6
+# shared orbit rows; `boost --cell 10 0.4` grows ru_maxrss by 21.1 (budget
+# 3 + 20) and `boost --grid-w1 3 --grid-rho 3` by 31.2 (budget 3 x 4 + 20)
 BOOST_STEP_FLOATS = 20
 
 
@@ -103,6 +107,17 @@ def _internal_model(sf: sysfile.SystemFile, lin) -> model.ControllerModel:
     return synth.internal_model_copy_of_exosystem(lin, sf.exo.s, Gamma)
 
 
+def _linearize(sf, arg):
+    """model.linearize of the plant and exosystem of arg, a failed
+    derivative located in arg's section (SysFileError)."""
+    try:
+        return model.linearize(sf.plant, sf.exo)
+    except model.ModelError as exc:
+        if exc.section is None:
+            raise
+        raise sysfile.SysFileError(f"{arg} [{exc.section}]: {exc}") from None
+
+
 def _sample_ball(p, radius):
     rng = np.random.default_rng(0)
     pts = rng.uniform(-radius, radius, size=(SAMPLE_COUNT, p))
@@ -120,7 +135,7 @@ def cmd_verify(args):
     sf = _load_system(args.system)
     _require_plant(sf, "verify")
     checks = _Checks()
-    lin = model.linearize(sf.plant, sf.exo)
+    lin = _linearize(sf, args.system)
 
     absc = specan.spectral_abscissa(lin.A)
     checks.add("plant_stable", absc < 0, absc)
@@ -180,7 +195,7 @@ def cmd_synthesize(args):
     sf = _load_system(args.system)
     _require_plant(sf, "synthesize")
     checks = _Checks()
-    lin = model.linearize(sf.plant, sf.exo)
+    lin = _linearize(sf, args.system)
     base = _internal_model(sf, lin)
     report = synth.synthesize(lin, synth.InternalModel.from_controller(base),
                               eps0=args.eps0, factor=args.factor,

@@ -7,6 +7,7 @@ All types are immutable after construction and the operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,12 @@ ORIGIN_TOL = 1e-12
 
 
 class ModelError(Exception):
-    pass
+    """A model that cannot be built or linearized; section, if known, names
+    the system-file section of the expression at fault."""
+
+    def __init__(self, message, section=None):
+        super().__init__(message)
+        self.section = section
 
 
 def _as_exprs(items):
@@ -158,11 +164,17 @@ class LinearizedData:
         return self.S.shape[0]
 
 
-def jacobian(exprs, vars_, point):
+def jacobian(exprs, vars_, point, labels=None, section=None):
     """Exact Jacobian of a vector expression map at point (the values of
     vars_): each entry d exprs[i] / d vars_[j] is differentiated once by
     expr.diff and evaluated.  An entry whose variable exprs[i] does not
-    contain is 0.0, the value of the Num(0) that diff folds it to."""
+    contain is 0.0, the value of the Num(0) that diff folds it to.  An
+    entry that fails to evaluate or is not finite raises ModelError with
+    section, naming vars_[j] and labels[i] (exprs[i]'s text if not given)."""
+    def failed(i, name, why):
+        label = labels[i] if labels else expr.to_string(exprs[i])
+        return ModelError(f"'{label}': derivative in {name}{why}", section)
+
     env = dict(zip(vars_, map(float, point)))
     J = np.zeros((len(exprs), len(vars_)))
     for i, e in enumerate(exprs):
@@ -173,20 +185,24 @@ def jacobian(exprs, vars_, point):
             try:
                 J[i, j] = expr.evaluate(expr.diff(e, name), env)
             except expr.EvalError as exc:
-                raise ModelError(f"jacobian entry ({i},{j}): {exc}") from exc
+                raise failed(i, name, f": {exc}") from exc
+            if not math.isfinite(J[i, j]):
+                raise failed(i, name, f" is {J[i, j]}")
     return J
 
 
 def linearize(plant: PlantModel, exo: ExosystemModel) -> LinearizedData:
-    """All seven linearization matrices, evaluated at the origin."""
+    """All seven linearization matrices, evaluated at the origin; a failed
+    derivative is located in section "plant" (f1.., g - q) or "exosystem"
+    (s1..)."""
     if plant.p != exo.p:
         raise ModelError("plant and exosystem disagree on the exosystem dimension")
     xv, wv = x_names(plant.n), w_names(plant.p)
     all_vars = xv + ("u",) + wv
     origin = np.zeros(len(all_vars))
-    Jf = jacobian(plant.f, all_vars, origin)
-    Jh = jacobian([plant.h], all_vars, origin)
-    Js = jacobian(exo.s, wv, np.zeros(exo.p))
+    Jf = jacobian(plant.f, all_vars, origin, _indexed("f", plant.n, ""), "plant")
+    Jh = jacobian([plant.h], all_vars, origin, ["g - q"], "plant")
+    Js = jacobian(exo.s, wv, np.zeros(exo.p), _indexed("s", exo.p, ""), "exosystem")
     n = plant.n
     return LinearizedData(
         A=Jf[:, :n],
@@ -203,6 +219,6 @@ def controller_jacobians(ctrl: ControllerModel):
     """Linearization (Phi, Lambda) of a controller at the origin."""
     xv = xi_names(ctrl.nc)
     origin = np.zeros(ctrl.nc)
-    Phi = jacobian(ctrl.phi, xv, origin)
-    Lam = jacobian([ctrl.lam], xv, origin)
+    Phi = jacobian(ctrl.phi, xv, origin, _indexed("phi", ctrl.nc, ""))
+    Lam = jacobian([ctrl.lam], xv, origin, ["lam"])
     return Phi, Lam

@@ -15,9 +15,11 @@ whatever a failed fork or a dead worker left undone.  Every cell is solved
 by the same code in the same order whatever the split, so the bytes are
 those of one process.  The RK4 loop has two bodies, on numpy arrays for
 passes over many cells and on Python floats for one circle (solve_psi0's,
-or a grid cell taken from the pipe); both read one table of stage cosines
-and apply the same operations in the same order, and tests/test_regeq.py
-(test_circle_bodies_agree) ties them bit for bit.
+or a grid cell taken from the pipe).  The array body multiplies each
+step's row of one (steps, 3) table of stage cosines by z10*rho; the float
+body adds the same products, made once per circle as one list for all its
+passes.  Both apply the same operations in the same order, and
+tests/test_regeq.py (test_circle_bodies_agree) ties them bit for bit.
 """
 
 from __future__ import annotations
@@ -50,8 +52,12 @@ DENOM_GUARD = 1e-12
 # median of 10 interleaved runs): 0.52-0.60 s for every value from 20 to
 # 120, 0.57 s at 40, each with an interquartile range of 0.02-0.08 s; 40
 # against 80 in 12 alternating pairs, 0.54 against 0.51 s, 80 faster in 7.
-# At 40 each of the two shares runs 2 array passes.  Outputs do not depend
-# on FLOAT_CELLS.
+# At 40 each of the two shares runs 2 array passes.  Re-timed once the
+# float body took its forcing terms from one list per circle (best of 5,
+# a float orbit timed as the mean of 20): one array pass cost as much as
+# 33-35 float orbits on 10-80 rows and 57-60 on 399 (32-35 and 55 before),
+# so the float body still wins from about 40 active cells down.  Outputs
+# do not depend on FLOAT_CELLS.
 FLOAT_CELLS = 40
 # a grid cell on the queue of _shared_orbits: its index and the pass it
 # resumes at
@@ -177,11 +183,10 @@ class BoostParams:
         D0, z20 = boost_equilibrium(self.v0, self.z10, self.R, self.r)
         object.__setattr__(self, "D0", D0)
         object.__setattr__(self, "z20", z20)
+        # z20 loses its precision where R*D0 is subnormal
         scale = max(1.0, self.z10 / self.R, self.v0)
         if abs(-self.z10 / self.R + D0 * z20) > 1e-9 * scale:
             raise RegulatorError("equilibrium residual in the capacitor equation")
-        if abs(-self.r * z20 + self.v0 - D0 * self.z10) > 1e-9 * scale:
-            raise RegulatorError("equilibrium residual in the inductor equation")
 
     @classmethod
     def default(cls):
@@ -205,6 +210,8 @@ def boost_equilibrium(v0, z10, R, r):
     D0 = (v0 + math.sqrt(disc)) / (2.0 * z10)
     if not 0.0 < D0 < 1.0:
         raise RegulatorError(f"duty ratio {D0} outside (0, 1)")
+    if R * D0 == 0.0:
+        raise RegulatorError("R*D0 underflows to 0, so z20 = z10/(R*D0) is undefined")
     z20 = z10 / (R * D0)
     if not D0 * z10 > r * z20:
         raise RegulatorError("standing assumption D0*z10 > r*z20 violated")
@@ -239,21 +246,37 @@ def admissible_domain(params: BoostParams):
 
 def _stage_cosines(steps):
     """cos of the RK4 stage times t, t + h/2 and t + h of each step t = k*h,
-    one flat list of Python floats for both bodies of _integrate_circle."""
+    one C-contiguous (steps, 3) array for both bodies of _integrate_circle."""
     h = 2.0 * math.pi / steps
     t = np.arange(steps) * h
-    return np.cos(np.column_stack([t, t + 0.5 * h, t + h])).ravel().tolist()
+    return np.cos(np.column_stack([t, t + 0.5 * h, t + h]))
 
 
-def _integrate_circle(psi0, w1, rho, params: BoostParams, steps, cos, out=None):
+def _stage_products(zr, steps, cos=None):
+    """zr times each stage cosine of cos = _stage_cosines(steps), one flat
+    list of Python floats: the forcing terms of the float body, the same
+    bits as zr * c one at a time (a float64 multiply rounds once either
+    way).  A table made here is multiplied in place."""
+    if cos is None:
+        cos = _stage_cosines(steps)
+        cos *= zr
+    else:
+        cos = zr * cos
+    return cos.ravel().tolist()
+
+
+def _integrate_circle(psi0, w1, rho, params: BoostParams, steps, cos, out=None, zc=None):
     """RK4 over tau in [0, 2*pi]; cos is _stage_cosines(steps).
 
-    A 0-d psi0 (one circle) runs a loop on Python floats; an array psi0
-    runs the same loop on numpy arrays, with w1 and rho broadcast.  Both
-    bodies apply the same operations in the same order, so one circle gives
-    the same bits either way (test_circle_bodies_agree).  Returns the orbit
-    samples, shape (..., steps + 1), written into `out` if given.  An orbit
-    that hits the psi = -z20 guard is NaN from there on.
+    A 0-d psi0 (one circle) runs a loop on Python floats that adds the
+    forcing terms zc = _stage_products(z10 * rho, steps, cos), made here if
+    not given (a caller that integrates one circle many times makes them
+    once; cos is not read then).  An array psi0 runs the same loop on numpy
+    arrays, with w1 and rho broadcast, and multiplies each step's row of
+    cos by z10 * rho.  Both bodies apply the same operations in the same order, so one circle
+    gives the same bits either way (test_circle_bodies_agree).  Returns
+    the orbit samples, shape (..., steps + 1), written into `out` if given.
+    An orbit that hits the psi = -z20 guard is NaN from there on.
     """
     pr = params
     h = 2.0 * math.pi / steps
@@ -263,23 +286,23 @@ def _integrate_circle(psi0, w1, rho, params: BoostParams, steps, cos, out=None):
     c_con = -z20 * w1
     zr = pr.z10 * rho
     orbit = np.empty(np.shape(psi0) + (steps + 1,)) if out is None else out
-    stages = iter(cos)
     if np.ndim(psi0) == 0:
-        psi, b_lin, c_con, zr = float(psi0), float(b_lin), float(c_con), float(zr)
+        psi, b_lin, c_con = float(psi0), float(b_lin), float(c_con)
         guard, nan = DENOM_GUARD, math.nan
+        stages = iter(_stage_products(float(zr), steps, cos) if zc is None else zc)
         samples = [psi]
-        for c1, c2, c4 in zip(stages, stages, stages):
+        for zc1, zc2, zc4 in zip(stages, stages, stages):
             d = aL * (psi + z20)
-            k1 = nan if d < guard else (r * psi * psi + b_lin * psi + c_con + zr * c1) / d
+            k1 = nan if d < guard else (r * psi * psi + b_lin * psi + c_con + zc1) / d
             p = psi + half * k1
             d = aL * (p + z20)
-            k2 = nan if d < guard else (r * p * p + b_lin * p + c_con + zr * c2) / d
+            k2 = nan if d < guard else (r * p * p + b_lin * p + c_con + zc2) / d
             p = psi + half * k2
             d = aL * (p + z20)
-            k3 = nan if d < guard else (r * p * p + b_lin * p + c_con + zr * c2) / d
+            k3 = nan if d < guard else (r * p * p + b_lin * p + c_con + zc2) / d
             p = psi + h * k3
             d = aL * (p + z20)
-            k4 = nan if d < guard else (r * p * p + b_lin * p + c_con + zr * c4) / d
+            k4 = nan if d < guard else (r * p * p + b_lin * p + c_con + zc4) / d
             psi = psi + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             samples.append(psi)
         orbit[...] = samples
@@ -381,7 +404,9 @@ def _periodic_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter,
     start, tol, w1 and rho have one shape: 0-d for one circle, which runs
     on the float body of _integrate_circle, else on the array body.  The
     orbits are written into `orbit` (any view of that shape + (steps + 1,))
-    if given; cos is _stage_cosines(steps), made here if not given.
+    if given; cos is _stage_cosines(steps), made here if not given.  One
+    circle's forcing terms (_stage_products) are made once, for all its
+    passes.
     A cell freezes once its orbit escapes or |psi(2*pi) - psi(0)| < tol and
     keeps its start, so later passes rewrite its orbit row bit for bit.
     Passes first..max_iter run while more than `stop` cells are active;
@@ -392,14 +417,17 @@ def _periodic_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter,
     """
     start = np.array(start, dtype=float)
     w1, rho = np.asarray(w1), np.asarray(rho)
+    if start.ndim == 0:     # the float body reads only the forcing terms
+        zc = _stage_products(params.z10 * float(rho), steps, cos)
+    else:
+        zc, cos = None, _stage_cosines(steps) if cos is None else cos
     orbit = np.empty(start.shape + (steps + 1,)) if orbit is None else orbit
-    cos = _stage_cosines(steps) if cos is None else cos
     iters = np.zeros(start.shape, dtype=int)
     escaped = np.zeros(start.shape, dtype=bool)
     active = np.ones(start.shape, dtype=bool)
     it = first
     while it <= max_iter and np.count_nonzero(active) > stop:
-        _integrate_circle(start, w1, rho, params, steps, cos, out=orbit)
+        _integrate_circle(start, w1, rho, params, steps, cos, out=orbit, zc=zc)
         end = orbit[..., -1]
         escaped |= active & ~np.isfinite(end)
         active &= ~escaped

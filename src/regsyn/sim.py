@@ -342,8 +342,9 @@ def _certified_digits(v):
     E = np.clip(np.floor(np.log10(a)), -280, 279).astype(np.int64)
     D, frac = _scaled(a, E)
     low = np.flatnonzero(D < 10**16)
-    E[low] -= 1
-    D[low], frac[low] = _scaled(a[low], E[low])
+    if low.size:
+        E[low] -= 1
+        D[low], frac[low] = _scaled(a[low], E[low])
     up = frac > 0.5
     ok &= (D >= 10**16) & (D + up < 10**17) & (np.abs(frac - 0.5) > 1e-9)
     return D + up, E, ok
@@ -404,14 +405,15 @@ def _encode_rows(table):
     region *= _SLOT < width
     # the exponent of the few scientific values
     at = np.flatnonzero(sci)
-    mag = np.abs(e[at])
-    tens = mag // 10
-    hundreds = tens // 10
-    m[24, at] = ord("e")
-    m[25, at] = ord("+") + 2 * (e[at] < 0)
-    m[26, at] = (hundreds > 0) * (hundreds + ord("0"))
-    m[27, at] = tens - 10 * hundreds + ord("0")
-    m[28, at] = mag - 10 * tens + ord("0")
+    if at.size:
+        mag = np.abs(e[at])
+        tens = mag // 10
+        hundreds = tens // 10
+        m[24, at] = ord("e")
+        m[25, at] = ord("+") + 2 * (e[at] < 0)
+        m[26, at] = (hundreds > 0) * (hundreds + ord("0"))
+        m[27, at] = tens - 10 * hundreds + ord("0")
+        m[28, at] = mag - 10 * tens + ord("0")
     m[29].reshape(rows, cols)[:] = [ord(",")] * (cols - 1) + [ord("\r")]
     m[30].reshape(rows, cols)[:, -1] = ord("\n")
     for j in np.flatnonzero(~ok & ~zero).tolist():

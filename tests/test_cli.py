@@ -648,6 +648,9 @@ _BOOST_PARAMS = {"C": "4e-5", "L": "0.004", "R": "400", "r": "0.25",
      "[params]: standing assumption D0*z10 > r*z20 violated"),
     ({"v0": "1", "z10": "1", "R": "2", "r": "1"},
      "[params]: no real duty ratio: discriminant negative"),
+    # D0 = 5e-11, and R*D0 = 5e-331 rounds to 0
+    ({"C": "1", "L": "1", "R": "1e-320", "r": "1", "v0": "1e-200", "z10": "1e-190",
+      "alpha": "1"}, "[params]: R*D0 underflows to 0, so z20 = z10/(R*D0) is undefined"),
 ])
 def test_boost_params_keys_checked(tmp_path, capsys, edit, message):
     params = {**_BOOST_PARAMS, **edit}
@@ -765,6 +768,42 @@ def test_builtin_output_is_pinned(capsys, command, name):
     assert out == (_GOLDEN / f"{command}_{name}.txt").read_text(encoding="utf-8")
 
 
+# the OpenBLAS kernel a fresh interpreter runs, read from numpy's bundled
+# OpenBLAS (nothing printed where the corename symbol is missing)
+_CORENAME = """\
+import ctypes, glob, os, numpy
+libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+        if hasattr(lib, symbol):
+            getattr(lib, symbol).restype = ctypes.c_char_p
+            print(getattr(lib, symbol)().decode())
+"""
+_HASWELL_ENV = {**_SUBPROCESS_ENV, "OPENBLAS_CORETYPE": "Haswell"}
+
+
+@pytest.fixture(scope="module")
+def haswell_kernel():
+    name = subprocess.run([sys.executable, "-c", _CORENAME], env=_HASWELL_ENV,
+                          capture_output=True, text=True, check=True).stdout.split()
+    if name != ["Haswell"]:
+        pytest.skip(f"OPENBLAS_CORETYPE=Haswell runs the kernel {name or 'unknown'}")
+
+
+@pytest.mark.parametrize("command", ["verify", "synthesize"])
+@pytest.mark.parametrize("name", ["example51", "example52", "example53"])
+def test_builtin_output_is_pinned_under_haswell(haswell_kernel, command, name):
+    # the same commands on OpenBLAS's AVX2 kernels, as on an x86 CPU without
+    # AVX-512, against tests/golden/haswell: the values that pass through
+    # LAPACK move in their last digits, and nothing else does
+    run = subprocess.run([sys.executable, "-m", "regsyn.cli", command, name],
+                         env=_HASWELL_ENV, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (_GOLDEN / "haswell" / f"{command}_{name}.txt").read_text(
+        encoding="utf-8")
+
+
 _EXAMPLE51 = examples.get("example51").text
 _EXAMPLE52 = examples.get("example52").text
 # a flat sum of 250 terms: the generated source nests more than the 200
@@ -852,6 +891,12 @@ _NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
     *(pytest.param((*command, "DIR"), "", 2, "", "error: DIR: cannot read: Is a directory\n",
                    id=f"{command[0]}-directory")
       for command in (("verify",), ("simulate",), ("synthesize",), ("boost", "--params"))),
+    # 1e200*1e200 is inf: the linearization's A would hold it
+    *(pytest.param((command, "FILE"), _EXAMPLE51.replace(
+                       "f1 = x2 - w1", "f1 = x2 - w1 + 1e200*1e200*x1"), 2, "",
+                   "error: FILE [plant]: 'f1': derivative in x1 is inf\n",
+                   id=f"{command}-non-finite-derivative")
+      for command in ("verify", "synthesize")),
     pytest.param(("verify", "FILE"), b"\xff\xfe[plant]\n", 2, "",
                  "error: FILE: cannot read: 'utf-8' codec can't decode byte 0xff in position 0: "
                  "invalid start byte\n", id="verify-not-utf8"),

@@ -132,10 +132,13 @@ def _per_pair_jacobian(exprs, vars_, point):
     J = np.empty((len(exprs), len(vars_)))
     for i, e in enumerate(exprs):
         for j, name in enumerate(vars_):
+            where = f"'{expr.to_string(e)}': derivative in {name}"
             try:
                 J[i, j] = evaluate(diff(e, name), env)
             except EvalError as exc:
-                raise ModelError(f"jacobian entry ({i},{j}): {exc}") from exc
+                raise ModelError(f"{where}: {exc}") from exc
+            if not math.isfinite(J[i, j]):
+                raise ModelError(f"{where} is {J[i, j]}")
     return J
 
 

@@ -1,12 +1,13 @@
-"""Guards that no CLI input reaches but the public API does: each row gives
-an input that reaches one guard, and the exception and exact message it
-raises."""
+"""Guards that the CLI tests do not reach but the public API does: each row
+gives an input that reaches one guard, and the exception and exact message
+it raises."""
 
 import numpy as np
 import pytest
 
 from regsyn.expr import EvalError, compile_fn, parse
 from regsyn.model import ControllerModel, ExosystemModel, ModelError, PlantModel, linearize
+from regsyn.regeq import BoostParams, RegulatorError
 from regsyn.sim import DivergenceError, SimulationError, decay_metrics, simulate
 from regsyn.specan import SpectralError, eigen, hautus_detectable, jordan_structure
 from regsyn.synth import InternalModel, SynthesisError, build_Bc
@@ -46,6 +47,11 @@ def _loop(bc=0.0):
                  SynthesisError, "block 0: expected 1 coefficients, got 0", id="build-bc-count"),
     pytest.param(lambda: InternalModel(np.zeros((2, 2)), np.zeros((1, 2)), np.zeros((3, 1))),
                  SynthesisError, "internal model shape mismatch", id="internal-model-shape"),
+    # R*D0 = 3e-319 is subnormal, so z20 = z10/(R*D0) is off by about 1e-5
+    pytest.param(lambda: BoostParams(C=1.0, L=1.0, R=1e-318, r=1e-320, v0=3e-13, z10=1e-12,
+                                     alpha=1.0),
+                 RegulatorError, "equilibrium residual in the capacitor equation",
+                 id="boost-capacitor-residual"),
     # the kernel names a NaN literal _nan: xi is NaN after the first step
     pytest.param(lambda: simulate(*_loop(np.nan), (1.0,), (0.0,), (0.0,), 1.0, 0.5),
                  DivergenceError, "state diverged at t = 0.5", id="simulate-nan-bc"),

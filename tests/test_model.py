@@ -118,6 +118,34 @@ def test_controller_jacobians():
     assert np.array_equal(Lam, [[2, 1]])
 
 
+_BIG = "1e200*1e200"     # inf, and NaN at the origin, which the origin check lets pass
+
+
+@pytest.mark.parametrize("call, section, message", [
+    (lambda: linearize(PlantModel.from_strings([f"-x1 + {_BIG}*x1"], "x1", "0", 1),
+                       ExosystemModel.from_strings(["0"])),
+     "plant", "'f1': derivative in x1 is inf"),
+    (lambda: linearize(PlantModel.from_strings(["-x1", "-x2 + u"], f"x1 - {_BIG}*w1", "0", 1),
+                       ExosystemModel.from_strings(["0"])),
+     "plant", "'g - q': derivative in w1 is -inf"),
+    (lambda: linearize(PlantModel.from_strings(["-x1"], "x1", "0", 2),
+                       ExosystemModel.from_strings([f"{_BIG}*w2", "-w1"])),
+     "exosystem", "'s1': derivative in w2 is inf"),
+    (lambda: linearize(PlantModel.from_strings(["-x1 + sqrt(x1^2)"], "x1", "0", 1),
+                       ExosystemModel.from_strings(["0"])),
+     "plant", "'f1': derivative in x1: division by zero"),
+    (lambda: controller_jacobians(ControllerModel.from_strings([f"{_BIG}*xi1"], "xi1", [0.0])),
+     None, "'phi1': derivative in xi1 is inf"),
+    (lambda: jacobian([expr.parse(f"x1*{_BIG}*x1")], ("x1",), (1.0,)),
+     None, "'x1*1e+200*1e+200*x1': derivative in x1 is inf"),
+])
+def test_jacobian_failure_names_expression_and_variable(call, section, message):
+    with pytest.raises(ModelError) as info:
+        call()
+    assert str(info.value) == message
+    assert info.value.section == section
+
+
 def test_dimension_validation():
     with pytest.raises(ModelError):
         model.LinearizedData(

@@ -182,8 +182,9 @@ def test_stage_cosines_match_scalar_cos(steps):
         t = k * h
         want += [float(np.cos(t)), float(np.cos(t + 0.5 * h)), float(np.cos(t + h))]
     table = regeq._stage_cosines(steps)
-    assert all(type(c) is float for c in table)
-    assert np.array(table).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+    assert table.shape == (steps, 3) and table.dtype == np.float64
+    assert table.flags.c_contiguous
+    assert table.ravel().view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("w1, rho, start", [
@@ -201,6 +202,20 @@ def test_circle_bodies_agree(w1, rho, start):
     assert np.array_equal(solo, ref, equal_nan=True)
 
 
+def test_circle_makes_its_stage_products_once(monkeypatch):
+    # solve_psi0 integrates its circle once per iteration, every time on
+    # the one list of z10*rho*cos products that _periodic_orbits made
+    calls, real_products = [], regeq._stage_products
+
+    def products(*args):
+        calls.append(args)
+        return real_products(*args)
+
+    monkeypatch.setattr(regeq, "_stage_products", products)
+    _, _, iters = solve_psi0(10.0, 0.4, PARAMS, ode_steps=500)
+    assert iters > 1 and len(calls) == 1
+
+
 def _allocating_circle(psi0, w1, rho, steps):
     """The array body as it was before it ran in place: a fresh array for
     every operation and the np.where guard, with the stage-cosine table."""
@@ -211,7 +226,7 @@ def _allocating_circle(psi0, w1, rho, steps):
     b_lin = r * z20 - w1 - pr.D0 * pr.z10
     c_con = -z20 * w1
     zr = pr.z10 * rho
-    stages = iter(regeq._stage_cosines(steps))
+    stages = iter(regeq._stage_cosines(steps).ravel())
 
     def rhs(p, c):
         denom = aL * (p + z20)
@@ -239,7 +254,7 @@ def _first_guard_trip(psi, w1, rho, steps):
     h = 2.0 * math.pi / steps
     aL = pr.alpha * pr.L
     b_lin = pr.r * pr.z20 - w1 - pr.D0 * pr.z10
-    stages = iter(regeq._stage_cosines(steps))
+    stages = iter(regeq._stage_cosines(steps).ravel())
     for step, (c1, c2, c4) in enumerate(zip(stages, stages, stages)):
         p, ks = psi, []
         for stage, (c, dt) in enumerate([(c1, 0.5 * h), (c2, 0.5 * h), (c2, h), (c4, 0.0)], 1):

@@ -800,6 +800,33 @@ def test_csv_matches_percent_format_on_random_bits(tmp_path):
     assert below[~_certified_digits(below)[2]].tolist() == ties == [999999999999999.875]
 
 
+@pytest.mark.parametrize("values, retried, scientific, fallback", [
+    # log10 rounds 99999.999999999985 up to 5, so D falls below 10**16
+    pytest.param([np.nextafter(1e5, 0.0)], True, False, False, id="exponent-retry"),
+    pytest.param([-1.5e-123], False, True, False, id="scientific"),
+    pytest.param([1e-310], False, False, True, id="per-value-fallback"),
+    pytest.param([0.5, -3.0, 123.25, 0.0], False, False, False, id="none"),
+])
+def test_encode_rows_takes_each_branch_only_when_needed(monkeypatch, values, retried,
+                                                         scientific, fallback):
+    # the E - 1 retry, the exponent slots and the "%" fallback each run
+    # only for a table that needs them, and every row is "%.17g" % v
+    calls = []
+
+    def scaled(a, E):
+        calls.append(a.size)
+        return real_scaled(a, E)
+
+    real_scaled = sim._scaled
+    monkeypatch.setattr(sim, "_scaled", scaled)
+    v = np.array(values)
+    assert sim._encode_rows(v.reshape(1, -1)) == b",".join(b"%.17g" % x for x in v) + b"\r\n"
+    assert len(calls) == (2 if retried else 1)
+    _, E, ok = _certified_digits(v)
+    assert bool(np.any(ok & ((E < -4) | (E >= 17)))) == scientific
+    assert bool(np.any(~ok & (v != 0.0))) == fallback
+
+
 def test_csv_writer_memory(tmp_path):
     # a 4001 x 11 table is encoded a block at a time: the writer's peak
     # allocation stays near one block's arrays, not a copy of the table
