@@ -8,7 +8,9 @@ on characteristic circles) and example (list or dump the built-in
 systems).  Machine-readable result lines have the form
 `CHECK <name> PASS|FAIL <value>`; the exit status is 0 iff every check
 passed, 1 if one failed, 2 on an input error, 141 once stdout's reader is
-gone and 130 on Ctrl-C.
+gone and 130 on Ctrl-C.  A command runs every step that may fail before
+its first line of output, so exit 2 leaves stdout empty, except after an
+--out write error.
 """
 
 from __future__ import annotations
@@ -37,13 +39,15 @@ MEMORY_BUDGET = 2**30
 # in each grid worker process: while solving, regeq._stage_cosines'
 # (steps, 3) table and, while the float body solves a circle, its list of
 # z10*rho*cos products (three Python floats per step, at 32 bytes each)
-# and its list of samples (one per step), 19 in all; then pde_residual's
-# temporaries besides its copy of a column.  Measured on a 2-vCPU x86 VM
-# as growth per step, the tracemalloc peak of solve_boost_grid on a 3x3
-# grid (6 cells, one process) is 19.1, and its ru_maxrss 31.1 with the 6
-# shared orbit rows; `boost --cell 10 0.4` grows ru_maxrss by 21.1 (budget
-# 3 + 20) and `boost --grid-w1 3 --grid-rho 3` by 31.2 (budget 3 x 4 + 20)
-BOOST_STEP_FLOATS = 20
+# and its list of samples (one per step), 19 live floats in all, plus the
+# allocator's slack; then pde_residual's temporaries besides its copy of a
+# column.  Measured as resident memory, not live floats: ru_maxrss of a
+# fresh process that runs regeq.solve_boost_grid on a 3x3 grid (6 cells,
+# one process) at 300k ODE steps less that at 50k, over the 250k steps,
+# is 31.1 floats per step (three runs, 2-vCPU x86 VM), 25.1 beyond the 6
+# shared orbit rows, rounded up; `boost --cell 10 0.4` grows by 21.1
+# (budget 3 + 26)
+BOOST_STEP_FLOATS = 26
 
 
 class _Checks:
@@ -102,20 +106,9 @@ def _internal_model(sf: sysfile.SystemFile, lin) -> model.ControllerModel:
     if sf.controller is not None:
         return sf.controller
     if sf.immersion is not None:
-        return sf.immersion.target()
+        return sf.immersion.target
     _, Gamma = synth.solve_linear_regulator(lin)
     return synth.internal_model_copy_of_exosystem(lin, sf.exo.s, Gamma)
-
-
-def _linearize(sf, arg):
-    """model.linearize of the plant and exosystem of arg, a failed
-    derivative located in arg's section (SysFileError)."""
-    try:
-        return model.linearize(sf.plant, sf.exo)
-    except model.ModelError as exc:
-        if exc.section is None:
-            raise
-        raise sysfile.SysFileError(f"{arg} [{exc.section}]: {exc}") from None
 
 
 def _sample_ball(p, radius):
@@ -134,19 +127,33 @@ def _require_plant(sf, what):
 def cmd_verify(args):
     sf = _load_system(args.system)
     _require_plant(sf, "verify")
-    checks = _Checks()
-    lin = _linearize(sf, args.system)
-
+    # every step that may fail runs before the first line of output, so an
+    # input error leaves stdout empty
+    lin = model.linearize(sf.plant, sf.exo)
     absc = specan.spectral_abscissa(lin.A)
-    checks.add("plant_stable", absc < 0, absc)
-
     sp = specan.eigen(lin.S)
     off_axis = max(abs(v.real) for v in sp.eigenvalues)
-    checks.add("exosystem_spectrum_on_axis", off_axis <= sp.radius, off_axis)
-
     M = np.block([[lin.A, lin.P], [np.zeros((lin.p, lin.n)), lin.S]])
     Cm = np.hstack([lin.C, lin.Q])
     combined = specan.hautus_detectable(Cm, M, specan.eigen(M))
+    im = synth.InternalModel.from_controller(_internal_model(sf, lin))
+    flags = synth.verify_conditions(lin, im, absc)
+    if sf.controller is not None:
+        cl_absc = specan.spectral_abscissa(synth.closed_loop_matrix(lin, im))
+    residuals = {}  # check name -> residual
+    sol = sf.regulator_solution
+    if sol is not None:
+        samples = _sample_ball(sf.exo.p, sol.radius)
+        residuals.update(zip(("regulator_residual_dynamics", "regulator_residual_error"),
+                             regeq.regulator_residual(sol, sf.plant, sf.exo, samples)))
+        if sf.immersion is not None:
+            residuals.update(zip(("immersion_residual_dynamics", "immersion_residual_output"),
+                                 regeq.immersion_residual(sf.immersion, sf.exo, sol.gamma,
+                                                          samples)))
+
+    checks = _Checks()
+    checks.add("plant_stable", absc < 0, absc)
+    checks.add("exosystem_spectrum_on_axis", off_axis <= sp.radius, off_axis)
     if sf.controller is None and sf.immersion is None:
         # the exosystem-copy construction hinges on this pair
         checks.add("combined_pair_detectable", combined, "-")
@@ -154,31 +161,17 @@ def cmd_verify(args):
         # informational: a supplied controller/immersion is governed by the
         # (Lambda, Phi) test below, not by the combined pair
         print(f"combined_pair_detectable = {combined}")
-
-    im = synth.InternalModel.from_controller(_internal_model(sf, lin))
-    flags = synth.verify_conditions(lin, im, absc)
     checks.add("internal_model_detectable", flags.detectable, "-")
     checks.add("internal_model_spectrum_on_axis", flags.spectrum_on_axis, "-")
     for z, g in sorted(flags.tf_values.items(), key=lambda t: t[0].imag):
         print(f"G({z.imag:.17g}i) = {g.real:.17g} + {g.imag:.17g}i  |G| = {abs(g):.17g}")
     min_g = min((abs(g) for g in flags.tf_values.values()), default=math.inf)
     checks.add("transfer_function_nonzero", flags.tf_nonzero, min_g)
-
     if sf.controller is not None:
-        cl_absc = specan.spectral_abscissa(synth.closed_loop_matrix(lin, im))
         checks.add("closed_loop_stable", cl_absc < 0, cl_absc)
-
-    if sf.regulator_solution is not None:
-        sol = sf.regulator_solution
-        samples = _sample_ball(sf.exo.p, sol.radius)
-        r1, r2 = regeq.regulator_residual(sol, sf.plant, sf.exo, samples)
-        checks.add("regulator_residual_dynamics", r1 <= RESIDUAL_TOL, r1)
-        checks.add("regulator_residual_error", r2 <= RESIDUAL_TOL, r2)
-        if sf.immersion is not None:
-            i1, i2 = regeq.immersion_residual(sf.immersion, sf.exo, sol.gamma, samples)
-            checks.add("immersion_residual_dynamics", i1 <= RESIDUAL_TOL, i1)
-            checks.add("immersion_residual_output", i2 <= RESIDUAL_TOL, i2)
-    elif sf.immersion is not None:
+    for name, r in residuals.items():
+        checks.add(name, r <= RESIDUAL_TOL, r)
+    if sf.immersion is not None and sol is None:
         print("note: [immersion] present without [regulator_solution]; "
               "immersion residual not evaluated")
     return checks.status
@@ -195,7 +188,7 @@ def cmd_synthesize(args):
     sf = _load_system(args.system)
     _require_plant(sf, "synthesize")
     checks = _Checks()
-    lin = _linearize(sf, args.system)
+    lin = model.linearize(sf.plant, sf.exo)
     base = _internal_model(sf, lin)
     report = synth.synthesize(lin, synth.InternalModel.from_controller(base),
                               eps0=args.eps0, factor=args.factor,
@@ -214,14 +207,12 @@ def cmd_synthesize(args):
         print(f"block {j} coefficients: {rendered}")
     print("Bc = " + ", ".join(f"{v:.17g}" for v in report.Bc.ravel()))
     print(f"closed-loop abscissa = {report.abscissa:.17g}")
-    ctrl = model.ControllerModel(base.phi, base.lam,
-                                 tuple(float(v) for v in report.Bc.ravel()))
     if args.out:
         with _writing(args.out):
-            sysfile.write_controller(ctrl, args.out)
+            sysfile.write_controller(base, args.out, report.Bc.ravel())
         print(f"controller written to {args.out}")
     else:
-        print(sysfile.controller_section(ctrl), end="")
+        print(sysfile.controller_section(base, report.Bc.ravel()), end="")
     return checks.status
 
 

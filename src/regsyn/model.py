@@ -1,8 +1,11 @@
 """System definitions and their local linearizations.
 
-Plants, exosystems and controllers are given by parsed expressions; the
-linearization at the origin evaluates their exact symbolic derivatives.
-All types are immutable after construction and the operations are pure.
+Plants, exosystems and controllers are given by parsed expressions.  Each
+model checks at construction that its maps vanish at the origin and takes
+their exact Jacobian there, from the symbolic derivatives, so a model that
+has no finite linearization cannot be built; linearize only slices the
+stored Jacobians.  All types are immutable after construction and the
+operations are pure.
 """
 
 from __future__ import annotations
@@ -19,12 +22,7 @@ ORIGIN_TOL = 1e-12
 
 
 class ModelError(Exception):
-    """A model that cannot be built or linearized; section, if known, names
-    the system-file section of the expression at fault."""
-
-    def __init__(self, message, section=None):
-        super().__init__(message)
-        self.section = section
+    """A model that cannot be built or linearized."""
 
 
 def _as_exprs(items):
@@ -45,6 +43,14 @@ def _check_origin(exprs, names, labels):
     for e, label in zip(exprs, labels):
         if abs(expr.evaluate(e, origin)) > ORIGIN_TOL:
             raise ModelError(f"{label} != 0")
+
+
+def _store_jacobian(model, name, exprs, vars_, labels):
+    """Set model.<name> to the read-only Jacobian of exprs at the origin of
+    vars_ (ModelError naming labels[i] if an entry fails)."""
+    J = jacobian(exprs, vars_, np.zeros(len(vars_)), labels)
+    J.flags.writeable = False
+    object.__setattr__(model, name, J)
 
 
 def _indexed(what, count, at="(0)"):
@@ -74,6 +80,8 @@ class PlantModel:
     g: Expr
     q: Expr
     h: Expr = field(init=False)  # tracking error g - q
+    # Jacobian at the origin of (f, h) in (x, u, w): (n + 1) x (n + 1 + p)
+    J: np.ndarray = field(init=False, compare=False, repr=False)
 
     n = property(lambda self: len(self.f))
 
@@ -85,6 +93,8 @@ class PlantModel:
         object.__setattr__(self, "h", expr.Bin("-", self.g, self.q))
         _check_origin([*self.f, self.g, self.q], allowed,
                       _indexed("f", self.n, "(0,0,0)") + ["g(0,0,0)", "q(0)"])
+        _store_jacobian(self, "J", [*self.f, self.h], allowed,
+                        _indexed("f", self.n, "") + ["g - q"])
 
     @classmethod
     def from_strings(cls, f, g, q, p):
@@ -96,12 +106,14 @@ class ExosystemModel:
     """Exosystem dw = s(w), with w in R^p for p = len(s)."""
 
     s: tuple[Expr, ...]
+    S: np.ndarray = field(init=False, compare=False, repr=False)  # ds/dw at 0
 
     p = property(lambda self: len(self.s))
 
     def __post_init__(self):
         _check_vars(self.s, w_names(self.p), "s")
         _check_origin(self.s, w_names(self.p), _indexed("s", self.p))
+        _store_jacobian(self, "S", self.s, w_names(self.p), _indexed("s", self.p, ""))
 
     @classmethod
     def from_strings(cls, s):
@@ -116,16 +128,20 @@ class ControllerModel:
     phi: tuple[Expr, ...]
     lam: Expr
     Bc: tuple[float, ...]
+    Phi: np.ndarray = field(init=False, compare=False, repr=False)     # dphi/dxi at 0
+    Lambda: np.ndarray = field(init=False, compare=False, repr=False)  # dlambda/dxi at 0
 
     nc = property(lambda self: len(self.phi))
 
     def __post_init__(self):
         if len(self.Bc) != len(self.phi):
             raise ModelError("controller dimension mismatch")
-        _check_vars(self.phi, xi_names(self.nc), "phi")
-        _check_vars([self.lam], xi_names(self.nc), "lambda")
-        _check_origin([*self.phi, self.lam], xi_names(self.nc),
-                      _indexed("phi", self.nc) + ["lambda(0)"])
+        xv = xi_names(self.nc)
+        _check_vars(self.phi, xv, "phi")
+        _check_vars([self.lam], xv, "lambda")
+        _check_origin([*self.phi, self.lam], xv, _indexed("phi", self.nc) + ["lambda(0)"])
+        _store_jacobian(self, "Phi", self.phi, xv, _indexed("phi", self.nc, ""))
+        _store_jacobian(self, "Lambda", [self.lam], xv, ["lam"])
 
     @classmethod
     def from_strings(cls, phi, lam, Bc):
@@ -164,16 +180,16 @@ class LinearizedData:
         return self.S.shape[0]
 
 
-def jacobian(exprs, vars_, point, labels=None, section=None):
+def jacobian(exprs, vars_, point, labels=None):
     """Exact Jacobian of a vector expression map at point (the values of
     vars_): each entry d exprs[i] / d vars_[j] is differentiated once by
     expr.diff and evaluated.  An entry whose variable exprs[i] does not
     contain is 0.0, the value of the Num(0) that diff folds it to.  An
-    entry that fails to evaluate or is not finite raises ModelError with
-    section, naming vars_[j] and labels[i] (exprs[i]'s text if not given)."""
+    entry that fails to evaluate or is not finite raises ModelError naming
+    vars_[j] and labels[i] (exprs[i]'s text if not given)."""
     def failed(i, name, why):
         label = labels[i] if labels else expr.to_string(exprs[i])
-        return ModelError(f"'{label}': derivative in {name}{why}", section)
+        return ModelError(f"'{label}': derivative in {name}{why}")
 
     env = dict(zip(vars_, map(float, point)))
     J = np.zeros((len(exprs), len(vars_)))
@@ -192,33 +208,10 @@ def jacobian(exprs, vars_, point, labels=None, section=None):
 
 
 def linearize(plant: PlantModel, exo: ExosystemModel) -> LinearizedData:
-    """All seven linearization matrices, evaluated at the origin; a failed
-    derivative is located in section "plant" (f1.., g - q) or "exosystem"
-    (s1..)."""
+    """The seven linearization matrices at the origin, sliced from the
+    Jacobians that the plant and the exosystem took when they were built."""
     if plant.p != exo.p:
         raise ModelError("plant and exosystem disagree on the exosystem dimension")
-    xv, wv = x_names(plant.n), w_names(plant.p)
-    all_vars = xv + ("u",) + wv
-    origin = np.zeros(len(all_vars))
-    Jf = jacobian(plant.f, all_vars, origin, _indexed("f", plant.n, ""), "plant")
-    Jh = jacobian([plant.h], all_vars, origin, ["g - q"], "plant")
-    Js = jacobian(exo.s, wv, np.zeros(exo.p), _indexed("s", exo.p, ""), "exosystem")
-    n = plant.n
-    return LinearizedData(
-        A=Jf[:, :n],
-        B=Jf[:, n:n + 1],
-        P=Jf[:, n + 1:],
-        C=Jh[:, :n],
-        D=Jh[:, n:n + 1],
-        Q=Jh[:, n + 1:],
-        S=Js,
-    )
-
-
-def controller_jacobians(ctrl: ControllerModel):
-    """Linearization (Phi, Lambda) of a controller at the origin."""
-    xv = xi_names(ctrl.nc)
-    origin = np.zeros(ctrl.nc)
-    Phi = jacobian(ctrl.phi, xv, origin, _indexed("phi", ctrl.nc, ""))
-    Lam = jacobian([ctrl.lam], xv, origin, ["lam"])
-    return Phi, Lam
+    n, J = plant.n, plant.J
+    return LinearizedData(A=J[:n, :n], B=J[:n, n:n + 1], P=J[:n, n + 1:],
+                          C=J[n:, :n], D=J[n:, n:n + 1], Q=J[n:, n + 1:], S=exo.S)

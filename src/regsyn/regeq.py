@@ -98,16 +98,16 @@ class ImmersionMap:
     tau: tuple[Expr, ...]      # in w1..wp
     phi: tuple[Expr, ...]      # in xi1..xinu, nu = len(tau)
     lam: Expr                  # in xi1..xinu
+    # the target system (phi, lambda) as a controller with Bc = 0, which
+    # checks and linearizes phi and lambda as a controller's
+    target: ControllerModel = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         wv = w_names(self.p)
         _check_vars(self.tau, wv, "tau")
         _check_origin(self.tau, wv, _indexed("tau", len(self.tau)))
-        self.target()  # checks phi and lambda as a controller's
-
-    def target(self) -> ControllerModel:
-        """The target system (phi, lambda) as a controller with Bc = 0."""
-        return ControllerModel(self.phi, self.lam, (0.0,) * len(self.tau))
+        object.__setattr__(self, "target",
+                           ControllerModel(self.phi, self.lam, (0.0,) * len(self.tau)))
 
     @classmethod
     def from_strings(cls, p, tau, phi, lam):

@@ -14,8 +14,7 @@ from functools import reduce
 import numpy as np
 
 from . import expr, specan
-from .model import (ControllerModel, LinearizedData, controller_jacobians,
-                    w_names, xi_names)
+from .model import ControllerModel, LinearizedData, w_names, xi_names
 from .specan import JordanData, SpectralError, Spectrum
 
 TF_ZERO_TOL = 1e-9
@@ -47,8 +46,7 @@ class InternalModel:
 
     @classmethod
     def from_controller(cls, ctrl: ControllerModel):
-        Phi, Lam = controller_jacobians(ctrl)
-        return cls(Phi, Lam, np.asarray(ctrl.Bc, dtype=float).reshape(-1, 1))
+        return cls(ctrl.Phi, ctrl.Lambda, np.asarray(ctrl.Bc, dtype=float).reshape(-1, 1))
 
 
 @dataclass(frozen=True)

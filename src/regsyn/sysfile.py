@@ -14,7 +14,7 @@ and keys:
 Values are expression strings or numbers; `#` starts a comment.  Unknown
 sections or keys are rejected so typos fail loudly.  parse_text reads every
 section through one reader, _Section, which prefixes each error with
-`<file> [<section>]: `.
+`<file> [<section>]: `, a model's failed derivative at the origin included.
 """
 
 from __future__ import annotations
@@ -196,16 +196,19 @@ def parse_file(path) -> SystemFile:
     return parse_text(text, origin=str(path))
 
 
-def controller_section(ctrl: ControllerModel) -> str:
-    """Render a [controller] section that parse_text accepts back."""
+def controller_section(ctrl: ControllerModel, Bc=None) -> str:
+    """Render a [controller] section that parse_text accepts back, with Bc
+    in place of ctrl.Bc when given (so synthesize differentiates no second
+    model)."""
+    Bc = ctrl.Bc if Bc is None else Bc
     lines = ["[controller]", f"nc = {ctrl.nc}"]
     for i, pe in enumerate(ctrl.phi):
         lines.append(f"phi{i + 1} = {expr.to_string(pe)}")
     lines.append(f"lam = {expr.to_string(ctrl.lam)}")
-    lines.append("bc = " + ", ".join(f"{b:.17g}" for b in ctrl.Bc))
+    lines.append("bc = " + ", ".join(f"{b:.17g}" for b in Bc))
     return "\n".join(lines) + "\n"
 
 
-def write_controller(ctrl: ControllerModel, path):
+def write_controller(ctrl: ControllerModel, path, Bc=None):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(controller_section(ctrl))
+        fh.write(controller_section(ctrl, Bc))

@@ -570,11 +570,11 @@ def test_boost_accepts_cell_on_domain_edge(tmp_path, capsys):
     (("simulate", "example53", "--T", "1e300", "--dt", "1e-6"),
      "--T/--dt: 1e+306 rows x 11 floats need 8.8e+307 bytes"),
     (("boost", "--grid-w1", "2000", "--grid-rho", "2000", "--ode-steps", "100000"),
-     "--grid-w1/--grid-rho/--ode-steps: 1e+05 rows x 4002020 floats need 3.202e+12 bytes"),
+     "--grid-w1/--grid-rho/--ode-steps: 1e+05 rows x 4002026 floats need 3.202e+12 bytes"),
     (("boost", "--ode-steps", "10000000000", "--cell", "10", "0.4"),
-     "--ode-steps: 1e+10 rows x 23 floats need 1.84e+12 bytes"),
+     "--ode-steps: 1e+10 rows x 29 floats need 2.32e+12 bytes"),
     (("boost", "--ode-steps", "10000000000", "--cell", "10", "0.4", "--cell", "20", "0.3"),
-     "--ode-steps: 1e+10 rows x 26 floats need 2.08e+12 bytes"),
+     "--ode-steps: 1e+10 rows x 32 floats need 2.56e+12 bytes"),
 ])
 def test_commands_check_the_memory_budget_first(tmp_path, capsys, monkeypatch,
                                                  argv, message):
@@ -603,17 +603,17 @@ def test_commands_check_the_memory_budget_first(tmp_path, capsys, monkeypatch,
      "101 rows x 9 floats"),
     # one cell at 200 steps: 201 rows of orbit, gamma, tau and
     # BOOST_STEP_FLOATS
-    (("boost", "--ode-steps", "200", "--cell", "10", "0.4"), 8 * 201 * 23,
-     "201 rows x 23 floats"),
+    (("boost", "--ode-steps", "200", "--cell", "10", "0.4"), 8 * 201 * 29,
+     "201 rows x 29 floats"),
     # a 2x3 grid at 1000 steps: 1001 rows of the 6 orbits, pde_residual's
     # copy of a 3-cell column and BOOST_STEP_FLOATS
-    (("boost", "--grid-w1", "2", "--grid-rho", "3", "--ode-steps", "1000"), 8 * 1001 * 29,
-     "1001 rows x 29 floats"),
+    (("boost", "--grid-w1", "2", "--grid-rho", "3", "--ode-steps", "1000"), 8 * 1001 * 35,
+     "1001 rows x 35 floats"),
     # a 2x40 grid at 1000 steps on 2 CPUs: 80 cells, at most 2 workers of
     # FLOAT_CELLS = 40 cells, so 1001 rows of the 80 orbits, pde_residual's
     # copy of a 40-cell column and BOOST_STEP_FLOATS per worker
     (("boost", "--grid-w1", "2", "--grid-rho", "40", "--ode-steps", "1000"),
-     8 * 1001 * (80 + 40 + 2 * 20), "1001 rows x 160 floats"),
+     8 * 1001 * (80 + 40 + 2 * 26), "1001 rows x 172 floats"),
 ])
 def test_memory_budget_bound_is_inclusive(tmp_path, capsys, monkeypatch, argv,
                                           size, message):
@@ -677,22 +677,31 @@ def test_boost_params_file_accepted(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["verify", "synthesize"])
 def test_controller_differentiated_once(capsys, monkeypatch, command):
+    # each model takes its Jacobians once, when it is loaded: a second
+    # ImmersionMap.target, say, would differentiate example52's phi and
+    # lambda again
     calls = []
+    jacobian = model.jacobian
 
-    def spy(ctrl):
-        calls.append(ctrl)
-        return model.controller_jacobians(ctrl)
+    def spy(exprs, *args):
+        calls.append(tuple(exprs))
+        return jacobian(exprs, *args)
 
-    monkeypatch.setattr(synth, "controller_jacobians", spy)
-    assert _run(capsys, command, "example51")[0] == 0
-    assert len(calls) == 1
+    monkeypatch.setattr(model, "jacobian", spy)
+    for name in ("example51", "example52"):
+        sf = examples.get(name).load()
+        ctrl = sf.controller or sf.immersion.target
+        loaded = [sf.exo.s, (*sf.plant.f, sf.plant.h), ctrl.phi, (ctrl.lam,)]
+        calls.clear()
+        assert _run(capsys, command, name)[0] == 0
+        assert calls == loaded
 
 
 def test_diff_is_one_pass(monkeypatch):
     # diff folds a subtree free of the variable to 0 on its own, so it never
-    # asks which variables a subtree holds; jacobian asks once per
-    # expression (free_vars' own recursion is not counted)
-    sf = examples.get("example53").load()
+    # asks which variables a subtree holds; loading asks once per expression
+    # for the variable check and once for the Jacobian (free_vars' own
+    # recursion is not counted)
     calls, running = [], []
     free_vars = expr.free_vars
 
@@ -706,10 +715,10 @@ def test_diff_is_one_pass(monkeypatch):
             running.pop()
 
     monkeypatch.setattr(expr, "free_vars", spy)
-    model.linearize(sf.plant, sf.exo)
-    model.controller_jacobians(sf.controller)
-    ctrl = sf.controller
-    assert calls == [*sf.plant.f, sf.plant.h, *sf.exo.s, *ctrl.phi, ctrl.lam]
+    sf = examples.get("example53").load()
+    plant, ctrl = sf.plant, sf.controller
+    assert calls == [*sf.exo.s, *sf.exo.s, *plant.f, plant.g, plant.q, *plant.f, plant.h,
+                     *ctrl.phi, ctrl.lam, *ctrl.phi, ctrl.lam]
 
 
 def _key(M):
@@ -823,9 +832,7 @@ _NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
                  id="simulate-file-without-T"),
     pytest.param(("boost", "--params", "FILE", "--cell", "10", "0.4"), _EXAMPLE51, 2, "",
                  "error: FILE has no [params] section\n", id="boost-params-without-params"),
-    pytest.param(("verify", "FILE"), _NO_INPUT, 2,
-                 "CHECK plant_stable PASS -1\nCHECK exosystem_spectrum_on_axis PASS 0\n"
-                 "CHECK combined_pair_detectable PASS -\n",
+    pytest.param(("verify", "FILE"), _NO_INPUT, 2, "",
                  # the condition number depends on the BLAS
                  "error: linearized regulator system is singular or ill-conditioned (cond ~",
                  id="verify-singular-regulator-equations"),
@@ -833,8 +840,7 @@ _NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
                  2, "", "error: FILE [plant]: bad number literal '1.2.3' (at offset 5)\n",
                  id="verify-bad-literal"),
     pytest.param(("verify", "FILE"), _EXAMPLE51.replace("pi2 = w1", "pi2 = w1 + sqrt(w1)"),
-                 2, ("CHECK transfer_function_nonzero PASS 1",),
-                 "error: evaluation failed at w = [", id="verify-residual-eval-error"),
+                 2, "", "error: evaluation failed at w = [", id="verify-residual-eval-error"),
     # 0 at the origin and NaN (inf - inf) at every other sample
     pytest.param(("verify", "FILE"), _EXAMPLE51.replace(
                      "pi2 = w1", "pi2 = w1 + (1e308*w1*1e10 - 1e308*w1*1e10)"),
@@ -862,7 +868,7 @@ _NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
     pytest.param(("synthesize", "FILE", "--eps0", "1e308"), _EXAMPLE52, 1,
                  ("CHECK synthesis FAIL block 0: Bc overflows at eps = 1e+308",), "",
                  id="synthesize-overflowing-bc"),
-    pytest.param(("verify", "FILE"), _DEEP_SUM, 2, ("CHECK transfer_function_nonzero PASS 1",),
+    pytest.param(("verify", "FILE"), _DEEP_SUM, 2, "",
                  "error: cannot compile the regulator equation residuals: "
                  "too many nested parentheses\n", id="verify-deep-generated-source"),
     pytest.param(("simulate", "FILE", "--T", "0.01"), _DEEP_SUM, 2, "",
@@ -891,12 +897,24 @@ _NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
     *(pytest.param((*command, "DIR"), "", 2, "", "error: DIR: cannot read: Is a directory\n",
                    id=f"{command[0]}-directory")
       for command in (("verify",), ("simulate",), ("synthesize",), ("boost", "--params"))),
-    # 1e200*1e200 is inf: the linearization's A would hold it
-    *(pytest.param((command, "FILE"), _EXAMPLE51.replace(
-                       "f1 = x2 - w1", "f1 = x2 - w1 + 1e200*1e200*x1"), 2, "",
-                   "error: FILE [plant]: 'f1': derivative in x1 is inf\n",
-                   id=f"{command}-non-finite-derivative")
-      for command in ("verify", "synthesize")),
+    # 1e200*1e200 is inf: the linearization would hold it.  Every model
+    # takes its Jacobian when it is loaded, so each command stops there
+    *(pytest.param(argv, _EXAMPLE51.replace(old, new), 2, "",
+                   f"error: FILE {message}\n", id=f"{argv[0]}-{name}")
+      for argv in (("verify", "FILE"), ("synthesize", "FILE"), ("simulate", "FILE", "--T", "0.01"))
+      for name, old, new, message in (
+          ("non-finite-derivative", "f1 = x2 - w1", "f1 = x2 - w1 + 1e200*1e200*x1",
+           "[plant]: 'f1': derivative in x1 is inf"),
+          ("controller-non-finite-derivative", "phi1 = xi2 - xi1^4",
+           "phi1 = xi2 - xi1^4 + 1e200*1e200*xi1",
+           "[controller]: 'phi1': derivative in xi1 is inf"),
+          # |x1| has no derivative at 0: x1/sqrt(x1^2) is 0/0
+          ("derivative-division-by-zero", "f2 = -x1", "f2 = sqrt(x1^2) - x1",
+           "[plant]: 'f2': derivative in x1: division by zero"))),
+    pytest.param(("verify", "FILE"), _EXAMPLE52.replace(
+                     "phi2 = -2*xi3", "phi2 = -2*xi3 + 1e200*1e200*xi3"),
+                 2, "", "error: FILE [immersion]: 'phi2': derivative in xi3 is inf\n",
+                 id="verify-immersion-non-finite-derivative"),
     pytest.param(("verify", "FILE"), b"\xff\xfe[plant]\n", 2, "",
                  "error: FILE: cannot read: 'utf-8' codec can't decode byte 0xff in position 0: "
                  "invalid start byte\n", id="verify-not-utf8"),

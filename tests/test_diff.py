@@ -161,7 +161,7 @@ def test_jacobian_skips_absent_variables_exactly(name):
     sf = examples.get(name).load()
     xv, wv = x_names(sf.plant.n), w_names(sf.exo.p)
     maps = [([*sf.plant.f, sf.plant.h], xv + ("u",) + wv), (sf.exo.s, wv)]
-    for ctrl in (sf.controller, sf.immersion and sf.immersion.target()):
+    for ctrl in (sf.controller, sf.immersion and sf.immersion.target):
         if ctrl is not None:
             maps.append(([*ctrl.phi, ctrl.lam], xi_names(ctrl.nc)))
     rng = np.random.default_rng(7)

@@ -4,7 +4,8 @@ synthesis options.
 
 Whatever the input, every command must end in exit status 0, 1 or 2 with
 no exception escaping `cli.main`, and a rejected input must be named in
-the message: the file, or the option.
+the message: the file, or the option.  A mutated file that ends in exit
+status 2 must leave stdout empty.
 """
 
 import contextlib
@@ -85,11 +86,13 @@ def test_mutated_file_never_escapes(text):
             rejected = True
             assert str(exc).startswith(path), exc
         for command in _COMMANDS:
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(err):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 status = cli.main([command[0], path, *command[1:]])
             assert status in (0, 1, 2), (command, status)
+            # no command here writes --out, so an input error prints nothing
+            if status == 2:
+                assert out.getvalue() == "", (command, out.getvalue(), err.getvalue())
             if rejected:
                 assert status == 2
                 assert err.getvalue().startswith(f"error: {path}"), err.getvalue()

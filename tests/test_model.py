@@ -3,7 +3,8 @@ import pytest
 
 from regsyn import examples, expr, model, synth
 from regsyn.model import (ControllerModel, ExosystemModel, ModelError,
-                          PlantModel, controller_jacobians, jacobian, linearize)
+                          PlantModel, jacobian, linearize)
+from regsyn.sysfile import SysFileError, parse_text
 
 
 def test_quartic_oscillator_example_linearization():
@@ -43,8 +44,7 @@ def test_boost_lam_is_the_exact_feedforward():
     # example53 prints lam = Gamma * xi, Gamma from its exact linearization
     sf = examples.get("example53").load()
     _, Gamma = synth.solve_linear_regulator(linearize(sf.plant, sf.exo))
-    _, Lam = controller_jacobians(sf.controller)
-    assert np.array_equal(Lam, Gamma)
+    assert np.array_equal(sf.controller.Lambda, Gamma)
     for i in range(3):
         assert f"{Gamma[0, i]:.17g}*xi{i + 1}" in examples.get("example53").text
 
@@ -113,37 +113,57 @@ def test_controller_jacobians():
         ["xi2 - xi1^4", "-xi1^3"],
         "(xi1 + xi2 - xi1^4 + sin(xi1)) / (1 + xi1^2)",
         [-0.2, -0.02])
-    Phi, Lam = controller_jacobians(ctrl)
-    assert np.array_equal(Phi, [[0, 1], [0, 0]])
-    assert np.array_equal(Lam, [[2, 1]])
+    # taken once, when the controller is built
+    assert np.array_equal(ctrl.Phi, [[0, 1], [0, 0]])
+    assert np.array_equal(ctrl.Lambda, [[2, 1]])
+    assert not ctrl.Phi.flags.writeable and not ctrl.Lambda.flags.writeable
 
 
 _BIG = "1e200*1e200"     # inf, and NaN at the origin, which the origin check lets pass
 
 
+def _load(f=("-x1",), g="x1", s=("0",)):
+    """A plant, reference and exosystem read from a system file named f."""
+    fs = "".join(f"f{i + 1} = {e}\n" for i, e in enumerate(f))
+    ss = "".join(f"s{i + 1} = {e}\n" for i, e in enumerate(s))
+    return parse_text(f"[plant]\nn = {len(f)}\n{fs}g = {g}\n[reference]\nq = 0\n"
+                      f"[exosystem]\np = {len(s)}\n{ss}", "f")
+
+
+# each model takes its Jacobian when it is built, so building it fails;
+# read from a system file, the failure is located in the model's section
 @pytest.mark.parametrize("call, section, message", [
-    (lambda: linearize(PlantModel.from_strings([f"-x1 + {_BIG}*x1"], "x1", "0", 1),
-                       ExosystemModel.from_strings(["0"])),
-     "plant", "'f1': derivative in x1 is inf"),
-    (lambda: linearize(PlantModel.from_strings(["-x1", "-x2 + u"], f"x1 - {_BIG}*w1", "0", 1),
-                       ExosystemModel.from_strings(["0"])),
+    (lambda: _load(f=[f"-x1 + {_BIG}*x1"]), "plant", "'f1': derivative in x1 is inf"),
+    (lambda: _load(f=["-x1", "-x2 + u"], g=f"x1 - {_BIG}*w1"),
      "plant", "'g - q': derivative in w1 is -inf"),
-    (lambda: linearize(PlantModel.from_strings(["-x1"], "x1", "0", 2),
-                       ExosystemModel.from_strings([f"{_BIG}*w2", "-w1"])),
-     "exosystem", "'s1': derivative in w2 is inf"),
-    (lambda: linearize(PlantModel.from_strings(["-x1 + sqrt(x1^2)"], "x1", "0", 1),
-                       ExosystemModel.from_strings(["0"])),
-     "plant", "'f1': derivative in x1: division by zero"),
-    (lambda: controller_jacobians(ControllerModel.from_strings([f"{_BIG}*xi1"], "xi1", [0.0])),
+    (lambda: _load(s=[f"{_BIG}*w2", "-w1"]), "exosystem", "'s1': derivative in w2 is inf"),
+    (lambda: _load(f=["-x1 + sqrt(x1^2)"]), "plant", "'f1': derivative in x1: division by zero"),
+    (lambda: ControllerModel.from_strings([f"{_BIG}*xi1"], "xi1", [0.0]),
      None, "'phi1': derivative in xi1 is inf"),
+    (lambda: ControllerModel.from_strings(["-xi1"], f"{_BIG}*xi1", [0.0]),
+     None, "'lam': derivative in xi1 is inf"),
     (lambda: jacobian([expr.parse(f"x1*{_BIG}*x1")], ("x1",), (1.0,)),
      None, "'x1*1e+200*1e+200*x1': derivative in x1 is inf"),
 ])
 def test_jacobian_failure_names_expression_and_variable(call, section, message):
-    with pytest.raises(ModelError) as info:
+    with pytest.raises((ModelError, SysFileError)) as info:
         call()
-    assert str(info.value) == message
-    assert info.value.section == section
+    if section is None:
+        assert type(info.value) is ModelError and str(info.value) == message
+    else:
+        assert type(info.value) is SysFileError
+        assert str(info.value) == f"f [{section}]: {message}"
+
+
+def test_linearize_slices_the_stored_jacobians():
+    sf = examples.get("example53").load()
+    lin = linearize(sf.plant, sf.exo)
+    J = sf.plant.J
+    assert np.array_equal(np.block([[lin.A, lin.B, lin.P], [lin.C, lin.D, lin.Q]]), J)
+    assert lin.S is sf.exo.S
+    # views of the read-only Jacobian: a caller cannot change the model
+    assert all(np.shares_memory(M, J) and not M.flags.writeable
+               for M in (lin.A, lin.B, lin.P, lin.C, lin.D, lin.Q))
 
 
 def test_dimension_validation():

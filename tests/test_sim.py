@@ -117,7 +117,7 @@ _SYNTHETIC = """\
 [plant]
 n = 2
 f1 = x2 - x1/(2 + cos(x2)) + 0.1*abs(w1)^1.5 - 0.05*x1^3
-f2 = -x1 - tan(x2/4) + 0.5*(exp(x1) - 1) + 0.1*sqrt(abs(x2) + x1^2) + u
+f2 = -x1 - tan(x2/4) + 0.5*(exp(x1) - 1) + 0.1*(sqrt(1 + abs(x2) + x1^2) - 1) + u
 g = x1 + 0.2*(1 - cos(pi*x2))
 
 [reference]
@@ -185,7 +185,7 @@ def test_simulate_holds_one_table():
 
 @pytest.mark.parametrize("f1, x1, message", [
     ("-x1 + u + 1/(x1 - 1) + 1", 1.0, "division by zero"),
-    ("-x1 + u + sqrt(x1)", -1.0, "sqrt of negative value -1.0"),
+    ("-x1 + u + sqrt(1 + x1) - 1", -2.0, "sqrt of negative value -1.0"),
     ("-x1 + u + x1^400", 10.0, "Numerical result out of range"),
     ("-x1 + u + abs(x1)^2.5 + x1^2.5", -1.0, "fractional power of negative base"),
 ])
@@ -205,11 +205,11 @@ def test_kernel_domain_errors_match_evaluate(f1, x1, message):
 
 def test_kernel_raises_first_error_in_evaluation_order():
     # f1 and f2 both fail in stage 1; the reference evaluates f1 first
-    plant = PlantModel.from_strings(["-x1 + u + sqrt(x1)", "-x2 + 1/(x2 - 1) + 1"],
+    plant = PlantModel.from_strings(["-x1 + u + sqrt(1 + x1) - 1", "-x2 + 1/(x2 - 1) + 1"],
                                     "x1", "0", 1)
     exo = ExosystemModel.from_strings(["0"])
     ctrl = ControllerModel.from_strings(["0"], "0", [0.0])
-    args = ((-1.0, 1.0), (0.0,), (0.0,))
+    args = ((-2.0, 1.0), (0.0,), (0.0,))
     with pytest.raises(EvalError) as got:
         simulate(plant, exo, ctrl, *args, T=0.1, dt=1e-2)
     with pytest.raises(EvalError) as want:
@@ -350,9 +350,9 @@ def test_divergence_cap_catches_nan(x0):
 
 
 def test_divergence_cap_precedes_the_row_outputs():
-    # e = sqrt(x1) fails at x1 < 0, but a state past the cap is reported
-    # as divergence before the row's u and e are evaluated
-    plant = PlantModel.from_strings(["0"], "sqrt(x1)", "0", 1)
+    # e = sqrt(1 + x1) - 1 fails at x1 < -1, but a state past the cap is
+    # reported as divergence before the row's u and e are evaluated
+    plant = PlantModel.from_strings(["0"], "sqrt(1 + x1) - 1", "0", 1)
     exo = ExosystemModel.from_strings(["0"])
     ctrl = ControllerModel.from_strings(["0"], "0", [0.0])
     with pytest.raises(DivergenceError) as got:
