@@ -8,9 +8,9 @@ on characteristic circles) and example (list or dump the built-in
 systems).  Machine-readable result lines have the form
 `CHECK <name> PASS|FAIL <value>`; the exit status is 0 iff every check
 passed, 1 if one failed, 2 on an input error, 141 once stdout's reader is
-gone and 130 on Ctrl-C.  A command runs every step that may fail before
-its first line of output, so exit 2 leaves stdout empty, except after an
---out write error.
+gone, and 130, 143 or 129 on Ctrl-C, SIGTERM or SIGHUP.  A command runs
+every step that may fail before its first line of output, so exit 2
+leaves stdout empty, except after an --out write error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ import functools
 import inspect
 import math
 import os
+import signal
 import sys
+import threading
 
 import numpy as np
 
@@ -87,15 +89,18 @@ def _writing(path):
             f"--out: cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _load_system(arg) -> sysfile.SystemFile:
+def _load_system(arg):
+    """(system, example): the file `arg`, example None, if there is one,
+    else the built-in `arg`; a file shadows a built-in, defaults and all."""
     if os.path.exists(arg):
-        return sysfile.parse_file(arg)
+        return sysfile.parse_file(arg), None
     try:
-        return examples.get(arg).load()
+        ex = examples.get(arg)
     except KeyError:
         raise sysfile.SysFileError(
             f"'{arg}' is neither a file nor a built-in example "
             f"({', '.join(examples.names())})") from None
+    return ex.load(), ex
 
 
 def _internal_model(sf: sysfile.SystemFile, lin) -> model.ControllerModel:
@@ -125,7 +130,7 @@ def _require_plant(sf, what):
 
 
 def cmd_verify(args):
-    sf = _load_system(args.system)
+    sf, _ = _load_system(args.system)
     _require_plant(sf, "verify")
     # every step that may fail runs before the first line of output, so an
     # input error leaves stdout empty
@@ -185,7 +190,7 @@ def cmd_synthesize(args):
             ("--margin", args.margin, 0 <= args.margin < math.inf, "finite MARGIN >= 0")):
         if not ok:
             raise synth.SynthesisError(f"{option}: need {rule}, got {value:g}")
-    sf = _load_system(args.system)
+    sf, _ = _load_system(args.system)
     _require_plant(sf, "synthesize")
     checks = _Checks()
     lin = model.linearize(sf.plant, sf.exo)
@@ -228,15 +233,13 @@ def _parse_ic(text, n, nc, p):
 
 
 def cmd_simulate(args):
-    sf = _load_system(args.system)
+    sf, ex = _load_system(args.system)
     _require_plant(sf, "simulate")
     if sf.controller is None:
         raise sysfile.SysFileError("simulate needs a [controller] section "
                                    "(run synthesize first)")
     checks = _Checks()
     n, nc, p = sf.plant.n, sf.controller.nc, sf.exo.p
-    # a file named like a built-in shadows it, defaults and all
-    ex = None if os.path.exists(args.system) else examples.get(args.system)
     T = args.T if args.T is not None else (ex.default_T if ex else None)
     dt = args.dt if args.dt is not None else (ex.default_dt if ex else 1e-4)
     if T is None:
@@ -275,9 +278,9 @@ def cmd_simulate(args):
 
 
 def _boost_params(arg):
-    if arg is None or arg == "example53":
+    if arg is None:
         return regeq.BoostParams.default()
-    sf = _load_system(arg)
+    sf, _ = _load_system(arg)
     if sf.params is None:
         raise sysfile.SysFileError(f"{arg} has no [params] section")
     try:
@@ -409,7 +412,8 @@ def _build_parser():
 
     pb = sub.add_parser("boost", help="solve the boost-converter regulator PDE")
     pb.add_argument("--params", default=None,
-                    help="system file with [params], or 'example53' (default)")
+                    help="system file or built-in example with [params] "
+                         "(default: example53's)")
     pb.add_argument("--grid-w1", type=int, default=21)
     pb.add_argument("--grid-rho", type=int, default=21)
     pb.add_argument("--ode-steps", type=int, default=2000)
@@ -425,9 +429,29 @@ def _build_parser():
     return ap
 
 
+# what main unwinds from, killing and reaping forked processes, and the
+# message for each
+_SIGNALS = {signal.SIGINT: "interrupted", signal.SIGTERM: "terminated",
+            signal.SIGHUP: "hung up"}
+
+
+def _unwind(signum, frame):
+    # no second signal may break into the unwind that kills the workers
+    for s in _SIGNALS:
+        if signal.getsignal(s) is _unwind:
+            signal.signal(s, signal.SIG_IGN)
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    # only the main thread can set handlers; they come back on return, for
+    # callers that run main in process.  An ignored signal (nohup) stays so
+    old = ({s: h for s in _SIGNALS if (h := signal.getsignal(s)) not in (signal.SIG_IGN, None)}
+           if threading.current_thread() is threading.main_thread() else {})
     try:
+        for signum in old:
+            signal.signal(signum, _unwind)
         # looked up per call: the cached parser must not pin the command
         # functions that were current when it was built
         status = globals()[f"cmd_{args.command}"](args)
@@ -444,9 +468,14 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return 130
+    except KeyboardInterrupt as exc:
+        # a bare one is Ctrl-C's, from Python's own handler
+        signum = exc.args[0] if exc.args else signal.SIGINT
+        print(f"error: {_SIGNALS[signum]}", file=sys.stderr)
+        return 128 + signum
+    finally:
+        for signum, handler in old.items():
+            signal.signal(signum, handler)
 
 
 if __name__ == "__main__":

@@ -1,20 +1,19 @@
-"""Built-in worked examples.
+"""Built-in worked examples, each the fixed text of a system file.
 
-Three complete regulation problems registered programmatically so they
-are always available bit-exact: a plant driven by a quartic nonlinear
-oscillator (example51), a plant needing a third-order immersion of a
-linear oscillator (example52) and the averaged boost converter with a
-constant-plus-sinusoidal disturbance (example53).  Each example renders
-to system-file text, so `regsyn example dump <name>` output round-trips
-through the parser.
+A plant driven by a quartic nonlinear oscillator (example51), a plant
+needing a third-order immersion of a linear oscillator (example52) and the
+averaged boost converter with a constant-plus-sinusoidal disturbance
+(example53).  `regsyn example dump <name>` prints the text, which
+round-trips through the parser and is the same bytes on every machine.
+example53 prints `regeq.BoostParams.default()` to 17 digits, with lam the
+linear feedforward of `synth.solve_linear_regulator`; tests/test_model.py
+derives both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import model, synth
-from .regeq import BoostParams
 from .sysfile import SystemFile, parse_text
 
 
@@ -31,8 +30,12 @@ class Example:
         return parse_text(self.text, origin=f"<builtin:{self.name}>")
 
 
-def _example51() -> Example:
-    text = """\
+_EXAMPLES = {ex.name: ex for ex in (
+    Example(
+        name="example51",
+        description="second-order plant disturbed by a quartic nonlinear "
+                    "oscillator; second-order controller",
+        text="""\
 [plant]
 n = 2
 f1 = x2 - w1
@@ -59,20 +62,16 @@ pi1 = 0
 pi2 = w1
 gamma = (w1 + w2 - w1^4 + sin(w1)) / (1 + w1^2)
 radius = 0.3
-"""
-    return Example(
-        name="example51",
-        description="second-order plant disturbed by a quartic nonlinear "
-                    "oscillator; second-order controller",
-        text=text,
+""",
         default_T=60.0,
         default_dt=1e-4,
         default_ic=((1.0, -1.0), (0.0, 0.0), (0.5, 0.25)),
-    )
-
-
-def _example52() -> Example:
-    text = """\
+    ),
+    Example(
+        name="example52",
+        description="second-order plant with a quadratic feedforward that "
+                    "needs a third-order immersion of the linear oscillator",
+        text="""\
 [plant]
 n = 2
 f1 = x2 + x1^2 - w1^2
@@ -102,36 +101,20 @@ pi1 = 0
 pi2 = w1^2
 gamma = w1^2 + 2*w1*w2
 radius = 0.3
-"""
-    return Example(
-        name="example52",
-        description="second-order plant with a quadratic feedforward that "
-                    "needs a third-order immersion of the linear oscillator",
-        text=text,
+""",
         default_T=30.0,
         default_dt=1e-4,
         default_ic=((0.2, -0.2), (0.0, 0.0, 0.0), (0.2, 0.1)),
-    )
-
-
-def _example53() -> Example:
-    pr = BoostParams.default()
-    g = lambda v: f"{v:.17g}"
-    f1 = (f"-x1/{g(pr.R * pr.C)} + ({g(pr.D0)} + u)*x2/{g(pr.C)}"
-          f" + {g(pr.z20 / pr.C)}*u - w2/{g(pr.C)}")
-    f2 = (f"-({g(pr.D0)} + u)*x1/{g(pr.L)} - {g(pr.r / pr.L)}*x2"
-          f" - {g(pr.z10 / pr.L)}*u + w1/{g(pr.L)}")
-    plant = model.PlantModel.from_strings([f1, f2], "x1", "0", 3)
-    exo = model.ExosystemModel.from_strings(
-        ["0", f"{g(pr.alpha)}*w3", f"-{g(pr.alpha)}*w2"])
-    lin = model.linearize(plant, exo)
-    _, Gamma = synth.solve_linear_regulator(lin)
-    lam = " + ".join(f"{g(Gamma[0, i])}*xi{i + 1}" for i in range(3))
-    text = f"""\
+    ),
+    Example(
+        name="example53",
+        description="averaged boost converter rejecting a constant voltage "
+                    "offset and a sinusoidal load current",
+        text="""\
 [plant]
 n = 2
-f1 = {f1}
-f2 = {f2}
+f1 = -x1/0.016 + (0.2474744871391589 + u)*x2/4.0000000000000003e-05 + 101020.51443364381*u - w2/4.0000000000000003e-05
+f2 = -(0.2474744871391589 + u)*x1/0.0040000000000000001 - 62.5*x2 - 100000*u + w1/0.0040000000000000001
 g = x1
 
 [reference]
@@ -140,53 +123,39 @@ q = 0
 [exosystem]
 p = 3
 s1 = 0
-s2 = {g(pr.alpha)}*w3
-s3 = -{g(pr.alpha)}*w2
+s2 = 628.31853071795865*w3
+s3 = -628.31853071795865*w2
 
 [controller]
 nc = 3
 phi1 = 0
-phi2 = {g(pr.alpha)}*xi3
-phi3 = -{g(pr.alpha)}*xi2
-lam = {lam}
+phi2 = 628.31853071795865*xi3
+phi3 = -628.31853071795865*xi2
+lam = 0.0025257759076995714*xi1 + 0.00010606207219946351*xi2 + -0.025640003155447285*xi3
 bc = 7.5, -0.29, 0.06
 
 [params]
-C = {g(pr.C)}
-L = {g(pr.L)}
-R = {g(pr.R)}
-r = {g(pr.r)}
-v0 = {g(pr.v0)}
-z10 = {g(pr.z10)}
-alpha = {g(pr.alpha)}
-beta = {g(pr.beta)}
-"""
-    return Example(
-        name="example53",
-        description="averaged boost converter rejecting a constant voltage "
-                    "offset and a sinusoidal load current",
-        text=text,
+C = 4.0000000000000003e-05
+L = 0.0040000000000000001
+R = 400
+r = 0.25
+v0 = 100
+z10 = 400
+alpha = 628.31853071795865
+beta = 0.90000000000000002
+""",
         default_T=0.8,
         default_dt=1e-6,
         default_ic=((5.0, 0.0), (0.0, 0.0, 0.0), (10.0, 0.8, 0.0)),
-    )
-
-
-_BUILDERS = {
-    "example51": _example51,
-    "example52": _example52,
-    "example53": _example53,
-}
-_CACHE = {}
+    ),
+)}
 
 
 def names():
-    return tuple(_BUILDERS)
+    return tuple(_EXAMPLES)
 
 
 def get(name: str) -> Example:
-    if name not in _BUILDERS:
-        raise KeyError(f"unknown example '{name}'; available: {', '.join(_BUILDERS)}")
-    if name not in _CACHE:
-        _CACHE[name] = _BUILDERS[name]()
-    return _CACHE[name]
+    if name not in _EXAMPLES:
+        raise KeyError(f"unknown example '{name}'; available: {', '.join(_EXAMPLES)}")
+    return _EXAMPLES[name]

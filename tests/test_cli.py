@@ -1,6 +1,7 @@
 import os
 import re
 from collections import Counter
+import signal
 import subprocess
 import sys
 import time
@@ -60,6 +61,22 @@ def test_verify_immersion_checks_present(capsys):
     assert "immersion_residual_output" in checks
     assert "combined_pair_detectable" not in checks  # informational here
     assert "combined_pair_detectable = " in out
+
+
+def test_exosystem_copy_without_controller(tmp_path, capsys):
+    # example51 without its [controller]: the internal model is a copy of the
+    # exosystem with the linear feedforward, and verify checks the combined
+    # pair that this construction hinges on
+    path = tmp_path / "copy.sys"
+    path.write_text(re.sub(r"\[controller\]\n.*?\n\n", "",
+                           examples.get("example51").text, flags=re.S))
+    status, out, err = _run(capsys, "verify", str(path))
+    assert (status, err) == (0, ""), out
+    assert "CHECK combined_pair_detectable PASS -" in out.splitlines()
+    assert "closed_loop_stable" not in _checks(out)
+    status, out, err = _run(capsys, "synthesize", str(path))
+    assert (status, err) == (0, ""), out
+    assert _checks(out)["synthesis"][0]
 
 
 def test_verify_corrupted_regulator_solution_fails(tmp_path, capsys):
@@ -310,6 +327,112 @@ def test_interrupted_boost_leaves_no_worker(tmp_path, capsys, monkeypatch):
                 "--out", str(tmp_path)) == (130, "", "error: interrupted\n")
     assert time.monotonic() - start < 30
     assert_no_child_left()
+
+
+_SIGNALS = [(signal.SIGINT, 130, "interrupted"), (signal.SIGTERM, 143, "terminated"),
+            (signal.SIGHUP, 129, "hung up")]
+_SIGNAL_IDS = ["SIGINT", "SIGTERM", "SIGHUP"]
+
+
+@pytest.mark.parametrize("signum, status, message", _SIGNALS, ids=_SIGNAL_IDS)
+def test_signal_unwinds_main_and_its_handler_comes_back(capsys, monkeypatch, signum,
+                                                        status, message):
+    before = signal.getsignal(signum)
+
+    def signalled(args):
+        # the default action would end this test process
+        assert callable(signal.getsignal(signum))
+        signal.raise_signal(signum)
+        pytest.fail("the signal did not unwind the command")
+
+    monkeypatch.setattr(cli, "cmd_verify", signalled)
+    assert _run(capsys, "verify", "example52") == (status, "", f"error: {message}\n")
+    assert signal.getsignal(signum) is before
+
+
+def test_second_signal_does_not_break_into_the_unwind(capsys, monkeypatch):
+    # a terminal that closes sends SIGHUP and then SIGTERM: the second one
+    # arrives while the first unwinds (here: while the workers are killed)
+    before = signal.getsignal(signal.SIGTERM)
+    close = sim._Children.close
+
+    def signalled_close(children):
+        signal.raise_signal(signal.SIGTERM)
+        close(children)
+
+    def signalled(args):
+        with sim._Children():
+            signal.raise_signal(signal.SIGHUP)
+
+    monkeypatch.setattr(sim._Children, "close", signalled_close)
+    monkeypatch.setattr(cli, "cmd_verify", signalled)
+    assert _run(capsys, "verify", "example52") == (129, "", "error: hung up\n")
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+def _group_members(pgid):
+    """Pids of the processes in process group pgid, from /proc."""
+    pids = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path("/proc", pid, "stat").read_text()
+        except OSError:  # gone since the listing
+            continue
+        # after the parenthesized command name: state, ppid, pgrp
+        if int(stat.rsplit(")", 1)[1].split()[2]) == pgid:
+            pids.append(int(pid))
+    return pids
+
+
+def _signal_boost_grid(tmp_path, signum, grid, preexec_fn=None):
+    """Start `boost` on a grid x grid grid in its own session, send it
+    signum once its process group has a worker; (process, stdout, stderr)."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "regsyn.cli", "boost", "--grid-w1", str(grid),
+         "--grid-rho", str(grid), "--out", str(tmp_path)], env=_SUBPROCESS_ENV,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        preexec_fn=preexec_fn)
+    try:
+        while len(_group_members(proc.pid)) < 2:
+            assert proc.poll() is None, proc.communicate()
+            time.sleep(0.01)
+        proc.send_signal(signum)
+        out, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    return proc, out, err
+
+
+GROUP_EXIT_S = 1.0
+_NEEDS_WORKER = pytest.mark.skipif(sim._cpus() < 2 or not os.path.isdir("/proc"),
+                                   reason="needs a grid worker process and /proc to find it")
+
+
+@_NEEDS_WORKER
+@pytest.mark.parametrize("signum, status, message", _SIGNALS, ids=_SIGNAL_IDS)
+def test_signalled_boost_leaves_no_worker(tmp_path, signum, status, message):
+    # SIGTERM (from `timeout` or `kill`), SIGHUP or SIGINT once a grid of
+    # seconds has forked its workers: the caller kills and reaps them before
+    # it exits, so its process group is empty within GROUP_EXIT_S of its
+    # exit.  With no handler the caller died at once and a worker solved on
+    # for 1.5-4.4 s
+    proc, out, err = _signal_boost_grid(tmp_path, signum, 80)
+    assert (proc.returncode, out, err) == (status, "", f"error: {message}\n")
+    deadline = time.monotonic() + GROUP_EXIT_S
+    while _group_members(proc.pid):
+        assert time.monotonic() < deadline, "a worker outlived its caller"
+        time.sleep(0.01)
+
+
+@_NEEDS_WORKER
+@pytest.mark.parametrize("signum", [s for s, _, _ in _SIGNALS], ids=_SIGNAL_IDS)
+def test_ignored_signal_stays_ignored(tmp_path, signum):
+    # `nohup regsyn boost ...` ignores SIGHUP, and a caller may ignore
+    # SIGTERM or SIGINT: the grid runs on to its normal end
+    proc, out, err = _signal_boost_grid(tmp_path, signum, 40,
+                                        preexec_fn=lambda: signal.signal(signum, signal.SIG_IGN))
+    assert (proc.returncode, err) == (0, "")
+    assert "CHECK boost_pde_residual PASS" in out
 
 
 @pytest.fixture
@@ -675,6 +798,26 @@ def test_boost_params_file_accepted(tmp_path, capsys):
     assert _checks(out)["boost_cell_10_0p4"][0]
 
 
+def test_boost_params_name_is_a_file_first(tmp_path, capsys, monkeypatch):
+    # --params reads ./example53 when that file exists, as simulate does;
+    # without it, the built-in, whose [params] are boost's defaults
+    monkeypatch.chdir(tmp_path)
+    argv = ("boost", "--ode-steps", "200", "--cell", "10", "0.4")
+    default = _run(capsys, *argv, "--out", "default")
+    assert default[0] == 0, default
+    assert _run(capsys, *argv, "--params", "example53", "--out", "builtin") == default
+    assert ((tmp_path / "builtin" / "orbit_10_0p4.csv").read_bytes()
+            == (tmp_path / "default" / "orbit_10_0p4.csv").read_bytes())
+    assert os.listdir("builtin") == os.listdir("default")
+    (tmp_path / "example53").write_text(
+        examples.get("example53").text.replace("\nR = 400\n", "\nR = 410\n"))
+    status, out, err = _run(capsys, *argv, "--params", "example53", "--out", "file")
+    assert (status, err) == (0, "")
+    D0, _ = regeq.boost_equilibrium(v0=100.0, z10=400.0, R=410.0, r=0.25)
+    assert f"D0 = {D0:.17g}" in out.splitlines()
+    assert D0 != regeq.BoostParams.default().D0
+
+
 @pytest.mark.parametrize("command", ["verify", "synthesize"])
 def test_controller_differentiated_once(capsys, monkeypatch, command):
     # each model takes its Jacobians once, when it is loaded: a second
@@ -777,25 +920,14 @@ def test_builtin_output_is_pinned(capsys, command, name):
     assert out == (_GOLDEN / f"{command}_{name}.txt").read_text(encoding="utf-8")
 
 
-# the OpenBLAS kernel a fresh interpreter runs, read from numpy's bundled
-# OpenBLAS (nothing printed where the corename symbol is missing)
-_CORENAME = """\
-import ctypes, glob, os, numpy
-libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
-for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-    lib = ctypes.CDLL(path)
-    for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
-        if hasattr(lib, symbol):
-            getattr(lib, symbol).restype = ctypes.c_char_p
-            print(getattr(lib, symbol)().decode())
-"""
 _HASWELL_ENV = {**_SUBPROCESS_ENV, "OPENBLAS_CORETYPE": "Haswell"}
 
 
 @pytest.fixture(scope="module")
 def haswell_kernel():
-    name = subprocess.run([sys.executable, "-c", _CORENAME], env=_HASWELL_ENV,
-                          capture_output=True, text=True, check=True).stdout.split()
+    name = subprocess.run([sys.executable, str(Path(__file__).parent / "openblas_kernel.py")],
+                          env=_HASWELL_ENV, capture_output=True, text=True,
+                          check=True).stdout.split()
     if name != ["Haswell"]:
         pytest.skip(f"OPENBLAS_CORETYPE=Haswell runs the kernel {name or 'unknown'}")
 
@@ -811,6 +943,17 @@ def test_builtin_output_is_pinned_under_haswell(haswell_kernel, command, name):
     assert run.returncode == 0, run.stderr
     assert run.stdout == (_GOLDEN / "haswell" / f"{command}_{name}.txt").read_text(
         encoding="utf-8")
+
+
+def test_example53_dump_is_the_same_under_haswell(haswell_kernel):
+    # the built-ins are fixed text: example53's lam, which LAPACK's kernels
+    # would move in its last digits, prints the same bytes on either kernel
+    argv = [sys.executable, "-m", "regsyn.cli", "example", "dump", "example53"]
+    native = {k: v for k, v in _SUBPROCESS_ENV.items() if k != "OPENBLAS_CORETYPE"}
+    runs = [subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+            for env in (native, _HASWELL_ENV)]
+    assert [(run.returncode, run.stdout) for run in runs] == [
+        (0, examples.get("example53").text)] * 2
 
 
 _EXAMPLE51 = examples.get("example51").text
