@@ -308,6 +308,7 @@ def cmd_boost(args):
     checks = _Checks()
     params = _boost_params(args.params)
     w1max, rho_max = regeq.admissible_domain(params)
+    tagged = {}
     for w1, rho in args.cell or ():
         if not (math.isfinite(w1) and math.isfinite(rho) and rho >= 0):
             raise regeq.RegulatorError(
@@ -318,8 +319,6 @@ def cmd_boost(args):
         if not rho <= rho_max(w1):
             raise regeq.RegulatorError(
                 f"--cell: need RHO <= rho_max(W1) = {rho_max(w1):.17g}, got {w1:g} {rho:g}")
-    tagged = {}
-    for w1, rho in args.cell or ():
         tag = f"{_cell_tag(w1)}_{_cell_tag(rho)}"
         if tag in tagged:
             raise regeq.RegulatorError(
@@ -329,7 +328,7 @@ def cmd_boost(args):
     # solve before any output, so that a rejected grid or a circle that
     # escapes or does not converge prints no CHECK line
     cells = []
-    for w1, rho in args.cell or ():
+    for w1, rho in tagged.values():
         if rho == 0.0 and w1 == 0.0:
             # the equilibrium circle degenerates to the operating point
             psi0, orbit, iters = 0.0, np.zeros(args.ode_steps + 1), 0

@@ -59,9 +59,8 @@ DENOM_GUARD = 1e-12
 # so the float body still wins from about 40 active cells down.  Outputs
 # do not depend on FLOAT_CELLS.
 FLOAT_CELLS = 40
-# a grid cell on the queue of _shared_orbits: its index and the pass it
-# resumes at
-_RECORD = struct.Struct("<qq")
+# a grid cell on the queue of _shared_orbits: its index
+_RECORD = struct.Struct("<q")
 
 
 class RegulatorError(Exception):
@@ -453,17 +452,18 @@ def _shared_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter):
     spread over the shares.  Shares 1..W-1 run in forked children and
     share 0 in the caller, all on arrays from sim._shared, which back the
     returned arrays.  A share runs the array body on its strided rows while
-    more than FLOAT_CELLS of them are active, then pushes each cell still
-    active, with the pass it resumes at, onto one pipe.  Every process then
-    pulls cells until EOF and solves each alone, from its saved start, on
-    the float body, so a faster CPU takes more of them.  A push never
-    blocks: it writes whole records, at most PIPE_BUF bytes at a time, and
-    the cells that do not fit are solved by the process that pushed them.
-    A cell is final once its shared done flag is set, and its saved start
-    is not written before then.  Once every child is reaped, the caller
-    solves again each share whose array phase did not finish (its fork
-    failed or its child died) and each cell not done, so the result never
-    depends on the workers.  A _Children forks, kills and reaps them.
+    more than FLOAT_CELLS of them are active, then pushes the index of each
+    cell still active onto one pipe.  Every process then pulls cells until
+    EOF and solves each alone on the float body, from its saved start at
+    its share's resume pass, so a faster CPU takes more of them.  A push
+    never blocks: it writes whole records, at most PIPE_BUF bytes at a
+    time, and the cells that do not fit are solved by the process that
+    pushed them.  A cell is final once its shared done flag is set; its
+    saved start and its share's resume pass are written before it is
+    pushed, and not again before then.  Once every child is reaped, the
+    caller solves again each share whose array phase did not finish (its
+    fork failed or its child died) and each cell not done, so the result
+    never depends on the workers.  A _Children forks, kills and reaps them.
     """
     n = len(start)
     workers = _grid_workers(n)
@@ -488,28 +488,27 @@ def _shared_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter):
         resume[j] = first
         return np.arange(j, n, workers)[left]
 
-    def solve(k, first):
-        """Cell k alone from its saved start, from pass first on."""
+    def solve(k):
+        """Cell k alone from its saved start, from its share's resume pass on."""
         psi0[k], _, iters[k], escaped[k], _ = _periodic_orbits(
             saved[k], tol[k], w1[k], rho[k], params, steps, max_iter,
-            orbit=orbit[k], first=first, cos=cos)
+            orbit=orbit[k], first=resume[k % workers], cos=cos)
         done[k] = True
 
-    def push(queue, cells, first):
-        """Queue cells resuming at pass first; returns those that do not fit."""
+    def push(queue, cells):
+        """Queue cells; returns those that do not fit."""
         per_write = select.PIPE_BUF // _RECORD.size
         for at in range(0, len(cells), per_write):
-            data = b"".join(_RECORD.pack(k, first) for k in cells[at:at + per_write])
+            data = b"".join(map(_RECORD.pack, cells[at:at + per_write]))
             if queue.write(data) is None:   # the pipe is full
                 return cells[at:]
         return cells[:0]
 
     def work(j, queue_in, queue_out):
-        cells = array_phase(j)
-        cells = push(queue_out, cells, resume[j])
+        cells = push(queue_out, array_phase(j))
         queue_out.close()
         for k in cells:
-            solve(k, resume[j])
+            solve(k)
         while record := queue_in.read(_RECORD.size):
             solve(*_RECORD.unpack(record))
 
@@ -525,7 +524,7 @@ def _shared_orbits(start, tol, w1, rho, params: BoostParams, steps, max_iter):
     for j in np.flatnonzero(resume == 0):
         array_phase(j)
     for k in np.flatnonzero(~done):
-        solve(k, resume[k % workers])
+        solve(k)
     return psi0, orbit, iters, escaped
 
 

@@ -18,6 +18,7 @@ encodes them.
 
 from __future__ import annotations
 
+import ctypes
 import errno
 import functools
 import math
@@ -25,6 +26,7 @@ import mmap
 import os
 import signal
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,10 @@ ENCODER_BLOCKS = 7
 _ROWS = struct.Struct("<q")
 # the encoder process's last message: the rows and bytes it encoded
 _ENCODED = struct.Struct("<qq")
+# Linux's prctl, looked up before any fork; its option PR_SET_PDEATHSIG
+# names the signal a process gets when the thread that forked it dies
+_prctl = ctypes.CDLL(None).prctl if sys.platform.startswith("linux") else None
+_PR_SET_PDEATHSIG = 1
 
 
 class SimulationError(Exception):
@@ -108,7 +114,10 @@ class _Children:
     leaves through os._exit: with 0 if child returns, 1 if it raises, and
     never into the caller's code.  An OSError of the fork propagates.
     wait() reaps each child; close(), or leaving the `with`, kills each
-    child still there with SIGKILL and reaps it."""
+    child still there with SIGKILL and reaps it.  On Linux the kernel also
+    SIGKILLs a child whose caller dies, so a caller killed by SIGKILL
+    leaves none; a child whose caller died before that was set up exits
+    at once."""
 
     def __init__(self):
         self.pids = []
@@ -120,12 +129,16 @@ class _Children:
         self.close()
 
     def fork(self, child, *args):
+        caller = os.getpid()
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                child(*args)
-                code = 0
+                if _prctl is not None:
+                    _prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+                if os.getppid() == caller:
+                    child(*args)
+                    code = 0
             finally:
                 os._exit(code)
         self.pids.append(pid)

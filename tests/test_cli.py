@@ -1,3 +1,6 @@
+import contextlib
+import errno
+import functools
 import os
 import re
 from collections import Counter
@@ -13,6 +16,7 @@ import pytest
 from regsyn import cli, examples, expr, model, regeq, sim, specan, synth
 
 from helpers import assert_no_child_left
+from openblas_kernel import openblas_kernel
 
 
 _SUBPROCESS_ENV = {**os.environ,
@@ -371,7 +375,8 @@ def test_second_signal_does_not_break_into_the_unwind(capsys, monkeypatch):
 
 
 def _group_members(pgid):
-    """Pids of the processes in process group pgid, from /proc."""
+    """Pids of the live processes in process group pgid, from /proc; a
+    zombie, dead but not yet reaped, is not one."""
     pids = []
     for pid in filter(str.isdigit, os.listdir("/proc")):
         try:
@@ -379,14 +384,18 @@ def _group_members(pgid):
         except OSError:  # gone since the listing
             continue
         # after the parenthesized command name: state, ppid, pgrp
-        if int(stat.rsplit(")", 1)[1].split()[2]) == pgid:
+        state, _, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
             pids.append(int(pid))
     return pids
 
 
 def _signal_boost_grid(tmp_path, signum, grid, preexec_fn=None):
     """Start `boost` on a grid x grid grid in its own session, send it
-    signum once its process group has a worker; (process, stdout, stderr)."""
+    signum once its process group has a worker, and wait for its exit;
+    (process, stdout, stderr, the live pids left in its process group
+    GROUP_EXIT_S after that exit).  The pipes are read last, because a
+    worker that outlives its caller holds them open."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "regsyn.cli", "boost", "--grid-w1", str(grid),
          "--grid-rho", str(grid), "--out", str(tmp_path)], env=_SUBPROCESS_ENV,
@@ -397,10 +406,15 @@ def _signal_boost_grid(tmp_path, signum, grid, preexec_fn=None):
             assert proc.poll() is None, proc.communicate()
             time.sleep(0.01)
         proc.send_signal(signum)
+        proc.wait(timeout=120)
+        deadline = time.monotonic() + GROUP_EXIT_S
+        while (left := _group_members(proc.pid)) and time.monotonic() < deadline:
+            time.sleep(0.01)
         out, err = proc.communicate(timeout=120)
     finally:
-        proc.kill()
-    return proc, out, err
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    return proc, out, err, left
 
 
 GROUP_EXIT_S = 1.0
@@ -416,12 +430,19 @@ def test_signalled_boost_leaves_no_worker(tmp_path, signum, status, message):
     # it exits, so its process group is empty within GROUP_EXIT_S of its
     # exit.  With no handler the caller died at once and a worker solved on
     # for 1.5-4.4 s
-    proc, out, err = _signal_boost_grid(tmp_path, signum, 80)
-    assert (proc.returncode, out, err) == (status, "", f"error: {message}\n")
-    deadline = time.monotonic() + GROUP_EXIT_S
-    while _group_members(proc.pid):
-        assert time.monotonic() < deadline, "a worker outlived its caller"
-        time.sleep(0.01)
+    proc, out, err, left = _signal_boost_grid(tmp_path, signum, 80)
+    assert (proc.returncode, out, err, left) == (status, "", f"error: {message}\n", [])
+
+
+@_NEEDS_WORKER
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs PR_SET_PDEATHSIG")
+def test_killed_boost_leaves_no_worker(tmp_path):
+    # SIGKILL (or the OOM killer) gives the caller no chance to clean up:
+    # the kernel kills its workers with it.  An orphan stays a zombie until
+    # init reaps it, so only live processes count.  Before the workers
+    # asked for that signal, one solved on for 5 s
+    proc, out, err, left = _signal_boost_grid(tmp_path, signal.SIGKILL, 80)
+    assert (proc.returncode, out, err, left) == (-signal.SIGKILL, "", "", [])
 
 
 @_NEEDS_WORKER
@@ -429,8 +450,8 @@ def test_signalled_boost_leaves_no_worker(tmp_path, signum, status, message):
 def test_ignored_signal_stays_ignored(tmp_path, signum):
     # `nohup regsyn boost ...` ignores SIGHUP, and a caller may ignore
     # SIGTERM or SIGINT: the grid runs on to its normal end
-    proc, out, err = _signal_boost_grid(tmp_path, signum, 40,
-                                        preexec_fn=lambda: signal.signal(signum, signal.SIG_IGN))
+    proc, out, err, _ = _signal_boost_grid(
+        tmp_path, signum, 40, preexec_fn=lambda: signal.signal(signum, signal.SIG_IGN))
     assert (proc.returncode, err) == (0, "")
     assert "CHECK boost_pde_residual PASS" in out
 
@@ -514,6 +535,24 @@ def test_simulate_out_to_a_full_device(capsys, monkeypatch, encoder_forks, forke
     assert [line.split(" ")[0] for line in out.splitlines()] == [
         "CHECK", "final_rms", "peak", "settle_fraction"]
     assert err == "error: --out: cannot write /dev/full: No space left on device\n"
+
+
+def test_simulate_out_fills_the_disk_mid_copy(tmp_path, capsys, monkeypatch, encoder_forks):
+    # sendfile copies part of the encoder's text into the CSV, then the
+    # disk is full: a write error, not a fall back to reads
+    def filling(out_fd, in_fd, offset, count):
+        if sent:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        sent.append(sendfile(out_fd, in_fd, offset, min(count, 1000)))
+        return sent[-1]
+
+    sendfile, sent = os.sendfile, []
+    monkeypatch.setattr(os, "sendfile", filling)
+    path = tmp_path / "traj.csv"
+    status, out, err = _run(capsys, "simulate", "example53", "--T", "0.004", "--out", str(path))
+    assert status == 2 and len(encoder_forks) == 1 and sent == [1000]
+    assert "trajectory written" not in out
+    assert err == f"error: --out: cannot write {path}: No space left on device\n"
 
 
 @pytest.mark.parametrize("T, dt", [("1", "0"), ("1", "nan"), ("nan", "0.1"), ("inf", "0.1")])
@@ -658,9 +697,11 @@ def test_boost_rejects_cell_outside_domain(tmp_path, cell, bound):
 ])
 def test_boost_rejects_cells_sharing_a_tag(tmp_path, first, second, tag):
     # %g keeps six digits, so two such circles would print one CHECK name
-    # and write one orbit file; a good cell between them changes nothing
+    # and write one orbit file; a good cell between them changes nothing.
+    # Each circle's domain and tag are checked before the next circle's,
+    # so a circle outside the domain after them is not reached
     proc = _cli("boost", "--out", str(tmp_path), "--ode-steps", "100",
-                "--cell", *first, "--cell", "0", "0", "--cell", *second)
+                "--cell", *first, "--cell", "0", "0", "--cell", *second, "--cell", "0", "5")
     assert proc.returncode == 2, proc.stdout
     assert "Traceback" not in proc.stderr
     circles = [f"({float(w1)}, {float(rho)})" for w1, rho in (first, second)]
@@ -908,41 +949,58 @@ def test_example_list_and_dump(capsys):
 
 
 _GOLDEN = Path(__file__).resolve().parent / "golden"
+# the golden set of each OpenBLAS kernel (openblas_kernel()): the values
+# that pass through LAPACK's eigvals, solve and svd move in their last
+# digits between the AVX-512 kernels and the older ones, and nothing else
+# does.  OPENBLAS_CORETYPE=Zen loads Haswell, Prescott loads Katmai and
+# Cooperlake loads SkylakeX
+_GOLDEN_SETS = {"SkylakeX": _GOLDEN, **dict.fromkeys(
+    ("Haswell", "Sandybridge", "Nehalem", "Katmai"), _GOLDEN / "haswell")}
+_HASWELL_ENV = {**_SUBPROCESS_ENV, "OPENBLAS_CORETYPE": "Haswell"}
+
+
+def _golden(kernel, command, name):
+    """The pinned stdout of `regsyn command name` on the OpenBLAS kernel."""
+    assert kernel in _GOLDEN_SETS, f"no golden set for the OpenBLAS kernel {kernel}"
+    return (_GOLDEN_SETS[kernel] / f"{command}_{name}.txt").read_text(encoding="utf-8")
+
+
+@functools.cache
+def _haswell_kernel():
+    """The kernel a process runs under OPENBLAS_CORETYPE=Haswell, or None."""
+    return subprocess.run([sys.executable, str(Path(__file__).parent / "openblas_kernel.py")],
+                          env=_HASWELL_ENV, capture_output=True, text=True,
+                          check=True).stdout.strip() or None
 
 
 @pytest.mark.parametrize("command", ["verify", "synthesize"])
 @pytest.mark.parametrize("name", ["example51", "example52", "example53"])
 def test_builtin_output_is_pinned(capsys, command, name):
     # tests/golden holds the full stdout of each command; a refactor of the
-    # synthesis path must leave every byte of it unchanged
+    # synthesis path must leave every byte of it unchanged.  It is checked
+    # against the golden set of the kernel this process runs
     status, out, err = _run(capsys, command, name)
     assert status == 0, err
-    assert out == (_GOLDEN / f"{command}_{name}.txt").read_text(encoding="utf-8")
-
-
-_HASWELL_ENV = {**_SUBPROCESS_ENV, "OPENBLAS_CORETYPE": "Haswell"}
-
-
-@pytest.fixture(scope="module")
-def haswell_kernel():
-    name = subprocess.run([sys.executable, str(Path(__file__).parent / "openblas_kernel.py")],
-                          env=_HASWELL_ENV, capture_output=True, text=True,
-                          check=True).stdout.split()
-    if name != ["Haswell"]:
-        pytest.skip(f"OPENBLAS_CORETYPE=Haswell runs the kernel {name or 'unknown'}")
+    assert out == _golden(openblas_kernel(), command, name)
 
 
 @pytest.mark.parametrize("command", ["verify", "synthesize"])
 @pytest.mark.parametrize("name", ["example51", "example52", "example53"])
-def test_builtin_output_is_pinned_under_haswell(haswell_kernel, command, name):
-    # the same commands on OpenBLAS's AVX2 kernels, as on an x86 CPU without
-    # AVX-512, against tests/golden/haswell: the values that pass through
-    # LAPACK move in their last digits, and nothing else does
+def test_builtin_output_is_pinned_under_haswell(command, name):
+    # the same commands on OpenBLAS's Haswell kernels, as on an x86 CPU
+    # without AVX-512, against the golden set of the kernel that process
+    # reports
     run = subprocess.run([sys.executable, "-m", "regsyn.cli", command, name],
                          env=_HASWELL_ENV, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == (_GOLDEN / "haswell" / f"{command}_{name}.txt").read_text(
-        encoding="utf-8")
+    assert run.stdout == _golden(_haswell_kernel(), command, name)
+
+
+@pytest.fixture(scope="module")
+def haswell_kernel():
+    kernel = _haswell_kernel()
+    if kernel != "Haswell":
+        pytest.skip(f"OPENBLAS_CORETYPE=Haswell runs the kernel {kernel or 'unknown'}")
 
 
 def test_example53_dump_is_the_same_under_haswell(haswell_kernel):
@@ -961,6 +1019,13 @@ _EXAMPLE52 = examples.get("example52").text
 # a flat sum of 250 terms: the generated source nests more than the 200
 # parentheses CPython's parser accepts
 _DEEP_SUM = _EXAMPLE51.replace("f1 = x2 - w1", "f1 = x2 - w1" + " + 0*x1" * 250)
+# oscillators at 1 and 1.0000001 rad/s: specan.eigen counts them as one
+# eigenvalue, their mean, where Phi - lam*I has no null vector within the
+# Jordan structure's tolerance
+_CLOSE_PAIRS = ("[plant]\nn = 2\nf1 = x2\nf2 = -x1 - x2 + u\ng = x1\n[reference]\nq = 0\n"
+                "[exosystem]\np = 2\ns1 = w2\ns2 = -w1\n[controller]\nnc = 4\n"
+                "phi1 = xi2\nphi2 = -xi1\nphi3 = 1.0000001*xi4\nphi4 = -1.0000001*xi3\n"
+                "lam = xi1 + xi3\nbc = 0, 0, 0, 0\n")
 # u does not enter f, so the linear regulator equations have no solution
 _NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
              "[exosystem]\np = 2\ns1 = w2\ns2 = -w1\n")
@@ -1008,6 +1073,10 @@ _NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
     pytest.param(("synthesize", "example52", "--max-halvings", "0"), "", 1,
                  ("CHECK synthesis FAIL no stabilizing eps found in 0 halvings",), "",
                  id="synthesize-no-halvings"),
+    pytest.param(("synthesize", "FILE"), _CLOSE_PAIRS, 1, re.compile(
+                     r"^CHECK synthesis FAIL Jordan structure failed: eigenvalue "
+                     r"1\.00000005\d*j: geometric multiplicity 0 != 1$", re.M), "",
+                 id="synthesize-jordan-structure"),
     pytest.param(("synthesize", "FILE", "--eps0", "1e308"), _EXAMPLE52, 1,
                  ("CHECK synthesis FAIL block 0: Bc overflows at eps = 1e+308",), "",
                  id="synthesize-overflowing-bc"),
@@ -1027,7 +1096,10 @@ _NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
                  "error: --out: cannot write NODIR: No such file or directory\n",
                  id="simulate-unwritable-out"),
     pytest.param(("synthesize", "example51", "--out", "NODIR"), "", 2,
-                 ("CHECK synthesis PASS -0.11797503167399112",),
+                 # the abscissa this kernel's golden set pins
+                 lambda: [line for line in _golden(openblas_kernel(), "synthesize",
+                                                   "example51").splitlines()
+                          if line.startswith("CHECK synthesis ")],
                  "error: --out: cannot write NODIR: No such file or directory\n",
                  id="synthesize-unwritable-out"),
     pytest.param(("boost", "--cell", "0", "0", "--out", "FILE"), "", 2,
@@ -1063,9 +1135,10 @@ _NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
                  "invalid start byte\n", id="verify-not-utf8"),
 ])
 def test_cli_exit_paths(tmp_path, capsys, argv, text, status, out, err):
-    # out is the whole stdout, or a tuple of lines it must contain; err is
-    # the start of a stderr that is one line on exit 2 and empty otherwise;
-    # text is the FILE's, bytes or str
+    # out is the whole stdout, a pattern it must match, or a tuple of lines
+    # it must contain or a function that returns them; err is the start of
+    # a stderr that is one line on exit 2 and empty otherwise; text is the
+    # FILE's, bytes or str
     path = tmp_path / "system.sys"
     (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
     names = {"FILE": str(path), "NODIR": str(tmp_path / "missing" / "out"),
@@ -1077,7 +1150,10 @@ def test_cli_exit_paths(tmp_path, capsys, argv, text, status, out, err):
     assert got_status == status, got_err
     if isinstance(out, str):
         assert got_out == out
+    elif isinstance(out, re.Pattern):
+        assert out.search(got_out), got_out
     else:
-        assert set(out) <= set(got_out.splitlines()), got_out
+        out = out() if callable(out) else out
+        assert out and set(out) <= set(got_out.splitlines()), got_out
     assert got_err.startswith(re.sub("FILE|NODIR|DIR", lambda m: names[m[0]], err))
     assert got_err.count("\n") == (status == 2)

@@ -838,14 +838,14 @@ def test_worker_killed_on_a_queued_cell(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_queue_bigger_than_the_pipe(monkeypatch, workers):
-    # a pipe shrunk to one page holds 256 records, far fewer than the 1155
+    # a pipe shrunk to one page holds 512 records, far fewer than the 2300
     # cells that all go on the queue when the float body takes every pass:
     # a full pipe blocks no push, the pushing process solves the cells that
     # do not fit, and the grid keeps its bytes
     fcntl = pytest.importorskip("fcntl")
     if not hasattr(fcntl, "F_SETPIPE_SZ"):
         pytest.skip("no F_SETPIPE_SZ")
-    kw = dict(n_w1=35, n_rho=35, ode_steps=50)
+    kw = dict(n_w1=50, n_rho=50, ode_steps=50)
     with monkeypatch.context() as m:
         m.setattr(regeq, "FLOAT_CELLS", 10**9)
         _pin_workers(m, workers)
@@ -864,7 +864,7 @@ def test_queue_bigger_than_the_pipe(monkeypatch, workers):
     got = solve_boost_grid(PARAMS, **kw)
     assert_no_child_left()
     present = sum(c.present for col in want.cells for c in col)
-    assert present > 1024
+    assert present > 2048
     assert len(sizes) == 1 and present * regeq._RECORD.size > 4 * sizes[0]
     _assert_same_grids([want, got])
 

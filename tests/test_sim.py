@@ -641,6 +641,23 @@ def test_encoder_text_copied_in_pieces_or_by_reads(tmp_path, monkeypatch, encode
     assert encoder_on() == ["True 0 0", _copied(plain[1], 4001)]
 
 
+def test_encoder_stops_where_its_pipe_ends(encoder_on):
+    # ready() names two blocks and three rows of a 5-block table final,
+    # then the commit closes the pipe while the child waits for the third
+    # block's rows: its text is that of the first two blocks
+    header = sim._csv_header(4, 2, 2)
+    block = sim._block_rows(len(header))
+    with _CsvWorker(2**30) as worker:
+        tab = worker.table(5 * block, header)
+        assert len(worker.pids) == 1
+        tab[:] = np.random.default_rng(0).standard_normal(tab.shape)
+        worker.ready(2 * block + 3)
+        rows, size = worker.encoded()
+        assert rows == 2 * block
+        assert os.pread(worker.text, size + 1, 0) == sim._encode_rows(tab[:2 * block])
+    assert encoder_on() == []
+
+
 def test_encoder_writes_nothing_for_a_failed_run(tmp_path, encoder_on, monkeypatch):
     # the kernel stops on an evaluation error or a divergence after the
     # child was sent blocks: nothing is written, and the child is gone
