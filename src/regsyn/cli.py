@@ -116,9 +116,31 @@ def _internal_model(sf: sysfile.SystemFile, lin) -> model.ControllerModel:
     return synth.internal_model_copy_of_exosystem(lin, sf.exo.s, Gamma)
 
 
+# numpy's PCG64 as np.random.default_rng(0) seeds it (state, increment),
+# and its multiplier: the stream numpy draws from, without numpy.random
+_PCG64_SEED0 = (35399562948360463058890781895381311971,
+                87136372517582989555478159403783844777)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@functools.cache
+def _uniforms(count):
+    """default_rng(0).random(count), read-only: one 128-bit step, the
+    XSL-RR output and its top 53 bits per draw."""
+    s, inc = _PCG64_SEED0
+    out = np.empty(count)
+    for i in range(count):
+        s = (s * _PCG64_MULT + inc) % 2**128
+        x, rot = (s >> 64 ^ s) % 2**64, s >> 122
+        out[i] = ((x >> rot | x << 64 - rot) % 2**64 >> 11) * 2.0**-53
+    out.flags.writeable = False
+    return out
+
+
 def _sample_ball(p, radius):
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(-radius, radius, size=(SAMPLE_COUNT, p))
+    # default_rng(0).uniform(-radius, radius, size=(SAMPLE_COUNT, p)), bit
+    # for bit (low + (high - low) * u), then scaled into the ball
+    pts = -radius + 2 * radius * _uniforms(SAMPLE_COUNT * p).reshape(SAMPLE_COUNT, p)
     norms = np.linalg.norm(pts, axis=1)
     scale = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
     return pts * scale[:, None]

@@ -253,11 +253,13 @@ def simulate(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
     if x0.shape != (n,) or xi0.shape != (nc,) or w0.shape != (p,):
         raise SimulationError("initial state dimensions do not match the models")
     steps = _check_grid(T, dt)
+    # before the encoder forks: a kernel that fails to compile forks
+    # nothing, and generating it takes no copy-on-write faults
+    kernel = _rk4_kernel(plant, exo, ctrl)
     tab = (np.empty((steps + 1, n + nc + p + 3)) if encoder is None
            else encoder.table(steps + 1, _csv_header(n, nc, p)))
     tab.fill(np.nan)   # NaN until written
     np.multiply(np.arange(steps + 1), dt, out=tab[:, 0])
-    kernel = _rk4_kernel(plant, exo, ctrl)
     state = np.concatenate([x0, xi0, w0]).tolist()
     block = _block_rows(tab.shape[1])
     for start in range(0, steps, block):

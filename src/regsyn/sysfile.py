@@ -8,7 +8,7 @@ and keys:
     [reference]           q
     [controller]          nc, phi1..phinc, lam, bc (comma-separated finite numbers)
     [immersion]           nu, tau1..taunu, phi1..phinu, lam
-    [regulator_solution]  pi1..pin, gamma, radius (optional)
+    [regulator_solution]  pi1..pin, gamma, radius (optional, in [1e-100, 1e100])
     [params]              free numeric keys (boost converter parameters)
 
 Values are expression strings or numbers; `#` starts a comment.  Unknown
@@ -172,8 +172,10 @@ def parse_text(text, origin="<string>") -> SystemFile:
             radius = float(given)
         except ValueError:
             radius = math.nan
-        if not 0.0 < radius < math.inf:
-            raise sec.error(f"'radius' must be a finite positive number, got '{given}'")
+        # in range, p * radius**2, the squared norm of a corner of the box
+        # the samples are drawn from, neither overflows nor underflows
+        if not 1e-100 <= radius <= 1e100:
+            raise sec.error(f"'radius' must be a number in [1e-100, 1e100], got '{given}'")
         regsol = sec.build(RegulatorSolution.from_strings, p, pi, gamma, radius)
 
     if has("params"):

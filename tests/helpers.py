@@ -1,7 +1,8 @@
 """Analysis helpers that only the tests use: the exosystem orbit taken from
 a closed-loop simulation, its period, an internal model built from plain
-matrices, the transfer function of a synthesized linear controller, and
-the check that no forked process is left."""
+matrices, the transfer function of a synthesized linear controller,
+verify's residual samples as numpy.random draws them, and the check that
+no forked process is left."""
 
 import os
 
@@ -65,6 +66,14 @@ def controller_transfer(im: InternalModel, z: complex) -> complex:
     """Lambda (zI - Phi)^{-1} Bc of the synthesized linear controller."""
     x = np.linalg.solve(z * np.eye(im.nu) - im.Phi.astype(complex), im.Bc)
     return complex((im.Lambda @ x)[0, 0])
+
+
+def numpy_sample_ball(p, radius):
+    """verify's 100 residual samples of the ball ||w|| <= radius, drawn
+    with numpy.random: default_rng(0)'s uniform box, scaled into the ball."""
+    pts = np.random.default_rng(0).uniform(-radius, radius, size=(100, p))
+    norms = np.linalg.norm(pts, axis=1)
+    return pts * np.minimum(1.0, radius / np.maximum(norms, 1e-300))[:, None]
 
 
 def assert_no_child_left():

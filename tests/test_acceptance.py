@@ -15,7 +15,7 @@ from regsyn import cli, examples, model, regeq, specan, synth, sysfile
 from regsyn.sim import decay_metrics, simulate
 
 from helpers import (controller_transfer, detect_period, exosystem_orbit,
-                     internal_model)
+                     internal_model, numpy_sample_ball)
 
 
 def _check(name, ok, value):
@@ -23,13 +23,6 @@ def _check(name, ok, value):
         value = f"{value:.17g}"
     print(f"CHECK {name} {'PASS' if ok else 'FAIL'} {value}")
     assert ok, f"{name}: {value}"
-
-
-def _sample_ball(p, radius, count=100, seed=0):
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-radius, radius, size=(count, p))
-    norms = np.linalg.norm(pts, axis=1)
-    return pts * np.minimum(1.0, radius / np.maximum(norms, 1e-300))[:, None]
 
 
 # 1. quartic-exosystem example: linearization, stability, detectability and
@@ -91,7 +84,7 @@ def test_criterion_3_exosystem_orbit():
 #    and synthesis yields an order-3 stabilizing controller
 def test_criterion_4_immersion_example(tmp_path):
     sf = examples.get("example52").load()
-    samples = _sample_ball(2, 0.3)
+    samples = numpy_sample_ball(2, 0.3)
     r1, r2 = regeq.regulator_residual(sf.regulator_solution, sf.plant, sf.exo,
                                       samples)
     i1, i2 = regeq.immersion_residual(sf.immersion, sf.exo,

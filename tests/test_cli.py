@@ -15,7 +15,7 @@ import pytest
 
 from regsyn import cli, examples, expr, model, regeq, sim, specan, synth
 
-from helpers import assert_no_child_left
+from helpers import assert_no_child_left, numpy_sample_ball
 from openblas_kernel import openblas_kernel
 
 
@@ -524,6 +524,19 @@ def test_failed_simulate_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, enc
     assert out.read_bytes() == b"kept\r\n"
 
 
+def test_uncompilable_kernel_forks_no_encoder(tmp_path, capsys, encoder_forks):
+    # 1001 rows, three blocks: an encoder process would fork, but the
+    # kernel is generated first
+    path = tmp_path / "deep.sys"
+    path.write_text(_DEEP_SUM)
+    out = tmp_path / "traj.csv"
+    status, stdout, err = _run(capsys, "simulate", str(path), "--T", "0.1", "--out", str(out))
+    assert (status, stdout, encoder_forks) == (2, "", [])
+    assert err == ("error: cannot compile the closed-loop RK4 kernel: "
+                   "too many nested parentheses\n")
+    assert not out.exists()
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("forked", [True, False])
 def test_simulate_out_to_a_full_device(capsys, monkeypatch, encoder_forks, forked):
@@ -563,17 +576,73 @@ def test_simulate_bad_grid_is_an_error(T, dt):
     assert proc.stderr == "error: --T/--dt: need finite dt > 0 and T >= dt\n"
 
 
-@pytest.mark.parametrize("radius", ["abc", "nan", "-1", "inf", "0"])
+_RADIUS_SYS = ("[plant]\nn = 1\nf1 = -x1 + u\ng = x1\n[reference]\nq = w1\n"
+               "[exosystem]\np = 1\ns1 = 0\n"
+               "[regulator_solution]\npi1 = w1\ngamma = w1\nradius = {}\n")
+
+
+# past the range: 1e308 overflows the box's width 2*radius, 1e200 the
+# samples' squared norms (every sample would land at w = 0) and 1e-200
+# underflows them (samples would land outside the ball)
+@pytest.mark.parametrize("radius", ["abc", "nan", "-1", "inf", "0", "1e308", "1e200", "1e-200"])
 def test_verify_bad_radius_is_an_error(tmp_path, radius):
     path = tmp_path / "radius.sys"
-    path.write_text("[plant]\nn = 1\nf1 = -x1 + u\ng = x1\n[reference]\nq = 0\n"
-                    "[exosystem]\np = 1\ns1 = 0\n"
-                    f"[regulator_solution]\npi1 = 0\ngamma = 0\nradius = {radius}\n")
+    path.write_text(_RADIUS_SYS.format(radius))
     proc = _cli("verify", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: {path} [regulator_solution]: 'radius' ")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("radius", [1e-100, 1e100])
+def test_verify_samples_the_ball_at_the_radius_bounds(tmp_path, capsys, radius):
+    # p * radius**2 is a normal float: the samples lie in the ball, none
+    # collapses to 0, and their norms raise no floating-point warning
+    with np.errstate(all="raise"):
+        for p in (1, 2, 10):
+            norms = np.linalg.norm(cli._sample_ball(p, radius), axis=1)
+            assert 0 < norms.min() and norms.max() <= radius * (1 + 1e-15)
+        path = tmp_path / "radius.sys"
+        path.write_text(_RADIUS_SYS.format(radius))
+        status, out, err = _run(capsys, "verify", str(path))
+    assert (status, err) == (0, "")
+    assert out.endswith("CHECK regulator_residual_dynamics PASS 0\n"
+                        "CHECK regulator_residual_error PASS 0\n")
+
+
+def test_sample_ball_is_numpy_default_rng_0():
+    # the stream's seeded state is numpy's, and the samples are, bit for
+    # bit, those drawn with numpy.random, for p = 1..10 from one radius
+    # bound to the other
+    state = np.random.PCG64(0).state["state"]
+    assert cli._PCG64_SEED0 == (state["state"], state["inc"])
+    for p in range(1, 11):
+        for radius in (1e-100, 2.5e-37, 1e-3, 0.3, 1.0, 7.0, 3e45, 1e100):
+            assert (cli._sample_ball(p, radius).tobytes()
+                    == numpy_sample_ball(p, radius).tobytes()), (p, radius)
+    assert not cli._uniforms(cli.SAMPLE_COUNT).flags.writeable
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    # numpy 2 loads numpy.random only on first use, numpy 1 with numpy
+    argvs = [[command, name] for command in ("verify", "synthesize")
+             for name in examples.names()]
+    argvs += [["simulate", "example53", "--T", "0.004", "--out", "traj.csv"],
+              ["boost", "--cell", "10", "0.4", "--out", "orbits"], ["example", "list"]]
+    code = ("import sys, numpy\n"
+            "if 'numpy.random' in sys.modules:\n"
+            "    sys.exit(3)\n"
+            "from regsyn.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    main(argv)\n"
+            "    if 'numpy.random' in sys.modules:\n"
+            "        sys.exit('numpy.random loaded by ' + ' '.join(argv))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_SUBPROCESS_ENV, cwd=tmp_path, timeout=120)
+    if proc.returncode == 3:
+        pytest.skip("import numpy alone loads numpy.random")
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_synthesize_empty_exosystem_is_an_error(tmp_path):

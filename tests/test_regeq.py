@@ -20,20 +20,13 @@ from regsyn.regeq import (BoostParams, RegulatorError, RegulatorSolution,
                           solve_boost_grid, solve_psi0, write_grid_csv,
                           write_orbit_csv)
 
-from helpers import assert_no_child_left
-
-
-def _samples(p, radius, count=100, seed=0):
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-radius, radius, size=(count, p))
-    norms = np.linalg.norm(pts, axis=1)
-    return pts * np.minimum(1.0, radius / np.maximum(norms, 1e-300))[:, None]
+from helpers import assert_no_child_left, numpy_sample_ball
 
 
 def test_regulator_residual_quartic_example():
     sf = examples.get("example51").load()
     sol = sf.regulator_solution
-    r1, r2 = regulator_residual(sol, sf.plant, sf.exo, _samples(2, 0.3))
+    r1, r2 = regulator_residual(sol, sf.plant, sf.exo, numpy_sample_ball(2, 0.3))
     assert r1 <= 1e-6
     assert r2 <= 1e-6
 
@@ -41,7 +34,7 @@ def test_regulator_residual_quartic_example():
 def test_regulator_residual_oscillator_example():
     sf = examples.get("example52").load()
     sol = sf.regulator_solution
-    r1, r2 = regulator_residual(sol, sf.plant, sf.exo, _samples(2, 0.3))
+    r1, r2 = regulator_residual(sol, sf.plant, sf.exo, numpy_sample_ball(2, 0.3))
     assert r1 <= 1e-6
     assert r2 <= 1e-6
 
@@ -51,14 +44,14 @@ def test_regulator_residual_detects_corruption():
     good = sf.regulator_solution
     bad_gamma = expr.Bin("+", good.gamma, expr.parse("0.5*w1"))
     bad = RegulatorSolution(good.p, good.pi, bad_gamma, good.radius)
-    r1, _ = regulator_residual(bad, sf.plant, sf.exo, _samples(2, 0.3))
+    r1, _ = regulator_residual(bad, sf.plant, sf.exo, numpy_sample_ball(2, 0.3))
     assert r1 >= 0.05
 
 
 def test_immersion_residual_oscillator_example():
     sf = examples.get("example52").load()
     i1, i2 = immersion_residual(sf.immersion, sf.exo, sf.regulator_solution.gamma,
-                                _samples(2, 0.3))
+                                numpy_sample_ball(2, 0.3))
     assert i1 <= 1e-6
     assert i2 <= 1e-6
 
@@ -68,7 +61,7 @@ def test_immersion_residual_detects_sign_flip():
     im = sf.immersion
     flipped = regeq.ImmersionMap(im.p, im.tau, im.phi, expr.Neg(im.lam))
     _, i2 = immersion_residual(flipped, sf.exo, sf.regulator_solution.gamma,
-                               _samples(2, 0.3))
+                               numpy_sample_ball(2, 0.3))
     assert i2 >= 0.1
 
 

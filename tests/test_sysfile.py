@@ -179,7 +179,9 @@ def test_regulator_solution_radius_default_and_override():
     base = MINIMAL + "\n[regulator_solution]\npi1 = w1\ngamma = w1\n"
     assert parse_text(base).regulator_solution.radius == 0.3
     assert parse_text(base + "radius = 0.7\n").regulator_solution.radius == 0.7
-    for bad in ("abc", "nan", "-1", "inf", "0"):
+    for bound in ("1e-100", "1e100"):
+        assert parse_text(base + f"radius = {bound}\n").regulator_solution.radius == float(bound)
+    for bad in ("abc", "nan", "-1", "inf", "0", "1e308", "1e-200"):
         with pytest.raises(SysFileError, match=r"\[regulator_solution\]: 'radius' must be"):
             parse_text(base + f"radius = {bad}\n")
 
@@ -330,11 +332,23 @@ def _edit(*pairs):
     pytest.param(_edit(("gamma = w1\n", "")), "f [regulator_solution]: missing 'gamma'",
                  id="regulator-solution-missing-gamma"),
     pytest.param(_edit(("gamma = w1\n", "gamma = w1\nradius = -2\n")),
-                 "f [regulator_solution]: 'radius' must be a finite positive number, got '-2'",
+                 "f [regulator_solution]: 'radius' must be a number in [1e-100, 1e100], got '-2'",
                  id="radius-negative"),
     pytest.param(_edit(("gamma = w1\n", "gamma = w1\nradius = big\n")),
-                 "f [regulator_solution]: 'radius' must be a finite positive number, got 'big'",
+                 "f [regulator_solution]: 'radius' must be a number in [1e-100, 1e100], got 'big'",
                  id="radius-text"),
+    # the radius bounds, which pass on to the leftover check, and the float
+    # one past each
+    pytest.param(_edit(("gamma = w1\n", "gamma = w1\nradius = 1e-100\nz = 1\n")),
+                 "f [regulator_solution]: unknown keys ['z']", id="radius-lower-bound"),
+    pytest.param(_edit(("gamma = w1\n", "gamma = w1\nradius = 1e100\nz = 1\n")),
+                 "f [regulator_solution]: unknown keys ['z']", id="radius-upper-bound"),
+    pytest.param(_edit(("gamma = w1\n", "gamma = w1\nradius = 9.999999999999999e-101\n")),
+                 "f [regulator_solution]: 'radius' must be a number in [1e-100, 1e100], "
+                 "got '9.999999999999999e-101'", id="radius-below-range"),
+    pytest.param(_edit(("gamma = w1\n", "gamma = w1\nradius = 1.0000000000000002e100\n")),
+                 "f [regulator_solution]: 'radius' must be a number in [1e-100, 1e100], "
+                 "got '1.0000000000000002e100'", id="radius-above-range"),
     pytest.param(_edit(("gamma = w1\n", "gamma = w1\npi2 = 0\n")),
                  "f [regulator_solution]: unknown keys ['pi2']",
                  id="regulator-solution-leftover"),
@@ -368,7 +382,7 @@ def _edit(*pairs):
                  "f [controller]: 'bc' has 2 entries, expected 1",
                  id="controller-before-requires-plant"),
     pytest.param(_edit(("gamma = w1\n", "gamma = w1\nradius = 0\nz = 1\n")),
-                 "f [regulator_solution]: 'radius' must be a finite positive number, got '0'",
+                 "f [regulator_solution]: 'radius' must be a number in [1e-100, 1e100], got '0'",
                  id="radius-before-leftover"),
     pytest.param(_edit(("gamma = w1\n", ""), ("C = 1", "C = forty")),
                  "f [regulator_solution]: missing 'gamma'", id="params-last"),
