@@ -15,6 +15,7 @@ leaves stdout empty, except after an --out write error.
 
 from __future__ import annotations
 
+import _signal
 import argparse
 import contextlib
 import functools
@@ -151,6 +152,15 @@ def _require_plant(sf, what):
         raise sysfile.SysFileError(f"{what} needs [plant], [reference] and [exosystem]")
 
 
+def _residuals(system, section, residual, *args):
+    """residual(*args), with a sample it cannot evaluate located in the
+    system file's section."""
+    try:
+        return residual(*args)
+    except regeq.RegulatorError as exc:
+        raise regeq.RegulatorError(f"{system} [{section}]: {exc}") from None
+
+
 def cmd_verify(args):
     sf, _ = _load_system(args.system)
     _require_plant(sf, "verify")
@@ -172,11 +182,13 @@ def cmd_verify(args):
     if sol is not None:
         samples = _sample_ball(sf.exo.p, sol.radius)
         residuals.update(zip(("regulator_residual_dynamics", "regulator_residual_error"),
-                             regeq.regulator_residual(sol, sf.plant, sf.exo, samples)))
+                             _residuals(args.system, "regulator_solution",
+                                        regeq.regulator_residual, sol, sf.plant, sf.exo,
+                                        samples)))
         if sf.immersion is not None:
             residuals.update(zip(("immersion_residual_dynamics", "immersion_residual_output"),
-                                 regeq.immersion_residual(sf.immersion, sf.exo, sol.gamma,
-                                                          samples)))
+                                 _residuals(args.system, "immersion", regeq.immersion_residual,
+                                            sf.immersion, sf.exo, sol.gamma, samples)))
 
     checks = _Checks()
     checks.add("plant_stable", absc < 0, absc)
@@ -459,20 +471,22 @@ _SIGNALS = {signal.SIGINT: "interrupted", signal.SIGTERM: "terminated",
 def _unwind(signum, frame):
     # no second signal may break into the unwind that kills the workers
     for s in _SIGNALS:
-        if signal.getsignal(s) is _unwind:
-            signal.signal(s, signal.SIG_IGN)
+        if _signal.getsignal(s) is _unwind:
+            _signal.signal(s, _signal.SIG_IGN)
     raise KeyboardInterrupt(signum)
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     # only the main thread can set handlers; they come back on return, for
-    # callers that run main in process.  An ignored signal (nohup) stays so
-    old = ({s: h for s in _SIGNALS if (h := signal.getsignal(s)) not in (signal.SIG_IGN, None)}
+    # callers that run main in process.  An ignored signal (nohup) stays so.
+    # _signal's functions are those signal's wrap, without the enum
+    # conversions that cost several us a call
+    old = ({s: h for s in _SIGNALS if (h := _signal.getsignal(s)) not in (_signal.SIG_IGN, None)}
            if threading.current_thread() is threading.main_thread() else {})
     try:
         for signum in old:
-            signal.signal(signum, _unwind)
+            _signal.signal(signum, _unwind)
         # looked up per call: the cached parser must not pin the command
         # functions that were current when it was built
         status = globals()[f"cmd_{args.command}"](args)
@@ -496,7 +510,7 @@ def main(argv=None):
         return 128 + signum
     finally:
         for signum, handler in old.items():
-            signal.signal(signum, handler)
+            _signal.signal(signum, handler)
 
 
 if __name__ == "__main__":

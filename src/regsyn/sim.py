@@ -6,14 +6,16 @@ controller) and computes error decay metrics.  One code generator
 per system that runs all four RK4 stages over scalar locals and packs
 each row into one preallocated table in CSV column order; a bounded
 cache keyed on the generated source keeps the compiled functions.
-simulate runs that function one CSV block of rows at a time, each call
-from the last row of the one before, and can hand each block once final
-to one forked process (_CsvWorker) that encodes it into a memory file
-while the next block is integrated; the calling process then writes the
-CSV file from that text.  The integrator is deterministic: identical
-inputs produce bit-identical trajectories, equal to evaluating every
-expression with expr.evaluate, and the CSV bytes do not depend on who
-encodes them.
+simulate runs the check-free function one CSV block of rows at a time,
+each call from the last row of the one before, and tests the divergence
+cap once per block with numpy; a block that fails the test runs again
+through the row-checked function, generated only then, which locates
+the divergence.  simulate can hand each block once final to one forked
+process (_CsvWorker) that encodes it into a memory file while the next
+block is integrated; the calling process then writes the CSV file from
+that text.  The integrator is deterministic: identical inputs produce
+bit-identical trajectories, equal to evaluating every expression with
+expr.evaluate, and the CSV bytes do not depend on who encodes them.
 """
 
 from __future__ import annotations
@@ -169,22 +171,25 @@ def _check_grid(T, dt):
     return int(round(T / dt))
 
 
-def _rk4_kernel(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
-                stage_checks=False):
+def _rk4_kernel(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel, checks=None):
     """Generate the RK4 loop of the closed loop.
 
     The generated function takes the initial state as scalars, then steps,
     dt and a writable buffer over the rows t | state | e | u of a
-    C-contiguous float64 table.  It packs the state of row k, returns k as
-    soon as a state component is NaN or exceeds DIVERGENCE_CAP in magnitude
-    (before the row's u and e are evaluated), packs the row's e and u and
-    returns -1 once every row is written; it never writes t.  Each
-    stage evaluates u, f, e, phi + Bc e and s in that order, as evaluate()
-    would, so trajectories and EvalError messages are those of a
-    stage-by-stage evaluate() loop; stage 1 reuses the u and e of the row.
-    With stage_checks, the step from row k also returns k + 1 as soon as
-    the input of its stage 2, 3 or 4 leaves that ball, before the stage
-    is evaluated; the checks change no value."""
+    C-contiguous float64 table; it never writes t.  Each stage evaluates
+    u, f, e, phi + Bc e and s in that order, as evaluate() would, so
+    trajectories and EvalError messages are those of a stage-by-stage
+    evaluate() loop; stage 1 reuses the u and e of the row.
+
+    The check-free kernel (checks None) packs each row's state, e and u
+    with one pack_into, checks nothing and returns None; simulate tests
+    the cap on the rows afterwards.  With checks "rows" it packs the
+    state of row k, returns k as soon as a state component is NaN or
+    exceeds DIVERGENCE_CAP in magnitude (before the row's u and e are
+    evaluated), packs the row's e and u and returns -1 once every row is
+    written.  With checks "stages" the step from row k also returns k + 1
+    as soon as the input of its stage 2, 3 or 4 leaves that ball, before
+    the stage is evaluated.  No check changes a value."""
     n = plant.n
     names = x_names(n) + xi_names(ctrl.nc) + w_names(exo.p)
     dim = len(names)
@@ -206,22 +211,29 @@ def _rk4_kernel(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
 
     state = [f"s{i}" for i in range(dim)]
     u, f, e, rest = stage(1, state)
-    loop = [f"o = k * {8 * (dim + 3)}", f"_pack_state(tab, o + 8, {', '.join(state)})",
-            f"if not ({bounded(state)}):", "    return k",
-            *u, *e, f"_pack_eu(tab, o + {8 * (dim + 1)}, e1, u1)", "if k == steps:", "    break",
-            *f, *rest]
-    for j, step in ((2, "half"), (3, "half"), (4, "dt")):
+    step = [*f, *rest]
+    for j, h in ((2, "half"), (3, "half"), (4, "dt")):
         z = [f"y{j}_{i}" for i in range(dim)]
-        loop += [f"{z[i]} = s{i} + {step} * k{j - 1}_{i}" for i in range(dim)]
-        if stage_checks:
-            loop += [f"if not ({bounded(z)}):", "    return k + 1"]
+        step += [f"{z[i]} = s{i} + {h} * k{j - 1}_{i}" for i in range(dim)]
+        if checks == "stages":
+            step += [f"if not ({bounded(z)}):", "    return k + 1"]
         for part in stage(j, z):
-            loop += part
-    loop += [f"s{i} = s{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+            step += part
+    step += [f"s{i} = s{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
              for i in range(dim)]
-    body = ("half = dt / 2.0", "sixth = dt / 6.0", "for k in range(steps + 1):",
-            *("    " + line for line in loop), "return -1")
-    return _compiled_kernel(dim, body)
+    width = 8 * (dim + 3)
+    if checks is None:
+        # o: the byte offset of the row's state; the last row after the loop
+        row = [*u, *e, f"_pack_row(tab, o, {', '.join(state)}, e1, u1)"]
+        loop = [*row, f"o += {width}", *step]
+        body = ("o = 8", "for _ in range(steps):", *("    " + line for line in loop), *row)
+    else:
+        loop = [f"o = k * {width}", f"_pack_state(tab, o + 8, {', '.join(state)})",
+                f"if not ({bounded(state)}):", "    return k",
+                *u, *e, f"_pack_eu(tab, o + {8 * (dim + 1)}, e1, u1)", "if k == steps:",
+                "    break", *step]
+        body = ("for k in range(steps + 1):", *("    " + line for line in loop), "return -1")
+    return _compiled_kernel(dim, ("half = dt / 2.0", "sixth = dt / 6.0", *body))
 
 
 @functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -231,6 +243,7 @@ def _compiled_kernel(dim, body):
     == Num(-0.0)), so the cache is keyed on the lines, not on the models."""
     state = [f"s{i}" for i in range(dim)]
     return _define("_rk4", state + ["steps", "dt", "tab"], body, "the closed-loop RK4 kernel",
+                   _pack_row=struct.Struct(f"{dim + 2}d").pack_into,
                    _pack_state=struct.Struct(f"{dim}d").pack_into,
                    _pack_eu=struct.Struct("2d").pack_into)
 
@@ -244,10 +257,16 @@ def simulate(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
     after the input of one of its stages left the cap ball diverges at the
     end of that step; any other evaluation error is raised.
 
-    The kernel runs one CSV block of rows at a time, each call from the
-    packed state of the last row the call before wrote, so every bit is
-    that of one call.  With an encoder (a _CsvWorker), the table is the
-    encoder's and the rows of each block are handed to it once final."""
+    The check-free kernel runs one CSV block of rows at a time, each call
+    from the packed state of the last row the call before wrote, so every
+    bit is that of one call.  One numpy test of the block's state columns
+    then takes the cap's place (NaN fails it).  A block that fails it, or
+    whose kernel raised EvalError, is integrated again from its first row
+    by the row-checked kernel, and on EvalError the step from its last
+    written row by the stage-checked kernel: those locate the divergence
+    or raise the error of a stage-by-stage loop, and are generated only
+    then.  With an encoder (a _CsvWorker), the table is the encoder's and
+    the rows of each block are handed to it once final."""
     n, nc, p = plant.n, ctrl.nc, exo.p
     x0, xi0, w0 = (np.asarray(v, dtype=float) for v in (x0, xi0, w0))
     if x0.shape != (n,) or xi0.shape != (nc,) or w0.shape != (p,):
@@ -265,17 +284,28 @@ def simulate(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
     for start in range(0, steps, block):
         stop = min(start + block, steps)
         try:
-            k = kernel(*state, stop - start, dt, memoryview(tab[start:stop + 1]))
+            kernel(*state, stop - start, dt, memoryview(tab[start:stop + 1]))
         except EvalError:
-            # every row written is finite: re-run the step from the last one
-            # with its stage inputs checked, which locates a divergence or
-            # raises the same error again
-            k = np.count_nonzero(~np.isnan(tab[start:, 1])) - 1
-            k += _rk4_kernel(plant, exo, ctrl, stage_checks=True)(
-                *tab[start + k, 1:-2].tolist(), 1, dt,
-                memoryview(tab[start + k:start + k + 2]))
-        if k >= 0:
-            raise DivergenceError((start + k) * dt)
+            bounded = False
+        else:
+            bounded = (np.abs(tab[start:stop + 1, 1:-2]) <= DIVERGENCE_CAP).all()
+        if not bounded:
+            # rows start+1..stop go back to NaN, as the row-checked kernel
+            # found them before the check-free run wrote them
+            tab[start + 1:stop + 1, 1:] = np.nan
+            try:
+                k = _rk4_kernel(plant, exo, ctrl, "rows")(
+                    *state, stop - start, dt, memoryview(tab[start:stop + 1]))
+            except EvalError:
+                # every row written is finite: re-run the step from the last
+                # one with its stage inputs checked, which locates a
+                # divergence or raises the same error again
+                k = np.count_nonzero(~np.isnan(tab[start:, 1])) - 1
+                k += _rk4_kernel(plant, exo, ctrl, "stages")(
+                    *tab[start + k, 1:-2].tolist(), 1, dt,
+                    memoryview(tab[start + k:start + k + 2]))
+            if k >= 0:
+                raise DivergenceError((start + k) * dt)
         state = tab[stop, 1:-2].tolist()
         if encoder is not None:
             encoder.ready(stop + 1)

@@ -1117,7 +1117,17 @@ _NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
                  2, "", "error: FILE [plant]: bad number literal '1.2.3' (at offset 5)\n",
                  id="verify-bad-literal"),
     pytest.param(("verify", "FILE"), _EXAMPLE51.replace("pi2 = w1", "pi2 = w1 + sqrt(w1)"),
-                 2, "", "error: evaluation failed at w = [", id="verify-residual-eval-error"),
+                 2, "", "error: FILE [regulator_solution]: evaluation failed at w = [",
+                 id="verify-residual-eval-error"),
+    # w1^4 overflows at a sample of a ball inside radius's range
+    pytest.param(("verify", "FILE"), _EXAMPLE51.replace("radius = 0.3", "radius = 1e100"),
+                 2, "", "error: FILE [regulator_solution]: evaluation failed at w = "
+                 "[2.7392337464290852e+99, -4.604265724722593e+99]: "
+                 "(34, 'Numerical result out of range')\n", id="verify-residual-overflow"),
+    pytest.param(("verify", "FILE"), _EXAMPLE52.replace(
+                     "tau1 = w1^2 + w2^2", "tau1 = w1^2 + w2^2 + 0*sqrt(abs(w1) - 100*w1^2)"),
+                 2, "", "error: FILE [immersion]: evaluation failed at w = [",
+                 id="verify-immersion-eval-error"),
     # 0 at the origin and NaN (inf - inf) at every other sample
     pytest.param(("verify", "FILE"), _EXAMPLE51.replace(
                      "pi2 = w1", "pi2 = w1 + (1e308*w1*1e10 - 1e308*w1*1e10)"),

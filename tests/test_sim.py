@@ -426,6 +426,139 @@ def test_kernel_blocks_keep_every_bit(monkeypatch, rows):
     assert outcomes() == whole
 
 
+def _ramp(row, g="x1"):
+    """simulate's arguments for dx1 = w1 = 1 at dt = 1 from x1 = CAP - row
+    + 0.5, so that row `row` is the first past the cap; the output is g."""
+    return (PlantModel.from_strings(["w1"], g, "0", 1), ExosystemModel.from_strings(["0"]),
+            ControllerModel.from_strings(["0"], "0", [0.0]),
+            (DIVERGENCE_CAP - row + 0.5,), (0.0,), (1.0,))
+
+
+def _peak(row, column):
+    """simulate's arguments for a loop at dt = 1 whose state `column`, x1 or
+    w3 (the first and last of the table's state columns), is CAP + 0.25 -
+    (k - row)^2 / 2 at row k, exactly: row `row` alone is past the cap."""
+    top = DIVERGENCE_CAP + 0.25 - row**2 / 2
+    ctrl = ControllerModel.from_strings(["0"], "0", [0.0])
+    if column == "x1":   # dx1 = w1, dw1 = w2 = -1
+        return (PlantModel.from_strings(["w1"], "x1", "0", 2),
+                ExosystemModel.from_strings(["w2", "0"]), ctrl, (top,), (0.0,), (row, -1.0))
+    # dw3 = w2, dw2 = w1 = -1
+    return (PlantModel.from_strings(["-x1"], "x1", "0", 3),
+            ExosystemModel.from_strings(["0", "w1", "w2"]), ctrl, (0.0,), (0.0,),
+            (-1.0, row, top))
+
+
+def _row_checked(plant, exo, ctrl, x0, xi0, w0, T, dt):
+    """(table, k) of one call of the row-checked kernel over the whole run,
+    as simulate ran it before it tested the cap once per block."""
+    steps = int(round(T / dt))
+    tab = np.full((steps + 1, plant.n + ctrl.nc + exo.p + 3), np.nan)
+    np.multiply(np.arange(steps + 1), dt, out=tab[:, 0])
+    kernel = sim._rk4_kernel(plant, exo, ctrl, "rows")
+    return tab, kernel(*x0, *xi0, *w0, steps, dt, memoryview(tab))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 333])
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("column", ["x1", "w3"])
+def test_block_cap_test_finds_the_row_the_checked_kernel_finds(monkeypatch, rows, where,
+                                                               column):
+    # the check-free kernel runs a whole block, then one numpy test of its
+    # state columns stands for the cap: a block with one row past it, its
+    # first new row or its last, is run again row-checked and gives the
+    # table, time and message of one row-checked call, also where the run
+    # ends on that row
+    row = rows + 1 if where == "first" else 2 * rows   # of the second block
+    args = _peak(row, column)
+    cols = 1 + sum(len(v) for v in args[3:]) + 2
+    monkeypatch.setattr(sim, "CSV_BLOCK_VALUES", cols * rows)
+    assert sim._block_rows(cols) == rows
+    bounded = simulate(*args, T=row - 1, dt=1.0)
+    tab, k = _row_checked(*args, T=row - 1, dt=1.0)
+    assert k == -1 and bounded.table.tobytes() == tab.tobytes()
+    for T in (row, row + 2 * rows):
+        with pytest.raises(DivergenceError) as got:
+            simulate(*args, T=T, dt=1.0)
+        with pytest.raises(SimulationError) as want:
+            _ref_simulate(*args, T=T, dt=1.0)
+        assert _row_checked(*args, T=T, dt=1.0)[1] == row == got.value.t
+        assert str(got.value) == str(want.value)
+    # the column is the parabola, so the rows beside `row` are inside the cap
+    tab = np.empty((row + 2, cols))
+    sim._rk4_kernel(*args[:3])(*args[3], *args[4], *args[5], row + 1, 1.0, memoryview(tab))
+    at = 1 if column == "x1" else -3
+    assert np.array_equal(tab[:, at], DIVERGENCE_CAP + 0.25 - (np.arange(row + 2) - row)**2 / 2)
+
+
+def test_divergence_precedes_a_later_evaluation_error_in_its_block(monkeypatch):
+    # the state leaves the cap at row 100 of a 333-row block and the output
+    # sqrt fails three steps later: the check-free kernel raises EvalError
+    # past the cap, and the re-run reports the divergence at row 100
+    monkeypatch.setattr(sim, "CSV_BLOCK_VALUES", 6 * 333)
+    c = DIVERGENCE_CAP + 3
+    args = _ramp(100, g=f"sqrt({c!r} - x1) - sqrt({c!r})")
+    with pytest.raises(EvalError, match="sqrt of negative value"):
+        sim._rk4_kernel(*args[:3])(*args[3], *args[4], *args[5], 200, 1.0,
+                                   memoryview(np.empty((201, 6))))
+    with pytest.raises(DivergenceError) as got:
+        simulate(*args, T=200.0, dt=1.0)
+    with pytest.raises(SimulationError) as want:
+        _ref_simulate(*args, T=200.0, dt=1.0)
+    assert got.value.t == 100.0 and str(got.value) == str(want.value)
+
+
+def _kernels_defined(monkeypatch):
+    """The source lines of each kernel simulate compiles from now on."""
+    defined, define = [], sim._define
+
+    def spy(*args, **kwargs):
+        defined.append(args[2])
+        return define(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "_define", spy)
+    sim._compiled_kernel.cache_clear()
+    return defined
+
+
+def _row_checks(body):
+    return sum(line.strip() == "return k" for line in body)
+
+
+@pytest.mark.parametrize("name", ["example51", "example53"])
+def test_bounded_run_compiles_only_the_check_free_kernel(monkeypatch, name):
+    ex = examples.get(name)
+    sf = ex.load()
+    defined = _kernels_defined(monkeypatch)
+    simulate(sf.plant, sf.exo, sf.controller, *ex.default_ic, T=2000 * ex.default_dt,
+             dt=ex.default_dt)
+    assert len(defined) == 1 and _row_checks(defined[0]) == 0
+
+
+def test_diverging_run_compiles_one_row_checked_kernel(monkeypatch):
+    defined = _kernels_defined(monkeypatch)
+    with pytest.raises(DivergenceError):
+        simulate(*_ramp(50), T=100.0, dt=1.0)
+    assert [_row_checks(body) for body in defined] == [0, 1]
+
+
+def test_state_on_the_cap_is_bounded(monkeypatch):
+    # |state| <= CAP is bounded, in both tests, and the block test passes
+    # it without a row-checked re-run
+    plant = PlantModel.from_strings(["0"], "x1", "0", 1)
+    exo = ExosystemModel.from_strings(["0"])
+    ctrl = ControllerModel.from_strings(["0"], "0", [0.0])
+    defined = _kernels_defined(monkeypatch)
+    traj = simulate(plant, exo, ctrl, (DIVERGENCE_CAP,), (0.0,), (-DIVERGENCE_CAP,), T=3.0,
+                    dt=1.0)
+    assert (traj.x == DIVERGENCE_CAP).all() and (traj.w == -DIVERGENCE_CAP).all()
+    assert [_row_checks(body) for body in defined] == [0]
+    with pytest.raises(DivergenceError) as got:
+        simulate(plant, exo, ctrl, (0.0,), (0.0,), (-np.nextafter(DIVERGENCE_CAP, math.inf),),
+                 T=3.0, dt=1.0)
+    assert got.value.t == 0.0
+
+
 def _ended(child):
     """How a _Children process running child() ended, as (si_code,
     si_status) read before wait() reaps it.  A fork that returns into this
