@@ -153,12 +153,12 @@ def _require_plant(sf, what):
 
 
 def _residuals(system, section, residual, *args):
-    """residual(*args), with a sample it cannot evaluate located in the
-    system file's section."""
+    """residual(*args), with a sample it cannot evaluate or source it cannot
+    compile located in the system file's section."""
     try:
         return residual(*args)
-    except regeq.RegulatorError as exc:
-        raise regeq.RegulatorError(f"{system} [{section}]: {exc}") from None
+    except (regeq.RegulatorError, expr.CompileError) as exc:
+        raise type(exc)(f"{system} [{section}]: {exc}") from None
 
 
 def cmd_verify(args):
@@ -269,8 +269,9 @@ def _parse_ic(text, n, nc, p):
 def cmd_simulate(args):
     sf, ex = _load_system(args.system)
     _require_plant(sf, "simulate")
+    system = ex.origin if ex else args.system
     if sf.controller is None:
-        raise sysfile.SysFileError("simulate needs a [controller] section "
+        raise sysfile.SysFileError(f"{system}: simulate needs a [controller] section "
                                    "(run synthesize first)")
     checks = _Checks()
     n, nc, p = sf.plant.n, sf.controller.nc, sf.exo.p
@@ -299,6 +300,9 @@ def cmd_simulate(args):
         except DivergenceError as exc:
             checks.add("simulation_bounded", False, exc.t)
             return checks.status
+        except expr.CompileError as exc:
+            # the kernel spans plant, controller and exosystem: no one section
+            raise expr.CompileError(f"{system}: {exc}") from None
         checks.add("simulation_finite", bool(np.all(np.isfinite(traj.e))), "-")
         final_rms, peak, settle = decay_metrics(traj, window=T / 5.0)
         print(f"final_rms = {final_rms:.17g}")

@@ -26,8 +26,12 @@ class Example:
     default_dt: float
     default_ic: tuple  # (x0, xi0, w0)
 
+    @property
+    def origin(self):  # what error messages name it by, as they name a file
+        return f"<builtin:{self.name}>"
+
     def load(self) -> SystemFile:
-        return parse_text(self.text, origin=f"<builtin:{self.name}>")
+        return parse_text(self.text, origin=self.origin)
 
 
 _EXAMPLES = {ex.name: ex for ex in (

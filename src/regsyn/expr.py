@@ -8,7 +8,7 @@ from plain text.  Grammar (highest precedence first):
 so ``-x^2`` is ``-(x^2)`` and ``2^3^2`` is ``2^(3^2)``.  Supported functions
 are sin, cos, tan, exp, sqrt and abs; ``pi`` is a built-in constant.  All
 AST nodes are immutable, so parsed expressions can be shared freely.
-diff() differentiates an AST symbolically; its results may call the
+gradient() differentiates an AST symbolically; its results may call the
 internal functions sign and log, which evaluate() and compile_fn() accept
 but the parser does not.
 """
@@ -33,6 +33,10 @@ class SyntaxError_(ExprError):
 
 class EvalError(ExprError):
     """Unbound variable or a domain error during evaluation."""
+
+
+class CompileError(ExprError):
+    """Generated source that CPython refuses to compile."""
 
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "sqrt", "abs")
@@ -272,7 +276,7 @@ _FUNC_IMPL = {
     "exp": math.exp,
     "sqrt": _sqrt,
     "abs": abs,
-    # internal: only diff() produces calls to these
+    # internal: only gradient() produces calls to these
     "sign": lambda a: float((a > 0) - (a < 0)),
     "log": math.log,
 }
@@ -316,8 +320,7 @@ def free_vars(e):
     if isinstance(e, Bin):
         return free_vars(e.left) | free_vars(e.right)
     if isinstance(e, (Neg, Call)):
-        arg = e.arg
-        return free_vars(arg)
+        return free_vars(e.arg)
     return set()
 
 
@@ -339,22 +342,26 @@ def substitute(e, mapping):
 _ZERO, _ONE, _TWO = Num(0.0), Num(1.0), Num(2.0)
 
 
+def _is(a, value):  # a == Num(value), Num(-0.0) counting as 0, without __eq__
+    return type(a) is Num and a.value == value
+
+
 def _add(a, b):
-    return b if a == _ZERO else a if b == _ZERO else Bin("+", a, b)
+    return b if _is(a, 0.0) else a if _is(b, 0.0) else Bin("+", a, b)
 
 
 def _mul(a, b):
-    if a == _ZERO or b == _ZERO:
+    if _is(a, 0.0) or _is(b, 0.0):
         return _ZERO
-    return b if a == _ONE else a if b == _ONE else Bin("*", a, b)
+    return b if _is(a, 1.0) else a if _is(b, 1.0) else Bin("*", a, b)
 
 
 def _neg(a):
-    return _ZERO if a == _ZERO else Neg(a)
+    return _ZERO if _is(a, 0.0) else Neg(a)
 
 
 def _quot(a, b):
-    return _ZERO if a == _ZERO else Bin("/", a, b)
+    return _ZERO if _is(a, 0.0) else Bin("/", a, b)
 
 
 _DERIVATIVES = {  # f -> f'(u)
@@ -367,80 +374,94 @@ _DERIVATIVES = {  # f -> f'(u)
 }
 
 
-def diff(e, var):
-    """Symbolic derivative of e with respect to the variable var.
-
-    Visits each node once: zero terms and unit factors fold away, so a
-    subtree free of var differentiates to Num(0), and a denominator constant
-    in var stays one division.  Powers use the power rule when the exponent
-    is free of var and a^b * (b' log(a) + b a'/a) otherwise.  Nothing
-    differentiates twice, so a call to sign or log raises KeyError."""
-    if isinstance(e, Var):
-        return _ONE if e.name == var else _ZERO
-    if isinstance(e, (Num, Const)):
-        return _ZERO
-    if isinstance(e, Neg):
-        return _neg(diff(e.arg, var))
-    if isinstance(e, Call):
-        return _mul(_DERIVATIVES[e.func](e.arg), diff(e.arg, var))
+def _chain(e, da, db):
+    """Derivative of the Bin e from the derivatives da, db of its operands."""
     a, b = e.left, e.right
-    da, db = diff(a, var), diff(b, var)
     if e.op in "+-":
         return _add(da, db if e.op == "+" else _neg(db))
     if e.op == "*":
         return _add(_mul(da, b), _mul(a, db))
     if e.op == "/":
-        if db == _ZERO:
+        if _is(db, 0.0):
             return _quot(da, b)
         return _quot(_add(_mul(da, b), _neg(_mul(a, db))), Bin("^", b, _TWO))
-    if db == _ZERO:
+    if _is(db, 0.0):
         b1 = Num(b.value - 1.0) if isinstance(b, Num) else Bin("-", b, _ONE)
         return _mul(_mul(b, Bin("^", a, b1)), da)
     return _mul(e, _add(_mul(db, Call("log", a)), _quot(_mul(b, da), a)))
 
 
+def gradient(e, names):
+    """{name: symbolic derivative of e} for every name in names that e
+    contains, in one walk of e.  Zero terms and unit factors fold away, so a
+    subtree free of a name differentiates to Num(0) and a denominator
+    constant in it stays one division.  Powers use the power rule when the
+    exponent is free of the name, a^b * (b' log(a) + b a'/a) otherwise.
+    Nothing differentiates twice: a call to sign or log raises KeyError."""
+    if isinstance(e, Var):
+        return {e.name: _ONE} if e.name in names else {}
+    if isinstance(e, (Num, Const)):
+        return {}
+    if isinstance(e, Neg):
+        return {v: _neg(d) for v, d in gradient(e.arg, names).items()}
+    if isinstance(e, Call):
+        du = _DERIVATIVES[e.func](e.arg)
+        return {v: _mul(du, d) for v, d in gradient(e.arg, names).items()}
+    ga, gb = gradient(e.left, names), gradient(e.right, names)
+    return {v: _chain(e, ga.get(v, _ZERO), gb.get(v, _ZERO)) for v in {**ga, **gb}}
+
+
+def diff(e, var):
+    """gradient(e, (var,))[var], or Num(0) if e does not contain var."""
+    return gradient(e, (var,)).get(var, _ZERO)
+
+
 # ---------------------------------------------------------------- compiler
+
+_NON_FINITE = {"nan": "_nan", "inf": "_inf", "-inf": "(-_inf)"}  # repr -> source
+
 
 def _literal(v):
     """Python source for the float v.  Negative values are parenthesized so
     that they can stand as the base of **; non-finite values are names
     bound in the namespace of every generated function."""
-    v = float(v)
-    if math.isnan(v):
-        return "_nan"
-    if math.isinf(v):
-        return "_inf" if v > 0 else "(-_inf)"
-    text = repr(v)
-    return f"({text})" if text.startswith("-") else text
+    text = repr(float(v))
+    text = _NON_FINITE.get(text, text)
+    return f"({text})" if text[0] == "-" else text
 
 
-def _codegen(e, argmap):
-    """Python source for e, with variables renamed through argmap.
+def _codegen(e, argmap, binds=0):
+    """Python source for e, with variables renamed through argmap, in
+    parentheses only where Python would group it otherwise: where it binds
+    less tightly than binds, what its place in the parent's source needs
+    (+ - bind 1, * / 2, unary minus 3, ** 4, names, literals and calls 5).
 
     Division and powers with an integer-valued literal exponent are inline
     operators; the function that runs the source must translate their
     exceptions as _define does.  Other powers go through _pow, which
     rejects fractional powers of negative bases."""
-    if isinstance(e, Num):
-        return _literal(e.value)
-    if isinstance(e, Var):
+    kind = type(e)  # not isinstance: this runs per node per simulate job
+    if kind is Var:
         try:
             return argmap[e.name]
         except KeyError:
             raise EvalError(f"unbound variable '{e.name}'") from None
-    if isinstance(e, Const):
+    if kind is Num:
+        return _literal(e.value)
+    if kind is Const:
         return "_pi"
-    if isinstance(e, Neg):
-        return f"(-{_codegen(e.arg, argmap)})"
-    if isinstance(e, Call):
+    if kind is Call:
         return f"_f_{e.func}({_codegen(e.arg, argmap)})"
-    a = _codegen(e.left, argmap)
-    b = _codegen(e.right, argmap)
-    if e.op == "^":
-        if isinstance(e.right, Num) and float(e.right.value).is_integer():
-            return f"({a} ** {b})"
-        return f"_pow({a}, {b})"
-    return f"({a} {e.op} {b})"
+    if kind is Neg:
+        own, src = 3, "-" + _codegen(e.arg, argmap, 3)
+    elif e.op != "^":
+        own = 1 if e.op in "+-" else 2  # left-associative: a right operand binds tighter
+        src = f"{_codegen(e.left, argmap, own)} {e.op} {_codegen(e.right, argmap, own + 1)}"
+    elif type(e.right) is Num and float(e.right.value).is_integer():
+        own, src = 4, f"{_codegen(e.left, argmap, 5)} ** {_literal(e.right.value)}"
+    else:
+        return f"_pow({_codegen(e.left, argmap)}, {_codegen(e.right, argmap)})"
+    return f"({src})" if own < binds else src
 
 
 _NAMESPACE = {"_pi": math.pi, "_inf": math.inf, "_nan": math.nan,
@@ -457,7 +478,7 @@ def _define(name, params, body, what, **names):
     evaluate(): ZeroDivisionError becomes "division by zero", ValueError
     and OverflowError keep their text.  Source that CPython refuses (more
     than 200 nested parentheses, or nesting too deep for its compiler) is
-    an ExprError naming what, the thing being compiled."""
+    a CompileError naming what, the thing being compiled."""
     lines = "\n".join("        " + line for line in body)
     src = (f"def {name}({', '.join(params)}):\n"
            f"    try:\n{lines}\n"
@@ -469,9 +490,9 @@ def _define(name, params, body, what, **names):
     try:
         exec(src, ns)
     except SyntaxError as exc:
-        raise ExprError(f"cannot compile {what}: {exc.msg}") from None
+        raise CompileError(f"cannot compile {what}: {exc.msg}") from None
     except RecursionError:
-        raise ExprError(f"cannot compile {what}: nesting too deep") from None
+        raise CompileError(f"cannot compile {what}: nesting too deep") from None
     return ns[name]
 
 
@@ -482,7 +503,7 @@ def compile_fn(exprs, var_order, what="expressions"):
     compiles to a scalar-valued function, a list to a tuple-valued one.
     Values and EvalError messages match evaluate() exactly: the generated
     code does the same float operations in the same order.  what names the
-    expressions in the ExprError of source that CPython refuses.
+    expressions in the CompileError of source that CPython refuses.
     """
     single = not isinstance(exprs, (list, tuple))
     items = [exprs] if single else list(exprs)

@@ -182,11 +182,10 @@ class LinearizedData:
 
 def jacobian(exprs, vars_, point, labels=None):
     """Exact Jacobian of a vector expression map at point (the values of
-    vars_): each entry d exprs[i] / d vars_[j] is differentiated once by
-    expr.diff and evaluated.  An entry whose variable exprs[i] does not
-    contain is 0.0, the value of the Num(0) that diff folds it to.  An
-    entry that fails to evaluate or is not finite raises ModelError naming
-    vars_[j] and labels[i] (exprs[i]'s text if not given)."""
+    vars_): row i evaluates one expr.gradient of exprs[i]; an entry whose
+    variable exprs[i] does not contain is 0.0, what its Num(0) evaluates to.
+    An entry that fails to evaluate or is not finite raises ModelError
+    naming vars_[j] and labels[i] (exprs[i]'s text if not given)."""
     def failed(i, name, why):
         label = labels[i] if labels else expr.to_string(exprs[i])
         return ModelError(f"'{label}': derivative in {name}{why}")
@@ -194,12 +193,12 @@ def jacobian(exprs, vars_, point, labels=None):
     env = dict(zip(vars_, map(float, point)))
     J = np.zeros((len(exprs), len(vars_)))
     for i, e in enumerate(exprs):
-        names = expr.free_vars(e)
+        grad = expr.gradient(e, vars_)
         for j, name in enumerate(vars_):
-            if name not in names:
+            if name not in grad:
                 continue
             try:
-                J[i, j] = expr.evaluate(expr.diff(e, name), env)
+                J[i, j] = expr.evaluate(grad[name], env)
             except expr.EvalError as exc:
                 raise failed(i, name, f": {exc}") from exc
             if not math.isfinite(J[i, j]):

@@ -118,9 +118,10 @@ def _max_residuals(maps, fields, at, output, exo, samples, what):
     |output(w)|, with every expression compiled once (what names them in
     a compile error).  A NaN residual makes its maximum NaN."""
     wv = w_names(exo.p)
-    dynamics = [Bin("-", reduce(expr._add, [expr._mul(expr.diff(m, w), s)
+    dynamics = [Bin("-", reduce(expr._add, [expr._mul(dm.get(w, expr._ZERO), s)
                                             for w, s in zip(wv, exo.s)]),
-                    expr.substitute(f, at)) for m, f in zip(maps, fields)]
+                    expr.substitute(f, at))
+                for dm, f in zip((expr.gradient(m, wv) for m in maps), fields)]
     fn = expr.compile_fn(dynamics + [output], wv, what)
     rows = []
     for w in np.asarray(samples, dtype=float).tolist():

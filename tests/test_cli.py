@@ -528,11 +528,11 @@ def test_uncompilable_kernel_forks_no_encoder(tmp_path, capsys, encoder_forks):
     # 1001 rows, three blocks: an encoder process would fork, but the
     # kernel is generated first
     path = tmp_path / "deep.sys"
-    path.write_text(_DEEP_SUM)
+    path.write_text(_DEEP_POWER)
     out = tmp_path / "traj.csv"
     status, stdout, err = _run(capsys, "simulate", str(path), "--T", "0.1", "--out", str(out))
     assert (status, stdout, encoder_forks) == (2, "", [])
-    assert err == ("error: cannot compile the closed-loop RK4 kernel: "
+    assert err == (f"error: {path}: cannot compile the closed-loop RK4 kernel: "
                    "too many nested parentheses\n")
     assert not out.exists()
 
@@ -951,10 +951,10 @@ def test_controller_differentiated_once(capsys, monkeypatch, command):
 
 
 def test_diff_is_one_pass(monkeypatch):
-    # diff folds a subtree free of the variable to 0 on its own, so it never
-    # asks which variables a subtree holds; loading asks once per expression
-    # for the variable check and once for the Jacobian (free_vars' own
-    # recursion is not counted)
+    # gradient folds a subtree free of a variable to 0 on its own and finds
+    # the variables an expression holds as it walks it, so loading asks
+    # which variables an expression holds once, for the variable check
+    # (free_vars' own recursion is not counted)
     calls, running = [], []
     free_vars = expr.free_vars
 
@@ -970,8 +970,7 @@ def test_diff_is_one_pass(monkeypatch):
     monkeypatch.setattr(expr, "free_vars", spy)
     sf = examples.get("example53").load()
     plant, ctrl = sf.plant, sf.controller
-    assert calls == [*sf.exo.s, *sf.exo.s, *plant.f, plant.g, plant.q, *plant.f, plant.h,
-                     *ctrl.phi, ctrl.lam, *ctrl.phi, ctrl.lam]
+    assert calls == [*sf.exo.s, *plant.f, plant.g, plant.q, *ctrl.phi, ctrl.lam]
 
 
 def _key(M):
@@ -1085,9 +1084,23 @@ def test_example53_dump_is_the_same_under_haswell(haswell_kernel):
 
 _EXAMPLE51 = examples.get("example51").text
 _EXAMPLE52 = examples.get("example52").text
-# a flat sum of 250 terms: the generated source nests more than the 200
-# parentheses CPython's parser accepts
+# a flat sum of 250 terms: its generated source is one flat sum too
 _DEEP_SUM = _EXAMPLE51.replace("f1 = x2 - w1", "f1 = x2 - w1" + " + 0*x1" * 250)
+
+
+def _nested(v, depth):
+    """v - (v - (... - v)), depth parentheses deep."""
+    return f"{v} - (" * depth + v + ")" * depth
+
+
+# 120 parentheses in f1 and 120 in pi1: the residual f1(pi(w), ...) puts
+# pi1 inside f1, more than the 200 nested parentheses CPython's parser
+# accepts, while the kernel, which holds f1 alone, compiles
+_DEEP_RESIDUAL = (_EXAMPLE51.replace("f1 = x2 - w1", f"f1 = x2 - w1 + 0*({_nested('x1', 120)})")
+                  .replace("pi1 = 0", f"pi1 = 0*({_nested('w1', 120)})"))
+# x1^x1^...^x1 nests 210 calls of _pow in the kernel's source; 0 times it
+# is 0 at the origin, with derivative 0
+_DEEP_POWER = _EXAMPLE51.replace("f1 = x2 - w1", "f1 = x2 - w1 + 0*x1" + "^x1" * 210)
 # oscillators at 1 and 1.0000001 rad/s: specan.eigen counts them as one
 # eigenvalue, their mean, where Phi - lam*I has no null vector within the
 # Jordan structure's tolerance
@@ -1098,6 +1111,18 @@ _CLOSE_PAIRS = ("[plant]\nn = 2\nf1 = x2\nf2 = -x1 - x2 + u\ng = x1\n[reference]
 # u does not enter f, so the linear regulator equations have no solution
 _NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
              "[exosystem]\np = 2\ns1 = w2\ns2 = -w1\n")
+
+
+def test_deep_sum_simulates_as_example51(tmp_path, capsys):
+    # the kernel adds the 250 zero terms and changes no bit of the CSV
+    got = []
+    for name, text in (("deep", _DEEP_SUM), ("flat", _EXAMPLE51)):
+        path, out = tmp_path / f"{name}.sys", tmp_path / f"{name}.csv"
+        path.write_text(text)
+        status, stdout, err = _run(capsys, "simulate", str(path), "--T", "0.05",
+                                   "--ic=0.1,-0.2,0,0,0.3,0", "--out", str(out))
+        got.append((status, stdout.replace(str(out), "OUT"), err, out.read_bytes()))
+    assert got[0] == got[1] and got[0][0] == 0
 
 
 @pytest.mark.parametrize("argv, text, status, out, err", [
@@ -1159,12 +1184,24 @@ _NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
     pytest.param(("synthesize", "FILE", "--eps0", "1e308"), _EXAMPLE52, 1,
                  ("CHECK synthesis FAIL block 0: Bc overflows at eps = 1e+308",), "",
                  id="synthesize-overflowing-bc"),
-    pytest.param(("verify", "FILE"), _DEEP_SUM, 2, "",
-                 "error: cannot compile the regulator equation residuals: "
-                 "too many nested parentheses\n", id="verify-deep-generated-source"),
-    pytest.param(("simulate", "FILE", "--T", "0.01"), _DEEP_SUM, 2, "",
-                 "error: cannot compile the closed-loop RK4 kernel: "
+    pytest.param(("verify", "FILE"), _DEEP_RESIDUAL, 2, "",
+                 "error: FILE [regulator_solution]: cannot compile the regulator equation "
+                 "residuals: too many nested parentheses\n", id="verify-deep-generated-source"),
+    pytest.param(("simulate", "FILE", "--T", "0.01"), _DEEP_POWER, 2, "",
+                 "error: FILE: cannot compile the closed-loop RK4 kernel: "
                  "too many nested parentheses\n", id="simulate-deep-generated-source"),
+    # the 250 zero terms change no bit of example51's output
+    pytest.param(("verify", "FILE"), _DEEP_SUM, 0,
+                 lambda: _golden(openblas_kernel(), "verify", "example51").splitlines(), "",
+                 id="verify-deep-sum"),
+    pytest.param(("simulate", "FILE", "--T", "0.01"), _DEEP_RESIDUAL, 0,
+                 ("CHECK simulation_finite PASS -",), "", id="simulate-deep-residual"),
+    pytest.param(("simulate", "FILE"), _EXAMPLE51.split("[controller]")[0], 2, "",
+                 "error: FILE: simulate needs a [controller] section (run synthesize first)\n",
+                 id="simulate-without-controller"),
+    pytest.param(("simulate", "example52"), "", 2, "",
+                 "error: <builtin:example52>: simulate needs a [controller] section "
+                 "(run synthesize first)\n", id="simulate-builtin-without-controller"),
     pytest.param(("verify", "FILE"), _EXAMPLE52.split(
                      "[regulator_solution]")[0], 0,
                  ("note: [immersion] present without [regulator_solution]; "

@@ -94,13 +94,45 @@ def test_non_finite_literals_compile():
 
 def test_refused_source_is_an_expr_error():
     # CPython's parser refuses more than 200 nested parentheses and its
-    # compiler a flat sum of 3000 terms; both name what was being compiled
-    deep = parse("x1" + " + 0*x1" * 250)
-    with pytest.raises(expr.ExprError,
-                       match=r"^cannot compile the sum: too many nested parentheses$"):
-        compile_fn(deep, ("x1",), "the sum")
-    with pytest.raises(expr.ExprError, match=r"^cannot compile a flat sum: nesting too deep$"):
+    # compiler a flat sum of 3000 terms; both name what was being compiled.
+    # x1 - (x1 - (... - x1)), built without the parser, needs 210 of them
+    deep = Var("x1")
+    for _ in range(210):
+        deep = Bin("-", Var("x1"), deep)
+    with pytest.raises(expr.CompileError,
+                       match=r"^cannot compile the chain: too many nested parentheses$"):
+        compile_fn(deep, ("x1",), "the chain")
+    with pytest.raises(expr.CompileError, match=r"^cannot compile a flat sum: nesting too deep$"):
         expr._define("f", ["a"], ["return a" + " + 1.0" * 3000], "a flat sum")
+    assert issubclass(expr.CompileError, expr.ExprError)
+
+
+@pytest.mark.parametrize("text, source", [
+    ("(x1 - x2) - x1", "a - b - a"),
+    ("x1 - (x2 - x1)", "a - (b - a)"),
+    ("x1 + x2*x1", "a + b * a"),
+    ("(x1 + x2)*x1", "(a + b) * a"),
+    ("x1/(x2*x1)", "a / (b * a)"),
+    ("-x1*x2", "-a * b"),
+    ("-(x1*x2)", "-(a * b)"),
+    ("x1 * -2", "a * -2.0"),
+    ("--x1", "--a"),
+    ("-x1^2", "-a ** 2.0"),
+    ("(-x1)^2", "(-a) ** 2.0"),
+    ("(x1^2)^3", "(a ** 2.0) ** 3.0"),
+    ("x1^-2", "_pow(a, -2.0)"),
+    ("(x1 + 1)^x2", "_pow(a + 1.0, b)"),
+    ("sin(x1 - x2) - 1e999", "_f_sin(a - b) - _inf"),
+])
+def test_source_has_only_the_parentheses_python_needs(text, source):
+    assert expr._codegen(parse(text), {"x1": "a", "x2": "b"}) == source
+
+
+def test_flat_sum_source_is_flat():
+    # a left-nested chain needs no parentheses: 250 terms compile
+    flat = parse("x1" + " + 0*x1" * 250)
+    assert "(" not in expr._codegen(flat, {"x1": "a"})
+    assert compile_fn(flat, ("x1",))(2.0) == 2.0
 
 
 def test_free_vars():
