@@ -300,9 +300,9 @@ def cmd_simulate(args):
         except DivergenceError as exc:
             checks.add("simulation_bounded", False, exc.t)
             return checks.status
-        except expr.CompileError as exc:
+        except expr.ExprError as exc:
             # the kernel spans plant, controller and exosystem: no one section
-            raise expr.CompileError(f"{system}: {exc}") from None
+            raise expr.ExprError(f"{system}: {exc}") from None
         checks.add("simulation_finite", bool(np.all(np.isfinite(traj.e))), "-")
         final_rms, peak, settle = decay_metrics(traj, window=T / 5.0)
         print(f"final_rms = {final_rms:.17g}")

@@ -503,12 +503,15 @@ def compile_fn(exprs, var_order, what="expressions"):
     compiles to a scalar-valued function, a list to a tuple-valued one.
     Values and EvalError messages match evaluate() exactly: the generated
     code does the same float operations in the same order.  what names the
-    expressions in the CompileError of source that CPython refuses.
+    expressions in a CompileError (source too deep, or refused by CPython).
     """
     single = not isinstance(exprs, (list, tuple))
     items = [exprs] if single else list(exprs)
     argmap = {name: f"_a{i}" for i, name in enumerate(var_order)}
-    bodies = [_codegen(e, argmap) for e in items]
+    try:
+        bodies = [_codegen(e, argmap) for e in items]
+    except RecursionError:
+        raise CompileError(f"cannot compile {what}: nesting too deep") from None
     body = bodies[0] if single else "(" + ", ".join(bodies) + ("," if len(bodies) == 1 else "") + ")"
     return _define("_compiled", [argmap[name] for name in var_order], [f"return {body}"],
                    what)

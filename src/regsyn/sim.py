@@ -8,14 +8,16 @@ each row into one preallocated table in CSV column order; a bounded
 cache keyed on the generated source keeps the compiled functions.
 simulate runs the check-free function one CSV block of rows at a time,
 each call from the last row of the one before, and tests the divergence
-cap once per block with numpy; a block that fails the test runs again
-through the row-checked function, generated only then, which locates
-the divergence.  simulate can hand each block once final to one forked
-process (_CsvWorker) that encodes it into a memory file while the next
-block is integrated; the calling process then writes the CSV file from
-that text.  The integrator is deterministic: identical inputs produce
-bit-identical trajectories, equal to evaluating every expression with
-expr.evaluate, and the CSV bytes do not depend on who encodes them.
+cap once per block with numpy: the block's first row that fails the test
+is where the state diverged.  Only a block whose evaluation failed runs
+the checked function, generated only then, for the one step into that
+row, which locates a divergence or raises the error.  simulate can hand
+each block once final to one forked process (_CsvWorker) that encodes it
+into a memory file while the next block is integrated; the calling
+process then writes the CSV file from that text.  The integrator is
+deterministic: identical inputs produce bit-identical trajectories,
+equal to evaluating every expression with expr.evaluate, and the CSV
+bytes do not depend on who encodes them.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ def _check_grid(T, dt):
     return int(round(T / dt))
 
 
-def _rk4_kernel(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel, checks=None):
+def _rk4_kernel(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel, checked=False):
     """Generate the RK4 loop of the closed loop.
 
     The generated function takes the initial state as scalars, then steps,
@@ -179,17 +181,15 @@ def _rk4_kernel(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel, c
     C-contiguous float64 table; it never writes t.  Each stage evaluates
     u, f, e, phi + Bc e and s in that order, as evaluate() would, so
     trajectories and EvalError messages are those of a stage-by-stage
-    evaluate() loop; stage 1 reuses the u and e of the row.
+    evaluate() loop; stage 1 reuses the u and e of the row.  Each row's
+    state, e and u go into the table with one pack_into.
 
-    The check-free kernel (checks None) packs each row's state, e and u
-    with one pack_into, checks nothing and returns None; simulate tests
-    the cap on the rows afterwards.  With checks "rows" it packs the
-    state of row k, returns k as soon as a state component is NaN or
-    exceeds DIVERGENCE_CAP in magnitude (before the row's u and e are
-    evaluated), packs the row's e and u and returns -1 once every row is
-    written.  With checks "stages" the step from row k also returns k + 1
-    as soon as the input of its stage 2, 3 or 4 leaves that ball, before
-    the stage is evaluated.  No check changes a value."""
+    The check-free kernel checks nothing; simulate tests the cap on the
+    rows afterwards.  The checked kernel (checked true) is the same loop
+    with a test of the DIVERGENCE_CAP ball before each row's u and e and
+    on the input of stages 2, 3 and 4: it returns at the first state
+    outside that ball or with a NaN component.  No check changes a
+    value."""
     n = plant.n
     names = x_names(n) + xi_names(ctrl.nc) + w_names(exo.p)
     dim = len(names)
@@ -205,9 +205,10 @@ def _rk4_kernel(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel, c
                 [f"e{j} = {_codegen(plant.h, env)}"],
                 [f"k{j}_{n + i} = {v}" for i, v in enumerate(rhs)])
 
-    def bounded(z):
+    def check(z):
         # a NaN component fails every comparison, so it counts as diverged
-        return " and ".join(f"abs({v}) <= {_literal(DIVERGENCE_CAP)}" for v in z)
+        inside = " and ".join(f"abs({v}) <= {_literal(DIVERGENCE_CAP)}" for v in z)
+        return [f"if not ({inside}):", "    return"] if checked else []
 
     state = [f"s{i}" for i in range(dim)]
     u, f, e, rest = stage(1, state)
@@ -215,24 +216,16 @@ def _rk4_kernel(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel, c
     for j, h in ((2, "half"), (3, "half"), (4, "dt")):
         z = [f"y{j}_{i}" for i in range(dim)]
         step += [f"{z[i]} = s{i} + {h} * k{j - 1}_{i}" for i in range(dim)]
-        if checks == "stages":
-            step += [f"if not ({bounded(z)}):", "    return k + 1"]
+        step += check(z)
         for part in stage(j, z):
             step += part
     step += [f"s{i} = s{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
              for i in range(dim)]
     width = 8 * (dim + 3)
-    if checks is None:
-        # o: the byte offset of the row's state; the last row after the loop
-        row = [*u, *e, f"_pack_row(tab, o, {', '.join(state)}, e1, u1)"]
-        loop = [*row, f"o += {width}", *step]
-        body = ("o = 8", "for _ in range(steps):", *("    " + line for line in loop), *row)
-    else:
-        loop = [f"o = k * {width}", f"_pack_state(tab, o + 8, {', '.join(state)})",
-                f"if not ({bounded(state)}):", "    return k",
-                *u, *e, f"_pack_eu(tab, o + {8 * (dim + 1)}, e1, u1)", "if k == steps:",
-                "    break", *step]
-        body = ("for k in range(steps + 1):", *("    " + line for line in loop), "return -1")
+    # o: the byte offset of the row's state; the last row after the loop
+    row = [*check(state), *u, *e, f"_pack_row(tab, o, {', '.join(state)}, e1, u1)"]
+    loop = [*row, f"o += {width}", *step]
+    body = ("o = 8", "for _ in range(steps):", *("    " + line for line in loop), *row)
     return _compiled_kernel(dim, ("half = dt / 2.0", "sixth = dt / 6.0", *body))
 
 
@@ -243,9 +236,7 @@ def _compiled_kernel(dim, body):
     == Num(-0.0)), so the cache is keyed on the lines, not on the models."""
     state = [f"s{i}" for i in range(dim)]
     return _define("_rk4", state + ["steps", "dt", "tab"], body, "the closed-loop RK4 kernel",
-                   _pack_row=struct.Struct(f"{dim + 2}d").pack_into,
-                   _pack_state=struct.Struct(f"{dim}d").pack_into,
-                   _pack_eu=struct.Struct("2d").pack_into)
+                   _pack_row=struct.Struct(f"{dim + 2}d").pack_into)
 
 
 def simulate(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
@@ -260,13 +251,14 @@ def simulate(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
     The check-free kernel runs one CSV block of rows at a time, each call
     from the packed state of the last row the call before wrote, so every
     bit is that of one call.  One numpy test of the block's state columns
-    then takes the cap's place (NaN fails it).  A block that fails it, or
-    whose kernel raised EvalError, is integrated again from its first row
-    by the row-checked kernel, and on EvalError the step from its last
-    written row by the stage-checked kernel: those locate the divergence
-    or raise the error of a stage-by-stage loop, and are generated only
-    then.  With an encoder (a _CsvWorker), the table is the encoder's and
-    the rows of each block are handed to it once final."""
+    then takes the cap's place.  No check changes a value, so the first
+    row that fails it (NaN fails it, and so does a row the kernel left
+    unwritten, as the table starts NaN) is where a checked loop stops.
+    Only a block whose kernel raised EvalError runs the checked kernel,
+    generated only then, for the one step into that row (none into row
+    0): it stops at a divergence there or raises the error of a
+    stage-by-stage loop.  With an encoder (a _CsvWorker), the table is the
+    encoder's and the rows of each block are handed to it once final."""
     n, nc, p = plant.n, ctrl.nc, exo.p
     x0, xi0, w0 = (np.asarray(v, dtype=float) for v in (x0, xi0, w0))
     if x0.shape != (n,) or xi0.shape != (nc,) or w0.shape != (p,):
@@ -283,29 +275,23 @@ def simulate(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
     block = _block_rows(tab.shape[1])
     for start in range(0, steps, block):
         stop = min(start + block, steps)
+        failed = False
         try:
             kernel(*state, stop - start, dt, memoryview(tab[start:stop + 1]))
         except EvalError:
-            bounded = False
-        else:
-            bounded = (np.abs(tab[start:stop + 1, 1:-2]) <= DIVERGENCE_CAP).all()
-        if not bounded:
-            # rows start+1..stop go back to NaN, as the row-checked kernel
-            # found them before the check-free run wrote them
-            tab[start + 1:stop + 1, 1:] = np.nan
-            try:
-                k = _rk4_kernel(plant, exo, ctrl, "rows")(
-                    *state, stop - start, dt, memoryview(tab[start:stop + 1]))
-            except EvalError:
-                # every row written is finite: re-run the step from the last
-                # one with its stage inputs checked, which locates a
-                # divergence or raises the same error again
-                k = np.count_nonzero(~np.isnan(tab[start:, 1])) - 1
-                k += _rk4_kernel(plant, exo, ctrl, "stages")(
-                    *tab[start + k, 1:-2].tolist(), 1, dt,
-                    memoryview(tab[start + k:start + k + 2]))
-            if k >= 0:
-                raise DivergenceError((start + k) * dt)
+            failed = True
+        bounded = np.abs(tab[start:stop + 1, 1:-2]) <= DIVERGENCE_CAP
+        if failed or not bounded.all():
+            k = int(np.argmin(bounded.all(axis=1)))
+            if failed:
+                # row k - 1 is bounded: the step into row k, checked,
+                # stops at the cap or raises the error (at k = 0, row 0's
+                # test and outputs alone)
+                j = max(k - 1, 0)
+                _rk4_kernel(plant, exo, ctrl, True)(
+                    *(tab[start + j, 1:-2].tolist() if j else state), k - j, dt,
+                    memoryview(tab[start + j:start + k + 1]))
+            raise DivergenceError((start + k) * dt)
         state = tab[stop, 1:-2].tolist()
         if encoder is not None:
             encoder.ready(stop + 1)

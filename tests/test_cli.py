@@ -279,7 +279,7 @@ def test_simulate_eval_error_mid_run(tmp_path):
                 "--ic", "0.1,0,0")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: sqrt of negative value ")
+    assert proc.stderr.startswith(f"error: {path}: sqrt of negative value ")
     assert proc.stdout == ""
 
 
@@ -520,7 +520,8 @@ def test_failed_simulate_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, enc
                             *argv, "--out", str(out))
     assert got == status and len(encoder_forks) == 1
     assert (stdout, err) == (("CHECK simulation_bounded FAIL 0.253\n", "") if status == 1
-                             else ("", "error: sqrt of negative value -8.359348167008562e-07\n"))
+                             else ("", f"error: {path}: sqrt of negative value "
+                                   "-8.359348167008562e-07\n"))
     assert out.read_bytes() == b"kept\r\n"
 
 
@@ -1098,6 +1099,10 @@ def _nested(v, depth):
 # accepts, while the kernel, which holds f1 alone, compiles
 _DEEP_RESIDUAL = (_EXAMPLE51.replace("f1 = x2 - w1", f"f1 = x2 - w1 + 0*({_nested('x1', 120)})")
                   .replace("pi1 = 0", f"pi1 = 0*({_nested('w1', 120)})"))
+# 600 zero terms in f1 and 600 in pi1: the residual f1(pi(w), ...) is a
+# tree too deep for the recursion that generates its source
+_DEEP_TREE = (_EXAMPLE51.replace("f1 = x2 - w1", "f1 = x2 - w1" + " + 0*x1" * 600)
+              .replace("pi1 = 0", "pi1 = 0" + " + 0*w1" * 600))
 # x1^x1^...^x1 nests 210 calls of _pow in the kernel's source; 0 times it
 # is 0 at the origin, with derivative 0
 _DEEP_POWER = _EXAMPLE51.replace("f1 = x2 - w1", "f1 = x2 - w1 + 0*x1" + "^x1" * 210)
@@ -1187,6 +1192,9 @@ def test_deep_sum_simulates_as_example51(tmp_path, capsys):
     pytest.param(("verify", "FILE"), _DEEP_RESIDUAL, 2, "",
                  "error: FILE [regulator_solution]: cannot compile the regulator equation "
                  "residuals: too many nested parentheses\n", id="verify-deep-generated-source"),
+    pytest.param(("verify", "FILE"), _DEEP_TREE, 2, "",
+                 "error: FILE [regulator_solution]: cannot compile the regulator equation "
+                 "residuals: nesting too deep\n", id="verify-deep-residual-tree"),
     pytest.param(("simulate", "FILE", "--T", "0.01"), _DEEP_POWER, 2, "",
                  "error: FILE: cannot compile the closed-loop RK4 kernel: "
                  "too many nested parentheses\n", id="simulate-deep-generated-source"),

@@ -321,13 +321,13 @@ def test_builtin_gradients_and_sources_match_the_references(name):
 
 
 @pytest.mark.parametrize("name", ["example51", "example53"])
-@pytest.mark.parametrize("checks", [None, "rows", "stages"])
-def test_rk4_kernel_matches_the_parenthesized_kernel(monkeypatch, name, checks):
+@pytest.mark.parametrize("checked", [False, True])
+def test_rk4_kernel_matches_the_parenthesized_kernel(monkeypatch, name, checked):
     # the kernel's own templates (phi + Bc * e, say) wrap generated source
     sf = examples.get(name).load()
     compiled = sim._compiled_kernel.__wrapped__
     monkeypatch.setattr(sim, "_compiled_kernel", lambda dim, body: compiled(dim, body))
-    got = sim._rk4_kernel(sf.plant, sf.exo, sf.controller, checks)
+    got = sim._rk4_kernel(sf.plant, sf.exo, sf.controller, checked)
     monkeypatch.setattr(sim, "_codegen", _reference_codegen)
-    want = sim._rk4_kernel(sf.plant, sf.exo, sf.controller, checks)
+    want = sim._rk4_kernel(sf.plant, sf.exo, sf.controller, checked)
     _same_code(got.__code__, want.__code__)

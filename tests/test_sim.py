@@ -188,9 +188,14 @@ def test_simulate_holds_one_table():
     ("-x1 + u + sqrt(1 + x1) - 1", -2.0, "sqrt of negative value -1.0"),
     ("-x1 + u + x1^400", 10.0, "Numerical result out of range"),
     ("-x1 + u + abs(x1)^2.5 + x1^2.5", -1.0, "fractional power of negative base"),
+    # (f1, g): the output fails at the bounded initial state, before any
+    # step, so the checked kernel runs no step
+    pytest.param(("-x1 + u", "sqrt(1 + x1) - 1"), -2.0, "sqrt of negative value -1.0",
+                 id="output-at-the-initial-state"),
 ])
 def test_kernel_domain_errors_match_evaluate(f1, x1, message):
-    plant = PlantModel.from_strings([f1], "x1", "0", 1)
+    f1, g = (f1, "x1") if isinstance(f1, str) else f1
+    plant = PlantModel.from_strings([f1], g, "0", 1)
     exo = ExosystemModel.from_strings(["0"])
     ctrl = ControllerModel.from_strings(["0"], "0", [0.0])
     with pytest.raises(EvalError) as got:
@@ -198,7 +203,9 @@ def test_kernel_domain_errors_match_evaluate(f1, x1, message):
     with pytest.raises(EvalError) as want:
         _ref_simulate(plant, exo, ctrl, (x1,), (0.0,), (0.0,), T=0.1, dt=1e-2)
     with pytest.raises(EvalError) as direct:
-        evaluate(plant.f[0], {"x1": x1, "u": 0.0, "w1": 0.0})
+        env = {"x1": x1, "u": 0.0, "w1": 0.0}
+        evaluate(plant.f[0], env)
+        evaluate(plant.h, env)
     assert str(got.value) == str(want.value) == str(direct.value)
     assert message in str(got.value)
 
@@ -400,27 +407,39 @@ _SQRT_LOOP = ("x1 + sqrt(1 - x1) - 1 + u", (0.1,), (0.0,), (0.0,), 10.0, 0.01)
 def test_kernel_blocks_keep_every_bit(monkeypatch, rows):
     # the kernel runs a CSV block of rows per call, each from the packed
     # last row of the call before: a run, a divergence located by the
-    # stage-checked re-run at row 253 and an evaluation error give the
-    # results of one call whatever the block, boundary rows included
+    # checked step at row 253, an evaluation error in a stage and one in
+    # the output of row 253 alone give the results of one call whatever
+    # the block, boundary rows included (row 253 ends a block of 253 rows
+    # and follows the first row of a block of 252)
     sf, ic = _example("example51")
     cases = [(sf.plant, sf.exo, sf.controller, *ic, 2.0, 1e-3),
              (sf.plant, sf.exo, sf.controller, (-1.0, -1.0), (-1.0, -1.0), (-1.0, -1.0),
               1.0, 1e-3)]
     f1, *sqrt_args = _SQRT_LOOP
-    sqrt_case = (PlantModel.from_strings([f1], "x1", "0", 1),
-                 ExosystemModel.from_strings(["0"]),
-                 ControllerModel.from_strings(["0"], "xi1", [0.0]), *sqrt_args)
+    exo = ExosystemModel.from_strings(["0"])
+    ctrl = ControllerModel.from_strings(["0"], "xi1", [0.0])
+    sqrt_case = (PlantModel.from_strings([f1], "x1", "0", 1), exo, ctrl, *sqrt_args)
+    # e = x1 fails within 1e-15 of row 253's state, which no stage input
+    # of the run comes near
+    growth = (exo, ctrl, (0.1,), (0.0,), (0.0,), 1.0, 1e-3)
+    c = float(simulate(PlantModel.from_strings(["x1 + u"], "x1", "0", 1), *growth).x[253, 0])
+    output_case = (PlantModel.from_strings(["x1 + u"], f"x1 + 0*sqrt(abs(x1 - {c!r}) - 1e-15)",
+                                           "0", 1), *growth)
 
     def outcomes():
         traj = simulate(*cases[0])
         with pytest.raises(DivergenceError) as diverged:
             simulate(*cases[1])
-        with pytest.raises(EvalError) as failed:
-            simulate(*sqrt_case)
-        return traj.table.tobytes(), diverged.value.t, str(failed.value)
+        failed = []
+        for case in (sqrt_case, output_case):
+            with pytest.raises(EvalError) as got:
+                simulate(*case)
+            failed.append(str(got.value))
+        return traj.table.tobytes(), diverged.value.t, failed
 
     whole = outcomes()
-    assert whole[1] == 0.253 and whole[2].startswith("sqrt of negative value ")
+    assert whole[1] == 0.253 and whole[2][0].startswith("sqrt of negative value ")
+    assert whole[2][1] == "sqrt of negative value -1e-15"
     monkeypatch.setattr(sim, "CSV_BLOCK_VALUES", 9 * rows)
     assert sim._block_rows(9) == rows
     assert outcomes() == whole
@@ -449,41 +468,30 @@ def _peak(row, column):
             (-1.0, row, top))
 
 
-def _row_checked(plant, exo, ctrl, x0, xi0, w0, T, dt):
-    """(table, k) of one call of the row-checked kernel over the whole run,
-    as simulate ran it before it tested the cap once per block."""
-    steps = int(round(T / dt))
-    tab = np.full((steps + 1, plant.n + ctrl.nc + exo.p + 3), np.nan)
-    np.multiply(np.arange(steps + 1), dt, out=tab[:, 0])
-    kernel = sim._rk4_kernel(plant, exo, ctrl, "rows")
-    return tab, kernel(*x0, *xi0, *w0, steps, dt, memoryview(tab))
-
-
 @pytest.mark.parametrize("rows", [1, 2, 7, 333])
 @pytest.mark.parametrize("where", ["first", "last"])
 @pytest.mark.parametrize("column", ["x1", "w3"])
 def test_block_cap_test_finds_the_row_the_checked_kernel_finds(monkeypatch, rows, where,
                                                                column):
     # the check-free kernel runs a whole block, then one numpy test of its
-    # state columns stands for the cap: a block with one row past it, its
-    # first new row or its last, is run again row-checked and gives the
-    # table, time and message of one row-checked call, also where the run
-    # ends on that row
+    # state columns stands for the cap: the first row that fails it, the
+    # block's first new row or its last, is the row where the reference
+    # loop stops, with its time and message, also where the run ends on
+    # that row; the run that ends before it is the reference's table
     row = rows + 1 if where == "first" else 2 * rows   # of the second block
     args = _peak(row, column)
     cols = 1 + sum(len(v) for v in args[3:]) + 2
     monkeypatch.setattr(sim, "CSV_BLOCK_VALUES", cols * rows)
     assert sim._block_rows(cols) == rows
     bounded = simulate(*args, T=row - 1, dt=1.0)
-    tab, k = _row_checked(*args, T=row - 1, dt=1.0)
-    assert k == -1 and bounded.table.tobytes() == tab.tobytes()
+    ref = np.column_stack([np.arange(row), *_ref_simulate(*args, T=row - 1, dt=1.0)])
+    assert bounded.table.tobytes() == ref.tobytes()
     for T in (row, row + 2 * rows):
         with pytest.raises(DivergenceError) as got:
             simulate(*args, T=T, dt=1.0)
         with pytest.raises(SimulationError) as want:
             _ref_simulate(*args, T=T, dt=1.0)
-        assert _row_checked(*args, T=T, dt=1.0)[1] == row == got.value.t
-        assert str(got.value) == str(want.value)
+        assert got.value.t == row and str(got.value) == str(want.value)
     # the column is the parabola, so the rows beside `row` are inside the cap
     tab = np.empty((row + 2, cols))
     sim._rk4_kernel(*args[:3])(*args[3], *args[4], *args[5], row + 1, 1.0, memoryview(tab))
@@ -494,7 +502,8 @@ def test_block_cap_test_finds_the_row_the_checked_kernel_finds(monkeypatch, rows
 def test_divergence_precedes_a_later_evaluation_error_in_its_block(monkeypatch):
     # the state leaves the cap at row 100 of a 333-row block and the output
     # sqrt fails three steps later: the check-free kernel raises EvalError
-    # past the cap, and the re-run reports the divergence at row 100
+    # past the cap, and its first row past the cap, redone by the checked
+    # step from row 99, is the divergence
     monkeypatch.setattr(sim, "CSV_BLOCK_VALUES", 6 * 333)
     c = DIVERGENCE_CAP + 3
     args = _ramp(100, g=f"sqrt({c!r} - x1) - sqrt({c!r})")
@@ -521,8 +530,9 @@ def _kernels_defined(monkeypatch):
     return defined
 
 
-def _row_checks(body):
-    return sum(line.strip() == "return k" for line in body)
+def _checks(body):
+    """The cap tests of a kernel's source lines, each ending in a return."""
+    return sum(line.strip() == "return" for line in body)
 
 
 @pytest.mark.parametrize("name", ["example51", "example53"])
@@ -532,19 +542,28 @@ def test_bounded_run_compiles_only_the_check_free_kernel(monkeypatch, name):
     defined = _kernels_defined(monkeypatch)
     simulate(sf.plant, sf.exo, sf.controller, *ex.default_ic, T=2000 * ex.default_dt,
              dt=ex.default_dt)
-    assert len(defined) == 1 and _row_checks(defined[0]) == 0
+    assert len(defined) == 1 and _checks(defined[0]) == 0
 
 
-def test_diverging_run_compiles_one_row_checked_kernel(monkeypatch):
+def test_only_an_evaluation_error_compiles_the_checked_kernel(monkeypatch):
+    # the block test locates a divergence alone; an evaluation error
+    # compiles the checked kernel, with a test before each row, on each of
+    # the inputs of stages 2, 3 and 4 and before the row after the loop
     defined = _kernels_defined(monkeypatch)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError) as got:
         simulate(*_ramp(50), T=100.0, dt=1.0)
-    assert [_row_checks(body) for body in defined] == [0, 1]
+    assert got.value.t == 50.0
+    assert [_checks(body) for body in defined] == [0]
+    f1, *args = _SQRT_LOOP
+    with pytest.raises(EvalError):
+        simulate(PlantModel.from_strings([f1], "x1", "0", 1), ExosystemModel.from_strings(["0"]),
+                 ControllerModel.from_strings(["0"], "xi1", [0.0]), *args)
+    assert [_checks(body) for body in defined] == [0, 0, 5]
 
 
 def test_state_on_the_cap_is_bounded(monkeypatch):
-    # |state| <= CAP is bounded, in both tests, and the block test passes
-    # it without a row-checked re-run
+    # |state| <= CAP is bounded: the block test passes it, and no checked
+    # kernel is compiled
     plant = PlantModel.from_strings(["0"], "x1", "0", 1)
     exo = ExosystemModel.from_strings(["0"])
     ctrl = ControllerModel.from_strings(["0"], "0", [0.0])
@@ -552,7 +571,7 @@ def test_state_on_the_cap_is_bounded(monkeypatch):
     traj = simulate(plant, exo, ctrl, (DIVERGENCE_CAP,), (0.0,), (-DIVERGENCE_CAP,), T=3.0,
                     dt=1.0)
     assert (traj.x == DIVERGENCE_CAP).all() and (traj.w == -DIVERGENCE_CAP).all()
-    assert [_row_checks(body) for body in defined] == [0]
+    assert [_checks(body) for body in defined] == [0]
     with pytest.raises(DivergenceError) as got:
         simulate(plant, exo, ctrl, (0.0,), (0.0,), (-np.nextafter(DIVERGENCE_CAP, math.inf),),
                  T=3.0, dt=1.0)
