@@ -25,6 +25,7 @@ import os
 import signal
 import sys
 import threading
+import warnings
 
 import numpy as np
 
@@ -170,13 +171,18 @@ def cmd_verify(args):
     absc = specan.spectral_abscissa(lin.A)
     sp = specan.eigen(lin.S)
     off_axis = max(abs(v.real) for v in sp.eigenvalues)
-    M = np.block([[lin.A, lin.P], [np.zeros((lin.p, lin.n)), lin.S]])
+    n, p = lin.n, lin.p
+    M = np.zeros((n + p, n + p))
+    M[:n, :n], M[:n, n:], M[n:, n:] = lin.A, lin.P, lin.S
     Cm = np.hstack([lin.C, lin.Q])
     combined = specan.hautus_detectable(Cm, M, specan.eigen(M))
     im = synth.InternalModel.from_controller(_internal_model(sf, lin))
     flags = synth.verify_conditions(lin, im, absc)
     if sf.controller is not None:
-        cl_absc = specan.spectral_abscissa(synth.closed_loop_matrix(lin, im))
+        try:
+            cl_absc = specan.spectral_abscissa(synth.closed_loop_matrix(lin, im))
+        except specan.SpectralError:  # its products overflow: a failed check
+            cl_absc = math.nan
     residuals = {}  # check name -> residual
     sol = sf.regulator_solution
     if sol is not None:
@@ -203,8 +209,9 @@ def cmd_verify(args):
     checks.add("internal_model_detectable", flags.detectable, "-")
     checks.add("internal_model_spectrum_on_axis", flags.spectrum_on_axis, "-")
     for z, g in sorted(flags.tf_values.items(), key=lambda t: t[0].imag):
-        print(f"G({z.imag:.17g}i) = {g.real:.17g} + {g.imag:.17g}i  |G| = {abs(g):.17g}")
-    min_g = min((abs(g) for g in flags.tf_values.values()), default=math.inf)
+        print(f"G({z.imag:.17g}i) = {g.real:.17g} + {g.imag:.17g}i  "
+              f"|G| = {specan._modulus(g):.17g}")
+    min_g = min(map(specan._modulus, flags.tf_values.values()), default=math.inf)
     checks.add("transfer_function_nonzero", flags.tf_nonzero, min_g)
     if sf.controller is not None:
         checks.add("closed_loop_stable", cl_absc < 0, cl_absc)
@@ -492,8 +499,12 @@ def main(argv=None):
         for signum in old:
             _signal.signal(signum, _unwind)
         # looked up per call: the cached parser must not pin the command
-        # functions that were current when it was built
-        status = globals()[f"cmd_{args.command}"](args)
+        # functions that were current when it was built.  The checks read
+        # an overflow from the values, so numpy's warning of it is dropped
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "(overflow|invalid value|divide by zero|underflow) "
+                                    "encountered", RuntimeWarning)
+            status = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()
         return status
     except (sysfile.SysFileError, model.ModelError, regeq.RegulatorError,

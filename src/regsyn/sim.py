@@ -458,15 +458,19 @@ def _write_csv(path, header, table, start=0, text=None):
     "%.17g" % v and CRLF line ends: the text of its first start rows is
     the first size bytes of the file descriptor fd of text = (fd, size),
     and the rest are encoded a block of about CSV_BLOCK_VALUES values at a
-    time.  A block of a C-contiguous table is a view, so no copy of the
-    whole table is made."""
+    time; a remainder under a quarter block joins the block before it,
+    sparing one fixed cost of _encode_rows.  A block of a C-contiguous
+    table is a view, so no copy of the whole table is made."""
     block = _block_rows(len(header))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         if text is not None:
             _copy_text(fh, *text)
-        for at in range(start, len(table), block):
-            fh.write(_encode_rows(table[at:at + block]))
+        at = start
+        while at < len(table):
+            stop = at + block if len(table) - at - block >= block // 4 else len(table)
+            fh.write(_encode_rows(table[at:stop]))
+            at = stop
 
 
 def _copy_text(fh, fd, size):

@@ -9,6 +9,7 @@ toolkit relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,19 +40,37 @@ class Spectrum:
     radius: float
 
 
-def _cluster(values, radius):
-    """Greedy clustering of complex values; returns (centers, counts)."""
-    centers, members = [], []
+def _norm_inf(M):
+    """np.linalg.norm(M, inf) by the one reduction it runs."""
+    return float(np.abs(M).sum(axis=1).max())
+
+
+def _modulus(z):
+    """abs(z), or numpy's inf where Python's abs of a finite complex
+    overflows and raises."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _cluster(values, radius, complex_mean):
+    """Greedy clustering of complex values into [center, sum, count]
+    lists.  A center is the running sum of its members over their count,
+    divided with complex_mean as numpy divides a complex128 by a count
+    (Python's division rounds otherwise)."""
+    clusters = []
     for v in sorted(values, key=lambda z: (z.real, z.imag)):
-        for k, c in enumerate(centers):
-            if abs(v - c) <= radius:
-                members[k].append(v)
-                centers[k] = sum(members[k]) / len(members[k])
+        for cl in clusters:
+            if _modulus(v - cl[0]) <= radius:
+                s, n = cl[1] + v, cl[2] + 1
+                r = 1.0 / n
+                cl[:] = (complex((s.real + s.imag * 0.0) * r, (s.imag - s.real * 0.0) * r)
+                         if complex_mean else s / n), s, n
                 break
         else:
-            centers.append(v)
-            members.append([v])
-    return centers, [len(m) for m in members]
+            clusters.append([v, (0j if complex_mean else 0.0) + v, 1])
+    return clusters
 
 
 def eigen(M) -> Spectrum:
@@ -59,22 +78,21 @@ def eigen(M) -> Spectrum:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
         raise SpectralError("expected a square matrix of dimension >= 1")
-    if not np.all(np.isfinite(M)):
+    norm = _norm_inf(M)
+    # a finite norm has finite entries; finite rows may sum past the range
+    if not math.isfinite(norm) and not np.isfinite(M).all():
         raise SpectralError("matrix has non-finite entries")
-    radius = 1e-6 * (1.0 + float(np.linalg.norm(M, np.inf)))
-    centers, counts = _cluster(np.linalg.eigvals(M), radius)
+    radius = 1e-6 * (1.0 + norm)
+    w = np.linalg.eigvals(M)
     # snap near-real clusters to the real axis; mirror conjugate pairs
-    out = []
-    for c, m in zip(centers, counts):
-        if abs(c.imag) <= radius:
-            c = complex(c.real, 0.0)
-        out.append((c, m))
+    out = [(complex(c.real, 0.0) if abs(c.imag) <= radius else c, m)
+           for c, _, m in _cluster(w.tolist(), radius, w.dtype.kind == "c")]
     used = [False] * len(out)
     for i, (c, m) in enumerate(out):
         if used[i] or c.imag <= 0:
             continue
         for j, (c2, m2) in enumerate(out):
-            if not used[j] and c2.imag < 0 and abs(c2 - c.conjugate()) <= 2 * radius:
+            if not used[j] and c2.imag < 0 and _modulus(c2 - c.conjugate()) <= 2 * radius:
                 mid = complex((c.real + c2.real) / 2, (c.imag - c2.imag) / 2)
                 out[i], out[j] = (mid, m), (mid.conjugate(), m2)
                 used[i] = used[j] = True
@@ -96,22 +114,32 @@ def hautus_detectable(Cm, M, sp: Spectrum) -> bool:
     k = M.shape[0]
     if Cm.shape[1] != k:
         raise SpectralError("dimension mismatch in Hautus test")
-    thresh = HAUTUS_TOL * float(np.linalg.norm(M, np.inf))
+    thresh = HAUTUS_TOL * _norm_inf(M)
+    stacked = np.empty((k + Cm.shape[0], k), dtype=complex)  # [M - lam*I; Cm]
+    stacked[k:] = Cm
+    eye = np.eye(k)
     for lam in sp.eigenvalues:
         if lam.real < -sp.radius:
             continue
-        stacked = np.vstack([M - lam * np.eye(k), Cm.astype(complex)])
+        np.subtract(M, lam * eye, out=stacked[:k])
         smin = np.linalg.svd(stacked, compute_uv=False)[-1]
         if not smin > thresh:
             return False
     return True
 
 
+def _cond(M) -> float:
+    """np.linalg.cond(M) from its one SVD: s[0] / s[-1], inf for s[-1] = 0
+    and for a NaN ratio of a matrix without NaN entries."""
+    s = np.linalg.svd(M, compute_uv=False).tolist()
+    r = s[0] / s[-1] if s[-1] != 0 else math.inf
+    return math.inf if r != r and not np.isnan(M).any() else r
+
+
 def transfer_function(lin: LinearizedData, z: complex) -> complex:
     """G(z) = C (zI - A)^{-1} B + D, by one linear solve."""
-    A = lin.A
-    zIA = z * np.eye(lin.n) - A
-    if np.linalg.cond(zIA) > COND_CAP:
+    zIA = z * np.eye(lin.n) - lin.A
+    if _cond(zIA) > COND_CAP:
         raise SpectralError(f"z = {z} is too close to an eigenvalue of A")
     x = np.linalg.solve(zIA, lin.B.astype(complex))
     return complex((lin.C @ x)[0, 0] + lin.D[0, 0])
@@ -169,9 +197,10 @@ def jordan_structure(S, sp: Spectrum, tol=1e-8) -> JordanData:
         raise SpectralError("multiplicities inconsistent with conjugate pairing")
 
     blocks = []  # (eigenvalue, chain) in the column order of JordanData
+    Sc, eye = S.astype(complex), np.eye(p)
     for alpha, m in pos:
         lam = 1j * alpha
-        E = S.astype(complex) - lam * np.eye(p)
+        E = Sc - lam * eye
         _, sv, Vh = np.linalg.svd(E)
         kernel_dim = int(np.sum(sv <= tol * max(1.0, sv[0])))
         if kernel_dim != 1:
@@ -193,9 +222,8 @@ def jordan_structure(S, sp: Spectrum, tol=1e-8) -> JordanData:
     inner = [float(k > 0) for _, chain in blocks for k in range(len(chain))]
     # superdiagonal 1s inside each block, none between two blocks
     J = np.diag(np.asarray(eigs, dtype=complex)) + np.diag(inner[1:], 1)
-    if np.linalg.cond(T) > COND_CAP:
+    if _cond(T) > COND_CAP:
         raise SpectralError("ill-conditioned generalized eigenvector matrix")
-    nS = float(np.linalg.norm(S, np.inf))
-    if np.linalg.norm(S @ T - T @ J, np.inf) > 1e-8 * max(nS, 1.0):
+    if _norm_inf(S @ T - T @ J) > 1e-8 * max(_norm_inf(S), 1.0):
         raise SpectralError("Jordan factorization residual too large")
     return JordanData(freqs, mults, T, J)

@@ -8,6 +8,7 @@ regulator equations for (Pi, Gamma).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import reduce
 
@@ -82,9 +83,11 @@ class SynthesisReport:
 def closed_loop_matrix(lin: LinearizedData, im: InternalModel) -> np.ndarray:
     """State matrix [[A, B*Lambda], [Bc*C, Phi + Bc*D*Lambda]] of the
     linearized unforced closed loop."""
-    top = np.hstack([lin.A, lin.B @ im.Lambda])
-    bot = np.hstack([im.Bc @ lin.C, im.Phi + im.Bc @ lin.D @ im.Lambda])
-    return np.vstack([top, bot])
+    n = lin.n
+    out = np.empty((n + im.nu, n + im.nu))
+    out[:n, :n], out[:n, n:] = lin.A, lin.B @ im.Lambda
+    out[n:, :n], out[n:, n:] = im.Bc @ lin.C, im.Phi + im.Bc @ lin.D @ im.Lambda
+    return out
 
 
 def verify_conditions(lin: LinearizedData, im: InternalModel,
@@ -108,7 +111,7 @@ def verify_conditions(lin: LinearizedData, im: InternalModel,
             tf_nonzero = False
             continue
         tf_values[z] = g
-        if abs(g) <= TF_ZERO_TOL:
+        if not TF_ZERO_TOL < specan._modulus(g) < math.inf:  # NaN, inf or too large
             tf_nonzero = False
     return ConditionFlags(plant_stable, detectable, tf_nonzero, on_axis, sp, tf_values)
 
@@ -244,8 +247,8 @@ def solve_linear_regulator(lin: LinearizedData):
     bot = np.hstack([np.kron(Ip, lin.C), lin.D[0, 0] * Ip])
     Msys = np.vstack([top, bot])
     rhs = np.concatenate([lin.P.flatten(order="F"), -lin.Q.ravel()])
-    cond = np.linalg.cond(Msys)
-    if not np.isfinite(cond) or cond > specan.COND_CAP:
+    cond = specan._cond(Msys)
+    if not cond <= specan.COND_CAP:
         raise SynthesisError(
             f"linearized regulator system is singular or ill-conditioned (cond ~ {cond:.3e})")
     sol = np.linalg.solve(Msys, rhs)

@@ -158,6 +158,36 @@ def test_synthesize_overflowing_gain_is_a_failed_check(tmp_path, capsys):
     assert "CHECK synthesis FAIL |G|^2 overflows at block frequency" in out.splitlines()
 
 
+# |G(i)| = |1.7e308/(1 + i) + 0.8e308| overflows, though G itself is finite
+_MODULUS_OVERFLOWS = ("[plant]\nn = 1\nf1 = -x1 + u\ng = 1.7e308*x1 + 0.8e308*u\n"
+                      "[reference]\nq = w1\n[exosystem]\np = 2\ns1 = w2\ns2 = -w1\n"
+                      "[controller]\nnc = 2\nphi1 = xi2\nphi2 = -xi1\nlam = xi1\nbc = 0, 0\n")
+_SYNTHESIS_FAILS = ("CHECK transfer_function_nonzero FAIL -",
+                    "CHECK synthesis FAIL verification failed: tf_nonzero")
+
+
+@pytest.mark.parametrize("text, command, lines", [
+    pytest.param(examples.get("example53").text.replace("\ng = x1\n", "\ng = 1e308*x1\n"),
+                 "verify", ("CHECK transfer_function_nonzero FAIL inf",
+                            "CHECK closed_loop_stable FAIL nan"), id="verify-huge-gain"),
+    pytest.param(examples.get("example53").text.replace("\ng = x1\n", "\ng = 1e308*x1\n"),
+                 "synthesize", _SYNTHESIS_FAILS, id="synthesize-huge-gain"),
+    pytest.param(_MODULUS_OVERFLOWS, "verify", ("CHECK transfer_function_nonzero FAIL inf",),
+                 id="verify-modulus-overflows"),
+    pytest.param(_MODULUS_OVERFLOWS, "synthesize", _SYNTHESIS_FAILS,
+                 id="synthesize-modulus-overflows")])
+def test_non_finite_transfer_function_is_a_failed_check(tmp_path, text, command, lines):
+    # example53 with g = 1e308*x1: every Jacobian entry is finite, but G =
+    # C (zI - A)^-1 B and the closed loop's Bc*C overflow.  A non-finite G
+    # or |G| fails its check, the closed loop's abscissa is NaN, and no
+    # numpy warning or traceback reaches stderr
+    path = tmp_path / "gain.sys"
+    path.write_text(text)
+    proc = _cli(command, str(path))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert set(lines) <= set(proc.stdout.splitlines()), proc.stdout
+
+
 def test_simulate_zero_ic_all_zero(tmp_path, capsys):
     csv_path = tmp_path / "traj.csv"
     status, out, _ = _run(capsys, "simulate", "example51",

@@ -5,13 +5,15 @@ synthesis options.
 Whatever the input, every command must end in exit status 0, 1 or 2 with
 no exception escaping `cli.main`, and a rejected input must be named in
 the message: the file, or the option.  A mutated file that ends in exit
-status 2 must leave stdout empty.
+status 2 must leave stdout empty and name the file, and on any exit its
+stderr holds that one error line and no warning.
 """
 
 import contextlib
 import io
 import os
 import tempfile
+import warnings
 
 import pytest
 
@@ -67,6 +69,8 @@ def _mutated_dumps(draw):
 _P0 = ("[plant]\nn = 1\nf1 = -x1 + u\ng = x1\n[reference]\nq = 0\n"
        "[exosystem]\np = 0\n")
 _HUGE_GAIN = examples.get("example52").text.replace("\ng = x1\n", "\ng = 1e308*x1\n")
+# G and the closed loop's Bc*C overflow: failed checks, no numpy warning
+_HUGE_GAIN53 = examples.get("example53").text.replace("\ng = x1\n", "\ng = 1e308*x1\n")
 
 
 @hypothesis.settings(max_examples=150, deadline=None,
@@ -74,6 +78,7 @@ _HUGE_GAIN = examples.get("example52").text.replace("\ng = x1\n", "\ng = 1e308*x
 @hypothesis.given(_mutated_dumps())
 @hypothesis.example(_P0)
 @hypothesis.example(_HUGE_GAIN)
+@hypothesis.example(_HUGE_GAIN53)
 def test_mutated_file_never_escapes(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "mutated.sys")
@@ -87,15 +92,20 @@ def test_mutated_file_never_escapes(text):
             assert str(exc).startswith(path), exc
         for command in _COMMANDS:
             out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 status = cli.main([command[0], path, *command[1:]])
             assert status in (0, 1, 2), (command, status)
+            # stderr holds the one error line of an exit 2 and nothing else
+            assert caught == [], (command, [str(w.message) for w in caught])
+            assert err.getvalue().count("\n") == (status == 2), (command, err.getvalue())
             # no command here writes --out, so an input error prints nothing
             if status == 2:
                 assert out.getvalue() == "", (command, out.getvalue(), err.getvalue())
+                assert err.getvalue().startswith(f"error: {path}"), (command, err.getvalue())
             if rejected:
                 assert status == 2
-                assert err.getvalue().startswith(f"error: {path}"), err.getvalue()
 
 
 # ------------------------------------------------- extreme option values

@@ -940,6 +940,23 @@ def test_block_csv_matches_csv_writer(tmp_path):
     assert path.read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("rest", ["0", "1", "block//4 - 1", "block//4", "block - 1"])
+def test_csv_remainder_under_a_quarter_block_joins_the_block_before(tmp_path, monkeypatch, rest):
+    # a 3-column table (an orbit's) of two blocks and a remainder: one
+    # under a quarter block is encoded with the second block, a larger one
+    # alone, and the bytes are those of "%.17g" either way
+    block = sim._block_rows(3)
+    extra = {"0": 0, "1": 1, "block//4 - 1": block // 4 - 1, "block//4": block // 4,
+             "block - 1": block - 1}[rest]
+    table = np.random.default_rng(extra).standard_normal((2 * block + extra, 3))
+    encoded, encode = [], sim._encode_rows
+    monkeypatch.setattr(sim, "_encode_rows", lambda rows: encoded.append(len(rows)) or encode(rows))
+    path = tmp_path / "orbit.csv"
+    _write_csv(path, list("abc"), table)
+    assert path.read_bytes() == _reference_csv(list("abc"), table)
+    assert encoded == ([block, block + extra] if extra < block // 4 else [block, block, extra])
+
+
 @pytest.mark.filterwarnings("error")
 def test_csv_matches_percent_format_on_random_bits(tmp_path):
     # 10**5 random float64 bit patterns, and each power of ten with its
