@@ -44,8 +44,8 @@ MEMORY_BUDGET = 2**30
 # (steps, 3) table and, while the float body solves a circle, its list of
 # z10*rho*cos products (three Python floats per step, at 32 bytes each)
 # and its list of samples (one per step), 19 live floats in all, plus the
-# allocator's slack; then pde_residual's temporaries besides its copy of a
-# column.  Measured as resident memory, not live floats: ru_maxrss of a
+# allocator's slack; then pde_residual's temporaries.  Measured as
+# resident memory, not live floats: ru_maxrss of a
 # fresh process that runs regeq.solve_boost_grid on a 3x3 grid (6 cells,
 # one process) at 300k ODE steps less that at 50k, over the 250k steps,
 # is 31.1 floats per step (three runs, 2-vCPU x86 VM), 25.1 beyond the 6
@@ -105,16 +105,20 @@ def _load_system(arg):
     return ex.load(), ex
 
 
-def _internal_model(sf: sysfile.SystemFile, lin) -> model.ControllerModel:
+def _internal_model(system, sf: sysfile.SystemFile, lin) -> model.ControllerModel:
     """Controller whose (phi, lambda) is the internal model for
     verification/synthesis, in order of preference: the supplied
     controller, the supplied immersion target, or a copy of the exosystem
-    with the linear feedforward from the regulator solve."""
+    with the linear feedforward from the regulator solve, whose failure
+    names the system file."""
     if sf.controller is not None:
         return sf.controller
     if sf.immersion is not None:
         return sf.immersion.target
-    _, Gamma = synth.solve_linear_regulator(lin)
+    try:
+        _, Gamma = synth.solve_linear_regulator(lin)
+    except synth.SynthesisError as exc:
+        raise synth.SynthesisError(f"{system}: {exc}") from None
     return synth.internal_model_copy_of_exosystem(lin, sf.exo.s, Gamma)
 
 
@@ -176,7 +180,7 @@ def cmd_verify(args):
     M[:n, :n], M[:n, n:], M[n:, n:] = lin.A, lin.P, lin.S
     Cm = np.hstack([lin.C, lin.Q])
     combined = specan.hautus_detectable(Cm, M, specan.eigen(M))
-    im = synth.InternalModel.from_controller(_internal_model(sf, lin))
+    im = synth.InternalModel.from_controller(_internal_model(args.system, sf, lin))
     flags = synth.verify_conditions(lin, im, absc)
     if sf.controller is not None:
         try:
@@ -235,7 +239,7 @@ def cmd_synthesize(args):
     _require_plant(sf, "synthesize")
     checks = _Checks()
     lin = model.linearize(sf.plant, sf.exo)
-    base = _internal_model(sf, lin)
+    base = _internal_model(args.system, sf, lin)
     report = synth.synthesize(lin, synth.InternalModel.from_controller(base),
                               eps0=args.eps0, factor=args.factor,
                               max_halvings=args.max_halvings, margin=args.margin)
@@ -290,7 +294,8 @@ def cmd_simulate(args):
         steps = _check_grid(T, dt)
     except SimulationError as exc:
         raise sysfile.SysFileError(f"--T/--dt: {exc}") from None
-    # the trajectory: state, e, u and t per step
+    # the trajectory: state, e, u and t per step, counted also without
+    # --out, which keeps e alone, so that --out refuses no other run
     _check_budget("--T/--dt", steps + 1, n + nc + p + 3)
     if args.ic is not None:
         x0, xi0, w0 = _parse_ic(args.ic, n, nc, p)
@@ -302,22 +307,23 @@ def cmd_simulate(args):
     # as much text as the budget leaves beside the table
     with _CsvWorker(MEMORY_BUDGET - 8 * (steps + 1) * (n + nc + p + 3)) as encoder:
         try:
-            traj = simulate(sf.plant, sf.exo, sf.controller, x0, xi0, w0, T, dt,
-                            encoder=encoder if args.out else None)
+            run = simulate(sf.plant, sf.exo, sf.controller, x0, xi0, w0, T, dt,
+                           encoder=encoder if args.out else None, table=bool(args.out))
         except DivergenceError as exc:
             checks.add("simulation_bounded", False, exc.t)
             return checks.status
         except expr.ExprError as exc:
             # the kernel spans plant, controller and exosystem: no one section
             raise expr.ExprError(f"{system}: {exc}") from None
-        checks.add("simulation_finite", bool(np.all(np.isfinite(traj.e))), "-")
-        final_rms, peak, settle = decay_metrics(traj, window=T / 5.0)
+        e = run.e if args.out else run
+        checks.add("simulation_finite", bool(np.all(np.isfinite(e))), "-")
+        final_rms, peak, settle = decay_metrics(e, dt, window=T / 5.0)
         print(f"final_rms = {final_rms:.17g}")
         print(f"peak = {peak:.17g}")
         print(f"settle_fraction = {settle:.17g}")
         if args.out:
             with _writing(args.out):
-                write_trajectory_csv(traj, args.out, encoder)
+                write_trajectory_csv(run, args.out, encoder)
             print(f"trajectory written to {args.out}")
     return checks.status
 
@@ -344,8 +350,9 @@ def cmd_boost(args):
         raise regeq.RegulatorError(f"--ode-steps must be >= 1, got {args.ode_steps}")
     if args.cell:  # orbit, gamma and tau of every cell
         option, per_step = "--ode-steps", 3 * len(args.cell) + BOOST_STEP_FLOATS
-    else:  # the orbit of every cell, pde_residual's copy of a column and
-        # the step floats of each worker the grid gets if every cell is present
+    else:  # the orbit of every cell, one column of slack, which keeps the
+        # refused grids those of a residual that copied a column, and the
+        # step floats of each worker the grid gets if every cell is present
         option = "--grid-w1/--grid-rho/--ode-steps"
         per_step = ((args.grid_w1 + 1) * args.grid_rho + BOOST_STEP_FLOATS
                     * regeq._grid_workers(args.grid_w1 * args.grid_rho))
@@ -511,6 +518,11 @@ def main(argv=None):
             synth.SynthesisError, specan.SpectralError, expr.ExprError,
             SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except np.linalg.LinAlgError as exc:
+        # LAPACK failed on one of the system's matrices (an SVD that does
+        # not converge, say); only the commands that load a system call it
+        print(f"error: {args.system}: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # stdout's reader is gone: what is left of stdout goes to /dev/null

@@ -675,7 +675,8 @@ def pde_residual(boost: BoostSolution):
             continue
         rhos = boost.rho_values[i]
         drho = rhos[1] - rhos[0]
-        psi = np.array([c.orbit[:-1] for c in cells])  # n_rho x n_tau
+        # each row a view of the grid's orbit array, no copy of the column
+        psi = [c.orbit[:-1] for c in cells]
         # rho interior only: rho = 0 is the degenerate circle
         for j in range(1, len(cells) - 1):
             rho = rhos[j]

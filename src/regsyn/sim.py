@@ -4,7 +4,8 @@ Integrates the forced nonlinear closed loop (plant + exosystem +
 controller) and computes error decay metrics.  One code generator
 (_rk4_kernel) turns the model expressions into a single Python function
 per system that runs all four RK4 stages over scalar locals and packs
-each row into one preallocated table in CSV column order; a bounded
+each row into a preallocated table in CSV column order: the whole
+trajectory's, or one block's buffer where only e is kept; a bounded
 cache keyed on the generated source keeps the compiled functions.
 simulate runs the check-free function one CSV block of rows at a time,
 each call from the last row of the one before, and tests the divergence
@@ -240,7 +241,7 @@ def _compiled_kernel(dim, body):
 
 
 def simulate(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
-             x0, xi0, w0, T, dt, encoder=None) -> Trajectory:
+             x0, xi0, w0, T, dt, encoder=None, table=True):
     """RK4 on dx = f(x, lambda(xi), w), dxi = phi(xi) + Bc h(x, lambda(xi), w),
     dw = s(w).  Aborts when the state infinity-norm exceeds the divergence
     cap or the state is NaN (local results only cover small data; runaway
@@ -253,12 +254,17 @@ def simulate(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
     bit is that of one call.  One numpy test of the block's state columns
     then takes the cap's place.  No check changes a value, so the first
     row that fails it (NaN fails it, and so does a row the kernel left
-    unwritten, as the table starts NaN) is where a checked loop stops.
+    unwritten, as a block's rows start NaN) is where a checked loop stops.
     Only a block whose kernel raised EvalError runs the checked kernel,
     generated only then, for the one step into that row (none into row
     0): it stops at a divergence there or raises the error of a
-    stage-by-stage loop.  With an encoder (a _CsvWorker), the table is the
-    encoder's and the rows of each block are handed to it once final."""
+    stage-by-stage loop.
+
+    Returns the Trajectory.  With an encoder (a _CsvWorker), its table is
+    the encoder's and the rows of each block are handed to it once final.
+    With table false, no table is kept: the kernel writes each block into
+    one reused (block + 1)-row buffer, and simulate returns e alone, the
+    (N+1)-float array of Trajectory.e, bit for bit."""
     n, nc, p = plant.n, ctrl.nc, exo.p
     x0, xi0, w0 = (np.asarray(v, dtype=float) for v in (x0, xi0, w0))
     if x0.shape != (n,) or xi0.shape != (nc,) or w0.shape != (p,):
@@ -267,20 +273,27 @@ def simulate(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
     # before the encoder forks: a kernel that fails to compile forks
     # nothing, and generating it takes no copy-on-write faults
     kernel = _rk4_kernel(plant, exo, ctrl)
-    tab = (np.empty((steps + 1, n + nc + p + 3)) if encoder is None
-           else encoder.table(steps + 1, _csv_header(n, nc, p)))
-    tab.fill(np.nan)   # NaN until written
-    np.multiply(np.arange(steps + 1), dt, out=tab[:, 0])
+    cols = n + nc + p + 3
+    block = _block_rows(cols)
+    if table:
+        tab = (np.empty((steps + 1, cols)) if encoder is None
+               else encoder.table(steps + 1, _csv_header(n, nc, p)))
+        tab.fill(np.nan)   # NaN until written
+        np.multiply(np.arange(steps + 1), dt, out=tab[:, 0])
+    else:   # column 0, t, is never written
+        buf, e = np.empty((block + 1, cols)), np.empty(steps + 1)
     state = np.concatenate([x0, xi0, w0]).tolist()
-    block = _block_rows(tab.shape[1])
     for start in range(0, steps, block):
         stop = min(start + block, steps)
+        rows = tab[start:stop + 1] if table else buf[:stop - start + 1]
+        if not table:
+            rows.fill(np.nan)   # NaN until written, as the table starts
         failed = False
         try:
-            kernel(*state, stop - start, dt, memoryview(tab[start:stop + 1]))
+            kernel(*state, stop - start, dt, memoryview(rows))
         except EvalError:
             failed = True
-        bounded = np.abs(tab[start:stop + 1, 1:-2]) <= DIVERGENCE_CAP
+        bounded = np.abs(rows[:, 1:-2]) <= DIVERGENCE_CAP
         if failed or not bounded.all():
             k = int(np.argmin(bounded.all(axis=1)))
             if failed:
@@ -289,23 +302,25 @@ def simulate(plant: PlantModel, exo: ExosystemModel, ctrl: ControllerModel,
                 # test and outputs alone)
                 j = max(k - 1, 0)
                 _rk4_kernel(plant, exo, ctrl, True)(
-                    *(tab[start + j, 1:-2].tolist() if j else state), k - j, dt,
-                    memoryview(tab[start + j:start + k + 1]))
+                    *(rows[j, 1:-2].tolist() if j else state), k - j, dt,
+                    memoryview(rows[j:k + 1]))
             raise DivergenceError((start + k) * dt)
-        state = tab[stop, 1:-2].tolist()
-        if encoder is not None:
+        state = rows[-1, 1:-2].tolist()
+        if not table:
+            e[start:stop + 1] = rows[:, -2]
+        elif encoder is not None:
             encoder.ready(stop + 1)
-    return Trajectory(tab, n, nc)
+    return Trajectory(tab, n, nc) if table else e
 
 
-def decay_metrics(traj: Trajectory, window: float):
-    """(final_rms, peak, settle_fraction): RMS of e over the last window,
+def decay_metrics(e, dt, window: float):
+    """(final_rms, peak, settle_fraction) of the error samples e of a run
+    at step dt (Trajectory.e and .dt): RMS of e over the last window,
     overall peak |e|, and final-window RMS over first-window RMS."""
-    T = float(traj.t[-1])
+    T = (len(e) - 1) * dt   # Trajectory.t[-1], bit for bit
     if window > T:
         raise SimulationError("window exceeds the trajectory horizon")
-    k = max(1, int(round(window / traj.dt)))
-    e = traj.e
+    k = max(1, int(round(window / dt)))
     final_rms = float(np.sqrt(np.mean(e[-k:] ** 2)))
     initial_rms = float(np.sqrt(np.mean(e[:k] ** 2)))
     peak = float(np.max(np.abs(e)))

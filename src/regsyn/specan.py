@@ -17,6 +17,11 @@ import numpy as np
 from .model import LinearizedData
 
 COND_CAP = 1e12
+# eigen analyses a matrix whose inf-norm is past this (or overflows) scaled
+# by 2**-64, so that the radius, the sums of two eigenvalues that a cluster
+# mean or a conjugate pair's midpoint takes and the distance between two
+# stay in range for matrices of up to 2**23 rows
+EIGEN_SCALE_NORM = 2.0**1000
 # Hautus test: [M - lam*I; Cm] counts as rank deficient when its smallest
 # singular value is at most HAUTUS_TOL * ||M||_inf
 HAUTUS_TOL = 1e-9
@@ -79,9 +84,15 @@ def eigen(M) -> Spectrum:
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
         raise SpectralError("expected a square matrix of dimension >= 1")
     norm = _norm_inf(M)
-    # a finite norm has finite entries; finite rows may sum past the range
-    if not math.isfinite(norm) and not np.isfinite(M).all():
-        raise SpectralError("matrix has non-finite entries")
+    if not norm <= EIGEN_SCALE_NORM:
+        # a finite norm has finite entries; finite rows may sum past the range
+        if not np.isfinite(M).all():
+            raise SpectralError("matrix has non-finite entries")
+        # the spectrum of M * 2**-64, scaled back; the scaling rounds no
+        # entry above 2**-958, and a finite norm keeps its radius's bits
+        sp = eigen(M * 2.0**-64)
+        return Spectrum(tuple(complex(v.real * 2.0**64, v.imag * 2.0**64)
+                              for v in sp.eigenvalues), sp.multiplicities, sp.radius * 2.0**64)
     radius = 1e-6 * (1.0 + norm)
     w = np.linalg.eigvals(M)
     # snap near-real clusters to the real axis; mirror conjugate pairs

@@ -58,7 +58,7 @@ def test_criterion_2_closed_loop():
     absc = specan.spectral_abscissa(synth.closed_loop_matrix(lin, im))
     traj = simulate(sf.plant, sf.exo, sf.controller,
                     *examples.get("example51").default_ic, T=60.0, dt=1e-3)
-    _, _, settle = decay_metrics(traj, window=12.0)
+    _, _, settle = decay_metrics(traj.e, traj.dt, window=12.0)
     ok = absc < 0 and settle <= 0.02
     _check("example51_closed_loop", ok,
            f"abscissa={absc:.6g} settle={settle:.6g}")
@@ -160,7 +160,7 @@ def test_criterion_7_boost_simulation():
     sf = ex.load()
     traj = simulate(sf.plant, sf.exo, sf.controller, *ex.default_ic,
                     T=ex.default_T, dt=ex.default_dt)
-    _, _, settle = decay_metrics(traj, window=ex.default_T / 5.0)
+    _, _, settle = decay_metrics(traj.e, traj.dt, window=ex.default_T / 5.0)
     ok = settle <= 0.05
     _check("example53_closed_loop", ok, f"settle={settle:.6g}")
 

@@ -1013,7 +1013,7 @@ def _key(M):
 def test_each_matrix_analysed_once(capsys, monkeypatch, name):
     sf = examples.get(name).load()
     lin = model.linearize(sf.plant, sf.exo)
-    Phi = synth.InternalModel.from_controller(cli._internal_model(sf, lin)).Phi
+    Phi = synth.InternalModel.from_controller(cli._internal_model(name, sf, lin)).Phi
     keys = []
     eigen = specan.eigen
 
@@ -1148,6 +1148,20 @@ _NO_INPUT = ("[plant]\nn = 1\nf1 = -x1\ng = x1\n[reference]\nq = w1\n"
              "[exosystem]\np = 2\ns1 = w2\ns2 = -w1\n")
 
 
+@pytest.mark.parametrize("command", ["verify", "synthesize"])
+def test_lapack_failure_names_the_file(tmp_path, capsys, monkeypatch, command):
+    # a LAPACK routine that fails on a finite matrix (an SVD that does not
+    # converge) is an input error of the system file, not a traceback
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    path = tmp_path / "system.sys"
+    path.write_text(_EXAMPLE51)
+    assert _run(capsys, command, str(path)) == (
+        2, "", f"error: {path}: SVD did not converge\n")
+
+
 def test_deep_sum_simulates_as_example51(tmp_path, capsys):
     # the kernel adds the 250 zero terms and changes no bit of the CSV
     got = []
@@ -1169,10 +1183,11 @@ def test_deep_sum_simulates_as_example51(tmp_path, capsys):
                  id="simulate-file-without-T"),
     pytest.param(("boost", "--params", "FILE", "--cell", "10", "0.4"), _EXAMPLE51, 2, "",
                  "error: FILE has no [params] section\n", id="boost-params-without-params"),
-    pytest.param(("verify", "FILE"), _NO_INPUT, 2, "",
-                 # the condition number depends on the BLAS
-                 "error: linearized regulator system is singular or ill-conditioned (cond ~",
-                 id="verify-singular-regulator-equations"),
+    *(pytest.param((command, "FILE"), _NO_INPUT, 2, "",
+                   # the condition number depends on the BLAS
+                   "error: FILE: linearized regulator system is singular or ill-conditioned "
+                   "(cond ~", id=f"{command}-singular-regulator-equations")
+      for command in ("verify", "synthesize")),
     pytest.param(("verify", "FILE"), _EXAMPLE51.replace("f1 = x2 - w1", "f1 = x2 - 1.2.3"),
                  2, "", "error: FILE [plant]: bad number literal '1.2.3' (at offset 5)\n",
                  id="verify-bad-literal"),

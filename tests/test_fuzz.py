@@ -71,6 +71,15 @@ _P0 = ("[plant]\nn = 1\nf1 = -x1 + u\ng = x1\n[reference]\nq = 0\n"
 _HUGE_GAIN = examples.get("example52").text.replace("\ng = x1\n", "\ng = 1e308*x1\n")
 # G and the closed loop's Bc*C overflow: failed checks, no numpy warning
 _HUGE_GAIN53 = examples.get("example53").text.replace("\ng = x1\n", "\ng = 1e308*x1\n")
+# finite rows whose inf-norm overflows, with eigenvalues 1e308 +- 1.5e308i:
+# in [exosystem] S, in [plant] A
+_ROWS = ("1e308*{0}1 + 1.5e308*{0}2", "-1.5e308*{0}1 + 1e308*{0}2")
+_HUGE_EXOSYSTEM = (examples.get("example51").text
+                   .replace("s1 = w2 - w1^4", "s1 = " + _ROWS[0].format("w"))
+                   .replace("s2 = -w1^3", "s2 = " + _ROWS[1].format("w")))
+_HUGE_PLANT = (examples.get("example51").text
+               .replace("f1 = x2 - w1", "f1 = " + _ROWS[0].format("x"))
+               .replace("f2 = -x1 - x2 - sin(x2) + (1 + x2^2)*u", "f2 = " + _ROWS[1].format("x")))
 
 
 @hypothesis.settings(max_examples=150, deadline=None,
@@ -79,6 +88,8 @@ _HUGE_GAIN53 = examples.get("example53").text.replace("\ng = x1\n", "\ng = 1e308
 @hypothesis.example(_P0)
 @hypothesis.example(_HUGE_GAIN)
 @hypothesis.example(_HUGE_GAIN53)
+@hypothesis.example(_HUGE_EXOSYSTEM)
+@hypothesis.example(_HUGE_PLANT)
 def test_mutated_file_never_escapes(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "mutated.sys")

@@ -41,7 +41,8 @@ def _loop(bc=0.0):
     pytest.param(lambda: simulate(*_loop(), (0.0, 0.0), (0.0,), (0.0,), 1.0, 0.5),
                  SimulationError, "initial state dimensions do not match the models",
                  id="simulate-x0"),
-    pytest.param(lambda: decay_metrics(simulate(*_loop(), (0.0,), (0.0,), (0.0,), 1.0, 0.5), 2.0),
+    pytest.param(lambda: decay_metrics(simulate(*_loop(), (0.0,), (0.0,), (0.0,), 1.0, 0.5,
+                                                table=False), 0.5, 2.0),
                  SimulationError, "window exceeds the trajectory horizon", id="decay-window"),
     pytest.param(lambda: build_Bc(jordan_structure([[0.0]], eigen([[0.0]])), [[1.0]], 1.0, {0: []}),
                  SynthesisError, "block 0: expected 1 coefficients, got 0", id="build-bc-count"),

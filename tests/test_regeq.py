@@ -416,6 +416,23 @@ def test_pde_residual_is_nan_sticky(boost_grid):
     assert math.isnan(pde_residual(bad))
 
 
+def test_pde_residual_reads_the_orbits_in_place():
+    # each orbit of a column is read as a view of the grid's one orbit
+    # array, so the residual's peak allocation, its per-row temporaries,
+    # stays below one column of orbits
+    steps, n_rho = 1000, 21
+    grid = solve_boost_grid(PARAMS, n_w1=3, n_rho=n_rho, ode_steps=steps)
+    resid = pde_residual(grid)   # warm
+    tracemalloc.start()
+    try:
+        assert pde_residual(grid) == resid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert resid <= 1e-3
+    assert peak < n_rho * (steps + 1) * 8
+
+
 def test_grid_and_orbit_csv(tmp_path, boost_grid):
     grid_path = tmp_path / "psi0_grid.csv"
     write_grid_csv(boost_grid, grid_path)

@@ -10,7 +10,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from regsyn import examples, expr, sim, sysfile
+from regsyn import cli, examples, expr, sim, sysfile
 from regsyn.expr import EvalError, evaluate
 from regsyn.model import (ControllerModel, ExosystemModel, PlantModel, w_names,
                           x_names, xi_names)
@@ -183,6 +183,24 @@ def test_simulate_holds_one_table():
     assert held <= table + 16e3 and peak <= table + 8 * (steps + 1) + 128e3
 
 
+def test_simulate_without_out_keeps_e_alone(capsys):
+    # without --out no table is kept: the kernel writes each block into one
+    # reused buffer and only e, one float per row, is held.  example51's
+    # table has 9 columns
+    argv = ["simulate", "example51", "--T", "20", "--dt", "1e-3"]
+    assert cli.main(argv) == 0   # warm the kernel cache
+    want = capsys.readouterr().out
+    tracemalloc.start()
+    try:
+        status = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0 and capsys.readouterr().out == want
+    rows, cols = 20001, 9
+    assert peak < rows * cols * 8
+
+
 @pytest.mark.parametrize("f1, x1, message", [
     ("-x1 + u + 1/(x1 - 1) + 1", 1.0, "division by zero"),
     ("-x1 + u + sqrt(1 + x1) - 1", -2.0, "sqrt of negative value -1.0"),
@@ -231,7 +249,7 @@ def test_zero_initial_state_stays_zero():
     assert not np.any(traj.x)
     assert not np.any(traj.e)
     assert not np.any(traj.u)
-    assert decay_metrics(traj, 0.2) == (0.0, 0.0, 0.0)
+    assert decay_metrics(traj.e, traj.dt, 0.2) == (0.0, 0.0, 0.0)
 
 
 def test_kernel_cache_is_keyed_on_source(monkeypatch):
@@ -285,7 +303,7 @@ def test_determinism():
 def test_error_decays_quartic_example():
     sf, ic = _example("example51")
     traj = simulate(sf.plant, sf.exo, sf.controller, *ic, T=60.0, dt=1e-3)
-    final_rms, peak, settle = decay_metrics(traj, window=12.0)
+    final_rms, peak, settle = decay_metrics(traj.e, traj.dt, window=12.0)
     assert peak > 0.5
     assert settle <= 0.02
 
@@ -325,7 +343,7 @@ def test_unstable_loop_does_not_settle():
                                         [0.0, 0.0, 0.0])
     traj = simulate(sf.plant, sf.exo, ctrl, (0, 0), (0.0, 0.5, 0.0), (0, 0),
                     T=40.0, dt=1e-2)
-    _, _, settle = decay_metrics(traj, window=8.0)
+    _, _, settle = decay_metrics(traj.e, traj.dt, window=8.0)
     assert settle > 0.5
 
 
@@ -426,23 +444,27 @@ def test_kernel_blocks_keep_every_bit(monkeypatch, rows):
     output_case = (PlantModel.from_strings(["x1 + u"], f"x1 + 0*sqrt(abs(x1 - {c!r}) - 1e-15)",
                                            "0", 1), *growth)
 
-    def outcomes():
-        traj = simulate(*cases[0])
+    def outcomes(table=True):
+        # with table false, e alone, from one reused block buffer
+        traj = simulate(*cases[0], table=table)
         with pytest.raises(DivergenceError) as diverged:
-            simulate(*cases[1])
+            simulate(*cases[1], table=table)
         failed = []
         for case in (sqrt_case, output_case):
             with pytest.raises(EvalError) as got:
-                simulate(*case)
+                simulate(*case, table=table)
             failed.append(str(got.value))
-        return traj.table.tobytes(), diverged.value.t, failed
+        return (traj.table if table else traj).tobytes(), diverged.value.t, failed
 
     whole = outcomes()
     assert whole[1] == 0.253 and whole[2][0].startswith("sqrt of negative value ")
     assert whole[2][1] == "sqrt of negative value -1e-15"
+    e = simulate(*cases[0]).e.tobytes()
+    assert outcomes(table=False) == (e, *whole[1:])
     monkeypatch.setattr(sim, "CSV_BLOCK_VALUES", 9 * rows)
     assert sim._block_rows(9) == rows
     assert outcomes() == whole
+    assert outcomes(table=False) == (e, *whole[1:])
 
 
 def _ramp(row, g="x1"):
@@ -486,12 +508,14 @@ def test_block_cap_test_finds_the_row_the_checked_kernel_finds(monkeypatch, rows
     bounded = simulate(*args, T=row - 1, dt=1.0)
     ref = np.column_stack([np.arange(row), *_ref_simulate(*args, T=row - 1, dt=1.0)])
     assert bounded.table.tobytes() == ref.tobytes()
+    assert simulate(*args, T=row - 1, dt=1.0, table=False).tobytes() == ref[:, -2].tobytes()
     for T in (row, row + 2 * rows):
-        with pytest.raises(DivergenceError) as got:
-            simulate(*args, T=T, dt=1.0)
         with pytest.raises(SimulationError) as want:
             _ref_simulate(*args, T=T, dt=1.0)
-        assert got.value.t == row and str(got.value) == str(want.value)
+        for table in (True, False):
+            with pytest.raises(DivergenceError) as got:
+                simulate(*args, T=T, dt=1.0, table=table)
+            assert got.value.t == row and str(got.value) == str(want.value)
     # the column is the parabola, so the rows beside `row` are inside the cap
     tab = np.empty((row + 2, cols))
     sim._rk4_kernel(*args[:3])(*args[3], *args[4], *args[5], row + 1, 1.0, memoryview(tab))

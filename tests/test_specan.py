@@ -221,8 +221,10 @@ def _rot(a, b):
 # OpenBLAS kernel, the clustering, cluster means and pairing pinned here do
 # not.  The 3- and 5-member clusters and the triple real one beside a pair
 # are means that Python's complex division rounds otherwise; the last two
-# matrices' entries are finite, but a row sum (radius inf) or the modulus
-# of an eigenvalue difference overflows.
+# matrices' entries are finite, but a row sum or the modulus of an
+# eigenvalue difference would overflow, and a pair's midpoint would too:
+# eigen takes their spectrum from the matrix scaled by 2**-64, for which
+# eigvals returns the recorded eigenvalues scaled alike.
 _PINNED = {
     "three_member_pair": (
         _blocks(*[_rot(-0.5, 2.0)] * 3),
@@ -273,7 +275,8 @@ _PINNED = {
         _blocks(_rot(1e308, 1.5e308)),
         [("0x1.1ccf385ebc8a0p+1023", "0x1.ab36d48e1acf2p+1023"),
          ("0x1.1ccf385ebc8a0p+1023", "-0x1.ab36d48e1acf2p+1023")],
-        [("inf", "nan")], (2,)),
+        [("0x1.1ccf385ebc8a0p+1023", "-0x1.ab36d48e1acf2p+1023"),
+         ("0x1.1ccf385ebc8a0p+1023", "0x1.ab36d48e1acf2p+1023")], (1, 1)),
     "modulus_overflows": (
         _blocks(_rot(1.1e308, 0.65e308), _rot(-0.3e308, 0.8e308)),
         [("0x1.394a579b68fe3p+1023", "0x1.72409614c1e68p+1022"),
@@ -282,7 +285,8 @@ _PINNED = {
          ("-0x1.55c576d815726p+1021", "-0x1.c7b1f3cac7433p+1022")],
         [("-0x1.55c576d815726p+1021", "-0x1.c7b1f3cac7433p+1022"),
          ("-0x1.55c576d815726p+1021", "0x1.c7b1f3cac7433p+1022"),
-         ("inf", "-0x1.72409614c1e68p+1022"), ("inf", "0x1.72409614c1e68p+1022")],
+         ("0x1.394a579b68fe3p+1023", "-0x1.72409614c1e68p+1022"),
+         ("0x1.394a579b68fe3p+1023", "0x1.72409614c1e68p+1022")],
         (1, 1, 1, 1)),
 }
 
@@ -292,12 +296,33 @@ def test_eigen_keeps_the_recorded_bits(monkeypatch, name):
     M, eigvals, want, multiplicities = _PINNED[name]
     w = np.array([complex(float.fromhex(z[0]), float.fromhex(z[1])) if isinstance(z, tuple)
                   else float.fromhex(z) for z in eigvals])
-    monkeypatch.setattr(np.linalg, "eigvals", lambda _: w.copy())
+    # the eigenvalues of the matrix eigen passes, M or M * 2**-64
+    at = np.argmax(np.abs(M))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda A: w * (A.flat[at] / M.flat[at]))
     with np.errstate(over="ignore"):  # the row sums of row_sum_overflows
+        norm = float(np.linalg.norm(M, np.inf))
         sp = eigen(M)
-        assert sp.radius == 1e-6 * (1.0 + float(np.linalg.norm(M, np.inf)))
+        if math.isfinite(norm):   # scaled or not
+            assert sp.radius == 1e-6 * (1.0 + norm)
+        else:   # that of the scaled matrix, scaled back
+            assert sp.radius == 1e-6 * float(np.linalg.norm(M * 2.0**-64, np.inf)) * 2.0**64
+        assert math.isfinite(sp.radius)
     assert [(v.real.hex(), v.imag.hex()) for v in sp.eigenvalues] == want
     assert sp.multiplicities == multiplicities
+
+
+@pytest.mark.parametrize("name", ["row_sum_overflows", "modulus_overflows"])
+def test_eigen_of_finite_entries_is_finite(name):
+    # LAPACK's own eigenvalues of a matrix whose row sums or eigenvalue
+    # sums would overflow: the radius and every eigenvalue stay finite, and
+    # the conjugate pairs stay apart
+    M = _PINNED[name][0]
+    with np.errstate(over="ignore"):
+        sp = eigen(M)
+    assert math.isfinite(sp.radius)
+    assert all(math.isfinite(v.real) and math.isfinite(v.imag) for v in sp.eigenvalues)
+    assert sp.multiplicities == (1,) * len(M)
+    assert {v.conjugate() for v in sp.eigenvalues} == set(sp.eigenvalues)
 
 
 def test_cond_is_numpys_bit_for_bit():
