@@ -10,7 +10,10 @@ systems).  Machine-readable result lines have the form
 passed, 1 if one failed, 2 on an input error, 141 once stdout's reader is
 gone, and 130, 143 or 129 on Ctrl-C, SIGTERM or SIGHUP.  A command runs
 every step that may fail before its first line of output, so exit 2
-leaves stdout empty, except after an --out write error.
+leaves stdout empty, except after an --out write error.  Any other exit
+2 of verify, synthesize or simulate, but an option error, starts `error:
+<file>` (`<builtin:NAME>` for a built-in), then ` [<section>]` where one
+section is at fault.
 """
 
 from __future__ import annotations
@@ -81,6 +84,24 @@ def _check_budget(option, rows, per_row):
             f"over the memory budget of {MEMORY_BUDGET} bytes")
 
 
+# exit 2: input a command cannot use, LAPACK failing on one of its matrices too
+_INPUT_ERRORS = (sysfile.SysFileError, model.ModelError, regeq.RegulatorError,
+                 synth.SynthesisError, specan.SpectralError, expr.ExprError,
+                 SimulationError, np.linalg.LinAlgError)
+
+
+@contextlib.contextmanager
+def _located(where):
+    """An input error inside as a SysFileError that starts with `where`;
+    a SysFileError, which names its file, line, section or option, as it is."""
+    try:
+        yield
+    except sysfile.SysFileError:
+        raise
+    except _INPUT_ERRORS as exc:
+        raise sysfile.SysFileError(f"{where}: {exc}") from None
+
+
 @contextlib.contextmanager
 def _writing(path):
     """Exit 2 (SysFileError) if the --out write inside fails."""
@@ -105,20 +126,16 @@ def _load_system(arg):
     return ex.load(), ex
 
 
-def _internal_model(system, sf: sysfile.SystemFile, lin) -> model.ControllerModel:
+def _internal_model(sf: sysfile.SystemFile, lin) -> model.ControllerModel:
     """Controller whose (phi, lambda) is the internal model for
     verification/synthesis, in order of preference: the supplied
     controller, the supplied immersion target, or a copy of the exosystem
-    with the linear feedforward from the regulator solve, whose failure
-    names the system file."""
+    with the linear feedforward from the regulator solve."""
     if sf.controller is not None:
         return sf.controller
     if sf.immersion is not None:
         return sf.immersion.target
-    try:
-        _, Gamma = synth.solve_linear_regulator(lin)
-    except synth.SynthesisError as exc:
-        raise synth.SynthesisError(f"{system}: {exc}") from None
+    _, Gamma = synth.solve_linear_regulator(lin)
     return synth.internal_model_copy_of_exosystem(lin, sf.exo.s, Gamma)
 
 
@@ -154,51 +171,43 @@ def _sample_ball(p, radius):
 
 def _require_plant(sf, what):
     if sf.plant is None or sf.exo is None:
-        raise sysfile.SysFileError(f"{what} needs [plant], [reference] and [exosystem]")
-
-
-def _residuals(system, section, residual, *args):
-    """residual(*args), with a sample it cannot evaluate or source it cannot
-    compile located in the system file's section."""
-    try:
-        return residual(*args)
-    except (regeq.RegulatorError, expr.CompileError) as exc:
-        raise type(exc)(f"{system} [{section}]: {exc}") from None
+        raise model.ModelError(f"{what} needs [plant], [reference] and [exosystem]")
 
 
 def cmd_verify(args):
     sf, _ = _load_system(args.system)
-    _require_plant(sf, "verify")
     # every step that may fail runs before the first line of output, so an
     # input error leaves stdout empty
-    lin = model.linearize(sf.plant, sf.exo)
-    absc = specan.spectral_abscissa(lin.A)
-    sp = specan.eigen(lin.S)
-    off_axis = max(abs(v.real) for v in sp.eigenvalues)
-    n, p = lin.n, lin.p
-    M = np.zeros((n + p, n + p))
-    M[:n, :n], M[:n, n:], M[n:, n:] = lin.A, lin.P, lin.S
-    Cm = np.hstack([lin.C, lin.Q])
-    combined = specan.hautus_detectable(Cm, M, specan.eigen(M))
-    im = synth.InternalModel.from_controller(_internal_model(args.system, sf, lin))
-    flags = synth.verify_conditions(lin, im, absc)
-    if sf.controller is not None:
-        try:
-            cl_absc = specan.spectral_abscissa(synth.closed_loop_matrix(lin, im))
-        except specan.SpectralError:  # its products overflow: a failed check
-            cl_absc = math.nan
-    residuals = {}  # check name -> residual
-    sol = sf.regulator_solution
-    if sol is not None:
-        samples = _sample_ball(sf.exo.p, sol.radius)
-        residuals.update(zip(("regulator_residual_dynamics", "regulator_residual_error"),
-                             _residuals(args.system, "regulator_solution",
-                                        regeq.regulator_residual, sol, sf.plant, sf.exo,
-                                        samples)))
-        if sf.immersion is not None:
-            residuals.update(zip(("immersion_residual_dynamics", "immersion_residual_output"),
-                                 _residuals(args.system, "immersion", regeq.immersion_residual,
-                                            sf.immersion, sf.exo, sol.gamma, samples)))
+    with _located(sf.origin):
+        _require_plant(sf, "verify")
+        lin = model.linearize(sf.plant, sf.exo)
+        absc = specan.spectral_abscissa(lin.A)
+        sp = specan.eigen(lin.S)
+        off_axis = max(abs(v.real) for v in sp.eigenvalues)
+        n, p = lin.n, lin.p
+        M = np.zeros((n + p, n + p))
+        M[:n, :n], M[:n, n:], M[n:, n:] = lin.A, lin.P, lin.S
+        Cm = np.hstack([lin.C, lin.Q])
+        combined = specan.hautus_detectable(Cm, M, specan.eigen(M))
+        im = synth.InternalModel.from_controller(_internal_model(sf, lin))
+        flags = synth.verify_conditions(lin, im, absc)
+        if sf.controller is not None:
+            try:
+                cl_absc = specan.spectral_abscissa(synth.closed_loop_matrix(lin, im))
+            except specan.SpectralError:  # its products overflow: a failed check
+                cl_absc = math.nan
+        residuals = {}  # check name -> residual
+        sol = sf.regulator_solution
+        if sol is not None:
+            samples = _sample_ball(sf.exo.p, sol.radius)
+            with _located(f"{sf.origin} [regulator_solution]"):
+                residuals.update(zip(("regulator_residual_dynamics", "regulator_residual_error"),
+                                     regeq.regulator_residual(sol, sf.plant, sf.exo, samples)))
+            if sf.immersion is not None:
+                with _located(f"{sf.origin} [immersion]"):
+                    residuals.update(zip(
+                        ("immersion_residual_dynamics", "immersion_residual_output"),
+                        regeq.immersion_residual(sf.immersion, sf.exo, sol.gamma, samples)))
 
     checks = _Checks()
     checks.add("plant_stable", absc < 0, absc)
@@ -236,13 +245,14 @@ def cmd_synthesize(args):
         if not ok:
             raise synth.SynthesisError(f"{option}: need {rule}, got {value:g}")
     sf, _ = _load_system(args.system)
-    _require_plant(sf, "synthesize")
+    with _located(sf.origin):
+        _require_plant(sf, "synthesize")
+        lin = model.linearize(sf.plant, sf.exo)
+        base = _internal_model(sf, lin)
+        report = synth.synthesize(lin, synth.InternalModel.from_controller(base),
+                                  eps0=args.eps0, factor=args.factor,
+                                  max_halvings=args.max_halvings, margin=args.margin)
     checks = _Checks()
-    lin = model.linearize(sf.plant, sf.exo)
-    base = _internal_model(args.system, sf, lin)
-    report = synth.synthesize(lin, synth.InternalModel.from_controller(base),
-                              eps0=args.eps0, factor=args.factor,
-                              max_halvings=args.max_halvings, margin=args.margin)
     checks.add("plant_stable", report.flags.plant_stable, "-")
     checks.add("internal_model_detectable", report.flags.detectable, "-")
     checks.add("transfer_function_nonzero", report.flags.tf_nonzero, "-")
@@ -279,52 +289,48 @@ def _parse_ic(text, n, nc, p):
 
 def cmd_simulate(args):
     sf, ex = _load_system(args.system)
-    _require_plant(sf, "simulate")
-    system = ex.origin if ex else args.system
-    if sf.controller is None:
-        raise sysfile.SysFileError(f"{system}: simulate needs a [controller] section "
-                                   "(run synthesize first)")
-    checks = _Checks()
-    n, nc, p = sf.plant.n, sf.controller.nc, sf.exo.p
-    T = args.T if args.T is not None else (ex.default_T if ex else None)
-    dt = args.dt if args.dt is not None else (ex.default_dt if ex else 1e-4)
-    if T is None:
-        raise sysfile.SysFileError("--T is required for systems loaded from files")
-    try:
-        steps = _check_grid(T, dt)
-    except SimulationError as exc:
-        raise sysfile.SysFileError(f"--T/--dt: {exc}") from None
-    # the trajectory: state, e, u and t per step, counted also without
-    # --out, which keeps e alone, so that --out refuses no other run
-    _check_budget("--T/--dt", steps + 1, n + nc + p + 3)
-    if args.ic is not None:
-        x0, xi0, w0 = _parse_ic(args.ic, n, nc, p)
-    elif ex is not None:
-        x0, xi0, w0 = ex.default_ic
-    else:
-        x0, xi0, w0 = [0.0] * n, [0.0] * nc, [0.0] * p
-    # with --out, one process may encode the CSV beside the kernel, holding
-    # as much text as the budget leaves beside the table
-    with _CsvWorker(MEMORY_BUDGET - 8 * (steps + 1) * (n + nc + p + 3)) as encoder:
+    with _located(sf.origin):
+        _require_plant(sf, "simulate")
+        if sf.controller is None:
+            raise model.ModelError("simulate needs a [controller] section (run synthesize first)")
+        checks = _Checks()
+        n, nc, p = sf.plant.n, sf.controller.nc, sf.exo.p
+        T = args.T if args.T is not None else (ex.default_T if ex else None)
+        dt = args.dt if args.dt is not None else (ex.default_dt if ex else 1e-4)
+        if T is None:
+            raise sysfile.SysFileError("--T is required for systems loaded from files")
         try:
-            run = simulate(sf.plant, sf.exo, sf.controller, x0, xi0, w0, T, dt,
-                           encoder=encoder if args.out else None, table=bool(args.out))
-        except DivergenceError as exc:
-            checks.add("simulation_bounded", False, exc.t)
-            return checks.status
-        except expr.ExprError as exc:
-            # the kernel spans plant, controller and exosystem: no one section
-            raise expr.ExprError(f"{system}: {exc}") from None
-        e = run.e if args.out else run
-        checks.add("simulation_finite", bool(np.all(np.isfinite(e))), "-")
-        final_rms, peak, settle = decay_metrics(e, dt, window=T / 5.0)
-        print(f"final_rms = {final_rms:.17g}")
-        print(f"peak = {peak:.17g}")
-        print(f"settle_fraction = {settle:.17g}")
-        if args.out:
-            with _writing(args.out):
-                write_trajectory_csv(run, args.out, encoder)
-            print(f"trajectory written to {args.out}")
+            steps = _check_grid(T, dt)
+        except SimulationError as exc:
+            raise sysfile.SysFileError(f"--T/--dt: {exc}") from None
+        # the trajectory: state, e, u and t per step, counted also without
+        # --out, which keeps e alone, so that --out refuses no other run
+        _check_budget("--T/--dt", steps + 1, n + nc + p + 3)
+        if args.ic is not None:
+            x0, xi0, w0 = _parse_ic(args.ic, n, nc, p)
+        elif ex is not None:
+            x0, xi0, w0 = ex.default_ic
+        else:
+            x0, xi0, w0 = [0.0] * n, [0.0] * nc, [0.0] * p
+        # with --out, one process may encode the CSV beside the kernel, holding
+        # as much text as the budget leaves beside the table
+        with _CsvWorker(MEMORY_BUDGET - 8 * (steps + 1) * (n + nc + p + 3)) as encoder:
+            try:
+                run = simulate(sf.plant, sf.exo, sf.controller, x0, xi0, w0, T, dt,
+                               encoder=encoder if args.out else None, table=bool(args.out))
+            except DivergenceError as exc:
+                checks.add("simulation_bounded", False, exc.t)
+                return checks.status
+            e = run.e if args.out else run
+            checks.add("simulation_finite", bool(np.all(np.isfinite(e))), "-")
+            final_rms, peak, settle = decay_metrics(e, dt, window=T / 5.0)
+            print(f"final_rms = {final_rms:.17g}")
+            print(f"peak = {peak:.17g}")
+            print(f"settle_fraction = {settle:.17g}")
+            if args.out:
+                with _writing(args.out):
+                    write_trajectory_csv(run, args.out, encoder)
+                print(f"trajectory written to {args.out}")
     return checks.status
 
 
@@ -514,15 +520,8 @@ def main(argv=None):
             status = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()
         return status
-    except (sysfile.SysFileError, model.ModelError, regeq.RegulatorError,
-            synth.SynthesisError, specan.SpectralError, expr.ExprError,
-            SimulationError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except np.linalg.LinAlgError as exc:
-        # LAPACK failed on one of the system's matrices (an SVD that does
-        # not converge, say); only the commands that load a system call it
-        print(f"error: {args.system}: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # stdout's reader is gone: what is left of stdout goes to /dev/null

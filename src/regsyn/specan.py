@@ -125,14 +125,22 @@ def hautus_detectable(Cm, M, sp: Spectrum) -> bool:
     k = M.shape[0]
     if Cm.shape[1] != k:
         raise SpectralError("dimension mismatch in Hautus test")
-    thresh = HAUTUS_TOL * _norm_inf(M)
+    norm, scale = _norm_inf(M), 1.0
+    if not norm <= EIGEN_SCALE_NORM:
+        # as eigen does, the stack and each eigenvalue scaled by 2**-64, so
+        # that neither the threshold nor the SVD overflows; a common scale
+        # leaves the rank decision as it is
+        scale = 2.0**-64
+        M, Cm = M * scale, Cm * scale
+        norm = _norm_inf(M)
+    thresh = HAUTUS_TOL * norm
     stacked = np.empty((k + Cm.shape[0], k), dtype=complex)  # [M - lam*I; Cm]
     stacked[k:] = Cm
     eye = np.eye(k)
     for lam in sp.eigenvalues:
         if lam.real < -sp.radius:
             continue
-        np.subtract(M, lam * eye, out=stacked[:k])
+        np.subtract(M, complex(lam.real * scale, lam.imag * scale) * eye, out=stacked[:k])
         smin = np.linalg.svd(stacked, compute_uv=False)[-1]
         if not smin > thresh:
             return False

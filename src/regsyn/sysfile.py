@@ -45,6 +45,7 @@ class SystemFile:
     immersion: ImmersionMap | None
     regulator_solution: RegulatorSolution | None
     params: dict | None
+    origin: str  # what error messages name it by: its path, or <builtin:NAME>
 
 
 def _parse_sections(text, origin):
@@ -185,7 +186,7 @@ def parse_text(text, origin="<string>") -> SystemFile:
         except ValueError:
             raise sec.error("values must be numbers") from None
 
-    return SystemFile(plant, exo, controller, immersion, regsol, params)
+    return SystemFile(plant, exo, controller, immersion, regsol, params, origin)
 
 
 def parse_file(path) -> SystemFile:

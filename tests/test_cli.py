@@ -1013,7 +1013,7 @@ def _key(M):
 def test_each_matrix_analysed_once(capsys, monkeypatch, name):
     sf = examples.get(name).load()
     lin = model.linearize(sf.plant, sf.exo)
-    Phi = synth.InternalModel.from_controller(cli._internal_model(name, sf, lin)).Phi
+    Phi = synth.InternalModel.from_controller(cli._internal_model(sf, lin)).Phi
     keys = []
     eigen = specan.eigen
 
@@ -1115,6 +1115,7 @@ def test_example53_dump_is_the_same_under_haswell(haswell_kernel):
 
 _EXAMPLE51 = examples.get("example51").text
 _EXAMPLE52 = examples.get("example52").text
+_EXAMPLE53 = examples.get("example53").text
 # a flat sum of 250 terms: its generated source is one flat sum too
 _DEEP_SUM = _EXAMPLE51.replace("f1 = x2 - w1", "f1 = x2 - w1" + " + 0*x1" * 250)
 
@@ -1175,9 +1176,10 @@ def test_deep_sum_simulates_as_example51(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, text, status, out, err", [
-    pytest.param(("verify", "FILE"), "[exosystem]\np = 1\ns1 = 0\n", 2, "",
-                 "error: verify needs [plant], [reference] and [exosystem]\n",
-                 id="verify-without-plant"),
+    *(pytest.param((command, "FILE"), "[exosystem]\np = 1\ns1 = 0\n", 2, "",
+                   f"error: FILE: {command} needs [plant], [reference] and [exosystem]\n",
+                   id=f"{command}-without-plant")
+      for command in ("verify", "synthesize", "simulate")),
     pytest.param(("simulate", "FILE"), _EXAMPLE51, 2, "",
                  "error: --T is required for systems loaded from files\n",
                  id="simulate-file-without-T"),
@@ -1208,6 +1210,11 @@ def test_deep_sum_simulates_as_example51(tmp_path, capsys):
                      "pi2 = w1", "pi2 = w1 + (1e308*w1*1e10 - 1e308*w1*1e10)"),
                  1, ("CHECK regulator_residual_dynamics FAIL nan",), "",
                  id="verify-nan-residual"),
+    # Bc*lam overflows in a closed loop that synthesis tries
+    pytest.param(("synthesize", "FILE"),
+                 re.sub("^lam = .*$", "lam = 1e305*(xi1 + xi3)", _EXAMPLE53, flags=re.M),
+                 2, "", "error: FILE: matrix has non-finite entries\n",
+                 id="synthesize-overflowing-closed-loop"),
     pytest.param(("synthesize", "FILE", "--margin", "-1"), _EXAMPLE51, 2, "",
                  "error: --margin: need finite MARGIN >= 0, got -1\n",
                  id="synthesize-negative-margin"),

@@ -1,6 +1,7 @@
 """Property tests of outside input: a built-in dump with one value replaced,
 and extreme values of `[params]`, `--cell`, `--T`, `--dt`, `--ic` and the
-synthesis options.
+synthesis options; and the deterministic sweep of every built-in dump with
+one value replaced or sections removed.
 
 Whatever the input, every command must end in exit status 0, 1 or 2 with
 no exception escaping `cli.main`, and a rejected input must be named in
@@ -11,7 +12,9 @@ stderr holds that one error line and no warning.
 
 import contextlib
 import io
+import itertools
 import os
+import re
 import tempfile
 import warnings
 
@@ -43,10 +46,18 @@ def _slots(text):
     return [i for i, line in enumerate(text.splitlines()) if "=" in line]
 
 
+def _key(text, i):
+    return text.splitlines()[i].split("=", 1)[0].strip()
+
+
+def _values(key):
+    """The values a mutated `key = value` line takes; a bc list of one."""
+    return _SIZES if key in _DIMENSIONS else _NUMBERS if key == "bc" else _EXPRESSIONS
+
+
 def _mutate(text, i, value):
     lines = text.splitlines()
-    key = lines[i].split("=", 1)[0].strip()
-    lines[i] = f"{key} = {value}"
+    lines[i] = f"{_key(text, i)} = {value}"
     return "\n".join(lines) + "\n"
 
 
@@ -54,13 +65,11 @@ def _mutate(text, i, value):
 def _mutated_dumps(draw):
     text = examples.get(draw(st.sampled_from(examples.names()))).text
     i = draw(st.sampled_from(_slots(text)))
-    key = text.splitlines()[i].split("=", 1)[0].strip()
-    if key in _DIMENSIONS:
-        value = draw(st.sampled_from(_SIZES))
-    elif key == "bc":
+    key = _key(text, i)
+    if key == "bc":
         value = ", ".join(draw(st.lists(st.sampled_from(_NUMBERS), max_size=4)))
     else:
-        value = draw(st.sampled_from(_EXPRESSIONS))
+        value = draw(st.sampled_from(_values(key)))
     return _mutate(text, i, value)
 
 
@@ -82,41 +91,68 @@ _HUGE_PLANT = (examples.get("example51").text
                .replace("f2 = -x1 - x2 - sin(x2) + (1 + x2^2)*u", "f2 = " + _ROWS[1].format("x")))
 
 
+_PINNED_FILES = (_P0, _HUGE_GAIN, _HUGE_GAIN53, _HUGE_EXOSYSTEM, _HUGE_PLANT)
+
+
+def _never_escapes(path, text):
+    """Write text to path and run each command on it: no exception escapes
+    cli.main, an exit 2 leaves stdout empty and names the file, and stderr
+    holds that one error line and no warning."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    try:
+        sysfile.parse_file(path)
+        rejected = False
+    except sysfile.SysFileError as exc:
+        rejected = True
+        assert str(exc).startswith(path), exc
+    for command in _COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = cli.main([command[0], path, *command[1:]])
+        assert status in (0, 1, 2), (command, status)
+        # stderr holds the one error line of an exit 2 and nothing else
+        assert caught == [], (command, [str(w.message) for w in caught])
+        assert err.getvalue().count("\n") == (status == 2), (command, err.getvalue())
+        # no command here writes --out, so an input error prints nothing
+        if status == 2:
+            assert out.getvalue() == "", (command, out.getvalue(), err.getvalue())
+            assert err.getvalue().startswith(f"error: {path}"), (command, err.getvalue())
+        if rejected:
+            assert status == 2
+
+
 @hypothesis.settings(max_examples=150, deadline=None,
                      suppress_health_check=[hypothesis.HealthCheck.too_slow])
 @hypothesis.given(_mutated_dumps())
-@hypothesis.example(_P0)
-@hypothesis.example(_HUGE_GAIN)
-@hypothesis.example(_HUGE_GAIN53)
-@hypothesis.example(_HUGE_EXOSYSTEM)
-@hypothesis.example(_HUGE_PLANT)
 def test_mutated_file_never_escapes(text):
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "mutated.sys")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        try:
-            sysfile.parse_file(path)
-            rejected = False
-        except sysfile.SysFileError as exc:
-            rejected = True
-            assert str(exc).startswith(path), exc
-        for command in _COMMANDS:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                    warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                status = cli.main([command[0], path, *command[1:]])
-            assert status in (0, 1, 2), (command, status)
-            # stderr holds the one error line of an exit 2 and nothing else
-            assert caught == [], (command, [str(w.message) for w in caught])
-            assert err.getvalue().count("\n") == (status == 2), (command, err.getvalue())
-            # no command here writes --out, so an input error prints nothing
-            if status == 2:
-                assert out.getvalue() == "", (command, out.getvalue(), err.getvalue())
-                assert err.getvalue().startswith(f"error: {path}"), (command, err.getvalue())
-            if rejected:
-                assert status == 2
+        _never_escapes(os.path.join(tmp, "mutated.sys"), text)
+
+
+def _swept_files():
+    """Each built-in with one `key = value` line set to each of its values,
+    and with each combination of its sections removed; then the pinned
+    files."""
+    for name in examples.names():
+        text = examples.get(name).text
+        for i in _slots(text):
+            for value in _values(_key(text, i)):
+                yield _mutate(text, i, value)
+        head, *sections = re.split(r"(?m)^(?=\[)", text)
+        for count in range(1, len(sections) + 1):
+            for gone in itertools.combinations(sections, count):
+                yield head + "".join(s for s in sections if s not in gone)
+    yield from _PINNED_FILES
+
+
+def test_swept_file_never_escapes(tmp_path):
+    # 1825 files, each run by every command
+    path = str(tmp_path / "mutated.sys")
+    for text in _swept_files():
+        _never_escapes(path, text)
 
 
 # ------------------------------------------------- extreme option values

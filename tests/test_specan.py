@@ -325,6 +325,19 @@ def test_eigen_of_finite_entries_is_finite(name):
     assert {v.conjugate() for v in sp.eigenvalues} == set(sp.eigenvalues)
 
 
+@pytest.mark.parametrize("name", ["row_sum_overflows", "modulus_overflows"])
+def test_hautus_of_an_overflowing_norm(name):
+    # past EIGEN_SCALE_NORM the stack is tested scaled as eigen scales M,
+    # where row_sum_overflows' threshold and LAPACK's SVD of M - lam*I
+    # would overflow: an output row of 1e308 on the first state observes
+    # the right-half-plane pair, a zero row observes nothing
+    M = _PINNED[name][0]
+    with np.errstate(over="ignore"):
+        sp = eigen(M)
+        assert hautus_detectable(np.eye(1, len(M)) * 1e308, M, sp)
+        assert not hautus_detectable(np.zeros((1, len(M))), M, sp)
+
+
 def test_cond_is_numpys_bit_for_bit():
     rng = np.random.default_rng(29)
     for case in range(300):
